@@ -135,10 +135,10 @@ def _cmd_train(args) -> int:
             lam_override=args.lam,
         )
         model = result.model
-        per_layer = {
-            str(w): {"beta": s.beta.tolist(), "objective": s.objective, "gap": s.gap}
-            for w, s in result.per_layer.items()
-        }
+        per_layer = result.layer_report()
+        for w, s in sorted(result.per_layer.items()):
+            if not s.inner_converged:
+                print(f"warning: layer {w}: inner ascent hit its iteration cap", file=sys.stderr)
     report = dict(model.report)
     report["label_mapping"] = mapping
     report["per_layer"] = per_layer

@@ -385,22 +385,11 @@ def _check_complement(max_n: int) -> dict:
 def _check_containment(rng: np.random.Generator, triples: int = 40) -> dict:
     for n, p in ((6, 2), (6, 3), (8, 3)):
         layer = scheme.LayerParams(n, p)
-        rows = scheme.enumerate_layer(layer)
-        verts = scheme.vertex_betas(layer)
+        points = [HypercubePoint.from_array(row) for row in scheme.enumerate_layer(layer)]
         for trial in range(triples):
             m = int(rng.integers(2, 13))
-            idx = rng.integers(0, rows.shape[0], size=m)
-            bits = rows[idx].astype(np.int64)
-            ip = bits @ bits.T
-            grams = []
-            for t in range(p + 1):
-                table = np.array(
-                    [
-                        sum(verts[t, ell] * scheme.binomial(k, ell) for ell in range(p + 1))
-                        for k in range(p + 1)
-                    ]
-                )
-                grams.append(table[ip])
+            idx = rng.integers(0, len(points), size=m)
+            grams = learners.layer_vertex_grams([points[i] for i in idx], p)
             lam = rng.random(p + 1)
             lam /= lam.sum()
             alpha = rng.normal(size=m)
@@ -649,15 +638,7 @@ def bench_conjunction(
         model = result.model
         objective = result.objective
         gap = max(sol.gap for sol in result.per_layer.values())
-        per_layer = {
-            str(w): {
-                "beta": sol.beta.tolist(),
-                "objective": sol.objective,
-                "gap": sol.gap,
-                "inner_converged": sol.inner_converged,
-            }
-            for w, sol in result.per_layer.items()
-        }
+        per_layer = result.layer_report()
     else:
         convention = "pm1"
         labels_pm = 2.0 * train.labels - 1.0

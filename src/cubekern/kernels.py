@@ -24,6 +24,15 @@ no weight gating: its feature map (scaled degree-l monomials) is defined on
 the whole cube, and the exact-representation identity needs kernel values
 between the weight-l indicator and weight-s data points.
 
+Every Gram is computed by one core.  Points are packed once into an (m,)
+uint64 array of bit masks (:func:`points_to_bits`; n <= 64).  Inner
+products are popcounts of ANDed masks, taken in row blocks as uint8
+(:func:`inner_product_blocks`), with points above n/2 complemented by XOR
+with the all-ones mask.  Each block indexes the layer's (p+1)-entry value
+table, so the float Gram is the only m x m array built.  A
+:class:`TrainedModel` packs its support at construction, so prediction packs
+only the queries.
+
 Kernel specs and models are immutable and thread-safe; Gram construction is
 deterministic given identical inputs.
 """
@@ -59,6 +68,7 @@ __all__ = [
     "gram",
     "cross_gram",
     "points_to_bits",
+    "inner_product_blocks",
 ]
 
 
@@ -82,11 +92,7 @@ class HypercubePoint:
         """Parse a bitstring; character i is coordinate i."""
         if not s or set(s) - {"0", "1"}:
             raise ValueError(f"not a bitstring: {s!r}")
-        mask = 0
-        for i, ch in enumerate(s):
-            if ch == "1":
-                mask |= 1 << i
-        return cls(len(s), mask)
+        return cls(len(s), int(s[::-1], 2))
 
     @classmethod
     def from_indices(cls, n: int, indices) -> "HypercubePoint":
@@ -103,7 +109,7 @@ class HypercubePoint:
         return cls.from_indices(a.shape[0], np.nonzero(a)[0].tolist())
 
     def to_string(self) -> str:
-        return "".join("1" if (self.bits >> i) & 1 else "0" for i in range(self.n))
+        return format(self.bits, f"0{self.n}b")[::-1]
 
     def inner(self, other: "HypercubePoint") -> int:
         if self.n != other.n:
@@ -270,45 +276,75 @@ class KernelSpec:
         return cls(n, kind, per_layer)
 
 
-def points_to_bits(points) -> np.ndarray:
-    """Stack hypercube points into an (m, n) uint8 matrix."""
-    return np.array([[(pt.bits >> i) & 1 for i in range(pt.n)] for pt in points], dtype=np.uint8)
+def points_to_bits(points, n: int) -> np.ndarray:
+    """Pack dimension-``n`` hypercube points into an (m,) uint64 array of bit masks."""
+    if not 1 <= n <= 64:
+        raise ValueError(f"bit-mask packing needs 1 <= n <= 64, got n={n}")
+    points = list(points)
+    if any(pt.n != n for pt in points):
+        raise ValueError(f"point dimension mismatch with kernel (n={n})")
+    return np.fromiter((pt.bits for pt in points), dtype=np.uint64, count=len(points))
+
+
+def _packed(points, n: int) -> np.ndarray:
+    """Masks of a point list, or an already packed mask array checked against ``n``."""
+    if isinstance(points, np.ndarray) and points.dtype == np.uint64:
+        if points.ndim != 1 or np.any(points > np.uint64((1 << n) - 1)):
+            raise ValueError(f"packed masks are not a 1-d array of n={n} bit masks")
+        return points
+    return points_to_bits(points, n)
+
+
+def _mirrored(masks: np.ndarray, weight: int, n: int) -> np.ndarray:
+    """Masks of a layer above n/2 complemented onto the mirror layer, else unchanged."""
+    return masks ^ np.uint64((1 << n) - 1) if 2 * weight > n else masks
+
+
+_BLOCK_ELEMS = 1 << 18  # entries per row block: bounds every temporary of the lookup
+
+
+def inner_product_blocks(a: np.ndarray, b: np.ndarray):
+    """Yield ``(start, ip)`` over row blocks, ``ip[i, j] = popcount(a[start + i] & b[j])``.
+
+    ``a`` and ``b`` are uint64 mask arrays; ``ip`` is uint8.  Callers push
+    each block through a value table, so no m x m integer matrix is built.
+    """
+    step = max(1, _BLOCK_ELEMS // max(b.size, 1))
+    for start in range(0, a.size, step):
+        yield start, np.bitwise_count(a[start : start + step, None] & b)
 
 
 def gram(spec: KernelSpec, points, max_points: int = 20000) -> np.ndarray:
-    """Dense symmetric kernel matrix over a point list."""
+    """Dense symmetric kernel matrix over a point list (or its packed masks)."""
     m = len(points)
     if m > max_points:
         raise ValueError(f"refusing to build a {m}x{m} Gram matrix (cap {max_points})")
-    return cross_gram(spec, points, points)
+    masks = _packed(points, spec.n)
+    return cross_gram(spec, masks, masks)
 
 
 def cross_gram(spec: KernelSpec, rows, cols) -> np.ndarray:
-    """Kernel values between two point lists, vectorized by weight group."""
-    rows, cols = list(rows), list(cols)
-    for pt in rows + cols:
-        if pt.n != spec.n:
-            raise ValueError(f"point dimension mismatch with kernel (n={spec.n})")
-    if not rows or not cols:
-        return np.zeros((len(rows), len(cols)))
-    xr = points_to_bits(rows).astype(np.int64)
-    xc = points_to_bits(cols).astype(np.int64)
-    out = np.zeros((len(rows), len(cols)))
+    """Kernel values between two point lists, by weight group.
+
+    Either side may be given as the uint64 masks of :func:`points_to_bits`,
+    so a caller that scores many batches against one support packs it once.
+    """
+    xr, xc = _packed(rows, spec.n), _packed(cols, spec.n)
+    out = np.zeros((xr.size, xc.size))
     if spec.kind == "sparse_conjunction":
         (lk,) = spec.per_layer.values()
-        out[:] = lk.g_table[xr @ xc.T]
+        for start, ip in inner_product_blocks(xr, xc):
+            out[start : start + len(ip)] = lk.g_table[ip]
         return out
-    wr = xr.sum(axis=1)
-    wc = xc.sum(axis=1)
-    for w, lk in spec.per_layer.items():
-        ri = np.nonzero(wr == w)[0]
-        ci = np.nonzero(wc == w)[0]
-        if ri.size == 0 or ci.size == 0:
+    wr, wc = np.bitwise_count(xr), np.bitwise_count(xc)
+    for w in np.unique(wc).tolist():
+        lk = spec.per_layer.get(w)
+        if lk is None:
             continue
-        a, b = xr[ri], xc[ci]
-        if 2 * w > spec.n:
-            a, b = 1 - a, 1 - b
-        out[np.ix_(ri, ci)] = lk.g_table[a @ b.T]
+        ri, ci = np.flatnonzero(wr == w), np.flatnonzero(wc == w)
+        a, b = _mirrored(xr[ri], w, spec.n), _mirrored(xc[ci], w, spec.n)
+        for start, ip in inner_product_blocks(a, b):
+            out[np.ix_(ri[start : start + len(ip)], ci)] = lk.g_table[ip]
     return out
 
 
@@ -379,15 +415,16 @@ def sparse_conjunction_kernel(n: int, s: int, ell: int) -> KernelSpec:
 class TrainedModel:
     """A classifier in representer form: f(x) = sum_i alpha_i k(x_i, x).
 
-    ``spec`` is usually a :class:`KernelSpec` but may be any object with
-    ``gram`` / ``cross_gram`` methods (e.g. a lifted kernel on embedded
-    points).
+    ``spec`` is usually a :class:`KernelSpec`, whose support is packed once
+    here; it may be any object with ``gram`` / ``cross_gram`` methods (e.g. a
+    lifted kernel on embedded points), which gets the support as points.
     """
 
     spec: object
     support: tuple
     alphas: np.ndarray
     report: dict = field(default_factory=dict)
+    _rows: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = np.array(self.alphas, dtype=float)
@@ -396,16 +433,21 @@ class TrainedModel:
         object.__setattr__(self, "support", tuple(self.support))
         if len(self.support) != self.alphas.shape[0]:
             raise ValueError("support and alphas length mismatch")
+        rows = self.support
+        if isinstance(self.spec, KernelSpec):
+            rows = points_to_bits(self.support, self.spec.n)
+            rows.flags.writeable = False
+        object.__setattr__(self, "_rows", rows)
 
     def predict(self, x: HypercubePoint) -> float:
         return float(self.predict_many([x])[0])
 
     def predict_many(self, points) -> np.ndarray:
-        return self.alphas @ self.spec.cross_gram(list(self.support), list(points))
+        return self.alphas @ self.spec.cross_gram(self._rows, list(points))
 
     def norm_sq(self) -> float:
         """||w||^2 = alpha^T K alpha over the support points."""
-        k = self.spec.gram(list(self.support))
+        k = self.spec.gram(self._rows)
         return float(self.alphas @ k @ self.alphas)
 
 

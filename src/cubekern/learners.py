@@ -44,8 +44,9 @@ from typing import Callable
 
 import numpy as np
 
-from .kernels import KernelSpec, TrainedModel, mix_vertices, points_to_bits
-from .scheme import LayerParams, vertex_betas, binomial
+from .kernels import KernelSpec, TrainedModel, inner_product_blocks, mix_vertices, points_to_bits
+from .kernels import _g_table, _mirrored
+from .scheme import LayerParams, vertex_betas
 
 __all__ = [
     "LossSpec",
@@ -128,8 +129,12 @@ def pegasos_train(
         raise ValueError("empty dataset")
     if lam <= 0:
         raise ValueError("lam must be positive")
-    k = np.asarray(spec.gram(points), dtype=float)
     y = np.asarray(labels, dtype=float)
+    if y.shape != (m,):
+        raise ValueError(f"labels have shape {y.shape}, expected ({m},) to match the points")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("labels must be finite")
+    k = np.asarray(spec.gram(points), dtype=float)
     rng = np.random.default_rng(seed)
     steps = epochs * m
     picks = rng.integers(0, m, size=steps)
@@ -205,7 +210,7 @@ class MklSolution:
     objective: float  # primal value at (beta, alphas)
     gap: float  # |primal - dual| at the returned point
     trace: np.ndarray  # best-so-far outer objective, one entry per iteration
-    inner_converged: bool
+    inner_converged: bool  # the final polish's flag; capped outer steps do not count
     outer_iters: int
 
 
@@ -312,12 +317,10 @@ def mkl_layer_solve(
     alpha = np.zeros(problem.m)
     best = (math.inf, beta.copy(), alpha.copy())
     trace = np.empty(outer_iters)
-    inner_ok = True
     loop_cap = min(inner_max_iter, 5000)  # full budget is spent on the final polish
     for k in range(1, outer_iters + 1):
         kb = problem.combine(beta)
-        alpha, ok, _ = _inner_max(problem, kb, alpha, inner_tol, loop_cap)
-        inner_ok = inner_ok and ok
+        alpha, _, _ = _inner_max(problem, kb, alpha, inner_tol, loop_cap)
         val = _dual_value(problem, kb, alpha)
         if val < best[0]:
             best = (val, beta.copy(), alpha.copy())
@@ -326,8 +329,7 @@ def mkl_layer_solve(
         beta = project_capped_simplex(beta - subg / math.sqrt(k))
     _, beta_star, alpha_star = best
     kb = problem.combine(beta_star)
-    alpha_star, ok, _ = _inner_max(problem, kb, alpha_star, inner_tol, inner_max_iter)
-    inner_ok = inner_ok and ok
+    alpha_star, polished, _ = _inner_max(problem, kb, alpha_star, inner_tol, inner_max_iter)
     primal = _primal_value(problem, kb, alpha_star)
     dual = _dual_value(problem, kb, alpha_star)
     return MklSolution(
@@ -336,7 +338,7 @@ def mkl_layer_solve(
         objective=primal,
         gap=abs(primal - dual),
         trace=trace,
-        inner_converged=inner_ok,
+        inner_converged=polished,
         outer_iters=outer_iters,
     )
 
@@ -381,20 +383,16 @@ def layer_vertex_grams(points, weight: int) -> list[np.ndarray]:
     the canonical mirrored layer.
     """
     n = points[0].n
-    bits = points_to_bits(points).astype(np.int64)
-    if np.any(bits.sum(axis=1) != weight):
+    masks = points_to_bits(points, n)
+    if np.any(np.bitwise_count(masks) != weight):
         raise ValueError("all points must share the stated weight")
-    if 2 * weight > n:
-        bits = 1 - bits
+    masks = _mirrored(masks, weight, n)
     cp = min(weight, n - weight)
-    ip = bits @ bits.T
-    verts = vertex_betas(LayerParams(n, cp))
-    grams = []
-    for t in range(cp + 1):
-        table = np.array(
-            [sum(verts[t, ell] * binomial(k, ell) for ell in range(cp + 1)) for k in range(cp + 1)]
-        )
-        grams.append(table[ip])
+    tables = [_g_table(beta, cp) for beta in vertex_betas(LayerParams(n, cp))]
+    grams = [np.empty((masks.size, masks.size)) for _ in tables]
+    for start, ip in inner_product_blocks(masks, masks):
+        for table, g in zip(tables, grams):
+            g[start : start + len(ip)] = table[ip]
     return grams
 
 
@@ -405,6 +403,18 @@ class MklTrainResult:
     model: TrainedModel
     objective: float  # sum of layer objectives
     report: dict = field(default_factory=dict)
+
+    def layer_report(self) -> dict:
+        """Per layer (keyed by weight as a string): beta, objective, gap, convergence."""
+        return {
+            str(w): {
+                "beta": s.beta.tolist(),
+                "objective": s.objective,
+                "gap": s.gap,
+                "inner_converged": s.inner_converged,
+            }
+            for w, s in self.per_layer.items()
+        }
 
 
 def mkl_train(

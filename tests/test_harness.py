@@ -10,7 +10,8 @@ Core claims:
     - bench: the analytic conjunction model has zero test error noiseless,
       and nothing beats coin flipping at noise 1/2
     - the CLI emits the promised JSON schemas, is byte-deterministic for a
-      fixed seed, and uses exit codes 0/1/2
+      fixed seed, and uses exit codes 0/1/2; train reports each layer's
+      inner_converged flag and warns on stderr when one is false
 """
 
 import json
@@ -21,7 +22,7 @@ import sys
 import numpy as np
 import pytest
 
-from cubekern import harness, kernels, learners
+from cubekern import cli, harness, kernels, learners
 from cubekern.harness import gen_conjunction_dataset
 
 
@@ -251,6 +252,28 @@ class TestCli:
             )
             outs.append(open(path, "rb").read())
         assert outs[0] == outs[1]
+
+    def test_train_reports_inner_convergence(self, tmp_path, monkeypatch, capsys):
+        data = gen_conjunction_dataset(6, [0], "uniform_layer", 2, 16, 0.0, seed=2)
+        data_path = str(tmp_path / "d.jsonl")
+        harness.save_dataset(data, data_path)
+        argv = ["train", "--algo", "mkl", "--data", data_path, "--eps", "0.3",
+                "--outer-iters", "20", "--quiet"]
+        ok_path = str(tmp_path / "ok.json")
+        assert cli.main([*argv, "--out", ok_path]) == 0
+        per_layer = json.loads(open(ok_path).read())["report"]["per_layer"]
+        assert per_layer and all(v["inner_converged"] is True for v in per_layer.values())
+        assert "warning" not in capsys.readouterr().err
+
+        inner_max = learners._inner_max
+        monkeypatch.setattr(learners, "_inner_max", lambda *a: inner_max(*a)[:1] + (False, 0))
+        capped_path = str(tmp_path / "capped.json")
+        assert cli.main([*argv, "--out", capped_path]) == 0
+        per_layer = json.loads(open(capped_path).read())["report"]["per_layer"]
+        assert all(v["inner_converged"] is False for v in per_layer.values())
+        warnings = capsys.readouterr().err.strip().splitlines()
+        assert len(warnings) == len(per_layer)
+        assert all(w.startswith("warning: layer") for w in warnings)
 
     def test_rademacher_fields(self, tmp_path):
         data = gen_conjunction_dataset(8, [0], "sparse", 3, 30, 0.0, seed=6)

@@ -5,10 +5,12 @@ Core claims:
     - duality_gap reproduces hand values at alpha = 0 and degenerate kernels
     - pegasos hits the 1-d closed-form optimum, collapses under huge
       regularization, decouples across layers, is bit-reproducible, and
-      tracks an independent feature-space primal oracle within 2%
+      tracks an independent feature-space primal oracle within 2%, and
+      rejects label-length mismatches and non-finite labels by name
     - the layer MKL solver certifies saddles (tiny gaps), keeps a monotone
       best-so-far trace, reduces to a fixed-kernel SVM on one vertex, and
-      its outer objective is convex along simplex segments
+      its outer objective is convex along simplex segments; its convergence
+      flag is the final polish's, not spoiled by a capped outer step
     - mkl_train decomposes across layers and uses lambda = eps/(n B^2)
     - the Rademacher estimator matches closed forms and sits below the
       analytic bound
@@ -165,6 +167,18 @@ class TestPegasos:
         with pytest.raises(ValueError, match="empty"):
             learners.pegasos_train(kernels.universal_kernel(4), [], np.array([]), lam=1.0)
 
+    def test_label_length_mismatch(self):
+        pts = pts_from_tuples(layer_points(4, 2))
+        with pytest.raises(ValueError, match="labels have shape"):
+            learners.pegasos_train(kernels.universal_kernel(4), pts, np.ones(5), lam=1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_labels(self, bad):
+        pts = pts_from_tuples(layer_points(4, 2))
+        y = np.array([1.0, -1.0, bad, -1.0, 1.0, -1.0])
+        with pytest.raises(ValueError, match="finite"):
+            learners.pegasos_train(kernels.universal_kernel(4), pts, y, lam=1.0)
+
 
 class TestMklLayerSolve:
     def test_two_point_example_gap(self):
@@ -234,6 +248,26 @@ class TestMklLayerSolve:
         problem = two_point_problem(lam=0.01)
         sol = learners.mkl_layer_solve(problem, outer_iters=3, inner_tol=0.0, inner_max_iter=5)
         assert sol.inner_converged is False
+
+    def test_capped_outer_step_does_not_mark_polished_solution(self, monkeypatch):
+        flags = []
+        inner_max = learners._inner_max
+
+        def recorded(*args):
+            out = inner_max(*args)
+            flags.append(out[1])
+            return out
+
+        monkeypatch.setattr(learners, "_inner_max", recorded)
+        pts = pts_from_tuples(layer_points(6, 2)[:8])
+        problem = MklLayerProblem(
+            learners.layer_vertex_grams(pts, 2), np.array([1.0, -1.0] * 4), lam=0.05
+        )
+        sol = learners.mkl_layer_solve(problem, outer_iters=6, inner_tol=1e-8, inner_max_iter=40)
+        assert flags[0] is False  # the cold-started first outer step hits its cap
+        assert flags[-1] is True  # the polish of the returned point converges
+        assert sol.inner_converged is True
+        assert sol.gap == pytest.approx(learners.duality_gap(problem, sol.beta, sol.alphas))
 
 
 class TestProjection:
