@@ -192,7 +192,10 @@ def _cmd_embed(args) -> int:
             if not line:
                 continue
             obj = json.loads(line)
-            pt = embedding.embed(pair, args.role, np.asarray(obj["x"], dtype=float))
+            x = np.asarray(obj["x"], dtype=float)
+            if x.ndim != 1:
+                raise ValueError(f"embed apply takes one vector per line, got shape {x.shape}")
+            pt = embedding.embed(pair, args.role, x)
             fout.write(json.dumps({"x": pt.to_string()}) + "\n")
             count += 1
     _emit(args, {"count": count, "width": pair.width, "out": args.bits_out})

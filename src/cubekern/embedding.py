@@ -16,8 +16,8 @@ Instead of trusting the concentration argument, every interval embedder is
 *certified at build time*: the full grid-pair inner-product table is
 computed (packed bits + popcount) and the build is retried with a fresh
 substream until the worst grid-pair deviation is within ``eps_int``, up to
-a bounded number of retries.  The certified table is kept for fast exact
-inner products in tests and lifted-kernel evaluation.
+a bounded number of retries.  An embedded point is held as its grid cells,
+and every lifted Gram is read from these certified tables.
 
 Kernel lifting: a scalar kernel ``g`` on inner products (L-Lipschitz on
 ``[0, n]``) lifts to embedded points as ``g(<u, v> / t)``; the lifted value
@@ -25,8 +25,8 @@ differs from ``g(<x, y>)`` by at most ``L * eps`` for certified pairs.
 
 Two maps (role 1 and role 2) are needed because same-role inner products
 are biased whenever both arguments hit the same grid cell (a row dotted
-with itself counts ones, not squared ones); all guarantees are for
-role-1-vs-role-2 products.
+with itself counts ones, not squared ones); only role-1-vs-role-2 products
+are certified, and same-role products are rejected.
 
 Builds are single-threaded (one PRNG substream per coordinate and
 attempt); once built, pairs are immutable and embedding/lifting are pure
@@ -41,11 +41,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import HypercubePoint
-
 __all__ = [
     "IntervalEmbedderPair",
     "CubeEmbedderPair",
+    "EmbeddedPoint",
     "StronglyEuclideanG",
     "poly_g",
     "table_g",
@@ -174,14 +173,28 @@ class CubeEmbedderPair:
         return self.coords[0].grid
 
     def grid_indices(self, x) -> np.ndarray:
-        """Round every coordinate down to its grid cell; reject out-of-range input."""
+        """Round each coordinate of a vector or an (m, n) batch down to its grid
+        cell; reject out-of-range input."""
         v = np.asarray(x, dtype=float)
-        if v.shape != (self.n,):
+        if v.ndim not in (1, 2) or v.shape[-1] != self.n:
             raise ValueError(f"expected a length-{self.n} vector, got shape {v.shape}")
         if np.any(v < -1e-12) or np.any(v > 1.0 + 1e-12):
             raise ValueError("coordinates must lie in [0, 1]")
-        v = np.clip(v, 0.0, 1.0)
-        return np.searchsorted(self.grid, v, side="right") - 1
+        cells = np.searchsorted(self.grid, np.clip(v, 0.0, 1.0), side="right") - 1
+        cells.flags.writeable = False
+        return cells
+
+    def cell_inner(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """<Psi_1(x), Psi_2(y)> for (m1, n) cells x and (m2, n) cells y, from the tables."""
+        out = np.zeros((rows.shape[0], cols.shape[0]), dtype=np.int64)
+        for c, coord in enumerate(self.coords):
+            out += coord.ensure_pair_inner()[rows[:, c][:, None], cols[:, c]]
+        return out
+
+    def sym_inner(self, cells: np.ndarray) -> np.ndarray:
+        """(P + P^T) / 2 with P = cell_inner(cells, cells); every entry is certified."""
+        ip = self.cell_inner(cells, cells)
+        return (ip + ip.T) / 2.0
 
     def table_inner(self, x, y) -> int:
         """Exact <Psi_1(x), Psi_2(y)> via the certified per-coordinate tables."""
@@ -226,15 +239,36 @@ def _smallest_feasible_eps(n: int, c_t: float, width_cap: int) -> float:
     return hi
 
 
-def embed(pair: CubeEmbedderPair, role: int, x) -> HypercubePoint:
-    """Embed a real vector: per coordinate, look up the fixed bit row."""
+@dataclass(frozen=True, eq=False)
+class EmbeddedPoint:
+    """A real vector embedded by one role of a pair, held as its (n,) grid cells."""
+
+    pair: CubeEmbedderPair = field(repr=False)
+    role: int
+    cells: np.ndarray
+
+    @property
+    def bits(self) -> int:
+        """The n*t-bit row: coordinate c's fixed row for its cell, shifted to bit c*t."""
+        coords, t = self.pair.coords, self.pair.t
+        return sum(coords[c].row_int(self.role, int(a)) << (c * t) for c, a in enumerate(self.cells))
+
+    def to_string(self) -> str:
+        """The bit row as a bitstring; character i is bit i."""
+        return format(self.bits, f"0{self.pair.width}b")[::-1]
+
+
+def embed(pair: CubeEmbedderPair, role: int, x) -> EmbeddedPoint | list[EmbeddedPoint]:
+    """Embed a real vector under role 1 or 2: round it to its grid cells.
+
+    An (m, n) batch gives a list of m points, rounded with one searchsorted.
+    """
     if role not in (1, 2):
         raise ValueError("role must be 1 or 2")
-    idx = pair.grid_indices(x)
-    bits = 0
-    for c, a in enumerate(idx):
-        bits |= pair.coords[c].row_int(role, int(a)) << (c * pair.t)
-    return HypercubePoint(pair.width, bits)
+    cells = pair.grid_indices(x)
+    if cells.ndim == 1:
+        return EmbeddedPoint(pair, role, cells)
+    return [EmbeddedPoint(pair, role, row) for row in cells]
 
 
 # ---------------------------------------------------------------------------
@@ -301,26 +335,40 @@ def table_g(knots_x, knots_y, lipschitz: float) -> StronglyEuclideanG:
 
 @dataclass(frozen=True)
 class LiftedKernel:
-    """g evaluated on scaled bit inner products: k(u, v) = g(<u, v> / t)."""
+    """k(x, y) = g(<Psi_1(x), Psi_2(y)> / t), read from the pair's certified tables."""
 
     g: StronglyEuclideanG
-    t: int
-    n: int
-    kind: str = "lifted"
+    pair: CubeEmbedderPair
 
-    def evaluate(self, u: HypercubePoint, v: HypercubePoint) -> float:
-        return float(self.g(min(max(u.inner(v) / self.t, 0.0), self.n)))
+    def _lift(self, ip: np.ndarray) -> np.ndarray:
+        return np.asarray(self.g(np.clip(ip / self.pair.t, 0.0, self.pair.n)), dtype=float)
+
+    def _cells(self, points) -> tuple[int | None, np.ndarray]:
+        """The role shared by embedded points (None if there are none) and their cells."""
+        if any(p.pair is not self.pair or p.role != points[0].role for p in points):
+            raise ValueError("points must share one role and this kernel's pair")
+        cells = np.array([p.cells for p in points], dtype=np.intp).reshape(-1, self.pair.n)
+        return (points[0].role if len(points) else None), cells
+
+    def evaluate(self, u: EmbeddedPoint, v: EmbeddedPoint) -> float:
+        return float(self.cross_gram([u], [v])[0, 0])
 
     def cross_gram(self, rows, cols) -> np.ndarray:
-        ip = np.array([[r.inner(c) for c in cols] for r in rows], dtype=float)
-        return np.asarray(self.g(np.clip(ip / self.t, 0.0, self.n)), dtype=float)
+        """Role-1 rows x role-2 columns (the reverse gives the transpose); same-role raises."""
+        (row_role, r), (col_role, c) = self._cells(rows), self._cells(cols)
+        if row_role is not None and row_role == col_role:
+            raise ValueError(f"role-{row_role} x role-{row_role} products are not certified")
+        if row_role == 2 or col_role == 1:
+            return self._lift(self.pair.cell_inner(c, r).T)
+        return self._lift(self.pair.cell_inner(r, c))
 
     def gram(self, points) -> np.ndarray:
-        return self.cross_gram(points, points)
+        """g((P + P^T) / 2t), P_ij = <Psi_1(x_i), Psi_2(x_j)>, whatever the points' role."""
+        return self._lift(self.pair.sym_inner(self._cells(points)[1]))
 
 
 def lift_kernel(g: StronglyEuclideanG, pair: CubeEmbedderPair) -> LiftedKernel:
-    return LiftedKernel(g, pair.t, pair.n)
+    return LiftedKernel(g, pair)
 
 
 # ---------------------------------------------------------------------------
@@ -329,22 +377,27 @@ def lift_kernel(g: StronglyEuclideanG, pair: CubeEmbedderPair) -> LiftedKernel:
 
 @dataclass
 class EmbeddedModel:
-    """Classifier over embedded inputs.
+    """f(x) = sum_i alpha_i g(<Psi_1(x_i), Psi_2(x)> / t) over the role-1 support.
 
-    Queries are embedded with role 2; the stored support points are role-1
-    embeddings of the training sample, so predictions use certified
-    two-role inner products.
+    Training used the symmetrised cross-role Gram; ``report`` holds its worst
+    deviation from the grid-rounded inner products (``gram_max_deviation``)
+    and its minimum eigenvalue (``gram_min_eigenvalue``; it need not be PSD).
     """
 
     pair: CubeEmbedderPair
-    kernel: object
+    kernel: LiftedKernel
     support: tuple
     alphas: np.ndarray
     report: dict
 
     def predict_many(self, xs) -> np.ndarray:
-        queries = [embed(self.pair, 2, x) for x in xs]
-        return self.alphas @ self.kernel.cross_gram(list(self.support), queries)
+        """Predict an (m, n) batch, embedded with role 2; ``[]`` is an empty batch."""
+        v = np.asarray(xs, dtype=float)
+        if v.shape == (0,):
+            v = v.reshape(0, self.pair.n)
+        if v.ndim != 2:
+            raise ValueError(f"expected an (m, {self.pair.n}) batch, got shape {v.shape}")
+        return self.alphas @ self.kernel.cross_gram(self.support, embed(self.pair, 2, v))
 
     def predict(self, x) -> float:
         return float(self.predict_many([x])[0])
@@ -359,19 +412,11 @@ def train_on_cube(
     seed: int = 0,
     loss=None,
     epochs: int = 200,
-    use_mkl: bool = False,
     lam_override: float | None = None,
 ) -> EmbeddedModel:
-    """Embed a real-valued sample and train with the lifted kernel.
-
-    Default path: role-2 embed the sample, train kernelized SGD with
-    ``g(<u, v>/t)``, keep role-1 embeddings of the sample as the support.
-    With ``use_mkl`` the layer-wise MKL program runs directly on the
-    embedded cube instead (only practical when n*t stays at most 64, the
-    cap of the layer machinery); that path both trains and predicts on
-    role-2 embeddings.
-    """
-    from .learners import HINGE, mkl_train, pegasos_train
+    """Embed a real-valued sample as role 1 and train kernelized SGD on the
+    symmetrised cross-role Gram of the lifted kernel ``g(<u, v>/t)``."""
+    from .learners import HINGE, pegasos_train
 
     loss = HINGE if loss is None else loss
     xs = np.asarray(points, dtype=float)
@@ -380,18 +425,15 @@ def train_on_cube(
     m, n = xs.shape
     pair = build_pair(n, epsilon, seed=seed)
     lam = epsilon / (n * B * B) if lam_override is None else lam_override
-    embedded2 = [embed(pair, 2, x) for x in xs]
-    if use_mkl:
-        result = mkl_train(embedded2, labels, B, epsilon, loss=loss, lam_override=lam_override)
-        report = dict(result.report)
-        report["path"] = "mkl_on_embedded_cube"
-        return EmbeddedModel(pair, result.model.spec, tuple(embedded2), result.model.alphas, report)
+    support = tuple(embed(pair, 1, xs))
     kernel = lift_kernel(g, pair)
-    model = pegasos_train(kernel, embedded2, labels, lam, epochs=epochs, seed=seed, loss=loss)
-    support1 = tuple(embed(pair, 1, x) for x in xs)
+    model = pegasos_train(kernel, support, labels, lam, epochs=epochs, seed=seed, loss=loss)
+    cells = np.array([p.cells for p in support])
+    u = pair.grid[cells]
     report = dict(model.report)
-    report["path"] = "lifted_kernel"
-    return EmbeddedModel(pair, kernel, support1, model.alphas, report)
+    report["gram_max_deviation"] = float(np.abs(pair.sym_inner(cells) / pair.t - u @ u.T).max())
+    report["gram_min_eigenvalue"] = float(np.linalg.eigvalsh(kernel.gram(support))[0])
+    return EmbeddedModel(pair, kernel, support, model.alphas, report)
 
 
 # ---------------------------------------------------------------------------

@@ -105,6 +105,18 @@ def get_loss(name: str) -> LossSpec:
         raise ValueError(f"unknown loss {name!r}; choose from hinge, absolute") from None
 
 
+def _check_labels(labels, m: int, loss: LossSpec) -> np.ndarray:
+    """Labels as floats: one per point, finite, and -1 or +1 under the hinge loss."""
+    y = np.asarray(labels, dtype=float)
+    if y.shape != (m,):
+        raise ValueError(f"labels have shape {y.shape}, expected ({m},) to match the points")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("labels must be finite")
+    if loss.name == "hinge" and not np.all(np.abs(y) == 1.0):
+        raise ValueError("hinge-loss labels must be -1 or +1")
+    return y
+
+
 # ---------------------------------------------------------------------------
 # Pegasos
 
@@ -129,11 +141,7 @@ def pegasos_train(
         raise ValueError("empty dataset")
     if lam <= 0:
         raise ValueError("lam must be positive")
-    y = np.asarray(labels, dtype=float)
-    if y.shape != (m,):
-        raise ValueError(f"labels have shape {y.shape}, expected ({m},) to match the points")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("labels must be finite")
+    y = _check_labels(labels, m, loss)
     k = np.asarray(spec.gram(points), dtype=float)
     rng = np.random.default_rng(seed)
     steps = epochs * m
@@ -443,7 +451,7 @@ def mkl_train(
         raise ValueError("empty dataset")
     n = points[0].n
     lam = epsilon / (n * B * B) if lam_override is None else lam_override
-    y = np.asarray(labels, dtype=float)
+    y = _check_labels(labels, m, loss)
     weights = np.array([pt.weight for pt in points])
     per_layer: dict[int, MklSolution] = {}
     spec_layers = {}
@@ -496,12 +504,16 @@ def rademacher_estimate(points, B: float, trials: int = 200, seed: int = 0) -> R
     ``sigma' K sigma`` is attained at a vertex, so the estimate is
     ``(B/m) sqrt(sum_layers max_t sigma' K_t sigma)``; ties in the max go to
     the lowest vertex index (the value is unaffected).  Also reports the
-    closed-form bound ``sqrt(2 e B^2 ln(n) / m)``.
+    closed-form bound ``sqrt(2 e B^2 ln(n) / m)``, which needs n >= 2.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     m = len(points)
+    if m == 0:
+        raise ValueError("empty sample")
     n = points[0].n
+    if n < 2:
+        raise ValueError(f"the bound sqrt(2 e B^2 ln(n) / m) needs n >= 2, got n={n}")
     weights = np.array([pt.weight for pt in points])
     layer_data = []
     for w in sorted(set(weights.tolist())):

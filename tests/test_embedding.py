@@ -9,14 +9,23 @@ Core claims:
     - embedded bit vectors agree with the certified inner-product tables
     - lifting a constant is exact; Lipschitz profiles deviate by at most
       2 L eps; declared constants are validated
+    - lifted Grams read from the tables equal the bit-level products
+      exactly, transpose across roles and reject same-role products
     - save -> load round-trips the tables bit-exactly
-    - end-to-end training on real inputs fits margined linear data
+    - end-to-end training on real inputs fits margined linear data, on a
+      training Gram certified within eps of the grid inner products;
+      batch prediction validates its input and agrees with single queries
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubekern import embedding
 from cubekern.learners import HINGE
@@ -79,7 +88,7 @@ class TestBuild:
         pair = embedding.build_pair(1, 0.35, seed=3)
         assert pair.coords[0].max_deviation() <= 0.35
         one = np.array([1.0])
-        ip = embedding.embed(pair, 1, one).inner(embedding.embed(pair, 2, one))
+        ip = (embedding.embed(pair, 1, one).bits & embedding.embed(pair, 2, one).bits).bit_count()
         assert abs(1.0 - ip / pair.t) <= 0.35
 
 
@@ -117,7 +126,7 @@ class TestEmbed:
             x, y = rng.random(3), rng.random(3)
             u = embedding.embed(pair, 1, x)
             v = embedding.embed(pair, 2, y)
-            assert u.inner(v) == pair.table_inner(x, y)
+            assert (u.bits & v.bits).bit_count() == pair.table_inner(x, y)
 
     def test_inner_product_preservation(self, rng):
         eps = 0.15
@@ -185,6 +194,48 @@ class TestLift:
         assert worst <= 2 * g.lipschitz * eps
 
 
+def small_pairs():
+    return st.builds(
+        lambda n, eps, seed: embedding.build_pair(n, eps, seed=seed),
+        st.integers(1, 3),
+        st.floats(0.2, 0.5),
+        st.integers(0, 2**16),
+    )
+
+
+class TestLiftedGram:
+    @settings(max_examples=30, deadline=None)
+    @given(small_pairs(), st.data())
+    def test_tables_equal_bit_products(self, pair, data):
+        n = pair.n
+        g = embedding.poly_g([0.5, 1.0 / n], lipschitz=1.0 / n, domain_max=float(n))
+        k = embedding.lift_kernel(g, pair)
+        vectors = st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n).map(np.array)
+        rows = [embedding.embed(pair, 1, x) for x in data.draw(st.lists(vectors, max_size=6))]
+        cols = [embedding.embed(pair, 2, y) for y in data.draw(st.lists(vectors, max_size=6))]
+        want = np.array(
+            [[g(np.clip((u.bits & v.bits).bit_count() / pair.t, 0.0, n)) for v in cols] for u in rows]
+        ).reshape(len(rows), len(cols))
+        assert np.array_equal(k.cross_gram(rows, cols), want)
+        assert np.array_equal(k.cross_gram(cols, rows), want.T)
+        if rows:
+            with pytest.raises(ValueError, match="not certified"):
+                k.cross_gram(rows, rows)
+        if cols:
+            with pytest.raises(ValueError, match="not certified"):
+                k.cross_gram(cols, cols)
+
+    def test_mixed_roles_or_pairs_rejected(self):
+        pair, other = embedding.build_pair(2, 0.4, seed=0), embedding.build_pair(2, 0.4, seed=1)
+        k = embedding.lift_kernel(embedding.poly_g([1.0], 0.0, 2.0), pair)
+        x = np.array([0.3, 0.6])
+        u, v = embedding.embed(pair, 1, x), embedding.embed(pair, 2, x)
+        with pytest.raises(ValueError, match="one role"):
+            k.cross_gram([u, v], [v])
+        with pytest.raises(ValueError, match="pair"):
+            k.cross_gram([u], [embedding.embed(other, 2, x)])
+
+
 class TestPairFile:
     def test_round_trip(self, tmp_path, rng):
         pair = embedding.build_pair(3, 0.2, seed=9)
@@ -239,15 +290,60 @@ class TestTrainOnCube:
         q = xs[0]
         assert model.predict(q) == model.predict(q)
 
-    def test_mkl_flag_path_runs(self, rng):
-        xs = rng.random((10, 1))
-        keep = np.abs(xs[:, 0] - 0.5) >= 0.25
-        xs = xs[keep][:8]
-        ys = np.where(xs[:, 0] > 0.5, 1.0, -1.0)
-        g = embedding.poly_g([0.5, 0.5], lipschitz=0.5, domain_max=1.0)
-        model = embedding.train_on_cube(xs, ys, g, B=1.0, epsilon=0.7, seed=1, use_mkl=True)
-        preds = model.predict_many(xs)
-        assert np.all(np.isfinite(preds))
-        assert model.report["path"] == "mkl_on_embedded_cube"
-        agree = np.mean(np.sign(preds) == ys)
-        assert agree >= 0.75
+    def test_training_gram_certified(self, rng):
+        xs, ys = self._margined_data(rng, m=40)
+        eps = 0.1
+        g = embedding.poly_g([0.5, 1.0 / 6.0], lipschitz=1 / 6, domain_max=3.0)
+        model = embedding.train_on_cube(xs, ys, g, B=1.0, epsilon=eps, seed=2, epochs=5)
+        assert model.report["gram_max_deviation"] <= eps
+        u = model.pair.grid[model.pair.grid_indices(xs)]
+        gram = model.kernel.gram(list(model.support))
+        assert np.abs(gram - g(u @ u.T)).max() <= g.lipschitz * eps * (1 + 1e-9)
+        assert np.array_equal(gram, gram.T)
+        assert model.report["gram_min_eigenvalue"] == np.linalg.eigvalsh(gram)[0]
+
+
+class TestEmbeddedPrediction:
+    @pytest.fixture(scope="class")
+    def model(self):
+        rng = np.random.default_rng(5)
+        xs = rng.random((20, 2))
+        ys = np.where(xs.sum(axis=1) > 1.0, 1.0, -1.0)
+        g = embedding.poly_g([0.5, 0.25], lipschitz=0.25, domain_max=2.0)
+        return embedding.train_on_cube(xs, ys, g, B=1.0, epsilon=0.3, seed=0, epochs=20)
+
+    def test_single_equals_batch(self, model):
+        @settings(max_examples=40, deadline=None)
+        @given(st.lists(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2), max_size=8))
+        def check(rows):
+            batch = model.predict_many(np.array(rows).reshape(-1, 2))
+            assert batch.shape == (len(rows),)
+            for j, x in enumerate(rows):
+                assert model.predict(x) == model.predict_many([x])[0]
+                assert model.predict(x) == pytest.approx(batch[j], rel=1e-12, abs=1e-12)
+
+        check()
+
+    def test_empty_batch(self, model):
+        assert model.predict_many([]).shape == (0,)
+        assert model.predict_many(np.empty((0, 2))).shape == (0,)
+
+    @pytest.mark.parametrize(
+        "bad, match",
+        [
+            (np.array([0.5, 0.5]), r"\(m, 2\) batch"),
+            (np.full((3, 3), 0.5), "length-2 vector"),
+            (np.full((2, 2, 2), 0.5), r"\(m, 2\) batch"),
+            (np.array([[0.5, 1.2]]), r"\[0, 1\]"),
+            (np.array([[-0.1, 0.5]]), r"\[0, 1\]"),
+        ],
+    )
+    def test_bad_batch_rejected(self, model, bad, match):
+        with pytest.raises(ValueError, match=match):
+            model.predict_many(bad)
+
+
+def test_real_inputs_demo_runs():
+    demo = os.path.join(os.path.dirname(__file__), os.pardir, "demos", "05_real_inputs.py")
+    proc = subprocess.run([sys.executable, demo], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -11,7 +11,8 @@ Core claims:
       and nothing beats coin flipping at noise 1/2
     - the CLI emits the promised JSON schemas, is byte-deterministic for a
       fixed seed, and uses exit codes 0/1/2; train reports each layer's
-      inner_converged flag and warns on stderr when one is false
+      inner_converged flag and warns on stderr when one is false; embed
+      apply writes the role-1 table rows of each point's grid cells
 """
 
 import json
@@ -22,7 +23,7 @@ import sys
 import numpy as np
 import pytest
 
-from cubekern import cli, harness, kernels, learners
+from cubekern import cli, embedding, harness, kernels, learners
 from cubekern.harness import gen_conjunction_dataset
 
 
@@ -308,6 +309,22 @@ class TestCli:
         assert len(lines) == 2
         first = json.loads(lines[0])["x"]
         assert set(first) <= {"0", "1"} and len(first) == obj["width"]
+        # each bitstring is the role-1 rows of the point's grid cells, in
+        # coordinate order, each row's bits in little-endian order
+        pair = embedding.load_pair(pair_path)
+        for line, x in zip(lines, ([0.25, 0.75], [1.0, 0.0])):
+            rows = [
+                np.unpackbits(coord.packed[0][cell], bitorder="little")[: pair.t]
+                for coord, cell in zip(pair.coords, pair.grid_indices(x))
+            ]
+            assert json.loads(line)["x"] == "".join(map(str, np.concatenate(rows)))
+        with open(pts_path, "w") as fh:
+            fh.write('{"x": [[0.25, 0.75]]}\n')
+        bad = run_cli(
+            "embed", "apply", "--pair", pair_path, "--role", "1", "--in", pts_path, "--out", bits_path,
+            check=False,
+        )
+        assert bad.returncode == 2 and "one vector per line" in bad.stderr
 
     def test_bench_cli(self):
         proc = run_cli(

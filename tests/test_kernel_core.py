@@ -8,7 +8,7 @@ Core claims:
     - cross_gram and gram accept the packed masks of points_to_bits in place
       of point lists and give the same values
     - a single prediction equals the batch prediction of the same point
-    - a model over a lifted kernel (points wider than 64 bits) still predicts
+    - a model over a lifted kernel (embedded points of a real pair) still predicts
     - save_model -> load_model keeps every prediction
     - bad input is rejected by name: wrong dimensions, masks out of range,
       widths above 64 bits
@@ -126,13 +126,13 @@ def test_saved_model_predicts_the_same(case, seed):
 
 
 @settings(max_examples=15, deadline=None)
-@given(st.integers(65, 300), st.data())
-def test_lifted_kernel_model_predicts(width, data):
-    t = data.draw(st.integers(1, 8))
-    kernel = embedding.LiftedKernel(embedding.poly_g([1.0, 1.0], 1.0, width / t), t, width)
-    bits = st.integers(0, 2**width - 1).map(lambda b: HypercubePoint(width, b))
-    support = data.draw(st.lists(bits, min_size=1, max_size=5))
-    queries = data.draw(st.lists(bits, max_size=5))
+@given(st.integers(1, 3), st.floats(0.2, 0.5), st.integers(0, 2**16), st.data())
+def test_lifted_kernel_model_predicts(n, eps, seed, data):
+    pair = embedding.build_pair(n, eps, seed=seed)
+    kernel = embedding.lift_kernel(embedding.poly_g([1.0, 1.0], 1.0, float(n)), pair)
+    vectors = st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)
+    support = [embedding.embed(pair, 1, x) for x in data.draw(st.lists(vectors, min_size=1, max_size=5))]
+    queries = [embedding.embed(pair, 2, x) for x in data.draw(st.lists(vectors, max_size=5))]
     alphas = np.arange(1.0, len(support) + 1.0)
     model = TrainedModel(kernel, support, alphas)
     want = [sum(a * kernel.evaluate(s, q) for a, s in zip(alphas, support)) for q in queries]

@@ -6,20 +6,24 @@ Core claims:
     - pegasos hits the 1-d closed-form optimum, collapses under huge
       regularization, decouples across layers, is bit-reproducible, and
       tracks an independent feature-space primal oracle within 2%, and
-      rejects label-length mismatches and non-finite labels by name
+      rejects label-length mismatches, non-finite labels and hinge labels
+      other than -1/+1 by name
     - the layer MKL solver certifies saddles (tiny gaps), keeps a monotone
       best-so-far trace, reduces to a fixed-kernel SVM on one vertex, and
       its outer objective is convex along simplex segments; its convergence
       flag is the final polish's, not spoiled by a capped outer step
-    - mkl_train decomposes across layers and uses lambda = eps/(n B^2)
+    - mkl_train decomposes across layers and uses lambda = eps/(n B^2),
+      and rejects label-length mismatches and hinge labels other than -1/+1
     - the Rademacher estimator matches closed forms and sits below the
-      analytic bound
+      analytic bound, and rejects an empty sample and n = 1
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import layer_points
 
@@ -177,6 +181,12 @@ class TestPegasos:
         pts = pts_from_tuples(layer_points(4, 2))
         y = np.array([1.0, -1.0, bad, -1.0, 1.0, -1.0])
         with pytest.raises(ValueError, match="finite"):
+            learners.pegasos_train(kernels.universal_kernel(4), pts, y, lam=1.0)
+
+    def test_hinge_labels_must_be_pm1(self):
+        pts = pts_from_tuples(layer_points(4, 2))
+        y = np.array([1.0, -1.0, 0.5, -1.0, 1.0, -1.0])
+        with pytest.raises(ValueError, match="hinge-loss labels"):
             learners.pegasos_train(kernels.universal_kernel(4), pts, y, lam=1.0)
 
 
@@ -339,6 +349,22 @@ class TestMklTrain:
             assert np.array_equal(r1.per_layer[w].beta, r2.per_layer[w].beta)
 
 
+    def test_label_length_mismatch(self):
+        pts = pts_from_tuples(layer_points(4, 2))
+        with pytest.raises(ValueError, match="labels have shape"):
+            learners.mkl_train(pts, np.ones(5), B=1.0, epsilon=0.1, outer_iters=5)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.floats(-3.0, 3.0).filter(lambda v: abs(v) != 1.0), st.integers(0, 5))
+    def test_hinge_labels_must_be_pm1(self, bad, where):
+        pts = pts_from_tuples(layer_points(4, 2))
+        y = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
+        y[where] = bad
+        with pytest.raises(ValueError, match="hinge-loss labels"):
+            learners.mkl_train(pts, y, B=1.0, epsilon=0.1, outer_iters=5)
+        learners.mkl_train(pts, y, B=1.0, epsilon=0.1, loss=ABSOLUTE, outer_iters=5)
+
+
 class TestRademacher:
     def test_single_point_equals_B(self):
         est = learners.rademacher_estimate([HypercubePoint.from_string("1100")], B=2.5, trials=40, seed=0)
@@ -366,3 +392,11 @@ class TestRademacher:
     def test_trials_validation(self):
         with pytest.raises(ValueError):
             learners.rademacher_estimate([HypercubePoint.from_string("10")], B=1.0, trials=0)
+
+    def test_empty_sample(self):
+        with pytest.raises(ValueError, match="empty sample"):
+            learners.rademacher_estimate([], B=1.0)
+
+    def test_bound_needs_two_coordinates(self):
+        with pytest.raises(ValueError, match="n >= 2"):
+            learners.rademacher_estimate([HypercubePoint.from_string("1")], B=1.0)
