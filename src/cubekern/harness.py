@@ -389,13 +389,13 @@ def _check_containment(rng: np.random.Generator, triples: int = 40) -> dict:
         for trial in range(triples):
             m = int(rng.integers(2, 13))
             idx = rng.integers(0, len(points), size=m)
-            grams = learners.layer_vertex_grams([points[i] for i in idx], p)
+            ip, table = learners.layer_vertex_grams([points[i] for i in idx], p)
             lam = rng.random(p + 1)
             lam /= lam.sum()
             alpha = rng.normal(size=m)
-            quads = np.array([float(alpha @ g @ alpha) for g in grams])
+            quads = learners._vertex_quads(ip, table, alpha)
             mixed = float(lam @ quads)
-            direct = float(alpha @ sum(l * g for l, g in zip(lam, grams)) @ alpha)
+            direct = float(alpha @ (lam @ table)[ip] @ alpha)
             scale = max(1.0, abs(mixed), abs(direct))
             if abs(mixed - direct) > 1e-10 * scale:
                 return _check(

@@ -47,8 +47,9 @@ import numpy as np
 from .scheme import (
     BetaCoeffs,
     LayerParams,
-    binomial,
+    d_from_p,
     is_admissible,
+    p_from_d,
     vertex_betas,
     DEFAULT_PSD_TOL,
 )
@@ -124,9 +125,9 @@ class HypercubePoint:
 class LayerKernel:
     """An admissible kernel on one layer with its value table.
 
-    ``g_table[k]`` is the kernel value at inner product ``k``; it covers
-    ``k = 0..p`` (and ``k = 0..n`` for the weight-free sparse-conjunction
-    kind, whose values are needed off the layer).
+    ``g_table[k]`` is the kernel value at inner product ``k``, ``d_from_p``
+    of ``beta``; it covers ``k = 0..p`` (and ``k = 0..n``, from ``beta``
+    zero-padded, for the weight-free sparse-conjunction kind).
     """
 
     layer: LayerParams
@@ -142,13 +143,6 @@ class LayerKernel:
         object.__setattr__(self, "g_table", g)
 
 
-def _g_table(beta: np.ndarray, upto: int) -> np.ndarray:
-    """Values g(k) = sum_l beta_l * C(k, l) for k = 0..upto."""
-    return np.array(
-        [sum(beta[ell] * binomial(k, ell) for ell in range(len(beta))) for k in range(upto + 1)]
-    )
-
-
 def make_layer_kernel(layer: LayerParams, beta, tol: float = DEFAULT_PSD_TOL) -> LayerKernel:
     """Validated layer kernel; rejects inadmissible coefficients by name."""
     coeffs = BetaCoeffs(layer, np.asarray(beta, dtype=float))
@@ -157,7 +151,7 @@ def make_layer_kernel(layer: LayerParams, beta, tol: float = DEFAULT_PSD_TOL) ->
         raise ValueError(
             f"inadmissible kernel on (n={layer.n}, p={layer.p}): {report.violation}"
         )
-    return LayerKernel(layer, coeffs.beta, _g_table(coeffs.beta, layer.p))
+    return LayerKernel(layer, coeffs.beta, d_from_p(coeffs.beta))
 
 
 def complement_layer_kernel(kernel: LayerKernel) -> LayerKernel:
@@ -165,24 +159,16 @@ def complement_layer_kernel(kernel: LayerKernel) -> LayerKernel:
 
     Complementing both arguments maps inner products by
     ``k -> n - 2p + k``, so the table of the mirrored kernel is a shifted
-    slice of the original; its coefficients are recovered by the Newton
-    forward-difference formula (exact since any table of length p'+1 has a
-    unique binomial-basis interpolant).
+    slice of the original; its coefficients are recovered by
+    :func:`~cubekern.scheme.p_from_d` (exact since any table of length p'+1
+    has a unique binomial-basis interpolant).
     """
     layer = kernel.layer
     comp = layer.complement()
     shift = layer.n - 2 * comp.p  # inner products on `layer` minus those on `comp`
     if shift < 0:
         raise ValueError("complement_layer_kernel expects p >= n/2 to mirror downward")
-    g = _g_table(kernel.beta, layer.p) if len(kernel.g_table) <= layer.p else kernel.g_table
-    mirrored = np.array([g[j + shift] for j in range(comp.p + 1)])
-    beta = np.array(
-        [
-            sum((-1) ** (ell - i) * math.comb(ell, i) * mirrored[i] for i in range(ell + 1))
-            for ell in range(comp.p + 1)
-        ]
-    )
-    return make_layer_kernel(comp, beta)
+    return make_layer_kernel(comp, p_from_d(kernel.g_table[shift : shift + comp.p + 1]))
 
 
 def mix_vertices(layer: LayerParams, lambdas, tol: float = 1e-12) -> LayerKernel:
@@ -269,7 +255,7 @@ class KernelSpec:
             w = int(entry["p"])
             beta = np.asarray(entry["beta"], dtype=float)
             if kind == "sparse_conjunction":
-                lk = LayerKernel(LayerParams(n, w), beta, _g_table(beta, n))
+                lk = LayerKernel(LayerParams(n, w), beta, d_from_p(np.pad(beta, (0, n + 1 - beta.size))))
             else:
                 lk = make_layer_kernel(LayerParams(n, min(w, n - w)), beta)
             per_layer[w] = lk
@@ -390,7 +376,7 @@ def conjunction_kernel(n: int, p: int, epsilon: float, t_scale: float = 1.0) -> 
     beta = np.zeros(p + 1)
     beta[: depth + 1] = 1.0 / norm
     if 2 * p > n:
-        lk = complement_layer_kernel(LayerKernel(LayerParams(n, p), beta, _g_table(beta, p)))
+        lk = complement_layer_kernel(LayerKernel(LayerParams(n, p), beta, d_from_p(beta)))
     else:
         lk = make_layer_kernel(LayerParams(n, p), beta)
     return KernelSpec(n, "conjunction", {p: lk})
@@ -407,7 +393,7 @@ def sparse_conjunction_kernel(n: int, s: int, ell: int) -> KernelSpec:
     if 2 * s <= n:
         # sanity: certified admissible on its home layer when checkable
         make_layer_kernel(LayerParams(n, s), beta)
-    lk = LayerKernel(LayerParams(n, s), beta, _g_table(beta, n))
+    lk = LayerKernel(LayerParams(n, s), beta, d_from_p(np.pad(beta, (0, n + 1 - beta.size))))
     return KernelSpec(n, "sparse_conjunction", {s: lk})
 
 

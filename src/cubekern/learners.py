@@ -16,6 +16,13 @@ Three solvers live here:
   admissible layer kernel, together with the closed-form bound
   ``sqrt(2 e B^2 ln(n) / m)``.
 
+Vertex Grams are kept in inner-product-class form: a layer Gram is
+``sum_k g(k) D_k``, ``D_k`` the 0/1 indicator of "inner product = k".
+:func:`layer_vertex_grams` gives the uint8 matrix ``ip`` and the value tables
+``table[t] = d_from_p(beta_t)``; vertex t's Gram ``table[t][ip]`` is never
+built.  MKL and Rademacher use ``K_beta = (beta @ table)[ip]`` and
+``alpha' K_t alpha = (table @ s)[t]`` with ``s_k = alpha' D_k alpha``.
+
 Duality convention.  For fixed ``beta`` the dual of the primal program is
 
     sup_alpha  -(lam/2) alpha' K_beta alpha
@@ -32,7 +39,7 @@ conjugate is linear (``conj(a, y) = a y``) on a box:
     absolute  loss(z,y) = |z - y|:                         |a| <= 1
 
 Solvers are single-threaded state machines per problem instance; distinct
-layer problems share only immutable Grams and may run concurrently.
+layer problems share only immutable class data and may run concurrently.
 Returned models are immutable.
 """
 
@@ -45,8 +52,8 @@ from typing import Callable
 import numpy as np
 
 from .kernels import KernelSpec, TrainedModel, inner_product_blocks, mix_vertices, points_to_bits
-from .kernels import _g_table, _mirrored
-from .scheme import LayerParams, vertex_betas
+from .kernels import _mirrored
+from .scheme import LayerParams, d_from_p, vertex_betas
 
 __all__ = [
     "LossSpec",
@@ -176,39 +183,45 @@ def pegasos_train(
 
 @dataclass
 class MklLayerProblem:
-    """Fixed data for the per-layer saddle program."""
+    """Fixed data for the per-layer saddle program; ``vertex_grams`` is the
+    class form ``(ip, table)`` of :func:`layer_vertex_grams`."""
 
-    vertex_grams: list
+    vertex_grams: tuple
     labels: np.ndarray
     lam: float
     loss: LossSpec = HINGE
 
     def __post_init__(self):
         self.labels = np.asarray(self.labels, dtype=float)
-        self.vertex_grams = [np.asarray(g, dtype=float) for g in self.vertex_grams]
+        ip, table = np.asarray(self.vertex_grams[0]), np.asarray(self.vertex_grams[1], dtype=float)
         m = self.labels.shape[0]
         if m == 0:
             raise ValueError("at least one sample required")
         if self.lam <= 0:
             raise ValueError("lam must be positive")
-        for t, g in enumerate(self.vertex_grams):
-            if g.shape != (m, m):
-                raise ValueError(f"vertex Gram {t} has shape {g.shape}, expected {(m, m)}")
-            if np.abs(g - g.T).max() > 1e-9:
-                raise ValueError(f"vertex Gram {t} is not symmetric")
-            if np.diag(g).max() > 1.0 + 1e-9:
-                raise ValueError(f"vertex Gram {t} has diagonal above 1")
+        if ip.shape != (m, m) or not np.array_equal(ip, ip.T):
+            raise ValueError(f"inner-product matrix must be symmetric of shape {(m, m)}, got {ip.shape}")
+        q = table.shape[1] if table.ndim == 2 else 0
+        if not np.issubdtype(ip.dtype, np.integer) or ip.min() < 0 or ip.max() >= q:
+            raise ValueError(f"inner-product classes must be integers indexing a (vertices, {q}) table")
+        diag = table[:, np.diag(ip)].max(axis=1)
+        if diag.max() > 1.0 + 1e-9:
+            raise ValueError(f"vertex Gram {int(diag.argmax())} has diagonal above 1")
+        self.ip, self.table = ip, table
 
     @property
     def m(self) -> int:
         return self.labels.shape[0]
 
     def combine(self, beta: np.ndarray) -> np.ndarray:
-        out = np.zeros((self.m, self.m))
-        for b, g in zip(beta, self.vertex_grams):
-            if b != 0.0:
-                out += b * g
-        return out
+        """K_beta = sum_t beta_t K_t, one lookup of the mixed table."""
+        return (np.asarray(beta, dtype=float) @ self.table)[self.ip]
+
+
+def _vertex_quads(ip: np.ndarray, table: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """Every alpha' K_t alpha as table @ s, with s_k = alpha' D_k alpha."""
+    s = np.bincount(ip.ravel(), weights=np.outer(alpha, alpha).ravel(), minlength=table.shape[1])
+    return table @ s
 
 
 @dataclass
@@ -320,7 +333,7 @@ def mkl_layer_solve(
     across outer iterations.  The returned solution is the best beta seen,
     with its alpha re-polished and the duality gap computed there.
     """
-    q = len(problem.vertex_grams)
+    q = problem.table.shape[0]
     beta = np.full(q, 1.0 / q)
     alpha = np.zeros(problem.m)
     best = (math.inf, beta.copy(), alpha.copy())
@@ -333,7 +346,7 @@ def mkl_layer_solve(
         if val < best[0]:
             best = (val, beta.copy(), alpha.copy())
         trace[k - 1] = best[0]
-        subg = np.array([-0.5 * problem.lam * float(alpha @ g @ alpha) for g in problem.vertex_grams])
+        subg = -0.5 * problem.lam * _vertex_quads(problem.ip, problem.table, alpha)
         beta = project_capped_simplex(beta - subg / math.sqrt(k))
     _, beta_star, alpha_star = best
     kb = problem.combine(beta_star)
@@ -358,7 +371,6 @@ def layer_dual_objective(
     inner_max_iter: int = 200_000,
 ) -> float:
     """The outer objective G(beta) = sup_alpha G(alpha, beta) at a fixed beta."""
-    beta = np.asarray(beta, dtype=float)
     kb = problem.combine(beta)
     alpha, _, _ = _inner_max(problem, kb, np.zeros(problem.m), inner_tol, inner_max_iter)
     return _dual_value(problem, kb, alpha)
@@ -370,7 +382,6 @@ def duality_gap(problem: MklLayerProblem, beta, alphas) -> float:
     The primal is evaluated at ``w = sum_i alpha_i phi(x_i)``; the dual uses
     the conjugate at ``-lam m alpha`` (see the module docstring).
     """
-    beta = np.asarray(beta, dtype=float)
     alpha = np.asarray(alphas, dtype=float)
     lo, hi = _alpha_box(problem)
     slack = 1e-9 * (1.0 + float(np.abs(hi - lo).max()))
@@ -384,24 +395,31 @@ def duality_gap(problem: MklLayerProblem, beta, alphas) -> float:
 # MKL over the whole cube
 
 
-def layer_vertex_grams(points, weight: int) -> list[np.ndarray]:
-    """Vertex-kernel Gram matrices for a list of points of one weight.
+def layer_vertex_grams(points, weight: int) -> tuple[np.ndarray, np.ndarray]:
+    """Vertex-kernel Grams of points of one weight, in class form ``(ip, table)``.
 
-    Weights above n/2 are complemented first, so the Grams always come from
-    the canonical mirrored layer.
+    ``ip`` is the (m, m) uint8 inner-product matrix on the canonical layer p
+    (weights above n/2 are complemented first); row t of the (p+1, p+1)
+    ``table`` is ``d_from_p(beta_t)``, so vertex t's Gram is ``table[t][ip]``.
     """
     n = points[0].n
     masks = points_to_bits(points, n)
     if np.any(np.bitwise_count(masks) != weight):
         raise ValueError("all points must share the stated weight")
     masks = _mirrored(masks, weight, n)
-    cp = min(weight, n - weight)
-    tables = [_g_table(beta, cp) for beta in vertex_betas(LayerParams(n, cp))]
-    grams = [np.empty((masks.size, masks.size)) for _ in tables]
-    for start, ip in inner_product_blocks(masks, masks):
-        for table, g in zip(tables, grams):
-            g[start : start + len(ip)] = table[ip]
-    return grams
+    ip = np.empty((masks.size, masks.size), dtype=np.uint8)
+    for start, block in inner_product_blocks(masks, masks):
+        ip[start : start + len(block)] = block
+    table = np.array([d_from_p(beta) for beta in vertex_betas(LayerParams(n, min(weight, n - weight)))])
+    return ip, table
+
+
+def _layers(points):
+    """Yield ``(weight, indices, layer_vertex_grams(...))`` per occupied weight, ascending."""
+    weights = np.array([pt.weight for pt in points])
+    for w in np.unique(weights).tolist():
+        idx = np.flatnonzero(weights == w)
+        yield w, idx, layer_vertex_grams([points[i] for i in idx], w)
 
 
 @dataclass
@@ -452,15 +470,12 @@ def mkl_train(
     n = points[0].n
     lam = epsilon / (n * B * B) if lam_override is None else lam_override
     y = _check_labels(labels, m, loss)
-    weights = np.array([pt.weight for pt in points])
     per_layer: dict[int, MklSolution] = {}
     spec_layers = {}
     alphas = np.zeros(m)
     total = 0.0
-    for w in sorted(set(weights.tolist())):
-        idx = np.nonzero(weights == w)[0]
-        group = [points[i] for i in idx]
-        problem = MklLayerProblem(layer_vertex_grams(group, w), y[idx], lam, loss)
+    for w, idx, grams in _layers(points):
+        problem = MklLayerProblem(grams, y[idx], lam, loss)
         sol = mkl_layer_solve(problem, outer_iters=outer_iters, inner_tol=inner_tol)
         per_layer[w] = sol
         alphas[idx] = sol.alphas
@@ -514,21 +529,15 @@ def rademacher_estimate(points, B: float, trials: int = 200, seed: int = 0) -> R
     n = points[0].n
     if n < 2:
         raise ValueError(f"the bound sqrt(2 e B^2 ln(n) / m) needs n >= 2, got n={n}")
-    weights = np.array([pt.weight for pt in points])
-    layer_data = []
-    for w in sorted(set(weights.tolist())):
-        idx = np.nonzero(weights == w)[0]
-        group = [points[i] for i in idx]
-        layer_data.append((w, idx, layer_vertex_grams(group, w)))
+    layer_data = list(_layers(points))
     rng = np.random.default_rng(seed)
     vals = np.empty(trials)
     share = {w: 0.0 for w, _, _ in layer_data}
     for trial in range(trials):
         sigma = rng.integers(0, 2, size=m) * 2.0 - 1.0
         total = 0.0
-        for w, idx, grams in layer_data:
-            s = sigma[idx]
-            q = max(max(float(s @ g @ s), 0.0) for g in grams)
+        for w, idx, (ip, table) in layer_data:
+            q = max(float(_vertex_quads(ip, table, sigma[idx]).max()), 0.0)
             share[w] += q / trials
             total += q
         vals[trial] = (B / m) * math.sqrt(total)

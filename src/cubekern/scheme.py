@@ -149,16 +149,10 @@ class AdmissibilityReport:
 
 
 def binomial(r: int, k: int) -> float:
-    """Binomial coefficient C(r, k) as a float, with C(r, k) = 0 for k < 0 or k > r.
-
-    Exact wide-integer arithmetic is used for r <= 62; beyond that the value
-    is computed in the log domain (relative error below 1e-12).
-    """
+    """Binomial coefficient C(r, k), correctly rounded to a float; 0 for k < 0 or k > r."""
     if k < 0 or k > r:
         return 0.0
-    if r <= 62:
-        return float(math.comb(r, k))
-    return math.exp(math.lgamma(r + 1) - math.lgamma(k + 1) - math.lgamma(r - k + 1))
+    return float(math.comb(r, k))
 
 
 def _require_canonical(layer: LayerParams, op: str) -> None:
@@ -261,11 +255,13 @@ def vertex_betas(layer: LayerParams) -> np.ndarray:
 
 
 def d_from_p(p_coeffs) -> np.ndarray:
-    """Rewrite binomial-basis coefficients in the intersection-indicator basis.
+    """A layer kernel's value table: binomial-basis coefficients rewritten in
+    the intersection-indicator basis.
 
     With ``D_l`` the 0/1 matrix of pairs with intersection exactly ``l``,
     ``b_r = sum_{l >= r} C(l, r) D_l``, so the D-coefficient at ``l`` is
-    ``sum_{r <= l} C(l, r) c_r``.  Exact for integer-valued inputs.
+    ``d_l = sum_{r <= l} C(l, r) c_r = g(l)``, the value at inner product ``l``
+    (zero-pad ``c`` for larger ones).  Exact for integer-valued inputs.
     """
     c = np.asarray(p_coeffs, dtype=float)
     size = c.shape[0]
@@ -276,7 +272,8 @@ def d_from_p(p_coeffs) -> np.ndarray:
 
 
 def p_from_d(d_coeffs) -> np.ndarray:
-    """Inverse of :func:`d_from_p`: c_r = sum_{l <= r} (-1)^(r-l) C(r, l) d_l."""
+    """Inverse of :func:`d_from_p`, a value table's coefficients (Newton's
+    forward differences): c_r = sum_{l <= r} (-1)^(r-l) C(r, l) d_l."""
     d = np.asarray(d_coeffs, dtype=float)
     size = d.shape[0]
     out = np.zeros(size)

@@ -14,7 +14,8 @@ Core claims:
     - save -> load round-trips the tables bit-exactly
     - end-to-end training on real inputs fits margined linear data, on a
       training Gram certified within eps of the grid inner products;
-      batch prediction validates its input and agrees with single queries
+      batch prediction validates its input, agrees with single queries and
+      equals the lifted cross_gram exactly; the support must be role 1
 """
 
 import math
@@ -323,6 +324,22 @@ class TestEmbeddedPrediction:
                 assert model.predict(x) == pytest.approx(batch[j], rel=1e-12, abs=1e-12)
 
         check()
+
+    def test_batch_equals_lifted_cross_gram(self, model):
+        @settings(max_examples=40, deadline=None)
+        @given(st.lists(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2), max_size=8))
+        def check(rows):
+            xs = np.array(rows).reshape(-1, 2)
+            queries = embedding.embed(model.pair, 2, xs)
+            want = model.alphas @ model.kernel.cross_gram(model.support, queries)
+            assert np.array_equal(model.predict_many(xs), want)
+
+        check()
+
+    def test_support_must_be_role_1(self, model):
+        support = embedding.embed(model.pair, 2, np.array([[0.5, 0.5]]))
+        with pytest.raises(ValueError, match="role 1"):
+            embedding.EmbeddedModel(model.pair, model.kernel, tuple(support), np.ones(1), {})
 
     def test_empty_batch(self, model):
         assert model.predict_many([]).shape == (0,)

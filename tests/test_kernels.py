@@ -12,7 +12,8 @@ Core claims:
       (p+1)-inflation norm bound
     - conjunction kernels implement the truncated binomial sum with unit
       diagonal; the sparse kernel reproduces conjunctions exactly with
-      squared norm C(s, l)
+      squared norm C(s, l), and its zero-padded table is the binomial sum
+      up to k = n on n <= 64
     - specs round-trip through JSON
 """
 
@@ -311,6 +312,18 @@ class TestSparseConjunction:
         model = kernels.analytic_weights(6, 3, [0, 1])
         x = HypercubePoint.from_string("100110")  # contains literal 0 only
         assert model.predict(x) == pytest.approx(0.0, abs=1e-12)
+
+    def test_padded_table_is_the_binomial_sum(self):
+        # the table runs past the home layer to k = n, also when read back from JSON
+        for n in (1, 2, 7, 16, 33, 62, 63, 64):
+            for s in sorted({0, 1, n // 2, n - 1, n}):
+                for ell in sorted({0, s // 2, s}):
+                    spec = kernels.sparse_conjunction_kernel(n, s, ell)
+                    beta = spec.per_layer[s].beta
+                    want = [sum(beta[i] * math.comb(k, i) for i in range(s + 1)) for k in range(n + 1)]
+                    assert np.array_equal(spec.per_layer[s].g_table, want)
+                    loaded = KernelSpec.from_json_dict(spec.to_json_dict())
+                    assert np.array_equal(loaded.per_layer[s].g_table, want)
 
     def test_errors(self):
         with pytest.raises(ValueError, match="ell"):

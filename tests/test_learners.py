@@ -8,6 +8,10 @@ Core claims:
       tracks an independent feature-space primal oracle within 2%, and
       rejects label-length mismatches, non-finite labels and hinge labels
       other than -1/+1 by name
+    - the class form of the vertex Grams: ip is the popcount of the mirrored
+      masks, combine and every alpha' K_t alpha equal their dense forms, and
+      a non-square or non-symmetric ip, a class outside the table and a
+      vertex diagonal above 1 are rejected by name
     - the layer MKL solver certifies saddles (tiny gaps), keeps a monotone
       best-so-far trace, reduces to a fixed-kernel SVM on one vertex, and
       its outer objective is convex along simplex segments; its convergence
@@ -107,9 +111,9 @@ class TestDualityGap:
 
     def test_zero_kernel_loss_only(self):
         pts = [HypercubePoint.from_string("1100"), HypercubePoint.from_string("0011")]
-        grams = [g * 0.0 for g in learners.layer_vertex_grams(pts, 2)]
+        ip, table = learners.layer_vertex_grams(pts, 2)
         y = np.array([1.0, -1.0])
-        problem = MklLayerProblem(grams, y, lam=0.1, loss=HINGE)
+        problem = MklLayerProblem((ip, 0.0 * table), y, lam=0.1, loss=HINGE)
         alpha = np.array([2.0, -2.0])  # feasible: alpha_i y_i in [0, 1/(lam m)] = [0, 5]
         gap = learners.duality_gap(problem, np.full(3, 1 / 3), alpha)
         assert gap == pytest.approx(abs(1.0 - 0.1 * float(y @ alpha)))
@@ -188,6 +192,65 @@ class TestPegasos:
         y = np.array([1.0, -1.0, 0.5, -1.0, 1.0, -1.0])
         with pytest.raises(ValueError, match="hinge-loss labels"):
             learners.pegasos_train(kernels.universal_kernel(4), pts, y, lam=1.0)
+
+
+@st.composite
+def layer_samples(draw):
+    """Points of one weight on n <= 16: below, at and above n/2, or a single-point layer."""
+    n = draw(st.integers(1, 16))
+    w = draw(st.sampled_from(sorted({0, n, n // 2, (n + 1) // 2, draw(st.integers(0, n))})))
+    m = draw(st.integers(1, 12))
+    pts = [HypercubePoint.from_indices(n, draw(st.permutations(range(n)))[:w]) for _ in range(m)]
+    return n, w, pts
+
+
+class TestClassForm:
+    @settings(max_examples=100, deadline=None)
+    @given(layer_samples())
+    def test_ip_is_popcount_of_mirrored_masks(self, case):
+        n, w, pts = case
+        ip, table = learners.layer_vertex_grams(pts, w)
+        mirror = [x.complement() if 2 * w > n else x for x in pts]
+        assert ip.dtype == np.uint8
+        assert np.array_equal(ip, [[x.inner(y) for y in mirror] for x in mirror])
+        assert table.shape == (min(w, n - w) + 1,) * 2
+
+    @settings(max_examples=100, deadline=None)
+    @given(layer_samples(), st.integers(0, 2**32 - 1))
+    def test_combine_and_quads_match_dense(self, case, seed):
+        n, w, pts = case
+        rng = np.random.default_rng(seed)
+        ip, table = learners.layer_vertex_grams(pts, w)
+        problem = MklLayerProblem((ip, table), rng.choice([-1.0, 1.0], size=len(pts)), lam=0.1)
+        beta = learners.project_capped_simplex(rng.random(table.shape[0]))
+        alpha = rng.normal(size=len(pts))
+        dense = [t[ip] for t in table]
+        want = sum(b * g for b, g in zip(beta, dense))
+        assert np.allclose(problem.combine(beta), want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+        quads = learners._vertex_quads(ip, table, alpha)
+        want = np.array([alpha @ g @ alpha for g in dense])
+        assert np.allclose(quads, want, rtol=1e-12, atol=1e-12 * max(1.0, np.abs(want).max()))
+
+    def test_bad_class_form_rejected(self):
+        ip, table = learners.layer_vertex_grams(pts_from_tuples(layer_points(5, 2))[:4], 2)
+        y = np.array([1.0, -1.0, 1.0, -1.0])
+        skew = ip.copy()
+        skew[0, 1] += 1
+        high = ip.copy()
+        high[0, 0] = table.shape[1]
+        big = table.copy()
+        big[1, 2] = 1.5
+        cases = [
+            ((ip[:, :3], table), "symmetric of shape"),
+            ((skew, table), "symmetric of shape"),
+            ((high, table), "classes"),
+            ((ip.astype(float), table), "classes"),
+            ((ip, table[:, :2]), "classes"),
+            ((ip, big), "vertex Gram 1 has diagonal above 1"),
+        ]
+        for grams, match in cases:
+            with pytest.raises(ValueError, match=match):
+                MklLayerProblem(grams, y, lam=0.1)
 
 
 class TestMklLayerSolve:

@@ -1,7 +1,8 @@
 """Spectral algebra of layer kernels, cross-checked against dense oracles.
 
 Core claims:
-    - binomial() matches exact integer values and the degenerate conventions
+    - binomial() is the rounded exact integer (r = 63, 64 included, where
+      eta agrees with d_from_p) and keeps the degenerate conventions
     - delta_matrix is upper triangular with positive diagonal, and its
       columns are exactly the spectra of the explicit basis matrices
     - eta gives the kernel diagonal
@@ -37,6 +38,15 @@ class TestBinomial:
         for r in (10, 35, 62):
             for k in range(r + 1):
                 assert scheme.binomial(r, k) == float(math.comb(r, k))
+
+    def test_exact_at_63_and_64(self):
+        # the diagonal functional agrees with the exact value tables of d_from_p
+        for r in (63, 64):
+            for k in range(r + 1):
+                assert scheme.binomial(r, k) == float(math.comb(r, k))
+            eye = np.eye(r // 2 + 1)
+            eta = scheme.eta_vector(LayerParams(r, r // 2))
+            assert np.array_equal(eta, [scheme.d_from_p(e)[-1] for e in eye])
 
     def test_log_domain_relative_error(self):
         for r, k in ((63, 31), (100, 50), (200, 13), (500, 250)):
