@@ -175,11 +175,14 @@ def load_dataset(path: str) -> Dataset:
     labels = []
     n = None
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
             obj = json.loads(line)
+            for key in ("x", "y"):
+                if not isinstance(obj, dict) or key not in obj:
+                    raise ValueError(f"{path}:{lineno}: record has no {key!r} key")
             x = obj["x"]
             if isinstance(x, str):
                 pt = HypercubePoint.from_string(x)

@@ -184,6 +184,9 @@ def mix_vertices(layer: LayerParams, lambdas, tol: float = 1e-12) -> LayerKernel
     return make_layer_kernel(layer, beta)
 
 
+_KINDS = ("direct_sum", "universal", "conjunction", "sparse_conjunction")
+
+
 @dataclass(frozen=True)
 class KernelSpec:
     """A full hypercube kernel: one layer kernel per occupied weight.
@@ -191,7 +194,8 @@ class KernelSpec:
     Layers stored under a weight above ``n/2`` hold the kernel of the
     mirrored layer and are evaluated on complemented inputs.  Absent layers
     evaluate to 0.  ``kind`` is one of ``direct_sum``, ``universal``,
-    ``conjunction``, ``sparse_conjunction``.
+    ``conjunction`` or ``sparse_conjunction`` (which has exactly one layer);
+    any other raises a ``ValueError``.
     """
 
     n: int
@@ -199,6 +203,10 @@ class KernelSpec:
     per_layer: dict[int, LayerKernel]
 
     def __post_init__(self):
+        if self.kind not in _KINDS:
+            raise ValueError(f"unknown kernel kind {self.kind!r}; choose from {', '.join(_KINDS)}")
+        if self.kind == "sparse_conjunction" and len(self.per_layer) != 1:
+            raise ValueError(f"a sparse_conjunction spec has one layer, got {len(self.per_layer)}")
         for w, lk in self.per_layer.items():
             if not 0 <= w <= self.n:
                 raise ValueError(f"layer weight {w} outside [0, {self.n}]")
@@ -248,14 +256,16 @@ class KernelSpec:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "KernelSpec":
-        n = int(obj["n"])
-        kind = str(obj["kind"])
+        try:
+            n, kind = int(obj["n"]), str(obj["kind"])
+            entries = [(int(e["p"]), np.asarray(e["beta"], dtype=float)) for e in obj["layers"]]
+        except KeyError as exc:
+            raise ValueError(f"kernel spec is missing key {exc}") from None
         per_layer: dict[int, LayerKernel] = {}
-        for entry in obj["layers"]:
-            w = int(entry["p"])
-            beta = np.asarray(entry["beta"], dtype=float)
+        for w, beta in entries:
             if kind == "sparse_conjunction":
-                lk = LayerKernel(LayerParams(n, w), beta, d_from_p(np.pad(beta, (0, n + 1 - beta.size))))
+                coeffs = BetaCoeffs(LayerParams(n, w), beta)
+                lk = LayerKernel(coeffs.layer, coeffs.beta, d_from_p(np.pad(coeffs.beta, (0, n - w))))
             else:
                 lk = make_layer_kernel(LayerParams(n, min(w, n - w)), beta)
             per_layer[w] = lk

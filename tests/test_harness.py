@@ -12,7 +12,10 @@ Core claims:
     - the CLI emits the promised JSON schemas, is byte-deterministic for a
       fixed seed, and uses exit codes 0/1/2; train reports each layer's
       inner_converged flag and warns on stderr when one is false; embed
-      apply writes the role-1 table rows of each point's grid cells
+      apply writes the role-1 table rows of each point's grid cells; a bad
+      kernel spec, a dataset record without "x" or "y", and negative epochs
+      or outer steps exit 2 with a named error
+    - load_dataset names the line and the key a record lacks
 """
 
 import json
@@ -92,6 +95,14 @@ class TestRoundTrips:
         back = harness.load_dataset(path)
         assert all(np.array_equal(a, b) for a, b in zip(back.points, data.points))
         assert np.array_equal(back.labels, data.labels)
+
+    @pytest.mark.parametrize("bad, key", [('{"y": 1}', "x"), ('{"x": "0110"}', "y"), ("[1, 2]", "x")])
+    def test_record_without_key_rejected(self, tmp_path, bad, key):
+        path = str(tmp_path / "d.jsonl")
+        with open(path, "w") as fh:
+            fh.write(f'{{"x": "1100", "y": 1}}\n\n{bad}\n')
+        with pytest.raises(ValueError, match=f"d.jsonl:3: record has no '{key}' key"):
+            harness.load_dataset(path)
 
     def test_model_round_trip(self, tmp_path):
         data = gen_conjunction_dataset(6, [0], "sparse", 2, 12, 0.0, seed=5)
@@ -346,6 +357,30 @@ class TestCli:
         failure = verdict["failures"][0]
         assert failure["check"] == "spectral_correctness"
         assert {"n", "p", "ell", "j"} <= set(failure["params"])
+
+    def test_bad_inputs_exit_2_with_named_error(self, tmp_path, capsys):
+        files = {
+            "no_n.json": '{"kind": "universal", "layers": []}',
+            "bogus.json": '{"n": 4, "kind": "bogus", "layers": []}',
+            "d.jsonl": '{"x": "1100", "y": 1}\n{"x": "0011", "y": 0}\n',
+            "no_y.jsonl": '{"x": "1100", "y": 1}\n{"x": "0011"}\n',
+        }
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        path = {name: str(tmp_path / name) for name in files}
+        pair = ["--x", "1100", "--y", "0011"]
+        train = ["train", "--data", path["d.jsonl"], "--quiet", "--algo"]
+        cases = [
+            (["kernel", "eval", "--spec", path["no_n.json"], *pair], "missing key 'n'"),
+            (["kernel", "eval", "--spec", path["bogus.json"], *pair], "unknown kernel kind 'bogus'"),
+            (["train", "--algo", "pegasos", "--data", path["no_y.jsonl"]], "no_y.jsonl:2: record has no 'y' key"),
+            ([*train, "pegasos", "--epochs", "-2"], "epochs must be non-negative, got -2"),
+            ([*train, "mkl", "--outer-iters", "-1"], "outer_iters must be non-negative, got -1"),
+        ]
+        for argv, msg in cases:
+            assert cli.main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and msg in err
 
     def test_usage_errors_exit_2(self):
         assert run_cli("scheme", "delta", "--n", "4", check=False).returncode == 2

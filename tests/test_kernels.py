@@ -14,7 +14,8 @@ Core claims:
       diagonal; the sparse kernel reproduces conjunctions exactly with
       squared norm C(s, l), and its zero-padded table is the binomial sum
       up to k = n on n <= 64
-    - specs round-trip through JSON
+    - specs round-trip through JSON; a missing key, an unknown kind and a
+      sparse-conjunction beta of the wrong length are rejected by name
 """
 
 import math
@@ -342,3 +343,24 @@ class TestSerialization:
             assert clone.n == spec.n and clone.kind == spec.kind
             pts = [HypercubePoint(spec.n, int(rng.integers(0, 1 << spec.n))) for _ in range(15)]
             assert np.array_equal(kernels.gram(spec, pts), kernels.gram(clone, pts))
+
+    @pytest.mark.parametrize(
+        "obj, match",
+        [
+            (
+                {"n": 4, "kind": "sparse_conjunction", "layers": [{"p": 2, "beta": [0, 0, 1, 0, 0, 0, 0]}]},
+                "beta has length 7, expected p\\+1=3",
+            ),
+            ({"n": 4, "kind": "sparse_conjunction", "layers": [{"p": 2, "beta": [0, 1]}]}, "beta has length 2"),
+            ({"n": 4, "kind": "sparse_conjunction", "layers": []}, "sparse_conjunction spec has one layer"),
+            ({"n": 4, "kind": "bogus", "layers": [{"p": 2, "beta": [0, 0, 1]}]}, "unknown kernel kind 'bogus'"),
+            ({"kind": "universal", "layers": []}, "missing key 'n'"),
+            ({"n": 4, "layers": []}, "missing key 'kind'"),
+            ({"n": 4, "kind": "universal"}, "missing key 'layers'"),
+            ({"n": 4, "kind": "universal", "layers": [{"beta": [1.0]}]}, "missing key 'p'"),
+            ({"n": 4, "kind": "universal", "layers": [{"p": 0}]}, "missing key 'beta'"),
+        ],
+    )
+    def test_bad_json_rejected_by_name(self, obj, match):
+        with pytest.raises(ValueError, match=match):
+            KernelSpec.from_json_dict(obj)

@@ -16,17 +16,22 @@ Core claims:
       best-so-far trace, reduces to a fixed-kernel SVM on one vertex, and
       its outer objective is convex along simplex segments; its convergence
       flag is the final polish's, not spoiled by a capped outer step
+    - the inner ascent steps by 1/(lam max_i sum_j |K_ij|), a bound on the
+      top eigenvalue of K_beta, no single step lowers the dual, and a kernel
+      that is zero to working precision gives the box corner
     - mkl_train decomposes across layers and uses lambda = eps/(n B^2),
       and rejects label-length mismatches and hinge labels other than -1/+1
+    - negative Pegasos epochs and negative MKL outer steps are rejected by
+      name; zero of either still runs
     - the Rademacher estimator matches closed forms and sits below the
-      analytic bound, and rejects an empty sample and n = 1
+      analytic bound, and rejects an empty sample, n = 1 and B <= 0
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import layer_points
@@ -193,11 +198,19 @@ class TestPegasos:
         with pytest.raises(ValueError, match="hinge-loss labels"):
             learners.pegasos_train(kernels.universal_kernel(4), pts, y, lam=1.0)
 
+    def test_negative_epochs_rejected(self):
+        pts = pts_from_tuples(layer_points(4, 2))
+        y = np.array([1.0, -1.0] * 3)
+        with pytest.raises(ValueError, match="epochs must be non-negative, got -2"):
+            learners.pegasos_train(kernels.universal_kernel(4), pts, y, lam=1.0, epochs=-2)
+        model = learners.pegasos_train(kernels.universal_kernel(4), pts, y, lam=1.0, epochs=0)
+        assert model.report["iters"] == 0 and not np.any(model.alphas)
+
 
 @st.composite
-def layer_samples(draw):
-    """Points of one weight on n <= 16: below, at and above n/2, or a single-point layer."""
-    n = draw(st.integers(1, 16))
+def layer_samples(draw, max_n=16):
+    """Points of one weight on n <= max_n: below, at and above n/2, or a single-point layer."""
+    n = draw(st.integers(1, max_n))
     w = draw(st.sampled_from(sorted({0, n, n // 2, (n + 1) // 2, draw(st.integers(0, n))})))
     m = draw(st.integers(1, 12))
     pts = [HypercubePoint.from_indices(n, draw(st.permutations(range(n)))[:w]) for _ in range(m)]
@@ -322,6 +335,16 @@ class TestMklLayerSolve:
         sol = learners.mkl_layer_solve(problem, outer_iters=3, inner_tol=0.0, inner_max_iter=5)
         assert sol.inner_converged is False
 
+    def test_negative_outer_iters_rejected(self):
+        problem = two_point_problem()
+        with pytest.raises(ValueError, match="outer_iters must be non-negative, got -1"):
+            learners.mkl_layer_solve(problem, outer_iters=-1)
+        pts = pts_from_tuples(layer_points(4, 2))
+        with pytest.raises(ValueError, match="outer_iters must be non-negative"):
+            learners.mkl_train(pts, np.array([1.0, -1.0] * 3), B=1.0, epsilon=0.1, outer_iters=-3)
+        sol = learners.mkl_layer_solve(problem, outer_iters=0)
+        assert sol.trace.size == 0 and sol.inner_converged
+
     def test_capped_outer_step_does_not_mark_polished_solution(self, monkeypatch):
         flags = []
         inner_max = learners._inner_max
@@ -341,6 +364,59 @@ class TestMklLayerSolve:
         assert flags[-1] is True  # the polish of the returned point converges
         assert sol.inner_converged is True
         assert sol.gap == pytest.approx(learners.duality_gap(problem, sol.beta, sol.alphas))
+
+
+@st.composite
+def layer_problems(draw):
+    """A layer problem on n <= 8 under either loss, and a beta on the capped simplex."""
+    _, w, pts = draw(layer_samples(max_n=8))
+    grams = learners.layer_vertex_grams(pts, w)
+    y = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=len(pts), max_size=len(pts))))
+    loss = draw(st.sampled_from([HINGE, ABSOLUTE]))
+    problem = MklLayerProblem(grams, y, lam=draw(st.floats(1e-3, 1.0)), loss=loss)
+    raw = draw(st.lists(st.floats(0.0, 1.0), min_size=len(grams[1]), max_size=len(grams[1])))
+    return problem, learners.project_capped_simplex(np.array(raw))
+
+
+class TestInnerAscent:
+    @settings(max_examples=100, deadline=None)
+    @given(layer_problems())
+    def test_step_bound_covers_top_eigenvalue(self, case):
+        problem, beta = case
+        kb = problem.combine(beta)
+        top = float(np.linalg.eigvalsh(kb).max())
+        assume(top > 1e-6)
+        # from alpha = 0 under the absolute loss, with a box too wide to clip,
+        # one step moves every alpha_i by y_i / L, which gives the bound L away
+        wide = MklLayerProblem((problem.ip, problem.table), problem.labels, lam=1e-12, loss=ABSOLUTE)
+        alpha, _, iters = learners._inner_max(wide, kb, np.zeros(problem.m), 0.0, 1)
+        assert iters == 1
+        bound = 1.0 / np.abs(alpha)
+        assert bound == pytest.approx(np.full(problem.m, np.abs(kb).sum(axis=1).max()), rel=1e-12)
+        assert bound.min() >= top * (1.0 - 1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(layer_problems(), st.integers(0, 2**32 - 1))
+    def test_single_steps_never_lower_the_dual(self, case, seed):
+        problem, beta = case
+        kb = problem.combine(beta)
+        lo, hi = learners._alpha_box(problem)
+        alpha = np.random.default_rng(seed).uniform(lo, hi)
+        val = learners._dual_value(problem, kb, alpha)
+        for _ in range(20):
+            alpha, _, _ = learners._inner_max(problem, kb, alpha, 0.0, 1)
+            nxt = learners._dual_value(problem, kb, alpha)
+            assert nxt >= val - 1e-12 * (1.0 + abs(val))
+            val = nxt
+
+    def test_kernel_zero_to_working_precision_takes_the_box_corner(self):
+        # a subnormal K_beta would overflow the step 1/(lam L); its dual is linear
+        problem = two_point_problem(lam=0.5)
+        kb = np.full((2, 2), 5e-324)
+        alpha, converged, iters = learners._inner_max(problem, kb, np.zeros(2), 0.0, 10)
+        lo, hi = learners._alpha_box(problem)
+        assert (converged, iters) == (True, 0)
+        assert np.array_equal(alpha, np.where(problem.labels > 0, hi, lo))
 
 
 class TestProjection:
@@ -459,6 +535,11 @@ class TestRademacher:
     def test_empty_sample(self):
         with pytest.raises(ValueError, match="empty sample"):
             learners.rademacher_estimate([], B=1.0)
+
+    @pytest.mark.parametrize("B", [0.0, -1.0])
+    def test_nonpositive_B_rejected(self, B):
+        with pytest.raises(ValueError, match="B must be positive"):
+            learners.rademacher_estimate([HypercubePoint.from_string("1100")], B=B)
 
     def test_bound_needs_two_coordinates(self):
         with pytest.raises(ValueError, match="n >= 2"):
