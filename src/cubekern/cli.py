@@ -181,6 +181,8 @@ def _cmd_embed(args) -> int:
                 "seed": pair.seed,
                 "width": pair.width,
                 "out": args.pair_out,
+                "attempts": [coord.attempt + 1 for coord in pair.coords],
+                "max_deviation": [coord.max_deviation() for coord in pair.coords],
             },
         )
         return 0

@@ -2,9 +2,13 @@
 
 The construction embeds each coordinate separately: values are rounded
 down to a grid of step ``eps_int / 3`` (with 1.0 appended so the right
-endpoint is exact), and every grid value ``v`` is assigned one fixed random
-row of ``t`` Bernoulli(v) bits per role.  For grid values ``u, v`` the dot
-product of a role-1 and a role-2 row concentrates around ``t u v``, so with
+endpoint is exact).  Each role draws one uniform vector ``U`` in
+``[0,1)^t`` per coordinate and keeps only its ``uint16`` cell vector
+``c = searchsorted(grid, U, side="right")``.  The row of grid value
+``v = grid[i]`` is ``1[c <= i] = 1[U < v]``: ``t`` Bernoulli(v) bits, and
+the rows of one role are nested thresholds (row i is a subset of row
+i+1).  For grid values ``u, v`` the dot product of a role-1 and a role-2
+row is Binomial(t, uv) and concentrates around ``t u v``, so with
 ``t = ceil(c_t * ln(1/eps_int) / eps_int^2)`` the scaled inner product of
 two embedded coordinates tracks the real product within ``eps_int``.
 
@@ -13,11 +17,15 @@ the coordinate embeddings; summing the per-coordinate errors gives
 ``|<x, y> - <Psi_1(x), Psi_2(y)> / t| <= eps``.
 
 Instead of trusting the concentration argument, every interval embedder is
-*certified at build time*: the full grid-pair inner-product table is
-computed (packed bits + popcount) and the build is retried with a fresh
-substream until the worst grid-pair deviation is within ``eps_int``, up to
-a bounded number of retries.  An embedded point is held as its grid cells,
-and every lifted Gram is read from these certified tables.
+*certified at build time*: the full grid-pair inner-product table,
+``#{b : c1_b <= i, c2_b <= j}`` at ``(i, j)``, is the 2-D cumulative
+histogram of the two cell vectors (exactly the popcount of the rows), and
+the build is retried with a fresh substream until the worst grid-pair
+deviation is within ``eps_int``, up to a bounded number of retries.  A
+loaded pair file is certified again.  Bit rows are built one at a time and
+only where bits are asked for (``EmbeddedPoint.bits``, ``packed``,
+``save_pair``).  An embedded point is held as its grid cells, and every
+lifted Gram is read from these certified tables.
 
 Kernel lifting: a scalar kernel ``g`` on inner products (L-Lipschitz on
 ``[0, n]``) lifts to embedded points as ``g(<u, v> / t)``; the lifted value
@@ -38,6 +46,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -81,12 +90,10 @@ def _interval_grid(eps_int: float) -> np.ndarray:
     return grid
 
 
-def _packed_view64(packed: np.ndarray) -> np.ndarray:
-    rows, nb = packed.shape
-    pad = (-nb) % 8
-    if pad:
-        packed = np.concatenate([packed, np.zeros((rows, pad), dtype=np.uint8)], axis=1)
-    return packed.view(np.uint64)
+def _threshold_rows(cells: np.ndarray, k: int):
+    """The packed rows ``1[c <= i]`` for grid cells i < k, built one at a time."""
+    for i in range(k):
+        yield np.packbits(cells <= i, bitorder="little")
 
 
 @dataclass
@@ -96,20 +103,17 @@ class IntervalEmbedderPair:
     epsilon: float
     t: int
     grid: np.ndarray
-    packed: tuple[np.ndarray, np.ndarray]  # per role: (len(grid), ceil(t/8)) uint8
+    cells: tuple[np.ndarray, np.ndarray]  # per role: (t,) uint16, searchsorted(grid, U)
     seed: int
     attempt: int
     pair_inner: np.ndarray = field(default=None, repr=False)  # (K, K) int64, role1 x role2
 
     def ensure_pair_inner(self) -> np.ndarray:
+        """#{bits b : c1_b <= i, c2_b <= j}, a 2-D cumulative histogram of the cells."""
         if self.pair_inner is None:
-            a = _packed_view64(self.packed[0])
-            b = _packed_view64(self.packed[1])
-            k = a.shape[0]
-            out = np.empty((k, k), dtype=np.int64)
-            for i in range(k):
-                out[i] = np.bitwise_count(a[i] & b).sum(axis=1).astype(np.int64)
-            self.pair_inner = out
+            k1 = self.grid.shape[0] + 1
+            hist = np.bincount(self.cells[0] * np.int64(k1) + self.cells[1], minlength=k1 * k1)
+            self.pair_inner = hist.reshape(k1, k1).cumsum(0).cumsum(1)[:-1, :-1]
         return self.pair_inner
 
     def max_deviation(self) -> float:
@@ -118,19 +122,15 @@ class IntervalEmbedderPair:
         target = np.outer(self.grid, self.grid)
         return float(np.abs(target - ip / self.t).max())
 
+    @property
+    def packed(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per role, the (K, ceil(t/8)) uint8 bit rows, little-endian within a row;
+        built again, one row at a time, on every access."""
+        k, row = self.grid.shape[0], np.dtype((np.uint8, (self.t + 7) // 8))
+        return tuple(np.fromiter(_threshold_rows(c, k), dtype=row, count=k) for c in self.cells)
+
     def row_int(self, role: int, idx: int) -> int:
-        return int.from_bytes(self.packed[role - 1][idx].tobytes(), "little")
-
-
-def _sample_interval_tables(grid: np.ndarray, t: int, rng: np.random.Generator):
-    nb = (t + 7) // 8
-    tables = []
-    for _role in (1, 2):
-        rows = np.empty((grid.shape[0], nb), dtype=np.uint8)
-        for i, v in enumerate(grid):
-            rows[i] = np.packbits(rng.random(t) < v, bitorder="little")
-        tables.append(rows)
-    return tables[0], tables[1]
+        return int.from_bytes(np.packbits(self.cells[role - 1] <= idx, bitorder="little"), "little")
 
 
 def _build_interval_pair(
@@ -140,10 +140,11 @@ def _build_interval_pair(
     grid = _interval_grid(eps_int)
     last_dev = math.inf
     for attempt in range(retries):
-        ss = np.random.SeedSequence(entropy=seed, spawn_key=(coord, attempt))
-        rng = np.random.default_rng(ss)
-        packed = _sample_interval_tables(grid, t, rng)
-        pair = IntervalEmbedderPair(eps_int, t, grid, packed, seed, attempt)
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(coord, attempt)))
+        cells = tuple(
+            np.searchsorted(grid, rng.random(t), side="right").astype(np.uint16) for _role in (1, 2)
+        )
+        pair = IntervalEmbedderPair(eps_int, t, grid, cells, seed, attempt)
         last_dev = pair.max_deviation()
         if last_dev <= eps_int:
             return pair
@@ -380,8 +381,10 @@ class EmbeddedModel:
     """f(x) = sum_i alpha_i g(<Psi_1(x_i), Psi_2(x)> / t) over the role-1 support.
 
     Training used the symmetrised cross-role Gram; ``report`` holds its worst
-    deviation from the grid-rounded inner products (``gram_max_deviation``)
-    and its minimum eigenvalue (``gram_min_eigenvalue``; it need not be PSD).
+    deviation from the grid-rounded inner products (``gram_max_deviation``),
+    its minimum eigenvalue (``gram_min_eigenvalue``; it need not be PSD) and
+    the amount ``gram_diagonal_shift = max(0, -gram_min_eigenvalue)`` added to
+    its diagonal before training.
     """
 
     pair: CubeEmbedderPair
@@ -423,7 +426,9 @@ def train_on_cube(
     lam_override: float | None = None,
 ) -> EmbeddedModel:
     """Embed a real-valued sample as role 1 and train kernelized SGD on the
-    symmetrised cross-role Gram of the lifted kernel ``g(<u, v>/t)``."""
+    symmetrised cross-role Gram of the lifted kernel ``g(<u, v>/t)``, with
+    its diagonal raised by ``max(0, -lambda_min)`` so that Pegasos trains on
+    a PSD matrix; the off-diagonal entries stay certified."""
     from .learners import HINGE, pegasos_train
 
     loss = HINGE if loss is None else loss
@@ -435,11 +440,17 @@ def train_on_cube(
     lam = epsilon / (n * B * B) if lam_override is None else lam_override
     support = tuple(embed(pair, 1, xs))
     kernel = lift_kernel(g, pair)
-    model = pegasos_train(kernel, support, labels, lam, epochs=epochs, seed=seed, loss=loss)
+    gram = kernel.gram(support)
+    min_eig = float(np.linalg.eigvalsh(gram)[0])
+    shift = max(0.0, -min_eig)
+    gram[np.diag_indices(m)] += shift
+    trained = SimpleNamespace(gram=lambda _points: gram)
+    model = pegasos_train(trained, support, labels, lam, epochs=epochs, seed=seed, loss=loss)
     out = EmbeddedModel(pair, kernel, support, model.alphas, dict(model.report))
     u = pair.grid[out._cells]
     out.report["gram_max_deviation"] = float(np.abs(pair.sym_inner(out._cells) / pair.t - u @ u.T).max())
-    out.report["gram_min_eigenvalue"] = float(np.linalg.eigvalsh(kernel.gram(support))[0])
+    out.report["gram_min_eigenvalue"] = min_eig
+    out.report["gram_diagonal_shift"] = shift
     return out
 
 
@@ -447,6 +458,7 @@ def train_on_cube(
 # Binary pair format
 
 _MAGIC = b"JKEM"
+_REBUILD = "rebuild it with `cubekern embed build`"
 _HEADER = struct.Struct("<4sIIIdQII")  # magic, version, n, t, eps, seed, K, nb
 
 
@@ -456,32 +468,48 @@ def save_pair(pair: CubeEmbedderPair, path: str) -> None:
     Layout after the header (which also records the grid size K and packed
     row width nb): for each coordinate, the role-1 table then the role-2
     table, each K rows of nb bytes, bits in little-endian order within a row.
+    Row i holds the nested threshold bits ``1[c <= i]``, built one at a time.
     """
     k = pair.grid.shape[0]
     nb = (pair.t + 7) // 8
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(_MAGIC, 1, pair.n, pair.t, pair.epsilon, pair.seed, k, nb))
         for coord in pair.coords:
-            for role in (0, 1):
-                fh.write(coord.packed[role].tobytes())
+            for cells in coord.cells:
+                fh.writelines(_threshold_rows(cells, k))
 
 
 def load_pair(path: str) -> CubeEmbedderPair:
+    """Read a pair file, recovering each bit's cell from how many rows set it.
+
+    Rows that are not nested thresholds, and tables that deviate from the
+    grid products by more than eps/n, are rejected with a ``ValueError``.
+    """
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
         magic, version, n, t, eps, seed, k, nb = _HEADER.unpack(header)
         if magic != _MAGIC or version != 1:
             raise ValueError(f"not a version-1 embedder file: {path}")
         grid = _interval_grid(eps / n)
-        if grid.shape[0] != k:
-            raise ValueError("grid size in file does not match its parameters")
+        if grid.shape[0] != k or nb != (t + 7) // 8:
+            raise ValueError("grid size or row width in file does not match its parameters")
         coords = []
         for c in range(n):
-            tables = []
+            cells = []
             for _role in (1, 2):
                 raw = fh.read(k * nb)
                 if len(raw) != k * nb:
                     raise ValueError("truncated embedder file")
-                tables.append(np.frombuffer(raw, dtype=np.uint8).reshape(k, nb).copy())
-            coords.append(IntervalEmbedderPair(eps / n, t, grid, (tables[0], tables[1]), seed, -1))
+                rows = np.frombuffer(raw, dtype=np.uint8).reshape(k, nb)
+                count = np.stack([(rows >> b & 1).sum(0) for b in range(8)], axis=1).ravel()[:t]
+                cells.append((k - count).astype(np.uint16))
+                if not all(map(np.array_equal, _threshold_rows(cells[-1], k), rows)):
+                    raise ValueError(f"{path}: coordinate {c}: rows are not nested; {_REBUILD}")
+            coords.append(IntervalEmbedderPair(eps / n, t, grid, tuple(cells), seed, -1))
+            dev = coords[-1].max_deviation()
+            if dev > eps / n:
+                raise ValueError(
+                    f"{path}: coordinate {c}: worst grid-pair deviation {dev:.4g} "
+                    f"exceeds eps/n = {eps / n:.4g}; {_REBUILD}"
+                )
     return CubeEmbedderPair(n, eps, t, DEFAULT_CT, seed, coords)

@@ -170,6 +170,10 @@ def save_dataset(dataset: Dataset, path: str) -> None:
             fh.write(f'{{"x": {xs}, "y": {_jfloat(y)}}}\n')
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def load_dataset(path: str) -> Dataset:
     points = []
     labels = []
@@ -179,23 +183,31 @@ def load_dataset(path: str) -> Dataset:
             line = line.strip()
             if not line:
                 continue
-            obj = json.loads(line)
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                msg = f"{path}:{lineno}: invalid JSON ({exc.msg}, column {exc.colno})"
+                raise ValueError(msg) from None
             for key in ("x", "y"):
                 if not isinstance(obj, dict) or key not in obj:
                     raise ValueError(f"{path}:{lineno}: record has no {key!r} key")
-            x = obj["x"]
+            x, y = obj["x"], obj["y"]
+            if not _is_number(y):
+                raise ValueError(f"{path}:{lineno}: label 'y' must be a number, got {y!r}")
             if isinstance(x, str):
                 pt = HypercubePoint.from_string(x)
                 dim = pt.n
-            else:
+            elif isinstance(x, list) and all(map(_is_number, x)):
                 pt = np.asarray(x, dtype=float)
                 dim = pt.shape[0]
+            else:
+                raise ValueError(f"{path}:{lineno}: 'x' is not a bitstring or a list of numbers")
             if n is None:
                 n = dim
             elif n != dim:
                 raise ValueError("inconsistent point dimensions in dataset file")
             points.append(pt)
-            labels.append(float(obj["y"]))
+            labels.append(float(y))
     if n is None:
         raise ValueError(f"empty dataset file: {path}")
     return Dataset(n, points, np.array(labels), meta={})

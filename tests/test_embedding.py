@@ -11,9 +11,16 @@ Core claims:
       2 L eps; declared constants are validated
     - lifted Grams read from the tables equal the bit-level products
       exactly, transpose across roles and reject same-role products
-    - save -> load round-trips the tables bit-exactly
+    - each role's rows are nested thresholds 1[c <= i] of one cell vector
+      c: the cumulative-histogram table equals the bit-level popcount of the
+      rows, and the cells are recovered from how many rows set each bit
+    - save -> load round-trips the tables bit-exactly and save -> load ->
+      save is byte-identical; a loaded file is certified again, so rows
+      that are not nested (a flipped bit, or independently sampled rows) and
+      nested rows beyond eps/n are rejected by name
     - end-to-end training on real inputs fits margined linear data, on a
-      training Gram certified within eps of the grid inner products;
+      training Gram certified within eps of the grid inner products, and
+      Pegasos trains on it with the diagonal raised to make it PSD;
       batch prediction validates its input, agrees with single queries and
       equals the lifted cross_gram exactly; the support must be role 1
 """
@@ -28,7 +35,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubekern import embedding
+from cubekern import embedding, learners
 from cubekern.learners import HINGE
 
 
@@ -237,6 +244,38 @@ class TestLiftedGram:
             k.cross_gram([u], [embedding.embed(other, 2, x)])
 
 
+class TestNestedRows:
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(0.05, 0.9), st.integers(1, 300), st.data())
+    def test_histogram_rows_and_recovery(self, eps, t, data):
+        grid = embedding._interval_grid(eps)
+        k = grid.shape[0]
+        cells = tuple(
+            np.array(data.draw(st.lists(st.integers(0, k), min_size=t, max_size=t)), dtype=np.uint16)
+            for _role in (1, 2)
+        )
+        coord = embedding.IntervalEmbedderPair(eps, t, grid, cells, 0, 0)
+        bits = [np.unpackbits(rows, axis=1, count=t, bitorder="little") for rows in coord.packed]
+        popcount = bits[0].astype(np.int64) @ bits[1].astype(np.int64).T
+        assert np.array_equal(coord.ensure_pair_inner(), popcount)
+        for role, rows in enumerate(bits):
+            assert np.all(rows[:-1] <= rows[1:])
+            assert np.array_equal(k - rows.sum(axis=0), cells[role])
+            for i in (0, k - 1):
+                assert coord.row_int(role + 1, i) == int.from_bytes(coord.packed[role][i], "little")
+
+
+def _pre_change_file(pair, path):
+    """A pair file in the same layout whose rows are independent Bernoulli(v) samples."""
+    rng = np.random.default_rng(0)
+    k, nb = pair.grid.shape[0], (pair.t + 7) // 8
+    with open(path, "wb") as fh:
+        fh.write(embedding._HEADER.pack(b"JKEM", 1, pair.n, pair.t, pair.epsilon, pair.seed, k, nb))
+        for _ in range(2 * pair.n):
+            for v in pair.grid:
+                fh.write(np.packbits(rng.random(pair.t) < v, bitorder="little").tobytes())
+
+
 class TestPairFile:
     def test_round_trip(self, tmp_path, rng):
         pair = embedding.build_pair(3, 0.2, seed=9)
@@ -254,6 +293,61 @@ class TestPairFile:
             assert np.array_equal(ca.packed[1], cb.packed[1])
         x = rng.random(3)
         assert embedding.embed(pair, 1, x).bits == embedding.embed(clone, 1, x).bits
+
+    @settings(max_examples=10, deadline=None)
+    @given(small_pairs())
+    def test_save_load_save_byte_identical(self, tmp_path_factory, pair):
+        first = tmp_path_factory.mktemp("pair") / "first.bin"
+        again = first.with_name("again.bin")
+        embedding.save_pair(pair, str(first))
+        clone = embedding.load_pair(str(first))
+        for ca, cb in zip(pair.coords, clone.coords):
+            assert np.array_equal(ca.cells[0], cb.cells[0])
+            assert np.array_equal(ca.cells[1], cb.cells[1])
+            assert np.array_equal(ca.ensure_pair_inner(), cb.ensure_pair_inner())
+        embedding.save_pair(clone, str(again))
+        assert first.read_bytes() == again.read_bytes()
+
+    def test_flipped_row_bit_rejected(self, tmp_path):
+        pair = embedding.build_pair(2, 0.3, seed=5)
+        path = tmp_path / "pair.bin"
+        embedding.save_pair(pair, str(path))
+        # bit 0 of coordinate 0's last role-1 row, which the row before it also sets
+        k, nb = pair.grid.shape[0], (pair.t + 7) // 8
+        assert pair.coords[0].cells[0][0] < k - 1
+        raw = bytearray(path.read_bytes())
+        raw[embedding._HEADER.size + (k - 1) * nb] ^= 1
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="coordinate 0: rows are not nested; rebuild it"):
+            embedding.load_pair(str(path))
+
+    def test_independently_sampled_rows_rejected(self, tmp_path):
+        pair = embedding.build_pair(2, 0.3, seed=5)
+        path = str(tmp_path / "old.bin")
+        _pre_change_file(pair, path)
+        with pytest.raises(ValueError, match="rows are not nested; rebuild it with `cubekern embed build`"):
+            embedding.load_pair(path)
+
+    def test_nested_rows_beyond_eps_rejected(self, tmp_path):
+        pair = embedding.build_pair(2, 0.3, seed=5)
+        coord = pair.coords[1]
+        coord.cells = (np.ones_like(coord.cells[0]), coord.cells[1])  # every row from 1 on all ones
+        path = str(tmp_path / "loose.bin")
+        embedding.save_pair(pair, path)
+        with pytest.raises(ValueError, match=r"coordinate 1: worst grid-pair deviation .* exceeds eps/n"):
+            embedding.load_pair(path)
+
+    def test_header_mismatch_rejected(self, tmp_path):
+        pair = embedding.build_pair(1, 0.4, seed=0)
+        path = tmp_path / "pair.bin"
+        embedding.save_pair(pair, str(path))
+        raw = bytearray(path.read_bytes())
+        fields = list(embedding._HEADER.unpack_from(raw))
+        fields[-1] += 1  # row width nb
+        raw[: embedding._HEADER.size] = embedding._HEADER.pack(*fields)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="row width in file does not match"):
+            embedding.load_pair(str(path))
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"
@@ -302,6 +396,28 @@ class TestTrainOnCube:
         assert np.abs(gram - g(u @ u.T)).max() <= g.lipschitz * eps * (1 + 1e-9)
         assert np.array_equal(gram, gram.T)
         assert model.report["gram_min_eigenvalue"] == np.linalg.eigvalsh(gram)[0]
+        assert model.report["gram_diagonal_shift"] == max(0.0, -model.report["gram_min_eigenvalue"])
+
+    def test_pegasos_trains_on_a_psd_gram(self, rng, monkeypatch):
+        trained = []
+        pegasos_train = learners.pegasos_train
+
+        def spy(spec, points, *args, **kwargs):
+            trained.append(np.array(spec.gram(points)))
+            return pegasos_train(spec, points, *args, **kwargs)
+
+        monkeypatch.setattr(learners, "pegasos_train", spy)
+        xs, ys = self._margined_data(rng, m=60)
+        g = embedding.poly_g([0.25, 0.5 / 3, 0.25 / 9], lipschitz=1 / 3, domain_max=3.0)
+        model = embedding.train_on_cube(xs, ys, g, B=1.0, epsilon=0.1, seed=0, epochs=5)
+        gram = model.kernel.gram(list(model.support))
+        (shifted,) = trained
+        assert model.report["gram_diagonal_shift"] > 0.0  # this sample's Gram is indefinite
+        eig = np.linalg.eigvalsh(shifted)
+        assert eig[0] >= -1e-9 * eig[-1]
+        off = ~np.eye(len(xs), dtype=bool)
+        assert np.array_equal(shifted[off], gram[off])
+        assert np.array_equal(np.diag(shifted), np.diag(gram) + model.report["gram_diagonal_shift"])
 
 
 class TestEmbeddedPrediction:

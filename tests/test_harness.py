@@ -12,10 +12,14 @@ Core claims:
     - the CLI emits the promised JSON schemas, is byte-deterministic for a
       fixed seed, and uses exit codes 0/1/2; train reports each layer's
       inner_converged flag and warns on stderr when one is false; embed
-      apply writes the role-1 table rows of each point's grid cells; a bad
-      kernel spec, a dataset record without "x" or "y", and negative epochs
-      or outer steps exit 2 with a named error
-    - load_dataset names the line and the key a record lacks
+      build reports each coordinate's build attempts and worst deviation
+      (within eps/n); embed apply writes the role-1 table rows of each
+      point's grid cells; a bad kernel spec, a dataset record without "x" or
+      "y", a bad dataset value, and negative epochs or outer steps exit 2
+      with a named error
+    - load_dataset names the line and the key a record lacks, a label that
+      is not a number, an x that is neither a bitstring nor a list of
+      numbers, and a line that is not JSON
 """
 
 import json
@@ -305,6 +309,9 @@ class TestCli:
             ).stdout
         )
         assert obj["width"] == obj["n"] * obj["t"]
+        assert len(obj["attempts"]) == len(obj["max_deviation"]) == obj["n"]
+        assert all(a >= 1 for a in obj["attempts"])
+        assert all(0.0 <= d <= obj["eps"] / obj["n"] for d in obj["max_deviation"])
         pts_path = str(tmp_path / "pts.jsonl")
         with open(pts_path, "w") as fh:
             fh.write('{"x": [0.25, 0.75]}\n{"x": [1.0, 0.0]}\n')
@@ -381,6 +388,22 @@ class TestCli:
             assert cli.main(argv) == 2
             err = capsys.readouterr().err
             assert err.startswith("error:") and msg in err
+
+    @pytest.mark.parametrize(
+        "text, msg",
+        [
+            ('{"x": "1100", "y": null}\n', "d.jsonl:1: label 'y' must be a number, got None"),
+            ('{"x": "1100", "y": 1}\n\n{"x": 5, "y": 1}\n', "d.jsonl:3: 'x' is not a bitstring or a list"),
+            ('{"x": "1100", "y": 1}\n{"x": "0011", "y": 1,\n', "d.jsonl:2: invalid JSON (Expecting"),
+        ],
+        ids=["null_label", "scalar_x", "bad_json"],
+    )
+    def test_bad_dataset_value_exits_2(self, tmp_path, capsys, text, msg):
+        path = tmp_path / "d.jsonl"
+        path.write_text(text)
+        assert cli.main(["train", "--algo", "pegasos", "--data", str(path), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and msg in err
 
     def test_usage_errors_exit_2(self):
         assert run_cli("scheme", "delta", "--n", "4", check=False).returncode == 2
