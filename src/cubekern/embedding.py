@@ -133,13 +133,9 @@ class IntervalEmbedderPair:
         return int.from_bytes(np.packbits(self.cells[role - 1] <= idx, bitorder="little"), "little")
 
 
-def _build_interval_pair(
-    eps_int: float, seed: int, coord: int, c_t: float, retries: int
-) -> IntervalEmbedderPair:
-    t = required_bits(eps_int, c_t)
+def _build_interval_pair(eps_int: float, t: int, seed: int, coord: int) -> IntervalEmbedderPair:
     grid = _interval_grid(eps_int)
-    last_dev = math.inf
-    for attempt in range(retries):
+    for attempt in range(BUILD_RETRIES):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(coord, attempt)))
         cells = tuple(
             np.searchsorted(grid, rng.random(t), side="right").astype(np.uint16) for _role in (1, 2)
@@ -149,7 +145,7 @@ def _build_interval_pair(
         if last_dev <= eps_int:
             return pair
     raise RuntimeError(
-        f"interval embedder failed its self-check {retries} times "
+        f"interval embedder failed its self-check {BUILD_RETRIES} times "
         f"(coord {coord}, accuracy {eps_int:.3g}, worst deviation {last_dev:.3g})"
     )
 
@@ -161,7 +157,6 @@ class CubeEmbedderPair:
     n: int
     epsilon: float
     t: int
-    c_t: float
     seed: int
     coords: list[IntervalEmbedderPair]
 
@@ -204,14 +199,7 @@ class CubeEmbedderPair:
         return int(sum(int(c.ensure_pair_inner()[a, b]) for c, a, b in zip(self.coords, ix, iy)))
 
 
-def build_pair(
-    n: int,
-    epsilon: float,
-    seed: int = 0,
-    c_t: float = DEFAULT_CT,
-    retries: int = BUILD_RETRIES,
-    width_cap: int = WIDTH_CAP,
-) -> CubeEmbedderPair:
+def build_pair(n: int, epsilon: float, seed: int = 0, c_t: float = DEFAULT_CT) -> CubeEmbedderPair:
     """Build a certified cube embedder with per-coordinate accuracy epsilon/n."""
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must be in (0, 1)")
@@ -219,21 +207,21 @@ def build_pair(
         raise ValueError("n must be positive")
     eps_int = epsilon / n
     t = required_bits(eps_int, c_t)
-    if n * t > width_cap:
-        feasible = _smallest_feasible_eps(n, c_t, width_cap)
+    if n * t > WIDTH_CAP:
+        feasible = _smallest_feasible_eps(n, c_t)
         raise ValueError(
-            f"embedded width n*t = {n * t} exceeds the cap {width_cap}; "
+            f"embedded width n*t = {n * t} exceeds the cap {WIDTH_CAP}; "
             f"smallest feasible epsilon for n={n} is about {feasible:.4g}"
         )
-    coords = [_build_interval_pair(eps_int, seed, c, c_t, retries) for c in range(n)]
-    return CubeEmbedderPair(n, epsilon, t, c_t, seed, coords)
+    coords = [_build_interval_pair(eps_int, t, seed, c) for c in range(n)]
+    return CubeEmbedderPair(n, epsilon, t, seed, coords)
 
 
-def _smallest_feasible_eps(n: int, c_t: float, width_cap: int) -> float:
+def _smallest_feasible_eps(n: int, c_t: float) -> float:
     lo, hi = 1e-6, 1.0 - 1e-9
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if n * required_bits(mid / n, c_t) > width_cap:
+        if n * required_bits(mid / n, c_t) > WIDTH_CAP:
             lo = mid
         else:
             hi = mid
@@ -512,4 +500,4 @@ def load_pair(path: str) -> CubeEmbedderPair:
                     f"{path}: coordinate {c}: worst grid-pair deviation {dev:.4g} "
                     f"exceeds eps/n = {eps / n:.4g}; {_REBUILD}"
                 )
-    return CubeEmbedderPair(n, eps, t, DEFAULT_CT, seed, coords)
+    return CubeEmbedderPair(n, eps, t, seed, coords)

@@ -39,7 +39,6 @@ from .kernels import HypercubePoint, KernelSpec, TrainedModel
 
 __all__ = [
     "Dataset",
-    "ConjunctionTask",
     "RunReport",
     "gen_conjunction_dataset",
     "save_dataset",
@@ -77,14 +76,6 @@ class Dataset:
             raise ValueError("points and labels length mismatch")
         if not np.all(np.isfinite(self.labels)):
             raise ValueError("labels must be finite")
-
-
-@dataclass(frozen=True)
-class ConjunctionTask:
-    literals: tuple
-    n: int
-    weight: int  # sparsity s or layer p, depending on mode
-    mode: str
 
 
 def gen_conjunction_dataset(
@@ -565,8 +556,9 @@ class RunReport:
     train_meta: dict
     test_meta: dict
 
-    def to_json_dict(self, include_timing: bool = False) -> dict:
-        out = {
+    def to_json_dict(self) -> dict:
+        """Every field but ``wall_seconds``, so equal seeds give equal output."""
+        return {
             "config": self.config,
             "lambda": self.lam,
             "objective": self.objective,
@@ -578,9 +570,6 @@ class RunReport:
             "train_meta": self.train_meta,
             "test_meta": self.test_meta,
         }
-        if include_timing:
-            out["wall_seconds"] = self.wall_seconds
-        return out
 
 
 def evaluate_losses(preds: np.ndarray, labels01: np.ndarray, convention: str) -> dict:

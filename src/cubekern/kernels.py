@@ -51,7 +51,6 @@ from .scheme import (
     is_admissible,
     p_from_d,
     vertex_betas,
-    DEFAULT_PSD_TOL,
 )
 
 __all__ = [
@@ -143,10 +142,10 @@ class LayerKernel:
         object.__setattr__(self, "g_table", g)
 
 
-def make_layer_kernel(layer: LayerParams, beta, tol: float = DEFAULT_PSD_TOL) -> LayerKernel:
+def make_layer_kernel(layer: LayerParams, beta) -> LayerKernel:
     """Validated layer kernel; rejects inadmissible coefficients by name."""
     coeffs = BetaCoeffs(layer, np.asarray(beta, dtype=float))
-    report = is_admissible(coeffs, tol=tol)
+    report = is_admissible(coeffs)
     if not report:
         raise ValueError(
             f"inadmissible kernel on (n={layer.n}, p={layer.p}): {report.violation}"
@@ -171,14 +170,14 @@ def complement_layer_kernel(kernel: LayerKernel) -> LayerKernel:
     return make_layer_kernel(comp, p_from_d(kernel.g_table[shift : shift + comp.p + 1]))
 
 
-def mix_vertices(layer: LayerParams, lambdas, tol: float = 1e-12) -> LayerKernel:
+def mix_vertices(layer: LayerParams, lambdas) -> LayerKernel:
     """Sub-convex combination of the vertex kernels: beta = sum_i lambda_i beta^(i)."""
     lam = np.asarray(lambdas, dtype=float)
     if lam.shape != (layer.p + 1,):
         raise ValueError(f"expected {layer.p + 1} mixture weights, got {lam.shape}")
-    if lam.min(initial=0.0) < -tol:
+    if lam.min(initial=0.0) < -1e-12:
         raise ValueError("negative mixture weight")
-    if lam.sum() > 1.0 + tol:
+    if lam.sum() > 1.0 + 1e-12:
         raise ValueError(f"mixture weights sum to {lam.sum():.6g} > 1")
     beta = np.clip(lam, 0.0, None) @ vertex_betas(layer)
     return make_layer_kernel(layer, beta)
@@ -297,6 +296,7 @@ def _mirrored(masks: np.ndarray, weight: int, n: int) -> np.ndarray:
 
 
 _BLOCK_ELEMS = 1 << 18  # entries per row block: bounds every temporary of the lookup
+_MAX_GRAM_POINTS = 20000  # a dense Gram of this many points is 3 GiB of floats
 
 
 def inner_product_blocks(a: np.ndarray, b: np.ndarray):
@@ -310,11 +310,11 @@ def inner_product_blocks(a: np.ndarray, b: np.ndarray):
         yield start, np.bitwise_count(a[start : start + step, None] & b)
 
 
-def gram(spec: KernelSpec, points, max_points: int = 20000) -> np.ndarray:
+def gram(spec: KernelSpec, points) -> np.ndarray:
     """Dense symmetric kernel matrix over a point list (or its packed masks)."""
     m = len(points)
-    if m > max_points:
-        raise ValueError(f"refusing to build a {m}x{m} Gram matrix (cap {max_points})")
+    if m > _MAX_GRAM_POINTS:
+        raise ValueError(f"refusing to build a {m}x{m} Gram matrix (cap {_MAX_GRAM_POINTS})")
     masks = _packed(points, spec.n)
     return cross_gram(spec, masks, masks)
 

@@ -47,7 +47,7 @@ Returned models are immutable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -301,12 +301,11 @@ def _inner_max(
     return alpha, False, max_iter
 
 
-def mkl_layer_solve(
-    problem: MklLayerProblem,
-    outer_iters: int = 500,
-    inner_tol: float = 1e-8,
-    inner_max_iter: int = 100_000,
-) -> MklSolution:
+_INNER_TOL = 1e-8  # projected-gradient norm at which the inner ascent stops
+_INNER_MAX_ITER = 100_000  # inner steps of the final polish; outer steps take at most 5,000
+
+
+def mkl_layer_solve(problem: MklLayerProblem, outer_iters: int = 500) -> MklSolution:
     """Saddle solve of the layer MKL program with a best-so-far certificate.
 
     Outer: projected subgradient descent on the capped simplex with step
@@ -322,10 +321,10 @@ def mkl_layer_solve(
     alpha = np.zeros(problem.m)
     best = (math.inf, beta.copy(), alpha.copy())
     trace = np.empty(outer_iters)
-    loop_cap = min(inner_max_iter, 5000)  # full budget is spent on the final polish
+    loop_cap = min(_INNER_MAX_ITER, 5000)  # full budget is spent on the final polish
     for k in range(1, outer_iters + 1):
         kb = problem.combine(beta)
-        alpha, _, _ = _inner_max(problem, kb, alpha, inner_tol, loop_cap)
+        alpha, _, _ = _inner_max(problem, kb, alpha, _INNER_TOL, loop_cap)
         val = _dual_value(problem, kb, alpha)
         if val < best[0]:
             best = (val, beta.copy(), alpha.copy())
@@ -334,7 +333,7 @@ def mkl_layer_solve(
         beta = project_capped_simplex(beta - subg / math.sqrt(k))
     _, beta_star, alpha_star = best
     kb = problem.combine(beta_star)
-    alpha_star, polished, _ = _inner_max(problem, kb, alpha_star, inner_tol, inner_max_iter)
+    alpha_star, polished, _ = _inner_max(problem, kb, alpha_star, _INNER_TOL, _INNER_MAX_ITER)
     primal = _primal_value(problem, kb, alpha_star)
     dual = _dual_value(problem, kb, alpha_star)
     return MklSolution(
@@ -348,15 +347,10 @@ def mkl_layer_solve(
     )
 
 
-def layer_dual_objective(
-    problem: MklLayerProblem,
-    beta,
-    inner_tol: float = 1e-10,
-    inner_max_iter: int = 200_000,
-) -> float:
+def layer_dual_objective(problem: MklLayerProblem, beta) -> float:
     """The outer objective G(beta) = sup_alpha G(alpha, beta) at a fixed beta."""
     kb = problem.combine(beta)
-    alpha, _, _ = _inner_max(problem, kb, np.zeros(problem.m), inner_tol, inner_max_iter)
+    alpha, _, _ = _inner_max(problem, kb, np.zeros(problem.m), 1e-10, 200_000)
     return _dual_value(problem, kb, alpha)
 
 
@@ -412,7 +406,6 @@ class MklTrainResult:
     per_layer: dict  # weight -> MklSolution
     model: TrainedModel
     objective: float  # sum of layer objectives
-    report: dict = field(default_factory=dict)
 
     def layer_report(self) -> dict:
         """Per layer (keyed by weight as a string): beta, objective, gap, convergence."""
@@ -434,7 +427,6 @@ def mkl_train(
     epsilon: float,
     loss: LossSpec = HINGE,
     outer_iters: int = 500,
-    inner_tol: float = 1e-8,
     lam_override: float | None = None,
 ) -> MklTrainResult:
     """Layer-decomposed MKL: partition by weight, solve each layer alone.
@@ -460,7 +452,7 @@ def mkl_train(
     total = 0.0
     for w, idx, grams in _layers(points):
         problem = MklLayerProblem(grams, y[idx], lam, loss)
-        sol = mkl_layer_solve(problem, outer_iters=outer_iters, inner_tol=inner_tol)
+        sol = mkl_layer_solve(problem, outer_iters=outer_iters)
         per_layer[w] = sol
         alphas[idx] = sol.alphas
         total += sol.objective
@@ -480,7 +472,7 @@ def mkl_train(
             "iters": outer_iters,
         },
     )
-    return MklTrainResult(lam, per_layer, model, total, report=dict(model.report))
+    return MklTrainResult(lam, per_layer, model, total)
 
 
 # ---------------------------------------------------------------------------

@@ -167,11 +167,12 @@ class TestGram:
         assert np.array_equal(g[: len(a), len(a) :], np.zeros((len(a), len(b))))
         assert np.array_equal(g[len(a) :, : len(a)], np.zeros((len(b), len(a))))
 
-    def test_size_guard(self):
+    def test_size_guard(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_MAX_GRAM_POINTS", 5)
         spec = kernels.universal_kernel(4)
         x = HypercubePoint.from_string("1100")
         with pytest.raises(ValueError, match="Gram"):
-            kernels.gram(spec, [x] * 10, max_points=5)
+            kernels.gram(spec, [x] * 10)
 
     def test_matches_evaluate(self, rng):
         spec = kernels.universal_kernel(6)

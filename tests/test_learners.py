@@ -330,9 +330,11 @@ class TestMklLayerSolve:
         oracle = feature_space_primal(k_beta, y, lam, HINGE)
         assert sol.objective == pytest.approx(oracle, rel=0.01)
 
-    def test_inner_nonconvergence_flagged(self):
+    def test_inner_nonconvergence_flagged(self, monkeypatch):
+        monkeypatch.setattr(learners, "_INNER_TOL", 0.0)
+        monkeypatch.setattr(learners, "_INNER_MAX_ITER", 5)
         problem = two_point_problem(lam=0.01)
-        sol = learners.mkl_layer_solve(problem, outer_iters=3, inner_tol=0.0, inner_max_iter=5)
+        sol = learners.mkl_layer_solve(problem, outer_iters=3)
         assert sol.inner_converged is False
 
     def test_negative_outer_iters_rejected(self):
@@ -355,11 +357,13 @@ class TestMklLayerSolve:
             return out
 
         monkeypatch.setattr(learners, "_inner_max", recorded)
+        monkeypatch.setattr(learners, "_INNER_TOL", 1e-8)
+        monkeypatch.setattr(learners, "_INNER_MAX_ITER", 40)
         pts = pts_from_tuples(layer_points(6, 2)[:8])
         problem = MklLayerProblem(
             learners.layer_vertex_grams(pts, 2), np.array([1.0, -1.0] * 4), lam=0.05
         )
-        sol = learners.mkl_layer_solve(problem, outer_iters=6, inner_tol=1e-8, inner_max_iter=40)
+        sol = learners.mkl_layer_solve(problem, outer_iters=6)
         assert flags[0] is False  # the cold-started first outer step hits its cap
         assert flags[-1] is True  # the polish of the returned point converges
         assert sol.inner_converged is True
