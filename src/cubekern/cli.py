@@ -107,11 +107,15 @@ def _hinge_labels(labels: np.ndarray) -> tuple[np.ndarray, str]:
     raise ValueError("hinge training expects labels in {0,1} or {-1,+1}")
 
 
+def _cube_points(data, command: str) -> list:
+    if not all(isinstance(p, kernels.HypercubePoint) for p in data.points):
+        raise ValueError(f"{command} expects a hypercube (bitstring) dataset")
+    return list(data.points)
+
+
 def _cmd_train(args) -> int:
     data = harness.load_dataset(args.data)
-    points = list(data.points)
-    if not all(isinstance(p, kernels.HypercubePoint) for p in points):
-        raise ValueError("train expects a hypercube (bitstring) dataset")
+    points = _cube_points(data, "train")
     loss = learners.get_loss(args.loss)
     labels = data.labels
     mapping = "native labels"
@@ -142,19 +146,13 @@ def _cmd_train(args) -> int:
     report = dict(model.report)
     report["label_mapping"] = mapping
     report["per_layer"] = per_layer
-    obj = {
-        "spec": model.spec.to_json_dict(),
-        "support": [p.to_string() for p in model.support],
-        "alphas": [float(a) for a in model.alphas],
-        "report": harness._clean_report(report),
-    }
-    _emit(args, obj)
+    _emit(args, harness.model_json_dict(model, report))
     return 0
 
 
 def _cmd_rademacher(args) -> int:
-    data = harness.load_dataset(args.data)
-    est = learners.rademacher_estimate(list(data.points), args.B, trials=args.trials, seed=args.seed)
+    points = _cube_points(harness.load_dataset(args.data), "rademacher")
+    est = learners.rademacher_estimate(points, args.B, trials=args.trials, seed=args.seed)
     _emit(
         args,
         {
@@ -187,20 +185,18 @@ def _cmd_embed(args) -> int:
         )
         return 0
     pair = embedding.load_pair(args.pair)
-    count = 0
-    with open(args.points) as fin, open(args.bits_out, "w") as fout:
-        for line in fin:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            x = np.asarray(obj["x"], dtype=float)
-            if x.ndim != 1:
-                raise ValueError(f"embed apply takes one vector per line, got shape {x.shape}")
-            pt = embedding.embed(pair, args.role, x)
+    records = harness.read_records(args.points, ("x",))
+    with open(args.bits_out, "w") as fout:
+        for where, obj in records:
+            if not harness.is_vector(obj["x"]):
+                msg = "embed apply takes one vector per line; 'x' is not a flat list of numbers"
+                raise ValueError(f"{where}: {msg}")
+            try:
+                pt = embedding.embed(pair, args.role, obj["x"])
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
             fout.write(json.dumps({"x": pt.to_string()}) + "\n")
-            count += 1
-    _emit(args, {"count": count, "width": pair.width, "out": args.bits_out})
+    _emit(args, {"count": len(records), "width": pair.width, "out": args.bits_out})
     return 0
 
 

@@ -194,17 +194,22 @@ class CubeEmbedderPair:
 
     def table_inner(self, x, y) -> int:
         """Exact <Psi_1(x), Psi_2(y)> via the certified per-coordinate tables."""
-        ix = self.grid_indices(x)
-        iy = self.grid_indices(y)
-        return int(sum(int(c.ensure_pair_inner()[a, b]) for c, a, b in zip(self.coords, ix, iy)))
+        return int(self.cell_inner(self.grid_indices([x]), self.grid_indices([y]))[0, 0])
 
 
 def build_pair(n: int, epsilon: float, seed: int = 0, c_t: float = DEFAULT_CT) -> CubeEmbedderPair:
-    """Build a certified cube embedder with per-coordinate accuracy epsilon/n."""
+    """Build a certified cube embedder with per-coordinate accuracy epsilon/n.
+
+    ``t = required_bits(epsilon/n, c_t)`` bits per role, ``c_t`` finite and
+    positive; a width ``n t`` above ``WIDTH_CAP`` is refused before sampling,
+    and each coordinate is drawn up to ``BUILD_RETRIES`` times.
+    """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must be in (0, 1)")
     if n < 1:
         raise ValueError("n must be positive")
+    if not 0.0 < c_t < math.inf:
+        raise ValueError(f"c_t must be a finite positive number, got {c_t}")
     eps_int = epsilon / n
     t = required_bits(eps_int, c_t)
     if n * t > WIDTH_CAP:
@@ -428,15 +433,17 @@ def train_on_cube(
     lam = epsilon / (n * B * B) if lam_override is None else lam_override
     support = tuple(embed(pair, 1, xs))
     kernel = lift_kernel(g, pair)
-    gram = kernel.gram(support)
+    cells = kernel._cells(support)[1]
+    sym = pair.sym_inner(cells)
+    gram = kernel._lift(sym)
     min_eig = float(np.linalg.eigvalsh(gram)[0])
     shift = max(0.0, -min_eig)
     gram[np.diag_indices(m)] += shift
     trained = SimpleNamespace(gram=lambda _points: gram)
     model = pegasos_train(trained, support, labels, lam, epochs=epochs, seed=seed, loss=loss)
     out = EmbeddedModel(pair, kernel, support, model.alphas, dict(model.report))
-    u = pair.grid[out._cells]
-    out.report["gram_max_deviation"] = float(np.abs(pair.sym_inner(out._cells) / pair.t - u @ u.T).max())
+    u = pair.grid[cells]
+    out.report["gram_max_deviation"] = float(np.abs(sym / pair.t - u @ u.T).max())
     out.report["gram_min_eigenvalue"] = min_eig
     out.report["gram_diagonal_shift"] = shift
     return out

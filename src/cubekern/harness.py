@@ -43,6 +43,9 @@ __all__ = [
     "gen_conjunction_dataset",
     "save_dataset",
     "load_dataset",
+    "read_records",
+    "is_vector",
+    "model_json_dict",
     "save_model",
     "load_model",
     "verify_suite",
@@ -165,54 +168,72 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def load_dataset(path: str) -> Dataset:
-    points = []
-    labels = []
-    n = None
+def read_records(path: str, keys) -> list[tuple[str, dict]]:
+    """``("path:line", record)`` per non-blank line of a JSON Lines file; a line
+    that is not JSON or lacks one of ``keys`` raises a ValueError naming it."""
+    records = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
+            where = f"{path}:{lineno}"
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
-                msg = f"{path}:{lineno}: invalid JSON ({exc.msg}, column {exc.colno})"
-                raise ValueError(msg) from None
-            for key in ("x", "y"):
+                raise ValueError(f"{where}: invalid JSON ({exc.msg}, column {exc.colno})") from None
+            for key in keys:
                 if not isinstance(obj, dict) or key not in obj:
-                    raise ValueError(f"{path}:{lineno}: record has no {key!r} key")
-            x, y = obj["x"], obj["y"]
-            if not _is_number(y):
-                raise ValueError(f"{path}:{lineno}: label 'y' must be a number, got {y!r}")
-            if isinstance(x, str):
-                pt = HypercubePoint.from_string(x)
-                dim = pt.n
-            elif isinstance(x, list) and all(map(_is_number, x)):
-                pt = np.asarray(x, dtype=float)
-                dim = pt.shape[0]
-            else:
-                raise ValueError(f"{path}:{lineno}: 'x' is not a bitstring or a list of numbers")
-            if n is None:
-                n = dim
-            elif n != dim:
-                raise ValueError("inconsistent point dimensions in dataset file")
-            points.append(pt)
-            labels.append(float(y))
+                    raise ValueError(f"{where}: record has no {key!r} key")
+            records.append((where, obj))
+    return records
+
+
+def is_vector(x) -> bool:
+    """Whether a JSON value is a flat list of numbers."""
+    return isinstance(x, list) and all(map(_is_number, x))
+
+
+def load_dataset(path: str) -> Dataset:
+    points = []
+    labels = []
+    n = None
+    for where, obj in read_records(path, ("x", "y")):
+        x, y = obj["x"], obj["y"]
+        if not _is_number(y):
+            raise ValueError(f"{where}: label 'y' must be a number, got {y!r}")
+        if isinstance(x, str):
+            pt = HypercubePoint.from_string(x)
+            dim = pt.n
+        elif is_vector(x):
+            pt = np.asarray(x, dtype=float)
+            dim = pt.shape[0]
+        else:
+            raise ValueError(f"{where}: 'x' is not a bitstring or a list of numbers")
+        if n is None:
+            n = dim
+        elif n != dim:
+            raise ValueError(f"{where}: inconsistent point dimensions in dataset file ({dim} after {n})")
+        points.append(pt)
+        labels.append(float(y))
     if n is None:
         raise ValueError(f"empty dataset file: {path}")
     return Dataset(n, points, np.array(labels), meta={})
 
 
-def save_model(model: TrainedModel, path: str) -> None:
-    obj = {
+def model_json_dict(model: TrainedModel, report: dict) -> dict:
+    """The model file's object, with ``report`` (made JSON-safe) as its report."""
+    return {
         "spec": model.spec.to_json_dict(),
         "support": [pt.to_string() for pt in model.support],
         "alphas": [float(a) for a in model.alphas],
-        "report": _clean_report(model.report),
+        "report": _clean_report(report),
     }
+
+
+def save_model(model: TrainedModel, path: str) -> None:
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=1)
+        json.dump(model_json_dict(model, model.report), fh, indent=1)
         fh.write("\n")
 
 

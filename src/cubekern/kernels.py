@@ -260,15 +260,19 @@ class KernelSpec:
             entries = [(int(e["p"]), np.asarray(e["beta"], dtype=float)) for e in obj["layers"]]
         except KeyError as exc:
             raise ValueError(f"kernel spec is missing key {exc}") from None
-        per_layer: dict[int, LayerKernel] = {}
-        for w, beta in entries:
-            if kind == "sparse_conjunction":
-                coeffs = BetaCoeffs(LayerParams(n, w), beta)
-                lk = LayerKernel(coeffs.layer, coeffs.beta, d_from_p(np.pad(coeffs.beta, (0, n - w))))
-            else:
-                lk = make_layer_kernel(LayerParams(n, min(w, n - w)), beta)
-            per_layer[w] = lk
+        per_layer = {
+            w: _sparse_layer(n, w, beta)
+            if kind == "sparse_conjunction"
+            else make_layer_kernel(LayerParams(n, min(w, n - w)), beta)
+            for w, beta in entries
+        }
         return cls(n, kind, per_layer)
+
+
+def _sparse_layer(n: int, s: int, beta) -> LayerKernel:
+    """Weight-free layer kernel of ``beta`` on layer s, its table zero-padded to k = 0..n."""
+    coeffs = BetaCoeffs(LayerParams(n, s), beta)
+    return LayerKernel(coeffs.layer, coeffs.beta, d_from_p(np.pad(coeffs.beta, (0, n - s))))
 
 
 def points_to_bits(points, n: int) -> np.ndarray:
@@ -311,7 +315,8 @@ def inner_product_blocks(a: np.ndarray, b: np.ndarray):
 
 
 def gram(spec: KernelSpec, points) -> np.ndarray:
-    """Dense symmetric kernel matrix over a point list (or its packed masks)."""
+    """Dense symmetric kernel matrix over at most ``_MAX_GRAM_POINTS`` points
+    (or their packed masks); more raise a ``ValueError``."""
     m = len(points)
     if m > _MAX_GRAM_POINTS:
         raise ValueError(f"refusing to build a {m}x{m} Gram matrix (cap {_MAX_GRAM_POINTS})")
@@ -403,8 +408,7 @@ def sparse_conjunction_kernel(n: int, s: int, ell: int) -> KernelSpec:
     if 2 * s <= n:
         # sanity: certified admissible on its home layer when checkable
         make_layer_kernel(LayerParams(n, s), beta)
-    lk = LayerKernel(LayerParams(n, s), beta, d_from_p(np.pad(beta, (0, n + 1 - beta.size))))
-    return KernelSpec(n, "sparse_conjunction", {s: lk})
+    return KernelSpec(n, "sparse_conjunction", {s: _sparse_layer(n, s, beta)})
 
 
 @dataclass(frozen=True)

@@ -310,9 +310,10 @@ def mkl_layer_solve(problem: MklLayerProblem, outer_iters: int = 500) -> MklSolu
 
     Outer: projected subgradient descent on the capped simplex with step
     ``1/sqrt(k)``; the subgradient at the inner optimizer has components
-    ``-(lam/2) alpha' K_t alpha``.  Inner: :func:`_inner_max`, warm-started
-    across outer iterations.  The returned solution is the best beta seen,
-    with its alpha re-polished and the duality gap computed there.
+    ``-(lam/2) alpha' K_t alpha``.  Inner: :func:`_inner_max` to ``_INNER_TOL``,
+    warm-started, at most 5,000 steps per outer iteration.  The returned
+    solution is the best beta seen, with its alpha re-polished (up to
+    ``_INNER_MAX_ITER`` steps) and the duality gap computed there.
     """
     if outer_iters < 0:
         raise ValueError(f"outer_iters must be non-negative, got {outer_iters}")
@@ -348,7 +349,8 @@ def mkl_layer_solve(problem: MklLayerProblem, outer_iters: int = 500) -> MklSolu
 
 
 def layer_dual_objective(problem: MklLayerProblem, beta) -> float:
-    """The outer objective G(beta) = sup_alpha G(alpha, beta) at a fixed beta."""
+    """The outer objective G(beta) = sup_alpha G(alpha, beta) at a fixed beta,
+    by :func:`_inner_max` from zero to tolerance 1e-10 in at most 200,000 steps."""
     kb = problem.combine(beta)
     alpha, _, _ = _inner_max(problem, kb, np.zeros(problem.m), 1e-10, 200_000)
     return _dual_value(problem, kb, alpha)

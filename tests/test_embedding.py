@@ -23,6 +23,7 @@ Core claims:
       Pegasos trains on it with the diagonal raised to make it PSD;
       batch prediction validates its input, agrees with single queries and
       equals the lifted cross_gram exactly; the support must be role 1
+    - every script under demos/ runs to exit 0
 """
 
 import math
@@ -476,7 +477,12 @@ class TestEmbeddedPrediction:
             model.predict_many(bad)
 
 
-def test_real_inputs_demo_runs():
-    demo = os.path.join(os.path.dirname(__file__), os.pardir, "demos", "05_real_inputs.py")
-    proc = subprocess.run([sys.executable, demo], capture_output=True, text=True, timeout=120)
+DEMOS = os.path.join(os.path.dirname(__file__), os.pardir, "demos")
+
+
+@pytest.mark.parametrize("demo", sorted(f for f in os.listdir(DEMOS) if f.endswith(".py")))
+def test_demo_runs(demo):
+    proc = subprocess.run(
+        [sys.executable, os.path.join(DEMOS, demo)], capture_output=True, text=True, timeout=120
+    )
     assert proc.returncode == 0, proc.stderr

@@ -15,11 +15,13 @@ Core claims:
       build reports each coordinate's build attempts and worst deviation
       (within eps/n); embed apply writes the role-1 table rows of each
       point's grid cells; a bad kernel spec, a dataset record without "x" or
-      "y", a bad dataset value, and negative epochs or outer steps exit 2
-      with a named error
+      "y", a bad dataset value, negative epochs or outer steps, a c_t that
+      is not finite and positive, an embed apply line without "x", not JSON
+      or with an x of the wrong shape or width, and rademacher on real
+      vectors exit 2 with a named error
     - load_dataset names the line and the key a record lacks, a label that
       is not a number, an x that is neither a bitstring nor a list of
-      numbers, and a line that is not JSON
+      numbers, a point of another dimension, and a line that is not JSON
 """
 
 import json
@@ -404,6 +406,48 @@ class TestCli:
         assert cli.main(["train", "--algo", "pegasos", "--data", str(path), "--quiet"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and msg in err
+
+    def test_bad_c_t_exits_2_before_sampling(self, tmp_path, capsys):
+        for c_t in ("0", "-1", "nan"):
+            argv = ["embed", "build", "--n", "2", "--eps", "0.3", "--c-t", c_t]
+            assert cli.main([*argv, "--out", str(tmp_path / "pair.bin"), "--quiet"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and f"c_t must be a finite positive number, got {c_t}" in err
+        assert not (tmp_path / "pair.bin").exists()
+
+    @pytest.mark.parametrize(
+        "text, msg",
+        [
+            ('{"x": [0.5, 0.5]}\n{"y": 1}\n', "pts.jsonl:2: record has no 'x' key"),
+            ('{"x": [0.5, 0.5]}\n[0.5, 0.5\n', "pts.jsonl:2: invalid JSON (Expecting"),
+            ('{"x": [[0.25, 0.75]]}\n', "pts.jsonl:1: embed apply takes one vector per line"),
+            ('\n{"x": [0.25, 0.75, 0.5]}\n', "pts.jsonl:2: expected a length-2 vector, got shape (3,)"),
+        ],
+        ids=["no_x", "bad_json", "nested_x", "wrong_width"],
+    )
+    def test_bad_embed_apply_line_exits_2(self, tmp_path, capsys, text, msg):
+        pair_path = str(tmp_path / "pair.bin")
+        embedding.save_pair(embedding.build_pair(2, 0.4, seed=1), pair_path)
+        (tmp_path / "pts.jsonl").write_text(text)
+        argv = ["embed", "apply", "--pair", pair_path, "--role", "1", "--quiet"]
+        argv += ["--in", str(tmp_path / "pts.jsonl"), "--out", str(tmp_path / "bits.jsonl")]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and msg in err
+
+    def test_rademacher_on_real_vectors_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "d.jsonl"
+        path.write_text('{"x": [0.25, 0.5], "y": 1}\n{"x": [0.5, 0.75], "y": -1}\n')
+        assert cli.main(["rademacher", "--data", str(path), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "rademacher expects a hypercube (bitstring) dataset" in err
+
+    def test_mixed_dimensions_exit_2_naming_the_line(self, tmp_path, capsys):
+        path = tmp_path / "d.jsonl"
+        path.write_text('{"x": "1100", "y": 1}\n\n{"x": "10100", "y": 0}\n')
+        assert cli.main(["train", "--algo", "pegasos", "--data", str(path), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "d.jsonl:3: inconsistent point dimensions" in err
 
     def test_usage_errors_exit_2(self):
         assert run_cli("scheme", "delta", "--n", "4", check=False).returncode == 2
