@@ -168,7 +168,10 @@ def _cmd_rademacher(args) -> int:
 
 def _cmd_embed(args) -> int:
     if args.embed_cmd == "build":
-        pair = embedding.build_pair(args.n, args.eps, seed=args.seed, c_t=args.c_t)
+        try:
+            pair = embedding.build_pair(args.n, args.eps, seed=args.seed, c_t=args.c_t)
+        except RuntimeError as exc:  # a --c-t too small for its self-check is a usage error
+            raise ValueError(str(exc)) from None
         embedding.save_pair(pair, args.pair_out)
         _emit(
             args,
@@ -186,15 +189,17 @@ def _cmd_embed(args) -> int:
         return 0
     pair = embedding.load_pair(args.pair)
     records = harness.read_records(args.points, ("x",))
+    embedded = []  # every record is checked before the output is opened
+    for where, obj in records:
+        if not harness.is_vector(obj["x"]):
+            msg = "embed apply takes one vector per line; 'x' is not a flat list of numbers"
+            raise ValueError(f"{where}: {msg}")
+        try:
+            embedded.append(embedding.embed(pair, args.role, obj["x"]))
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
     with open(args.bits_out, "w") as fout:
-        for where, obj in records:
-            if not harness.is_vector(obj["x"]):
-                msg = "embed apply takes one vector per line; 'x' is not a flat list of numbers"
-                raise ValueError(f"{where}: {msg}")
-            try:
-                pt = embedding.embed(pair, args.role, obj["x"])
-            except ValueError as exc:
-                raise ValueError(f"{where}: {exc}") from None
+        for pt in embedded:
             fout.write(json.dumps({"x": pt.to_string()}) + "\n")
     _emit(args, {"count": len(records), "width": pair.width, "out": args.bits_out})
     return 0

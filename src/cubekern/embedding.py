@@ -133,13 +133,22 @@ class IntervalEmbedderPair:
         return int.from_bytes(np.packbits(self.cells[role - 1] <= idx, bitorder="little"), "little")
 
 
+def _grid_cells(grid: np.ndarray, step: float, u: np.ndarray) -> np.ndarray:
+    """``searchsorted(grid, u, side="right")`` for u in [0, 1) on the grid of
+    ``_interval_grid``: ``floor(u / step) + 1``, capped at the last cell, is off
+    by at most one where rounding meets a grid point, and one exact comparison
+    each way against ``grid`` mends that."""
+    c = np.minimum(np.floor(u / step).astype(np.intp) + 1, grid.shape[0] - 1)
+    c -= grid[c - 1] > u
+    c += grid[c] <= u
+    return c.astype(np.uint16)
+
+
 def _build_interval_pair(eps_int: float, t: int, seed: int, coord: int) -> IntervalEmbedderPair:
     grid = _interval_grid(eps_int)
     for attempt in range(BUILD_RETRIES):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(coord, attempt)))
-        cells = tuple(
-            np.searchsorted(grid, rng.random(t), side="right").astype(np.uint16) for _role in (1, 2)
-        )
+        cells = tuple(_grid_cells(grid, eps_int / 3.0, rng.random(t)) for _role in (1, 2))
         pair = IntervalEmbedderPair(eps_int, t, grid, cells, seed, attempt)
         last_dev = pair.max_deviation()
         if last_dev <= eps_int:

@@ -4,7 +4,12 @@ Three solvers live here:
 
 * :func:`pegasos_train` -- kernelized stochastic subgradient descent on the
   regularized objective ``lam/2 ||w||^2 + mean_i loss(<w, phi(x_i)>, y_i)``
-  with step ``1/(lam t)`` and iterate averaging, in representer form.
+  with step ``1/(lam t)`` and iterate averaging, in lazily scaled
+  representer form (Shalev-Shwartz, Singer, Srebro & Cotter 2011, sec. 4):
+  the iterate is ``a_t = c_t / (lam t)`` with ``c`` a sum of subgradient
+  signs, so a step that violates no margin touches no m-vector.  Its
+  ``gap`` is the primal at the averaged iterate minus the dual at that
+  iterate clipped to the conjugate box below.
 * :func:`mkl_layer_solve` -- the layer-wise multiple-kernel program
   ``inf_{beta in simplex} sup_alpha G(alpha, beta)`` where the kernel is a
   sub-convex combination ``K_beta = sum_t beta_t K_t`` of the vertex Grams.
@@ -141,8 +146,18 @@ def pegasos_train(
     """Kernelized SGD with step 1/(lam t); returns the averaged iterate.
 
     ``spec`` may be any object with a ``gram(points)`` method.  Runs
-    ``epochs * m`` steps; the sampled index stream is drawn from
+    ``T = epochs * m`` steps; the sampled index stream is drawn from
     ``default_rng(seed)``, so identical seeds give identical models.
+
+    The iterate ``a_t = (1 - 1/t) a_{t-1} - g_t e_i / (lam t)`` is kept as
+    ``lam t a_t = c_t``: only ``z = K c`` is stored, the margin at step t is
+    ``z[i] / (lam (t-1))`` (zero at step 1), and a hit (``g != 0``) costs one
+    Gram row.  The average ``(1/T) sum_t a_t`` is built in closed form: a hit
+    at step s adds ``-g (H_T - H_{s-1}) / (lam T)`` to its coordinate, ``H``
+    the harmonic numbers.  ``report["gap"]`` is the primal at that average
+    minus the dual at the average clipped to the conjugate box; it is an
+    upper bound on the objective's distance from the optimum when the Gram
+    is PSD.
     """
     m = len(points)
     if m == 0:
@@ -156,18 +171,19 @@ def pegasos_train(
     rng = np.random.default_rng(seed)
     steps = epochs * m
     picks = rng.integers(0, m, size=steps)
-    a = np.zeros(m)
+    # weight[s-1] = (H_T - H_{s-1}) / (lam T), summed from the smallest term up
+    # so that the weights of late hits keep their relative precision
+    weight = np.cumsum(1.0 / np.arange(steps, 0, -1))[::-1] / (lam * steps)
+    y_of = y.tolist()
+    z = np.zeros(m)  # K @ c, c the running sum of -g e_i over hits
     a_bar = np.zeros(m)
-    for t in range(1, steps + 1):
-        i = picks[t - 1]
-        z = float(k[i] @ a)
-        g = float(loss.subgradient(np.array(z), np.array(y[i])))
-        a *= 1.0 - 1.0 / t
-        if g != 0.0:
-            a[i] -= g / (lam * t)
-        a_bar += (a - a_bar) / t
-    z = k @ a_bar
-    objective = 0.5 * lam * float(a_bar @ z) + float(np.mean(loss.value(z, y)))
+    for t, i in enumerate(picks, start=1):
+        g = loss.subgradient(z[i] / (lam * (t - 1)) if t > 1 else 0.0, y_of[i])
+        if g:
+            z -= g * k[i]
+            a_bar[i] -= g * weight[t - 1]
+    objective = _primal_value(loss, y, lam, k, a_bar)
+    alpha = np.clip(a_bar, *_alpha_box(loss, y, lam))
     report = {
         "algo": "pegasos",
         "loss": loss.name,
@@ -175,7 +191,7 @@ def pegasos_train(
         "objective": objective,
         "iters": steps,
         "seed": seed,
-        "gap": None,
+        "gap": objective - _dual_value(loss, y, lam, k, alpha),
     }
     return TrainedModel(spec, tuple(points), a_bar, report)
 
@@ -216,6 +232,11 @@ class MklLayerProblem:
     def m(self) -> int:
         return self.labels.shape[0]
 
+    @property
+    def terms(self) -> tuple:
+        """``(loss, labels, lam)``: the primal, the dual and the box need these, as in Pegasos."""
+        return self.loss, self.labels, self.lam
+
     def combine(self, beta: np.ndarray) -> np.ndarray:
         """K_beta = sum_t beta_t K_t, one lookup of the mixed table."""
         return (np.asarray(beta, dtype=float) @ self.table)[self.ip]
@@ -251,22 +272,21 @@ def project_capped_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v - theta, 0.0)
 
 
-def _alpha_box(problem: MklLayerProblem) -> tuple[np.ndarray, np.ndarray]:
-    lo_a, hi_a = problem.loss.conjugate_domain(problem.labels)
-    c = problem.lam * problem.m
+def _alpha_box(loss: LossSpec, y: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """The dual box ``-lam m alpha_i in dom conj(., y_i)``, as bounds on alpha."""
+    lo_a, hi_a = loss.conjugate_domain(y)
+    c = lam * y.shape[0]
     return -hi_a / c, -lo_a / c
 
 
-def _dual_value(problem: MklLayerProblem, kb: np.ndarray, alpha: np.ndarray) -> float:
-    lam, m, y = problem.lam, problem.m, problem.labels
-    conj = problem.loss.conjugate(-lam * m * alpha, y)
-    return -0.5 * lam * float(alpha @ kb @ alpha) - float(np.mean(conj))
+def _dual_value(loss: LossSpec, y: np.ndarray, lam: float, k: np.ndarray, alpha) -> float:
+    conj = loss.conjugate(-lam * y.shape[0] * alpha, y)
+    return -0.5 * lam * float(alpha @ k @ alpha) - float(np.mean(conj))
 
 
-def _primal_value(problem: MklLayerProblem, kb: np.ndarray, alpha: np.ndarray) -> float:
-    lam, y = problem.lam, problem.labels
-    z = kb @ alpha
-    return 0.5 * lam * float(alpha @ z) + float(np.mean(problem.loss.value(z, y)))
+def _primal_value(loss: LossSpec, y: np.ndarray, lam: float, k: np.ndarray, alpha) -> float:
+    z = k @ alpha
+    return 0.5 * lam * float(alpha @ z) + float(np.mean(loss.value(z, y)))
 
 
 def _inner_max(
@@ -283,7 +303,7 @@ def _inner_max(
     projected-gradient norm falls below ``tol``.
     """
     lam, y = problem.lam, problem.labels
-    lo, hi = _alpha_box(problem)
+    lo, hi = _alpha_box(*problem.terms)
     alpha = np.clip(alpha0, lo, hi)
     top = float(np.linalg.norm(kb, np.inf))
     if top <= 1e-300:
@@ -326,7 +346,7 @@ def mkl_layer_solve(problem: MklLayerProblem, outer_iters: int = 500) -> MklSolu
     for k in range(1, outer_iters + 1):
         kb = problem.combine(beta)
         alpha, _, _ = _inner_max(problem, kb, alpha, _INNER_TOL, loop_cap)
-        val = _dual_value(problem, kb, alpha)
+        val = _dual_value(*problem.terms, kb, alpha)
         if val < best[0]:
             best = (val, beta.copy(), alpha.copy())
         trace[k - 1] = best[0]
@@ -335,8 +355,8 @@ def mkl_layer_solve(problem: MklLayerProblem, outer_iters: int = 500) -> MklSolu
     _, beta_star, alpha_star = best
     kb = problem.combine(beta_star)
     alpha_star, polished, _ = _inner_max(problem, kb, alpha_star, _INNER_TOL, _INNER_MAX_ITER)
-    primal = _primal_value(problem, kb, alpha_star)
-    dual = _dual_value(problem, kb, alpha_star)
+    primal = _primal_value(*problem.terms, kb, alpha_star)
+    dual = _dual_value(*problem.terms, kb, alpha_star)
     return MklSolution(
         beta=beta_star,
         alphas=alpha_star,
@@ -353,7 +373,7 @@ def layer_dual_objective(problem: MklLayerProblem, beta) -> float:
     by :func:`_inner_max` from zero to tolerance 1e-10 in at most 200,000 steps."""
     kb = problem.combine(beta)
     alpha, _, _ = _inner_max(problem, kb, np.zeros(problem.m), 1e-10, 200_000)
-    return _dual_value(problem, kb, alpha)
+    return _dual_value(*problem.terms, kb, alpha)
 
 
 def duality_gap(problem: MklLayerProblem, beta, alphas) -> float:
@@ -363,12 +383,12 @@ def duality_gap(problem: MklLayerProblem, beta, alphas) -> float:
     the conjugate at ``-lam m alpha`` (see the module docstring).
     """
     alpha = np.asarray(alphas, dtype=float)
-    lo, hi = _alpha_box(problem)
+    lo, hi = _alpha_box(*problem.terms)
     slack = 1e-9 * (1.0 + float(np.abs(hi - lo).max()))
     if np.any(alpha < lo - slack) or np.any(alpha > hi + slack):
         return math.inf
     kb = problem.combine(beta)
-    return abs(_primal_value(problem, kb, alpha) - _dual_value(problem, kb, alpha))
+    return abs(_primal_value(*problem.terms, kb, alpha) - _dual_value(*problem.terms, kb, alpha))
 
 
 # ---------------------------------------------------------------------------

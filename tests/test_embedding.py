@@ -1,7 +1,9 @@
 """Randomized cube embeddings and kernel lifting.
 
 Core claims:
-    - grid rounding loses at most eps/3 * (x + y) per coordinate product
+    - grid rounding loses at most eps/3 * (x + y) per coordinate product,
+      and the build's cell lookup equals searchsorted on the grid, at exact
+      grid points, their neighbours and in the last cell
     - certified builds preserve inner products within eps on random pairs
     - builds are deterministic in (n, eps, seed); roles are independent
     - bits-per-coordinate scales as promised and the width guard reports a
@@ -58,6 +60,25 @@ class TestGridSoundness:
             assert grid[0] == 0.0
             assert grid[-1] == 1.0
             assert np.all(np.diff(grid) > 0)
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(st.floats(1e-3, 0.9), st.sampled_from([0.3, 0.1 / 5, 0.1 / 16, 3 / 7])), st.data())
+    def test_grid_cells_equal_searchsorted(self, eps, data):
+        grid = embedding._interval_grid(eps)
+        k = grid.shape[0]
+        near = st.integers(0, k - 1).map(lambda j: float(grid[j]))  # exact points and the 1.0 end
+        point = st.one_of(
+            st.floats(0.0, 1.0, exclude_max=True),
+            near,
+            near.map(lambda v: float(np.nextafter(v, 0.0))),
+            near.map(lambda v: float(np.nextafter(v, 1.0))),
+            st.floats(float(grid[-2]), 1.0, exclude_max=True),  # the last cell
+        ).filter(lambda v: 0.0 <= v < 1.0)
+        u = np.array(data.draw(st.lists(point, min_size=1, max_size=50)))
+        got = embedding._grid_cells(grid, eps / 3.0, u)
+        assert got.dtype == np.uint16
+        assert np.array_equal(got, np.searchsorted(grid, u, side="right"))
 
 
 class TestBuild:

@@ -16,8 +16,9 @@ Core claims:
       (within eps/n); embed apply writes the role-1 table rows of each
       point's grid cells; a bad kernel spec, a dataset record without "x" or
       "y", a bad dataset value, negative epochs or outer steps, a c_t that
-      is not finite and positive, an embed apply line without "x", not JSON
-      or with an x of the wrong shape or width, and rademacher on real
+      is not finite and positive or too small for the build's self-check,
+      an embed apply line without "x", not JSON or with an x of the wrong
+      shape or width (leaving no output file), and rademacher on real
       vectors exit 2 with a named error
     - load_dataset names the line and the key a record lacks, a label that
       is not a number, an x that is neither a bitstring nor a list of
@@ -415,6 +416,17 @@ class TestCli:
             assert err.startswith("error:") and f"c_t must be a finite positive number, got {c_t}" in err
         assert not (tmp_path / "pair.bin").exists()
 
+    def test_c_t_too_small_to_certify_exits_2(self, tmp_path, capsys):
+        # a positive c_t whose t bits cannot meet eps/n: build_pair raises RuntimeError
+        with pytest.raises(RuntimeError, match="failed its self-check"):
+            embedding.build_pair(2, 0.3, c_t=0.05)
+        argv = ["embed", "build", "--n", "2", "--eps", "0.3", "--c-t", "0.05"]
+        assert cli.main([*argv, "--out", str(tmp_path / "pair.bin"), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: interval embedder failed its self-check 10 times (coord 0")
+        assert "Traceback" not in err
+        assert not (tmp_path / "pair.bin").exists()
+
     @pytest.mark.parametrize(
         "text, msg",
         [
@@ -434,6 +446,7 @@ class TestCli:
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and msg in err
+        assert not (tmp_path / "bits.jsonl").exists()
 
     def test_rademacher_on_real_vectors_exits_2(self, tmp_path, capsys):
         path = tmp_path / "d.jsonl"

@@ -5,7 +5,9 @@ Core claims:
     - duality_gap reproduces hand values at alpha = 0 and degenerate kernels
     - pegasos hits the 1-d closed-form optimum, collapses under huge
       regularization, decouples across layers, is bit-reproducible, and
-      tracks an independent feature-space primal oracle within 2%, and
+      tracks an independent feature-space primal oracle within 2% with a
+      nonnegative gap at least its distance from that oracle, replays the
+      exact step-1/(lam t) recursion (in rationals, ties included), and
       rejects label-length mismatches, non-finite labels and hinge labels
       other than -1/+1 by name
     - the class form of the vertex Grams: ip is the popcount of the mirrored
@@ -28,6 +30,8 @@ Core claims:
 """
 
 import math
+from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -175,6 +179,46 @@ class TestPegasos:
         oracle = feature_space_primal(kernels.gram(spec, pts), y, lam, loss)
         assert model.report["objective"] <= oracle * 1.02 + 1e-9
         assert model.report["objective"] >= oracle * 0.98 - 1e-9
+        # the oracle is a primal value, so it is at least the optimum the dual bounds
+        assert model.report["gap"] >= model.report["objective"] - oracle - 1e-9
+        assert model.report["gap"] >= 0.0
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 8).flatmap(
+            lambda m: st.tuples(
+                st.lists(st.lists(st.integers(-2, 2), min_size=2, max_size=2), min_size=1, max_size=3),
+                st.lists(st.integers(0, 2), min_size=m, max_size=m),
+                st.lists(st.sampled_from([-1, 1]), min_size=m, max_size=m),
+            )
+        ),
+        st.integers(-3, 2),
+        st.integers(1, 4),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([HINGE, ABSOLUTE]),
+    )
+    def test_lazy_form_replays_the_exact_recursion(self, data, lam_exp, epochs, seed, loss):
+        # K = B B' on rows drawn from a pool of at most three, so duplicate
+        # points (and exact margin ties) are common; lam = 2^lam_exp
+        pool, rows, labels = data
+        b = np.array([pool[r % len(pool)] for r in rows])
+        k = b @ b.T
+        m, lam = len(rows), Fraction(2) ** lam_exp
+        model = learners.pegasos_train(
+            SimpleNamespace(gram=lambda _pts: k), list(range(m)), np.array(labels, dtype=float),
+            float(lam), epochs=epochs, seed=seed, loss=loss,
+        )
+        # step 1/(lam t) on a_{t-1} with margin K[i] . a_{t-1}, and the running mean
+        a, a_bar = [Fraction(0)] * m, [Fraction(0)] * m
+        picks = np.random.default_rng(seed).integers(0, m, size=epochs * m).tolist()
+        for t, i in enumerate(picks, start=1):
+            z, y = sum(int(k[i, j]) * a[j] for j in range(m)), labels[i]
+            g = (-y if y * z < 1 else 0) if loss is HINGE else (z > y) - (z < y)
+            a = [v * (1 - Fraction(1, t)) for v in a]
+            a[i] -= g / (lam * t)
+            a_bar = [u + (v - u) / t for u, v in zip(a_bar, a)]
+        want = np.array([float(v) for v in a_bar])
+        assert np.abs(model.alphas - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_empty_dataset(self):
         with pytest.raises(ValueError, match="empty"):
@@ -404,12 +448,12 @@ class TestInnerAscent:
     def test_single_steps_never_lower_the_dual(self, case, seed):
         problem, beta = case
         kb = problem.combine(beta)
-        lo, hi = learners._alpha_box(problem)
+        lo, hi = learners._alpha_box(*problem.terms)
         alpha = np.random.default_rng(seed).uniform(lo, hi)
-        val = learners._dual_value(problem, kb, alpha)
+        val = learners._dual_value(*problem.terms, kb, alpha)
         for _ in range(20):
             alpha, _, _ = learners._inner_max(problem, kb, alpha, 0.0, 1)
-            nxt = learners._dual_value(problem, kb, alpha)
+            nxt = learners._dual_value(*problem.terms, kb, alpha)
             assert nxt >= val - 1e-12 * (1.0 + abs(val))
             val = nxt
 
@@ -418,7 +462,7 @@ class TestInnerAscent:
         problem = two_point_problem(lam=0.5)
         kb = np.full((2, 2), 5e-324)
         alpha, converged, iters = learners._inner_max(problem, kb, np.zeros(2), 0.0, 10)
-        lo, hi = learners._alpha_box(problem)
+        lo, hi = learners._alpha_box(*problem.terms)
         assert (converged, iters) == (True, 0)
         assert np.array_equal(alpha, np.where(problem.labels > 0, hi, lo))
 
