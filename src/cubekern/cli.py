@@ -98,15 +98,6 @@ def _cmd_kernel(args) -> int:
     return 0
 
 
-def _hinge_labels(labels: np.ndarray) -> tuple[np.ndarray, str]:
-    vals = set(np.unique(labels).tolist())
-    if vals <= {0.0, 1.0}:
-        return 2.0 * labels - 1.0, "mapped {0,1} -> {-1,+1}"
-    if vals <= {-1.0, 1.0}:
-        return labels, "labels already in {-1,+1}"
-    raise ValueError("hinge training expects labels in {0,1} or {-1,+1}")
-
-
 def _cube_points(data, command: str) -> list:
     if not all(isinstance(p, kernels.HypercubePoint) for p in data.points):
         raise ValueError(f"{command} expects a hypercube (bitstring) dataset")
@@ -120,9 +111,9 @@ def _cmd_train(args) -> int:
     labels = data.labels
     mapping = "native labels"
     if loss.name == "hinge":
-        labels, mapping = _hinge_labels(labels)
-    lam = args.lam if args.lam is not None else args.eps / (data.n * args.B * args.B)
+        labels, mapping = learners.hinge_labels(labels)
     if args.algo == "pegasos":
+        lam = learners.regularization_weight(data.n, args.B, args.eps, args.lam)
         spec = kernels.universal_kernel(data.n)
         model = learners.pegasos_train(
             spec, points, labels, lam, epochs=args.epochs, seed=args.seed, loss=loss

@@ -431,15 +431,15 @@ def train_on_cube(
     symmetrised cross-role Gram of the lifted kernel ``g(<u, v>/t)``, with
     its diagonal raised by ``max(0, -lambda_min)`` so that Pegasos trains on
     a PSD matrix; the off-diagonal entries stay certified."""
-    from .learners import HINGE, pegasos_train
+    from .learners import HINGE, pegasos_train, regularization_weight
 
     loss = HINGE if loss is None else loss
     xs = np.asarray(points, dtype=float)
     if xs.ndim != 2:
         raise ValueError("points must be an (m, n) array")
     m, n = xs.shape
+    lam = regularization_weight(n, B, epsilon, lam_override)
     pair = build_pair(n, epsilon, seed=seed)
-    lam = epsilon / (n * B * B) if lam_override is None else lam_override
     support = tuple(embed(pair, 1, xs))
     kernel = lift_kernel(g, pair)
     cells = kernel._cells(support)[1]

@@ -601,7 +601,7 @@ def evaluate_losses(preds: np.ndarray, labels01: np.ndarray, convention: str) ->
     1/2).  All three losses are reported in the model's native convention.
     """
     y01 = np.asarray(labels01, dtype=float)
-    ypm = 2.0 * y01 - 1.0
+    ypm, _ = learners.hinge_labels(y01)
     preds = np.asarray(preds, dtype=float)
     if convention == "pm1":
         hinge = float(np.mean(np.maximum(0.0, 1.0 - ypm * preds)))
@@ -641,32 +641,31 @@ def bench_conjunction(
     """
     if algo not in BENCH_ALGOS:
         raise ValueError(f"unknown algo {algo!r}; choose from {BENCH_ALGOS}")
+    lam = learners.regularization_weight(n, B, eps)
     t0 = time.perf_counter()
     lit_rng = np.random.default_rng(stream_seed(seed, 0))
     literals = sorted(lit_rng.choice(n, size=literals_size, replace=False).tolist())
     train = gen_conjunction_dataset(n, literals, "sparse", s, m, noise_rate, stream_seed(seed, 1))
     test = gen_conjunction_dataset(n, literals, "sparse", s, m, noise_rate, stream_seed(seed, 2))
     trainer_seed = stream_seed(seed, 3)
-    lam = eps / (n * B * B)
     per_layer: dict = {}
     gap = None
     objective = None
+    labels_pm, _ = learners.hinge_labels(train.labels)
     if algo == "sparse-analytic":
         convention = "zero_one"
         model = kernels.analytic_weights(n, s, literals)
     elif algo == "mkl":
         convention = "pm1"
-        labels_pm = 2.0 * train.labels - 1.0
         result = learners.mkl_train(
             list(train.points), labels_pm, B, eps, outer_iters=outer_iters
         )
         model = result.model
         objective = result.objective
-        gap = max(sol.gap for sol in result.per_layer.values())
+        gap = model.report["gap"]
         per_layer = result.layer_report()
     else:
         convention = "pm1"
-        labels_pm = 2.0 * train.labels - 1.0
         spec = (
             kernels.universal_kernel(n)
             if algo == "universal"

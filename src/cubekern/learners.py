@@ -66,6 +66,8 @@ __all__ = [
     "HINGE",
     "ABSOLUTE",
     "get_loss",
+    "regularization_weight",
+    "hinge_labels",
     "pegasos_train",
     "MklLayerProblem",
     "MklSolution",
@@ -118,6 +120,41 @@ def get_loss(name: str) -> LossSpec:
         raise ValueError(f"unknown loss {name!r}; choose from hinge, absolute") from None
 
 
+def _positive(name: str, value: float) -> float:
+    """``value``, after checking that it is finite and positive."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+    return value
+
+
+def regularization_weight(n: int, B: float, epsilon: float, lam: float | None = None) -> float:
+    """The weight ``lam = epsilon / (n B^2)`` of the regularized problem for
+    norm-``B`` classifiers on ``{0,1}^n`` learned to accuracy ``epsilon``.
+
+    ``n`` must be at least 1, ``B`` finite and positive and ``epsilon`` in
+    (0, 1); an explicit ``lam``, when given, is returned in place of the
+    formula once it is checked to be finite and positive.
+    """
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
+    _positive("B", B)
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
+    return epsilon / (n * B * B) if lam is None else _positive("lam", lam)
+
+
+def hinge_labels(labels) -> tuple[np.ndarray, str]:
+    """Labels for hinge training: ``{0,1}`` mapped to ``{-1,+1}``, ``{-1,+1}``
+    kept; returns them with a note that names the mapping."""
+    labels = np.asarray(labels, dtype=float)
+    vals = set(np.unique(labels).tolist())
+    if vals <= {0.0, 1.0}:
+        return 2.0 * labels - 1.0, "mapped {0,1} -> {-1,+1}"
+    if vals <= {-1.0, 1.0}:
+        return labels, "labels already in {-1,+1}"
+    raise ValueError("hinge training expects labels in {0,1} or {-1,+1}")
+
+
 def _check_labels(labels, m: int, loss: LossSpec) -> np.ndarray:
     """Labels as floats: one per point, finite, and -1 or +1 under the hinge loss."""
     y = np.asarray(labels, dtype=float)
@@ -162,8 +199,7 @@ def pegasos_train(
     m = len(points)
     if m == 0:
         raise ValueError("empty dataset")
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    _positive("lam", lam)
     if epochs < 0:
         raise ValueError(f"epochs must be non-negative, got {epochs}")
     y = _check_labels(labels, m, loss)
@@ -216,8 +252,7 @@ class MklLayerProblem:
         m = self.labels.shape[0]
         if m == 0:
             raise ValueError("at least one sample required")
-        if self.lam <= 0:
-            raise ValueError("lam must be positive")
+        _positive("lam", self.lam)
         if ip.shape != (m, m) or not np.array_equal(ip, ip.T):
             raise ValueError(f"inner-product matrix must be symmetric of shape {(m, m)}, got {ip.shape}")
         q = table.shape[1] if table.ndim == 2 else 0
@@ -453,20 +488,17 @@ def mkl_train(
 ) -> MklTrainResult:
     """Layer-decomposed MKL: partition by weight, solve each layer alone.
 
-    The regularization weight is ``lam = epsilon / (n B^2)`` unless
-    overridden.  The combined model stores, per occupied weight, the vertex
-    mixture selected by that layer's solution; cross-layer kernel values are
-    zero so the combined predictions coincide with the per-layer ones.
+    The regularization weight is :func:`regularization_weight` of
+    ``(n, B, epsilon, lam_override)``.  The combined model stores, per
+    occupied weight, the vertex mixture selected by that layer's solution;
+    cross-layer kernel values are zero so the combined predictions coincide
+    with the per-layer ones.
     """
-    if B <= 0:
-        raise ValueError("B must be positive")
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must be in (0, 1)")
     m = len(points)
     if m == 0:
         raise ValueError("empty dataset")
     n = points[0].n
-    lam = epsilon / (n * B * B) if lam_override is None else lam_override
+    lam = regularization_weight(n, B, epsilon, lam_override)
     y = _check_labels(labels, m, loss)
     per_layer: dict[int, MklSolution] = {}
     spec_layers = {}
@@ -519,8 +551,7 @@ def rademacher_estimate(points, B: float, trials: int = 200, seed: int = 0) -> R
     the lowest vertex index (the value is unaffected).  Also reports the
     closed-form bound ``sqrt(2 e B^2 ln(n) / m)``, which needs n >= 2.
     """
-    if B <= 0:
-        raise ValueError("B must be positive")
+    _positive("B", B)
     if trials < 1:
         raise ValueError("trials must be at least 1")
     m = len(points)

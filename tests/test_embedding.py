@@ -24,7 +24,8 @@ Core claims:
       training Gram certified within eps of the grid inner products, and
       Pegasos trains on it with the diagonal raised to make it PSD;
       batch prediction validates its input, agrees with single queries and
-      equals the lifted cross_gram exactly; the support must be role 1
+      equals the lifted cross_gram exactly; the support must be role 1;
+      a B that is not finite and positive is refused before any build
     - every script under demos/ runs to exit 0
 """
 
@@ -419,6 +420,14 @@ class TestTrainOnCube:
         assert np.array_equal(gram, gram.T)
         assert model.report["gram_min_eigenvalue"] == np.linalg.eigvalsh(gram)[0]
         assert model.report["gram_diagonal_shift"] == max(0.0, -model.report["gram_min_eigenvalue"])
+
+    @pytest.mark.parametrize("B, lam", [(0.0, None), (-1.0, 0.01), (math.nan, None)])
+    def test_bad_B_refused_before_building(self, rng, monkeypatch, B, lam):
+        monkeypatch.setattr(embedding, "build_pair", None)  # never reached
+        xs, ys = self._margined_data(rng, m=4)
+        g = embedding.poly_g([0.5, 1.0 / 6.0], lipschitz=1 / 6, domain_max=3.0)
+        with pytest.raises(ValueError, match=f"B must be positive and finite, got {B}"):
+            embedding.train_on_cube(xs, ys, g, B=B, epsilon=0.1, lam_override=lam)
 
     def test_pegasos_trains_on_a_psd_gram(self, rng, monkeypatch):
         trained = []

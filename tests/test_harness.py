@@ -15,11 +15,12 @@ Core claims:
       build reports each coordinate's build attempts and worst deviation
       (within eps/n); embed apply writes the role-1 table rows of each
       point's grid cells; a bad kernel spec, a dataset record without "x" or
-      "y", a bad dataset value, negative epochs or outer steps, a c_t that
-      is not finite and positive or too small for the build's self-check,
-      an embed apply line without "x", not JSON or with an x of the wrong
-      shape or width (leaving no output file), and rademacher on real
-      vectors exit 2 with a named error
+      "y", a bad dataset value, negative epochs or outer steps, a B that is
+      not finite and positive or an eps outside (0, 1) for train, bench and
+      rademacher, a non-finite lam, a c_t that is not finite and positive or
+      too small for the build's self-check, an embed apply line without
+      "x", not JSON or with an x of the wrong shape or width (leaving no
+      output file), and rademacher on real vectors exit 2 with a named error
     - load_dataset names the line and the key a record lacks, a label that
       is not a number, an x that is neither a bitstring nor a list of
       numbers, a point of another dimension, and a line that is not JSON
@@ -380,12 +381,32 @@ class TestCli:
         path = {name: str(tmp_path / name) for name in files}
         pair = ["--x", "1100", "--y", "0011"]
         train = ["train", "--data", path["d.jsonl"], "--quiet", "--algo"]
+        bench = ["bench", "--n", "8", "--s", "3", "--literals", "2", "--m", "10", "--quiet", "--algo"]
+        spec = {name: ["kernel", "eval", "--spec", path[name], *pair] for name in files if name.endswith(".json")}
         cases = [
-            (["kernel", "eval", "--spec", path["no_n.json"], *pair], "missing key 'n'"),
-            (["kernel", "eval", "--spec", path["bogus.json"], *pair], "unknown kernel kind 'bogus'"),
+            (spec["no_n.json"], "missing key 'n'"),
+            (spec["bogus.json"], "unknown kernel kind 'bogus'"),
             (["train", "--algo", "pegasos", "--data", path["no_y.jsonl"]], "no_y.jsonl:2: record has no 'y' key"),
             ([*train, "pegasos", "--epochs", "-2"], "epochs must be non-negative, got -2"),
             ([*train, "mkl", "--outer-iters", "-1"], "outer_iters must be non-negative, got -1"),
+            ([*train, "pegasos", "--B", "0"], "B must be positive and finite, got 0.0"),
+            ([*train, "mkl", "--B", "0"], "B must be positive and finite, got 0.0"),
+            ([*train, "pegasos", "--B", "-1"], "B must be positive and finite, got -1.0"),
+            ([*train, "pegasos", "--B", "nan"], "B must be positive and finite, got nan"),
+            ([*train, "mkl", "--B", "nan"], "B must be positive and finite, got nan"),
+            ([*train, "pegasos", "--B", "0", "--lam", "0.1"], "B must be positive and finite, got 0.0"),
+            ([*train, "pegasos", "--lam", "nan"], "lam must be positive and finite, got nan"),
+            ([*train, "mkl", "--lam", "nan"], "lam must be positive and finite, got nan"),
+            ([*train, "pegasos", "--eps", "2"], "epsilon must be in (0, 1), got 2.0"),
+            ([*bench, "universal", "--B", "0"], "B must be positive and finite, got 0.0"),
+            ([*bench, "conjunction", "--B", "0"], "B must be positive and finite, got 0.0"),
+            ([*bench, "sparse-analytic", "--B", "0"], "B must be positive and finite, got 0.0"),
+            ([*bench, "mkl", "--B", "0"], "B must be positive and finite, got 0.0"),
+            ([*bench, "universal", "--B", "-2"], "B must be positive and finite, got -2.0"),
+            ([*bench, "universal", "--eps", "nan"], "epsilon must be in (0, 1), got nan"),
+            ([*bench, "sparse-analytic", "--eps", "1.5"], "epsilon must be in (0, 1), got 1.5"),
+            (["bench", "--n", "0", "--s", "0", "--literals", "0", "--m", "4", "--algo", "universal"], "n must be at least 1, got 0"),
+            (["rademacher", "--data", path["d.jsonl"], "--B", "nan"], "B must be positive and finite, got nan"),
         ]
         for argv, msg in cases:
             assert cli.main(argv) == 2

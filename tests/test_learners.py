@@ -23,10 +23,16 @@ Core claims:
       that is zero to working precision gives the box corner
     - mkl_train decomposes across layers and uses lambda = eps/(n B^2),
       and rejects label-length mismatches and hinge labels other than -1/+1
+    - regularization_weight is the one home of lambda = eps/(n B^2): it
+      rejects a B that is not finite and positive and an eps outside (0, 1),
+      with or without an explicit lam, which must itself be finite and
+      positive, as must the lam of pegasos_train and MklLayerProblem;
+      hinge_labels maps {0,1} to {-1,+1}, keeps {-1,+1} and names the rest
     - negative Pegasos epochs and negative MKL outer steps are rejected by
       name; zero of either still runs
     - the Rademacher estimator matches closed forms and sits below the
-      analytic bound, and rejects an empty sample, n = 1 and B <= 0
+      analytic bound, and rejects an empty sample, n = 1 and a B that is
+      not finite and positive
 """
 
 import math
@@ -241,6 +247,15 @@ class TestPegasos:
         y = np.array([1.0, -1.0, 0.5, -1.0, 1.0, -1.0])
         with pytest.raises(ValueError, match="hinge-loss labels"):
             learners.pegasos_train(kernels.universal_kernel(4), pts, y, lam=1.0)
+
+    @pytest.mark.parametrize("lam", [0.0, -1.0, math.nan, math.inf])
+    def test_lam_must_be_finite_and_positive(self, lam):
+        pts = pts_from_tuples(layer_points(4, 2))
+        y = np.array([1.0, -1.0] * 3)
+        with pytest.raises(ValueError, match=f"lam must be positive and finite, got {lam}"):
+            learners.pegasos_train(kernels.universal_kernel(4), pts, y, lam=lam)
+        with pytest.raises(ValueError, match=f"lam must be positive and finite, got {lam}"):
+            MklLayerProblem(learners.layer_vertex_grams(pts, 2), y, lam=lam)
 
     def test_negative_epochs_rejected(self):
         pts = pts_from_tuples(layer_points(4, 2))
@@ -498,6 +513,43 @@ class TestMklTrain:
         assert r1.lam == pytest.approx(0.1 / 4)
         assert r2.lam == pytest.approx(r1.lam / 4)  # B doubled -> lambda quartered
 
+    def test_regularization_weight(self):
+        assert learners.regularization_weight(16, 2.0, 0.1) == 0.1 / (16 * 2.0 * 2.0)
+        assert learners.regularization_weight(16, 2.0, 0.1, lam=0.03) == 0.03
+        with pytest.raises(ValueError, match="n must be at least 1, got 0"):
+            learners.regularization_weight(0, 2.0, 0.1)
+
+    @pytest.mark.parametrize(
+        "B, eps, lam, match",
+        [
+            (0.0, 0.1, None, "B must be positive and finite, got 0.0"),
+            (-1.0, 0.1, None, "B must be positive and finite, got -1.0"),
+            (math.nan, 0.1, None, "B must be positive and finite, got nan"),
+            (math.inf, 0.1, None, "B must be positive and finite, got inf"),
+            (0.0, 0.1, 0.5, "B must be positive and finite, got 0.0"),
+            (1.0, 0.0, None, "epsilon must be in \\(0, 1\\), got 0.0"),
+            (1.0, 1.0, 0.5, "epsilon must be in \\(0, 1\\), got 1.0"),
+            (1.0, math.nan, None, "epsilon must be in \\(0, 1\\), got nan"),
+            (1.0, 0.1, 0.0, "lam must be positive and finite, got 0.0"),
+            (1.0, 0.1, math.nan, "lam must be positive and finite, got nan"),
+            (1.0, 0.1, math.inf, "lam must be positive and finite, got inf"),
+        ],
+    )
+    def test_regularization_weight_rejects_by_name(self, B, eps, lam, match):
+        with pytest.raises(ValueError, match=match):
+            learners.regularization_weight(16, B, eps, lam)
+        pts = pts_from_tuples(layer_points(4, 2))
+        with pytest.raises(ValueError, match=match):
+            learners.mkl_train(pts, np.array([1.0, -1.0] * 3), B, eps, lam_override=lam)
+
+    def test_hinge_labels(self):
+        y, note = learners.hinge_labels([0.0, 1.0, 1.0])
+        assert y.tolist() == [-1.0, 1.0, 1.0] and note == "mapped {0,1} -> {-1,+1}"
+        y, note = learners.hinge_labels(np.array([-1.0, 1.0]))
+        assert y.tolist() == [-1.0, 1.0] and note == "labels already in {-1,+1}"
+        with pytest.raises(ValueError, match="hinge training expects labels in"):
+            learners.hinge_labels([0.0, 2.0])
+
     def test_single_layer_matches_layer_solve(self):
         pts = pts_from_tuples(layer_points(4, 2))
         y = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
@@ -584,7 +636,7 @@ class TestRademacher:
         with pytest.raises(ValueError, match="empty sample"):
             learners.rademacher_estimate([], B=1.0)
 
-    @pytest.mark.parametrize("B", [0.0, -1.0])
+    @pytest.mark.parametrize("B", [0.0, -1.0, math.nan, math.inf])
     def test_nonpositive_B_rejected(self, B):
         with pytest.raises(ValueError, match="B must be positive"):
             learners.rademacher_estimate([HypercubePoint.from_string("1100")], B=B)
