@@ -33,9 +33,9 @@ def _common_flags(with_out: bool = True) -> argparse.ArgumentParser:
 
 def _emit(args, obj) -> None:
     if args.json:
-        text = json.dumps(obj, separators=(",", ":"))
+        text = json.dumps(obj, separators=(",", ":"), allow_nan=False)
     else:
-        text = json.dumps(obj, indent=1)
+        text = json.dumps(obj, indent=1, allow_nan=False)
     out = getattr(args, "out", None)
     if out:
         with open(out, "w") as fh:

@@ -232,9 +232,11 @@ def model_json_dict(model: TrainedModel, report: dict) -> dict:
 
 
 def save_model(model: TrainedModel, path: str) -> None:
+    """Write the model file; a non-finite number anywhere in it raises a
+    ``ValueError`` before the file is opened."""
+    text = json.dumps(model_json_dict(model, model.report), indent=1, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(model_json_dict(model, model.report), fh, indent=1)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_model(path: str) -> TrainedModel:
@@ -532,6 +534,10 @@ def verify_suite(
     """
     if fault is not None and fault not in FAULT_TAGS:
         raise ValueError(f"unknown fault {fault!r}; choose from {FAULT_TAGS}")
+    if max_n < 1:
+        raise ValueError(f"max_n must be at least 1, got {max_n}")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     rng = np.random.default_rng(seed)
     oracle_cap = min(max_n, scheme.MAX_ORACLE_N)
     checks = [
@@ -641,6 +647,10 @@ def bench_conjunction(
     """
     if algo not in BENCH_ALGOS:
         raise ValueError(f"unknown algo {algo!r}; choose from {BENCH_ALGOS}")
+    if not 0 <= literals_size <= n:
+        raise ValueError(f"literals_size must lie in [0, n={n}], got {literals_size}")
+    if m < 1:
+        raise ValueError(f"m must be at least 1, got {m}")
     lam = learners.regularization_weight(n, B, eps)
     t0 = time.perf_counter()
     lit_rng = np.random.default_rng(stream_seed(seed, 0))

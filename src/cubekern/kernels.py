@@ -69,6 +69,7 @@ __all__ = [
     "cross_gram",
     "points_to_bits",
     "inner_product_blocks",
+    "layer_classes",
 ]
 
 
@@ -209,7 +210,7 @@ class KernelSpec:
         for w, lk in self.per_layer.items():
             if not 0 <= w <= self.n:
                 raise ValueError(f"layer weight {w} outside [0, {self.n}]")
-            expected = min(w, self.n - w) if self.kind != "sparse_conjunction" else w
+            expected = w if self.kind == "sparse_conjunction" else LayerParams(self.n, w).canonical().p
             if lk.layer.n != self.n or lk.layer.p != expected:
                 raise ValueError(
                     f"layer {w}: stored kernel is for (n={lk.layer.n}, p={lk.layer.p}), "
@@ -254,18 +255,37 @@ class KernelSpec:
         }
 
     @classmethod
-    def from_json_dict(cls, obj: dict) -> "KernelSpec":
+    def from_json_dict(cls, obj) -> "KernelSpec":
+        """The spec of a :meth:`to_json_dict` object; a malformed one raises a
+        ``ValueError``, naming the entry of ``layers`` at fault."""
+        if not isinstance(obj, dict):
+            raise ValueError(f"kernel spec must be a JSON object, got {type(obj).__name__}")
         try:
-            n, kind = int(obj["n"]), str(obj["kind"])
-            entries = [(int(e["p"]), np.asarray(e["beta"], dtype=float)) for e in obj["layers"]]
+            n, kind, layers = int(obj["n"]), str(obj["kind"]), obj["layers"]
         except KeyError as exc:
             raise ValueError(f"kernel spec is missing key {exc}") from None
-        per_layer = {
-            w: _sparse_layer(n, w, beta)
-            if kind == "sparse_conjunction"
-            else make_layer_kernel(LayerParams(n, min(w, n - w)), beta)
-            for w, beta in entries
-        }
+        except TypeError:
+            raise ValueError(f"kernel spec 'n' must be an integer, got {obj['n']!r}") from None
+        if not isinstance(layers, list):
+            raise ValueError("kernel spec 'layers' must be a list of layer objects")
+        per_layer = {}
+        for i, entry in enumerate(layers):
+            where = f"kernel spec layers[{i}]"
+            if not isinstance(entry, dict):
+                raise ValueError(f"{where} is not an object")
+            try:
+                w, beta = int(entry["p"]), np.asarray(entry["beta"], dtype=float)
+                if kind == "sparse_conjunction":
+                    layer = _sparse_layer(n, w, beta)
+                else:
+                    layer = make_layer_kernel(LayerParams(n, w).canonical(), beta)
+            except KeyError as exc:
+                raise ValueError(f"{where} is missing key {exc}") from None
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{where}: {exc}") from None
+            if w in per_layer:
+                raise ValueError(f"{where}: weight p={w} appears twice")
+            per_layer[w] = layer
         return cls(n, kind, per_layer)
 
 
@@ -312,6 +332,24 @@ def inner_product_blocks(a: np.ndarray, b: np.ndarray):
     step = max(1, _BLOCK_ELEMS // max(b.size, 1))
     for start in range(0, a.size, step):
         yield start, np.bitwise_count(a[start : start + step, None] & b)
+
+
+def layer_classes(points, weight: int) -> tuple[np.ndarray, LayerParams]:
+    """Inner-product classes of points of one weight, with their canonical layer.
+
+    Returns the (m, m) uint8 matrix of inner products on the canonical layer
+    (points above n/2 are complemented first), so entry (i, j) indexes any
+    value table of that layer, and the layer itself.
+    """
+    n = points[0].n
+    masks = points_to_bits(points, n)
+    if np.any(np.bitwise_count(masks) != weight):
+        raise ValueError("all points must share the stated weight")
+    masks = _mirrored(masks, weight, n)
+    ip = np.empty((masks.size, masks.size), dtype=np.uint8)
+    for start, block in inner_product_blocks(masks, masks):
+        ip[start : start + len(block)] = block
+    return ip, LayerParams(n, weight).canonical()
 
 
 def gram(spec: KernelSpec, points) -> np.ndarray:
@@ -364,15 +402,13 @@ def universal_kernel(n: int) -> KernelSpec:
     """
     if not 1 <= n <= 64:
         raise ValueError(f"n={n} outside supported range [1, 64]")
-    cache: dict[int, LayerKernel] = {}
+    cache: dict[LayerParams, LayerKernel] = {}
     per_layer: dict[int, LayerKernel] = {}
     for p in range(0, n + 1):
-        cp = min(p, n - p)
-        if cp not in cache:
-            layer = LayerParams(n, cp)
-            uniform = np.full(cp + 1, 1.0 / (cp + 1))
-            cache[cp] = mix_vertices(layer, uniform)
-        per_layer[p] = cache[cp]
+        layer = LayerParams(n, p).canonical()
+        if layer not in cache:
+            cache[layer] = mix_vertices(layer, np.full(layer.p + 1, 1.0 / (layer.p + 1)))
+        per_layer[p] = cache[layer]
     return KernelSpec(n, "universal", per_layer)
 
 

@@ -57,8 +57,7 @@ from typing import Callable
 
 import numpy as np
 
-from .kernels import KernelSpec, TrainedModel, inner_product_blocks, mix_vertices, points_to_bits
-from .kernels import _mirrored
+from .kernels import KernelSpec, TrainedModel, layer_classes, mix_vertices
 from .scheme import LayerParams, d_from_p, vertex_betas
 
 __all__ = [
@@ -437,16 +436,8 @@ def layer_vertex_grams(points, weight: int) -> tuple[np.ndarray, np.ndarray]:
     (weights above n/2 are complemented first); row t of the (p+1, p+1)
     ``table`` is ``d_from_p(beta_t)``, so vertex t's Gram is ``table[t][ip]``.
     """
-    n = points[0].n
-    masks = points_to_bits(points, n)
-    if np.any(np.bitwise_count(masks) != weight):
-        raise ValueError("all points must share the stated weight")
-    masks = _mirrored(masks, weight, n)
-    ip = np.empty((masks.size, masks.size), dtype=np.uint8)
-    for start, block in inner_product_blocks(masks, masks):
-        ip[start : start + len(block)] = block
-    table = np.array([d_from_p(beta) for beta in vertex_betas(LayerParams(n, min(weight, n - weight)))])
-    return ip, table
+    ip, layer = layer_classes(points, weight)
+    return ip, np.array([d_from_p(beta) for beta in vertex_betas(layer)])
 
 
 def _layers(points):
@@ -510,7 +501,7 @@ def mkl_train(
         per_layer[w] = sol
         alphas[idx] = sol.alphas
         total += sol.objective
-        spec_layers[w] = mix_vertices(LayerParams(n, min(w, n - w)), sol.beta)
+        spec_layers[w] = mix_vertices(LayerParams(n, w).canonical(), sol.beta)
     spec = KernelSpec(n, "direct_sum", spec_layers)
     model = TrainedModel(
         spec,

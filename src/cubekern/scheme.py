@@ -107,6 +107,10 @@ class LayerParams:
     def complement(self) -> "LayerParams":
         return LayerParams(self.n, self.n - self.p)
 
+    def canonical(self) -> "LayerParams":
+        """This layer if ``p <= n/2``, else its complement ``(n, n - p)``."""
+        return self if self.is_canonical else self.complement()
+
     def size(self) -> int:
         return math.comb(self.n, self.p)
 
@@ -124,6 +128,8 @@ class BetaCoeffs:
             raise ValueError(
                 f"beta has length {self.beta.shape[0]}, expected p+1={self.layer.p + 1}"
             )
+        if not np.all(np.isfinite(self.beta)):
+            raise ValueError(f"beta must be finite, got {self.beta.tolist()}")
 
 
 @dataclass(frozen=True)

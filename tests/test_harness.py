@@ -14,13 +14,18 @@ Core claims:
       inner_converged flag and warns on stderr when one is false; embed
       build reports each coordinate's build attempts and worst deviation
       (within eps/n); embed apply writes the role-1 table rows of each
-      point's grid cells; a bad kernel spec, a dataset record without "x" or
-      "y", a bad dataset value, negative epochs or outer steps, a B that is
-      not finite and positive or an eps outside (0, 1) for train, bench and
-      rademacher, a non-finite lam, a c_t that is not finite and positive or
-      too small for the build's self-check, an embed apply line without
-      "x", not JSON or with an x of the wrong shape or width (leaving no
-      output file), and rademacher on real vectors exit 2 with a named error
+      point's grid cells; a bad kernel spec (not an object, layers not a
+      list of objects, a layer weight above n, a weight given twice, a
+      non-finite beta), a dataset record without "x" or "y", a bad dataset
+      value, negative epochs or outer steps, a B that is not finite and
+      positive or an eps outside (0, 1) for train, bench and rademacher, a
+      non-finite lam, a bench literal count outside [0, n], a verify run
+      with nothing to check, a non-finite scheme beta, a c_t that is not
+      finite and positive or too small for the build's self-check, an embed
+      apply line without "x", not JSON or with an x of the wrong shape or
+      width (leaving no output file), rademacher on real vectors, and
+      output or a model file holding a non-finite number exit 2 (or raise)
+      with a named error
     - load_dataset names the line and the key a record lacks, a label that
       is not a number, an x that is neither a bitstring nor a list of
       numbers, a point of another dimension, and a line that is not JSON
@@ -123,6 +128,23 @@ class TestRoundTrips:
         back = harness.load_model(path)
         assert np.array_equal(back.alphas, model.alphas)
         assert np.array_equal(back.predict_many(data.points), model.predict_many(data.points))
+
+    def test_model_file_refuses_non_finite_numbers(self, tmp_path):
+        model = kernels.analytic_weights(6, 2, [0])
+        bad = kernels.TrainedModel(model.spec, model.support, model.alphas, {"objective": math.nan})
+        path = tmp_path / "m.json"
+        with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+            harness.save_model(bad, str(path))
+        assert not path.exists()
+
+    def test_model_file_with_non_finite_beta_rejected(self, tmp_path):
+        model = kernels.analytic_weights(6, 2, [0])
+        obj = harness.model_json_dict(model, model.report)
+        obj["spec"]["layers"][0]["beta"][1] = math.nan
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ValueError, match="kernel spec layers\\[0\\]: beta must be finite"):
+            harness.load_model(str(path))
 
     def test_report_regenerates_dataset(self):
         report = harness.bench_conjunction(8, 3, 2, 25, "sparse-analytic", 1.0, 0.1, seed=11)
@@ -375,6 +397,14 @@ class TestCli:
             "bogus.json": '{"n": 4, "kind": "bogus", "layers": []}',
             "d.jsonl": '{"x": "1100", "y": 1}\n{"x": "0011", "y": 0}\n',
             "no_y.jsonl": '{"x": "1100", "y": 1}\n{"x": "0011"}\n',
+            "list.json": "[1, 2]",
+            "null_n.json": '{"n": null, "kind": "universal", "layers": []}',
+            "layers_obj.json": '{"n": 8, "kind": "universal", "layers": {"p": 1}}',
+            "layer_int.json": '{"n": 8, "kind": "universal", "layers": [3]}',
+            "p9.json": '{"n": 8, "kind": "direct_sum", "layers": [{"p": 9, "beta": [1.0]}]}',
+            "dup.json": '{"n": 8, "kind": "direct_sum", "layers": '
+            '[{"p": 1, "beta": [1.0, 0.0]}, {"p": 1, "beta": [0.5, 0.0]}]}',
+            "nan.json": '{"n": 8, "kind": "direct_sum", "layers": [{"p": 1, "beta": [NaN, 0.0]}]}',
         }
         for name, text in files.items():
             (tmp_path / name).write_text(text)
@@ -386,6 +416,13 @@ class TestCli:
         cases = [
             (spec["no_n.json"], "missing key 'n'"),
             (spec["bogus.json"], "unknown kernel kind 'bogus'"),
+            (spec["list.json"], "kernel spec must be a JSON object, got list"),
+            (spec["null_n.json"], "kernel spec 'n' must be an integer, got None"),
+            (spec["layers_obj.json"], "kernel spec 'layers' must be a list of layer objects"),
+            (spec["layer_int.json"], "kernel spec layers[0] is not an object"),
+            (spec["p9.json"], "kernel spec layers[0]: layer weight p=9 outside [0, 8]"),
+            (spec["dup.json"], "kernel spec layers[1]: weight p=1 appears twice"),
+            (spec["nan.json"], "kernel spec layers[0]: beta must be finite, got [nan, 0.0]"),
             (["train", "--algo", "pegasos", "--data", path["no_y.jsonl"]], "no_y.jsonl:2: record has no 'y' key"),
             ([*train, "pegasos", "--epochs", "-2"], "epochs must be non-negative, got -2"),
             ([*train, "mkl", "--outer-iters", "-1"], "outer_iters must be non-negative, got -1"),
@@ -405,8 +442,15 @@ class TestCli:
             ([*bench, "universal", "--B", "-2"], "B must be positive and finite, got -2.0"),
             ([*bench, "universal", "--eps", "nan"], "epsilon must be in (0, 1), got nan"),
             ([*bench, "sparse-analytic", "--eps", "1.5"], "epsilon must be in (0, 1), got 1.5"),
+            ([*bench, "universal", "--literals", "9"], "literals_size must lie in [0, n=8], got 9"),
+            ([*bench, "universal", "--literals", "-1"], "literals_size must lie in [0, n=8], got -1"),
+            ([*bench, "sparse-analytic", "--m", "0"], "m must be at least 1, got 0"),
             (["bench", "--n", "0", "--s", "0", "--literals", "0", "--m", "4", "--algo", "universal"], "n must be at least 1, got 0"),
             (["rademacher", "--data", path["d.jsonl"], "--B", "nan"], "B must be positive and finite, got nan"),
+            (["verify", "--max-n", "0"], "max_n must be at least 1, got 0"),
+            (["verify", "--max-n", "-3"], "max_n must be at least 1, got -3"),
+            (["verify", "--trials", "0"], "trials must be at least 1, got 0"),
+            (["scheme", "check", "--n", "8", "--p", "3", "--beta", "nan,0,0,0"], "beta must be finite, got [nan,"),
         ]
         for argv, msg in cases:
             assert cli.main(argv) == 2
@@ -428,6 +472,17 @@ class TestCli:
         assert cli.main(["train", "--algo", "pegasos", "--data", str(path), "--quiet"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and msg in err
+
+    def test_non_finite_output_exits_2(self, tmp_path, capsys, monkeypatch):
+        data = tmp_path / "d.jsonl"
+        data.write_text('{"x": "1100", "y": 1}\n{"x": "0011", "y": 0}\n')
+        estimate = learners.RademacherEstimate(math.nan, 0.0, 1, 1.0, {2: math.nan})
+        monkeypatch.setattr(learners, "rademacher_estimate", lambda *args, **kwargs: estimate)
+        for flags in (["--json"], ["--out", str(tmp_path / "r.json")]):
+            assert cli.main(["rademacher", "--data", str(data), *flags]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: Out of range float values are not JSON compliant")
+        assert not (tmp_path / "r.json").exists()
 
     def test_bad_c_t_exits_2_before_sampling(self, tmp_path, capsys):
         for c_t in ("0", "-1", "nan"):

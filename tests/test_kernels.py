@@ -2,8 +2,9 @@
 
 Core claims:
     - points parse, complement and inner-product correctly
-    - layer kernel tables match hand-computed g values; bad coefficients are
-      rejected with the violated constraint named
+    - layer kernel tables match hand-computed g values; bad coefficients,
+      non-finite ones and non-finite mixture weights included, are rejected
+      with the violated constraint named
     - the universal kernel matches the averaged vertices, has unit diagonal,
       zero cross-layer values, and exact complement symmetry
     - one-layer Grams are PSD at oracle scale; two-layer Grams are block
@@ -72,6 +73,8 @@ class TestLayerKernel:
             kernels.make_layer_kernel(layer, [0.0, 0.0, 2.0])
         with pytest.raises(ValueError, match="eigenvalue"):
             kernels.make_layer_kernel(layer, [1.0, -1.0, 0.0])
+        with pytest.raises(ValueError, match="beta must be finite"):
+            kernels.make_layer_kernel(layer, [np.nan, 0.0, 0.0])
 
 
 class TestMixVertices:
@@ -95,6 +98,8 @@ class TestMixVertices:
             kernels.mix_vertices(LayerParams(4, 2), [-0.1, 0.5, 0.0])
         with pytest.raises(ValueError, match="sum"):
             kernels.mix_vertices(LayerParams(4, 2), [0.6, 0.6, 0.0])
+        with pytest.raises(ValueError, match="beta must be finite"):
+            kernels.mix_vertices(LayerParams(4, 2), [np.nan, 0.0, 0.0])
 
 
 class TestUniversalKernel:

@@ -48,6 +48,7 @@ from conftest import layer_points
 
 from cubekern import kernels, learners
 from cubekern.kernels import HypercubePoint
+from cubekern.scheme import LayerParams
 from cubekern.learners import ABSOLUTE, HINGE, MklLayerProblem
 
 
@@ -286,6 +287,8 @@ class TestClassForm:
         assert ip.dtype == np.uint8
         assert np.array_equal(ip, [[x.inner(y) for y in mirror] for x in mirror])
         assert table.shape == (min(w, n - w) + 1,) * 2
+        core_ip, layer = kernels.layer_classes(pts, w)
+        assert np.array_equal(core_ip, ip) and layer == LayerParams(n, min(w, n - w))
 
     @settings(max_examples=100, deadline=None)
     @given(layer_samples(), st.integers(0, 2**32 - 1))

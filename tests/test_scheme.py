@@ -10,6 +10,7 @@ Core claims:
     - basis change between binomial and indicator coefficients is an exact
       involution and matches explicitly built matrices
     - is_admissible agrees with the dense PSD + diagonal oracle
+    - coefficients that are not finite are refused by name
     - the scheme is commutative at oracle scale
 """
 
@@ -133,6 +134,11 @@ class TestEigenProfile:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="length"):
             BetaCoeffs(LayerParams(4, 2), np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="beta must be finite"):
+            BetaCoeffs(LayerParams(8, 3), np.array([bad, 0.0, 0.0, 0.0]))
 
 
 class TestAdmissibility:
