@@ -105,6 +105,8 @@ def gen_conjunction_dataset(
         raise ValueError("literal index out of range")
     if not 0 <= weight <= n:
         raise ValueError(f"layer weight {weight} outside [0, {n}]")
+    if m < 1:
+        raise ValueError(f"m must be at least 1, got {m}")
     if not 0.0 <= noise_rate <= 1.0:
         raise ValueError("noise_rate must be in [0, 1]")
     if weight < len(lits):
@@ -649,8 +651,6 @@ def bench_conjunction(
         raise ValueError(f"unknown algo {algo!r}; choose from {BENCH_ALGOS}")
     if not 0 <= literals_size <= n:
         raise ValueError(f"literals_size must lie in [0, n={n}], got {literals_size}")
-    if m < 1:
-        raise ValueError(f"m must be at least 1, got {m}")
     lam = learners.regularization_weight(n, B, eps)
     t0 = time.perf_counter()
     lit_rng = np.random.default_rng(stream_seed(seed, 0))

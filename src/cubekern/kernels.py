@@ -40,6 +40,7 @@ deterministic given identical inputs.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -261,11 +262,9 @@ class KernelSpec:
         if not isinstance(obj, dict):
             raise ValueError(f"kernel spec must be a JSON object, got {type(obj).__name__}")
         try:
-            n, kind, layers = int(obj["n"]), str(obj["kind"]), obj["layers"]
+            n, kind, layers = _json_int(obj["n"], "kernel spec 'n'"), str(obj["kind"]), obj["layers"]
         except KeyError as exc:
             raise ValueError(f"kernel spec is missing key {exc}") from None
-        except TypeError:
-            raise ValueError(f"kernel spec 'n' must be an integer, got {obj['n']!r}") from None
         if not isinstance(layers, list):
             raise ValueError("kernel spec 'layers' must be a list of layer objects")
         per_layer = {}
@@ -274,7 +273,7 @@ class KernelSpec:
             if not isinstance(entry, dict):
                 raise ValueError(f"{where} is not an object")
             try:
-                w, beta = int(entry["p"]), np.asarray(entry["beta"], dtype=float)
+                w, beta = _json_int(entry["p"], "'p'"), np.asarray(entry["beta"], dtype=float)
                 if kind == "sparse_conjunction":
                     layer = _sparse_layer(n, w, beta)
                 else:
@@ -287,6 +286,13 @@ class KernelSpec:
                 raise ValueError(f"{where}: weight p={w} appears twice")
             per_layer[w] = layer
         return cls(n, kind, per_layer)
+
+
+def _json_int(value, what: str) -> int:
+    """``value`` as an int; a non-integral number is refused, not truncated."""
+    if isinstance(value, numbers.Real) and math.isfinite(value) and value == int(value):
+        return int(value)
+    raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 def _sparse_layer(n: int, s: int, beta) -> LayerKernel:
@@ -420,6 +426,8 @@ def conjunction_kernel(n: int, p: int, epsilon: float, t_scale: float = 1.0) -> 
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
+    if not 0.0 <= t_scale < math.inf:
+        raise ValueError(f"t_scale must be finite and non-negative, got {t_scale}")
     if not 0 <= p <= n:
         raise ValueError(f"layer weight p={p} outside [0, {n}]")
     depth = min(p, math.ceil(t_scale * math.sqrt(n) * math.log(1.0 / epsilon)))

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from cubekern import learners
 from cubekern.scheme import LayerParams
 
 
@@ -29,6 +30,29 @@ def explicit_basis_matrices(n, p):
     d_mats = [(ips == ell).astype(float) for ell in range(p + 1)]
     b_mats = [np.vectorize(lambda k, e=ell: float(math.comb(k, e)))(ips) for ell in range(p + 1)]
     return d_mats, b_mats
+
+
+def layer_dual_objective(problem, beta) -> float:
+    """The outer objective G(beta) = sup_alpha G(alpha, beta) at a fixed beta,
+    by the inner ascent from zero to tolerance 1e-10 in at most 200,000 steps."""
+    kb = problem.combine(beta)
+    alpha, _, _ = learners._inner_max(problem, kb, np.zeros(problem.m), 1e-10, 200_000)
+    return learners._dual_value(*problem.terms, kb, alpha)
+
+
+def duality_gap(problem, beta, alphas) -> float:
+    """|primal - dual| at a candidate (beta, alpha); +inf if alpha infeasible.
+
+    The primal is evaluated at ``w = sum_i alpha_i phi(x_i)``; the dual uses
+    the conjugate at ``-lam m alpha`` (see the learners module docstring).
+    """
+    alpha = np.asarray(alphas, dtype=float)
+    lo, hi = learners._alpha_box(*problem.terms)
+    slack = 1e-9 * (1.0 + float(np.abs(hi - lo).max()))
+    if np.any(alpha < lo - slack) or np.any(alpha > hi + slack):
+        return math.inf
+    kb, terms = problem.combine(beta), problem.terms
+    return abs(learners._primal_value(*terms, kb, alpha) - learners._dual_value(*terms, kb, alpha))
 
 
 @pytest.fixture

@@ -1,8 +1,8 @@
 """Datasets, file round-trips, verification suite, benchmarks, CLI surface.
 
 Core claims:
-    - conjunction datasets have exact labels, honest noise, and warn on
-      layers the conjunction can never fire on
+    - conjunction datasets have exact labels, honest noise, warn on
+      layers the conjunction can never fire on, and refuse m below 1
     - save -> load is bit-exact for both point flavors; reports regenerate
       their datasets exactly
     - verify_suite passes clean and names (module, check, params) under each
@@ -11,15 +11,17 @@ Core claims:
       and nothing beats coin flipping at noise 1/2
     - the CLI emits the promised JSON schemas, is byte-deterministic for a
       fixed seed, and uses exit codes 0/1/2; train reports each layer's
-      inner_converged flag and warns on stderr when one is false; embed
-      build reports each coordinate's build attempts and worst deviation
-      (within eps/n); embed apply writes the role-1 table rows of each
-      point's grid cells; a bad kernel spec (not an object, layers not a
-      list of objects, a layer weight above n, a weight given twice, a
-      non-finite beta), a dataset record without "x" or "y", a bad dataset
+      inner_converged flag and inner step count and warns on stderr when
+      the flag is false; embed build reports each coordinate's build
+      attempts and worst deviation (within eps/n); embed apply writes the
+      role-1 table rows of each point's grid cells; a bad kernel spec (not
+      an object, layers not a list of objects, a layer weight above n, a
+      weight given twice, a non-finite beta, a non-integral n or p), a
+      dataset record without "x" or "y", a bad dataset
       value, negative epochs or outer steps, a B that is not finite and
       positive or an eps outside (0, 1) for train, bench and rademacher, a
-      non-finite lam, a bench literal count outside [0, n], a verify run
+      non-finite lam, a bench literal count outside [0, n], a conjunction
+      t_scale that is not finite and non-negative, a verify run
       with nothing to check, a non-finite scheme beta, a c_t that is not
       finite and positive or too small for the build's self-check, an embed
       apply line without "x", not JSON or with an x of the wrong shape or
@@ -87,6 +89,9 @@ class TestDatasetGeneration:
             gen_conjunction_dataset(8, [0], "weird", 3, 10, 0.0, seed=0)
         with pytest.raises(ValueError, match="noise"):
             gen_conjunction_dataset(8, [0], "sparse", 3, 10, 1.5, seed=0)
+        for m in (0, -1):
+            with pytest.raises(ValueError, match=f"m must be at least 1, got {m}"):
+                gen_conjunction_dataset(8, [0], "sparse", 3, m, 0.0, seed=0)
 
 
 class TestRoundTrips:
@@ -305,6 +310,7 @@ class TestCli:
         assert cli.main([*argv, "--out", ok_path]) == 0
         per_layer = json.loads(open(ok_path).read())["report"]["per_layer"]
         assert per_layer and all(v["inner_converged"] is True for v in per_layer.values())
+        assert all(v["inner_iters"] > 0 for v in per_layer.values())
         assert "warning" not in capsys.readouterr().err
 
         inner_max = learners._inner_max
@@ -312,7 +318,7 @@ class TestCli:
         capped_path = str(tmp_path / "capped.json")
         assert cli.main([*argv, "--out", capped_path]) == 0
         per_layer = json.loads(open(capped_path).read())["report"]["per_layer"]
-        assert all(v["inner_converged"] is False for v in per_layer.values())
+        assert all(v["inner_converged"] is False and v["inner_iters"] == 0 for v in per_layer.values())
         warnings = capsys.readouterr().err.strip().splitlines()
         assert len(warnings) == len(per_layer)
         assert all(w.startswith("warning: layer") for w in warnings)
@@ -405,6 +411,8 @@ class TestCli:
             "dup.json": '{"n": 8, "kind": "direct_sum", "layers": '
             '[{"p": 1, "beta": [1.0, 0.0]}, {"p": 1, "beta": [0.5, 0.0]}]}',
             "nan.json": '{"n": 8, "kind": "direct_sum", "layers": [{"p": 1, "beta": [NaN, 0.0]}]}',
+            "p_frac.json": '{"n": 8, "kind": "direct_sum", "layers": [{"p": 1.7, "beta": [1.0, 0.0]}]}',
+            "n_frac.json": '{"n": 8.9, "kind": "direct_sum", "layers": [{"p": 1, "beta": [1.0, 0.0]}]}',
         }
         for name, text in files.items():
             (tmp_path / name).write_text(text)
@@ -423,6 +431,8 @@ class TestCli:
             (spec["p9.json"], "kernel spec layers[0]: layer weight p=9 outside [0, 8]"),
             (spec["dup.json"], "kernel spec layers[1]: weight p=1 appears twice"),
             (spec["nan.json"], "kernel spec layers[0]: beta must be finite, got [nan, 0.0]"),
+            (spec["p_frac.json"], "kernel spec layers[0]: 'p' must be an integer, got 1.7"),
+            (spec["n_frac.json"], "kernel spec 'n' must be an integer, got 8.9"),
             (["train", "--algo", "pegasos", "--data", path["no_y.jsonl"]], "no_y.jsonl:2: record has no 'y' key"),
             ([*train, "pegasos", "--epochs", "-2"], "epochs must be non-negative, got -2"),
             ([*train, "mkl", "--outer-iters", "-1"], "outer_iters must be non-negative, got -1"),
@@ -445,6 +455,8 @@ class TestCli:
             ([*bench, "universal", "--literals", "9"], "literals_size must lie in [0, n=8], got 9"),
             ([*bench, "universal", "--literals", "-1"], "literals_size must lie in [0, n=8], got -1"),
             ([*bench, "sparse-analytic", "--m", "0"], "m must be at least 1, got 0"),
+            ([*bench, "conjunction", "--t-scale", "-1"], "t_scale must be finite and non-negative, got -1.0"),
+            ([*bench, "conjunction", "--t-scale", "nan"], "t_scale must be finite and non-negative, got nan"),
             (["bench", "--n", "0", "--s", "0", "--literals", "0", "--m", "4", "--algo", "universal"], "n must be at least 1, got 0"),
             (["rademacher", "--data", path["d.jsonl"], "--B", "nan"], "B must be positive and finite, got nan"),
             (["verify", "--max-n", "0"], "max_n must be at least 1, got 0"),

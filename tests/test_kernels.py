@@ -12,9 +12,10 @@ Core claims:
     - vertex-mixture Grams satisfy the mixture identity and the
       (p+1)-inflation norm bound
     - conjunction kernels implement the truncated binomial sum with unit
-      diagonal; the sparse kernel reproduces conjunctions exactly with
-      squared norm C(s, l), and its zero-padded table is the binomial sum
-      up to k = n on n <= 64
+      diagonal and refuse a t_scale that is not finite and non-negative;
+      the sparse kernel reproduces conjunctions exactly with squared norm
+      C(s, l), and its zero-padded table is the binomial sum up to k = n
+      on n <= 64
     - specs round-trip through JSON; a missing key, an unknown kind and a
       sparse-conjunction beta of the wrong length are rejected by name
 """
@@ -293,6 +294,12 @@ class TestConjunctionKernel:
     def test_epsilon_range(self):
         with pytest.raises(ValueError, match="epsilon"):
             kernels.conjunction_kernel(4, 2, 1.5)
+
+    @pytest.mark.parametrize("t_scale", [-1.0, -1e-9, math.nan, math.inf])
+    def test_t_scale_must_be_finite_and_non_negative(self, t_scale):
+        with pytest.raises(ValueError, match=f"t_scale must be finite and non-negative, got {t_scale}"):
+            kernels.conjunction_kernel(6, 2, 0.1, t_scale=t_scale)
+        assert kernels.conjunction_kernel(6, 2, 0.1, t_scale=0.0).per_layer[2].beta.tolist() == [1.0, 0.0, 0.0]
 
 
 class TestSparseConjunction:

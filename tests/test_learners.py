@@ -2,7 +2,8 @@
 
 Core claims:
     - both stock losses satisfy Fenchel-Young against their conjugates
-    - duality_gap reproduces hand values at alpha = 0 and degenerate kernels
+    - duality_gap (a test helper) reproduces hand values at alpha = 0 and
+      degenerate kernels
     - pegasos hits the 1-d closed-form optimum, collapses under huge
       regularization, decouples across layers, is bit-reproducible, and
       tracks an independent feature-space primal oracle within 2% with a
@@ -17,10 +18,13 @@ Core claims:
     - the layer MKL solver certifies saddles (tiny gaps), keeps a monotone
       best-so-far trace, reduces to a fixed-kernel SVM on one vertex, and
       its outer objective is convex along simplex segments; its convergence
-      flag is the final polish's, not spoiled by a capped outer step
+      flag is the final polish's, not spoiled by a capped outer step, and
+      inner_iters counts the steps of every inner call, capped ones too
     - the inner ascent steps by 1/(lam max_i sum_j |K_ij|), a bound on the
-      top eigenvalue of K_beta, no single step lowers the dual, and a kernel
-      that is zero to working precision gives the box corner
+      top eigenvalue of K_beta, no single step and no call of 2-50 accelerated
+      steps lowers the dual, it reaches the dual of plain projected gradient
+      to 1e-9 relative, and a kernel that is zero to working precision gives
+      the box corner
     - mkl_train decomposes across layers and uses lambda = eps/(n B^2),
       and rejects label-length mismatches and hinge labels other than -1/+1
     - regularization_weight is the one home of lambda = eps/(n B^2): it
@@ -44,7 +48,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import layer_points
+from conftest import duality_gap, layer_dual_objective, layer_points
 
 from cubekern import kernels, learners
 from cubekern.kernels import HypercubePoint
@@ -122,7 +126,7 @@ def two_point_problem(lam=0.1, loss=HINGE):
 class TestDualityGap:
     def test_origin_hand_value(self):
         problem = two_point_problem()
-        gap = learners.duality_gap(problem, np.full(3, 1 / 3), np.zeros(2))
+        gap = duality_gap(problem, np.full(3, 1 / 3), np.zeros(2))
         assert gap == pytest.approx(1.0)  # F = 1 (hinge at 0), G = 0
 
     def test_zero_kernel_loss_only(self):
@@ -131,12 +135,12 @@ class TestDualityGap:
         y = np.array([1.0, -1.0])
         problem = MklLayerProblem((ip, 0.0 * table), y, lam=0.1, loss=HINGE)
         alpha = np.array([2.0, -2.0])  # feasible: alpha_i y_i in [0, 1/(lam m)] = [0, 5]
-        gap = learners.duality_gap(problem, np.full(3, 1 / 3), alpha)
+        gap = duality_gap(problem, np.full(3, 1 / 3), alpha)
         assert gap == pytest.approx(abs(1.0 - 0.1 * float(y @ alpha)))
 
     def test_infeasible_alpha_flagged(self):
         problem = two_point_problem()
-        assert learners.duality_gap(problem, np.full(3, 1 / 3), np.array([100.0, 0.0])) == math.inf
+        assert duality_gap(problem, np.full(3, 1 / 3), np.array([100.0, 0.0])) == math.inf
 
 
 class TestPegasos:
@@ -369,16 +373,16 @@ class TestMklLayerSolve:
         for _ in range(5):
             b1 = learners.project_capped_simplex(rng.random(3))
             b2 = learners.project_capped_simplex(rng.random(3))
-            g1 = learners.layer_dual_objective(problem, b1)
-            g2 = learners.layer_dual_objective(problem, b2)
+            g1 = layer_dual_objective(problem, b1)
+            g2 = layer_dual_objective(problem, b2)
             for theta in (0.25, 0.5, 0.75):
-                mid = learners.layer_dual_objective(problem, theta * b1 + (1 - theta) * b2)
+                mid = layer_dual_objective(problem, theta * b1 + (1 - theta) * b2)
                 assert mid <= theta * g1 + (1 - theta) * g2 + 1e-6
 
     def test_gap_level_matches_duality_gap_fn(self):
         problem = two_point_problem(lam=0.3, loss=ABSOLUTE)
         sol = learners.mkl_layer_solve(problem, outer_iters=200)
-        assert learners.duality_gap(problem, sol.beta, sol.alphas) == pytest.approx(sol.gap, abs=1e-12)
+        assert duality_gap(problem, sol.beta, sol.alphas) == pytest.approx(sol.gap, abs=1e-12)
 
     def test_objective_matches_feature_space_oracle(self, rng):
         # at the returned beta, the saddle objective must equal the primal
@@ -410,17 +414,18 @@ class TestMklLayerSolve:
         assert sol.trace.size == 0 and sol.inner_converged
 
     def test_capped_outer_step_does_not_mark_polished_solution(self, monkeypatch):
-        flags = []
+        flags, steps = [], []
         inner_max = learners._inner_max
 
         def recorded(*args):
             out = inner_max(*args)
             flags.append(out[1])
+            steps.append(out[2])
             return out
 
         monkeypatch.setattr(learners, "_inner_max", recorded)
         monkeypatch.setattr(learners, "_INNER_TOL", 1e-8)
-        monkeypatch.setattr(learners, "_INNER_MAX_ITER", 40)
+        monkeypatch.setattr(learners, "_INNER_MAX_ITER", 20)
         pts = pts_from_tuples(layer_points(6, 2)[:8])
         problem = MklLayerProblem(
             learners.layer_vertex_grams(pts, 2), np.array([1.0, -1.0] * 4), lam=0.05
@@ -429,7 +434,8 @@ class TestMklLayerSolve:
         assert flags[0] is False  # the cold-started first outer step hits its cap
         assert flags[-1] is True  # the polish of the returned point converges
         assert sol.inner_converged is True
-        assert sol.gap == pytest.approx(learners.duality_gap(problem, sol.beta, sol.alphas))
+        assert sol.gap == pytest.approx(duality_gap(problem, sol.beta, sol.alphas))
+        assert len(steps) == 7 and sol.inner_iters == sum(steps)  # six outer steps and the polish
 
 
 @st.composite
@@ -442,6 +448,21 @@ def layer_problems(draw):
     problem = MklLayerProblem(grams, y, lam=draw(st.floats(1e-3, 1.0)), loss=loss)
     raw = draw(st.lists(st.floats(0.0, 1.0), min_size=len(grams[1]), max_size=len(grams[1])))
     return problem, learners.project_capped_simplex(np.array(raw))
+
+
+def projected_gradient_oracle(problem, kb, tol, max_iter):
+    """Plain projected gradient ascent from zero with step 1/(lam max_i sum_j |K_ij|),
+    to projected-gradient norm ``tol``: the inner ascent before acceleration.
+    Returns the last iterate and whether it reached ``tol``."""
+    lo, hi = learners._alpha_box(*problem.terms)
+    step = 1.0 / (problem.lam * np.abs(kb).sum(axis=1).max())
+    alpha = np.zeros(problem.m)
+    for _ in range(max_iter):
+        nxt = np.clip(alpha + step * problem.lam * (problem.labels - kb @ alpha), lo, hi)
+        if np.linalg.norm(alpha - nxt) / step <= tol:
+            return nxt, True
+        alpha = nxt
+    return alpha, False
 
 
 class TestInnerAscent:
@@ -474,6 +495,36 @@ class TestInnerAscent:
             nxt = learners._dual_value(*problem.terms, kb, alpha)
             assert nxt >= val - 1e-12 * (1.0 + abs(val))
             val = nxt
+
+    @settings(max_examples=150, deadline=None)
+    @given(layer_problems(), st.integers(2, 50), st.integers(0, 2**32 - 1))
+    def test_multi_step_calls_never_lower_the_dual(self, case, steps, seed):
+        # accelerated steps are not monotone one by one; a whole call must not
+        # end below where it started (the clipped start, which may lie outside the box)
+        problem, beta = case
+        kb = problem.combine(beta)
+        lo, hi = learners._alpha_box(*problem.terms)
+        start = np.random.default_rng(seed).uniform(lo - (hi - lo), hi + (hi - lo))
+        alpha, _, iters = learners._inner_max(problem, kb, start, 0.0, steps)
+        assert iters <= steps
+        before = learners._dual_value(*problem.terms, kb, np.clip(start, lo, hi))
+        after = learners._dual_value(*problem.terms, kb, alpha)
+        assert after >= before - 1e-12 * (1.0 + abs(before))
+
+    @settings(max_examples=40, deadline=None)
+    @given(layer_problems())
+    def test_reaches_the_dual_of_plain_projected_gradient(self, case):
+        problem, beta = case
+        kb = problem.combine(beta)
+        assume(np.abs(kb).max() > 1e-6)
+        alpha, converged, _ = learners._inner_max(problem, kb, np.zeros(problem.m), 1e-10, 200_000)
+        assert converged
+        # plain projected gradient needs O(cond(K_beta)) steps: a draw like beta = (0.9, 1e-9)
+        # leaves it far from 1e-10 after millions, so such draws have no oracle here
+        oracle, reached = projected_gradient_oracle(problem, kb, 1e-10, 20_000)
+        assume(reached)
+        dual = learners._dual_value(*problem.terms, kb, alpha)
+        assert dual == pytest.approx(learners._dual_value(*problem.terms, kb, oracle), rel=1e-9)
 
     def test_kernel_zero_to_working_precision_takes_the_box_corner(self):
         # a subnormal K_beta would overflow the step 1/(lam L); its dual is linear
