@@ -24,14 +24,17 @@ no weight gating: its feature map (scaled degree-l monomials) is defined on
 the whole cube, and the exact-representation identity needs kernel values
 between the weight-l indicator and weight-s data points.
 
-Every Gram is computed by one core.  Points are packed once into an (m,)
-uint64 array of bit masks (:func:`points_to_bits`; n <= 64).  Inner
-products are popcounts of ANDed masks, taken in row blocks as uint8
-(:func:`inner_product_blocks`), with points above n/2 complemented by XOR
-with the all-ones mask.  Each block indexes the layer's (p+1)-entry value
-table, so the float Gram is the only m x m array built.  A
-:class:`TrainedModel` packs its support at construction, so prediction packs
-only the queries.
+Every Gram and every prediction is computed by one core.  Points are packed
+once into an (m,) uint64 array of bit masks (:func:`points_to_bits`;
+n <= 64) and grouped by the layer that scores them, with groups above n/2
+complemented by XOR with the all-ones mask.  Inner products are popcounts
+of ANDed masks, taken in row blocks as uint8 (:func:`inner_product_blocks`).
+Each block indexes the layer's (p+1)-entry value table: :func:`cross_gram`
+writes the values into its output, so the float Gram is the only m x m
+array it builds, and a :class:`TrainedModel` sums them against its alphas,
+so prediction builds no support x query matrix and every temporary is
+bounded by the block size.  A model groups its support once, at
+construction, so prediction packs and groups only the queries.
 
 Kernel specs and models are immutable and thread-safe; Gram construction is
 deterministic given identical inputs.
@@ -306,8 +309,11 @@ def points_to_bits(points, n: int) -> np.ndarray:
     if not 1 <= n <= 64:
         raise ValueError(f"bit-mask packing needs 1 <= n <= 64, got n={n}")
     points = list(points)
-    if any(pt.n != n for pt in points):
-        raise ValueError(f"point dimension mismatch with kernel (n={n})")
+    for i, pt in enumerate(points):
+        if not isinstance(pt, HypercubePoint):
+            raise TypeError(f"points[{i}] is not a HypercubePoint (got {type(pt).__name__})")
+        if pt.n != n:
+            raise ValueError(f"point dimension mismatch with kernel (n={n}): points[{i}] has n={pt.n}")
     return np.fromiter((pt.bits for pt in points), dtype=np.uint64, count=len(points))
 
 
@@ -325,7 +331,7 @@ def _mirrored(masks: np.ndarray, weight: int, n: int) -> np.ndarray:
     return masks ^ np.uint64((1 << n) - 1) if 2 * weight > n else masks
 
 
-_BLOCK_ELEMS = 1 << 18  # entries per row block: bounds every temporary of the lookup
+_BLOCK_ELEMS = 1 << 18  # entries per block: bounds every temporary of the lookup
 _MAX_GRAM_POINTS = 20000  # a dense Gram of this many points is 3 GiB of floats
 
 
@@ -368,6 +374,43 @@ def gram(spec: KernelSpec, points) -> np.ndarray:
     return cross_gram(spec, masks, masks)
 
 
+def _groups(spec: KernelSpec, masks: np.ndarray, values: np.ndarray) -> dict:
+    """Masks grouped by the layer of ``spec`` that scores them.
+
+    Maps a layer's weight to ``(values, masks)`` of its points: ``values``
+    is a per-point array (indices, or a model's alphas) and the masks are
+    mirrored onto the canonical layer.  Points of a weight with no layer
+    are dropped; the ``sparse_conjunction`` kind is one weight-free group.
+    """
+    if spec.kind == "sparse_conjunction":
+        return {w: (values, masks) for w in spec.per_layer}
+    weights = np.bitwise_count(masks)
+    out = {}
+    for w in np.unique(weights).tolist():
+        if w in spec.per_layer:
+            idx = np.flatnonzero(weights == w)
+            out[w] = (values[idx], _mirrored(masks[idx], w, spec.n))
+    return out
+
+
+def _layer_blocks(spec: KernelSpec, rows: dict, cols: dict):
+    """Yield ``(g, row values, col values, ip)`` for every layer both groupings hold.
+
+    ``ip`` is a uint8 block of inner products between the layer's row and
+    column masks, at most ``_BLOCK_ELEMS`` entries however many columns the
+    layer has, ``g`` the layer's value table, and the values are those of
+    the block's rows and columns.
+    """
+    for w, (col_values, b) in cols.items():
+        if w in rows:
+            row_values, a = rows[w]
+            g = spec.per_layer[w].g_table
+            for c in range(0, b.size, _BLOCK_ELEMS):
+                cc = slice(c, c + _BLOCK_ELEMS)
+                for start, ip in inner_product_blocks(a, b[cc]):
+                    yield g, row_values[start : start + len(ip)], col_values[cc], ip
+
+
 def cross_gram(spec: KernelSpec, rows, cols) -> np.ndarray:
     """Kernel values between two point lists, by weight group.
 
@@ -376,20 +419,10 @@ def cross_gram(spec: KernelSpec, rows, cols) -> np.ndarray:
     """
     xr, xc = _packed(rows, spec.n), _packed(cols, spec.n)
     out = np.zeros((xr.size, xc.size))
-    if spec.kind == "sparse_conjunction":
-        (lk,) = spec.per_layer.values()
-        for start, ip in inner_product_blocks(xr, xc):
-            out[start : start + len(ip)] = lk.g_table[ip]
-        return out
-    wr, wc = np.bitwise_count(xr), np.bitwise_count(xc)
-    for w in np.unique(wc).tolist():
-        lk = spec.per_layer.get(w)
-        if lk is None:
-            continue
-        ri, ci = np.flatnonzero(wr == w), np.flatnonzero(wc == w)
-        a, b = _mirrored(xr[ri], w, spec.n), _mirrored(xc[ci], w, spec.n)
-        for start, ip in inner_product_blocks(a, b):
-            out[np.ix_(ri[start : start + len(ip)], ci)] = lk.g_table[ip]
+    row_groups = _groups(spec, xr, np.arange(xr.size))
+    col_groups = _groups(spec, xc, np.arange(xc.size))
+    for g, ri, ci, ip in _layer_blocks(spec, row_groups, col_groups):
+        out[np.ix_(ri, ci)] = g[ip]
     return out
 
 
@@ -459,8 +492,12 @@ def sparse_conjunction_kernel(n: int, s: int, ell: int) -> KernelSpec:
 class TrainedModel:
     """A classifier in representer form: f(x) = sum_i alpha_i k(x_i, x).
 
-    ``spec`` is usually a :class:`KernelSpec`, whose support is packed once
-    here; it may be any object with ``gram`` / ``cross_gram`` methods (e.g. a
+    ``alphas`` must be a finite 1-d vector, one entry per support point.
+    ``spec`` is usually a :class:`KernelSpec`: the support is then packed
+    once, here, its repeated points merged, zero alphas dropped and the rest
+    grouped by layer, and a prediction sums table values against the alphas
+    block by block, building no support x query matrix.  ``spec``
+    may also be any object with ``gram`` / ``cross_gram`` methods (e.g. a
     lifted kernel on embedded points), which gets the support as points.
     """
 
@@ -468,31 +505,47 @@ class TrainedModel:
     support: tuple
     alphas: np.ndarray
     report: dict = field(default_factory=dict)
-    _rows: object = field(init=False, repr=False, compare=False)
+    _support_groups: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = np.array(self.alphas, dtype=float)
+        if a.ndim != 1:
+            raise ValueError(f"alphas must be a 1-d vector, got shape {a.shape}")
+        bad = np.flatnonzero(~np.isfinite(a))
+        if bad.size:
+            raise ValueError(f"alphas must be finite, got alphas[{bad[0]}] = {a[bad[0]]}")
         a.flags.writeable = False
         object.__setattr__(self, "alphas", a)
         object.__setattr__(self, "support", tuple(self.support))
         if len(self.support) != self.alphas.shape[0]:
             raise ValueError("support and alphas length mismatch")
-        rows = self.support
+        groups = None
         if isinstance(self.spec, KernelSpec):
-            rows = points_to_bits(self.support, self.spec.n)
-            rows.flags.writeable = False
-        object.__setattr__(self, "_rows", rows)
+            # each distinct support point is scored once, with its alphas summed
+            masks, where = np.unique(points_to_bits(self.support, self.spec.n), return_inverse=True)
+            merged = np.bincount(where, weights=a, minlength=masks.size)
+            scored = merged != 0.0
+            groups = _groups(self.spec, masks[scored], merged[scored])
+        object.__setattr__(self, "_support_groups", groups)
 
     def predict(self, x: HypercubePoint) -> float:
         return float(self.predict_many([x])[0])
 
     def predict_many(self, points) -> np.ndarray:
-        return self.alphas @ self.spec.cross_gram(self._rows, list(points))
+        if self._support_groups is None:
+            return self.alphas @ self.spec.cross_gram(self.support, list(points))
+        masks = points_to_bits(points, self.spec.n)
+        out = np.zeros(masks.size)
+        cols = _groups(self.spec, masks, np.arange(masks.size))
+        for g, a, ci, ip in _layer_blocks(self.spec, self._support_groups, cols):
+            out[ci] += a @ g[ip]
+        return out
 
     def norm_sq(self) -> float:
         """||w||^2 = alpha^T K alpha over the support points."""
-        k = self.spec.gram(self._rows)
-        return float(self.alphas @ k @ self.alphas)
+        if self._support_groups is None:
+            return float(self.alphas @ self.spec.gram(self.support) @ self.alphas)
+        return float(self.alphas @ self.predict_many(self.support))
 
 
 def analytic_weights(n: int, s: int, literals) -> TrainedModel:

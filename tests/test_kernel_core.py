@@ -7,15 +7,27 @@ Core claims:
       above and below n/2, absent layers, and empty row or column lists
     - cross_gram and gram accept the packed masks of points_to_bits in place
       of point lists and give the same values
+    - a batch prediction equals alphas @ cross_gram within
+      1e-12 * (1 + sum |alpha|), for direct-sum, universal and
+      sparse-conjunction specs, repeated support points and zero alphas,
+      query weights no support point has, and empty query lists; norm_sq
+      equals the dense alpha^T K alpha to the same relative tolerance
+    - prediction builds no support x query matrix: scoring 4,000 queries
+      against a 4,000-point support traces under 8 MiB of allocation
     - a single prediction equals the batch prediction of the same point
     - a model over a lifted kernel (embedded points of a real pair) still predicts
     - save_model -> load_model keeps every prediction
     - bad input is rejected by name: wrong dimensions, masks out of range,
-      widths above 64 bits
+      widths above 64 bits, an entry that is not a HypercubePoint (by index
+      and type), and alphas that are not a finite 1-d vector, also when
+      read from a model file
 """
 
+import json
+import math
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -52,7 +64,19 @@ def specs_and_points(draw, dims=DIMS, admissible=False):
     """
     n = draw(dims)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["sparse_conjunction", "direct_sum", "universal"]))
+    if kind == "universal":
+        if admissible or n <= 16:
+            spec = kernels.universal_kernel(n)
+        else:
+            tables = {p: rng.normal(size=p + 1) for p in range(n // 2 + 1)}
+            per_layer = {
+                w: kernels.LayerKernel(LayerParams(n, min(w, n - w)), np.zeros(1), tables[min(w, n - w)])
+                for w in range(n + 1)
+            }
+            spec = KernelSpec(n, "universal", per_layer)
+        weights = list(range(n + 1))
+    elif kind == "sparse_conjunction":
         s, ell = draw(st.integers(0, n).flatmap(lambda s: st.tuples(st.just(s), st.integers(0, s))))
         if admissible:
             spec = kernels.sparse_conjunction_kernel(n, s, ell)
@@ -80,6 +104,17 @@ def specs_and_points(draw, dims=DIMS, admissible=False):
     return spec, rows, cols
 
 
+@st.composite
+def model_cases(draw):
+    """A spec, a support with repeated points and zero alphas, and queries."""
+    spec, support, queries = draw(specs_and_points())
+    if support:
+        support = support + draw(st.lists(st.sampled_from(support), max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    alphas = rng.normal(size=len(support)) * (rng.random(len(support)) < 0.8)
+    return spec, support, alphas, queries
+
+
 def brute_force(spec, rows, cols):
     vals = [[spec.evaluate(x, y) for y in cols] for x in rows]
     return np.array(vals).reshape(len(rows), len(cols))
@@ -94,6 +129,48 @@ def test_cross_gram_matches_evaluate(case):
     packed = kernels.points_to_bits(rows, spec.n), kernels.points_to_bits(cols, spec.n)
     assert np.array_equal(kernels.cross_gram(spec, *packed), want)
     assert np.array_equal(kernels.gram(spec, packed[0]), brute_force(spec, rows, rows))
+
+
+@PROPERTY
+@given(model_cases())
+def test_prediction_matches_cross_gram(case):
+    spec, support, alphas, queries = case
+    model = TrainedModel(spec, support, alphas)
+    tol = 1e-12 * (1.0 + np.abs(alphas).sum())
+    want = alphas @ kernels.cross_gram(spec, support, queries)
+    got = model.predict_many(queries)
+    assert got.shape == (len(queries),)
+    assert np.abs(got - want).max(initial=0.0) <= tol
+    assert model.predict_many([]).shape == (0,)
+    dense = alphas @ kernels.gram(spec, support) @ alphas
+    assert abs(model.norm_sq() - dense) <= tol * (1.0 + np.abs(alphas).sum())
+
+
+def test_prediction_builds_no_support_by_query_matrix():
+    # a 4,000 x 4,000 float matrix alone would be 122 MiB
+    rng = np.random.default_rng(0)
+    support, queries = ([HypercubePoint(16, int(b)) for b in rng.integers(0, 1 << 16, 4000)] for _ in "ab")
+    model = TrainedModel(kernels.universal_kernel(16), support, rng.normal(size=4000))
+    want = model.alphas @ kernels.cross_gram(model.spec, support, queries)
+    tracemalloc.start()
+    try:
+        got = model.predict_many(queries)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert np.abs(got - want).max() <= 1e-12 * (1.0 + np.abs(model.alphas).sum())
+
+
+def test_small_blocks_split_rows_and_columns(monkeypatch):
+    rng = np.random.default_rng(1)
+    spec = kernels.universal_kernel(5)
+    support, queries = ([HypercubePoint(5, int(b)) for b in rng.integers(0, 32, 40)] for _ in "ab")
+    model = TrainedModel(spec, support, rng.normal(size=40))
+    want_gram, want_pred = kernels.cross_gram(spec, support, queries), model.predict_many(queries)
+    monkeypatch.setattr(kernels, "_BLOCK_ELEMS", 3)  # fewer than a layer's columns
+    assert np.array_equal(kernels.cross_gram(spec, support, queries), want_gram)
+    assert np.abs(model.predict_many(queries) - want_pred).max() <= 1e-12 * (1.0 + np.abs(model.alphas).sum())
 
 
 @PROPERTY
@@ -162,6 +239,13 @@ class TestPacking:
         with pytest.raises(ValueError, match="dimension"):
             TrainedModel(spec, [bad], [1.0])
 
+    def test_entry_that_is_not_a_point_named(self):
+        model = TrainedModel(kernels.universal_kernel(4), [HypercubePoint.from_string("1100")], [1.0])
+        with pytest.raises(TypeError, match="points\\[0\\] is not a HypercubePoint \\(got str\\)"):
+            model.predict_many(["1100"])
+        with pytest.raises(TypeError, match="points\\[1\\] is not a HypercubePoint \\(got int\\)"):
+            kernels.points_to_bits([HypercubePoint.from_string("1100"), 3], 4)
+
     def test_packed_masks_validated(self):
         spec = kernels.universal_kernel(4)
         with pytest.raises(ValueError, match="n=4 bit masks"):
@@ -178,3 +262,33 @@ class TestPacking:
         ip = np.vstack([blk for _, blk in blocks])
         want = [[bin(int(x) & int(y)).count("1") for y in b] for x in a]
         assert ip.dtype == np.uint8 and ip.tolist() == want
+
+
+class TestModelAlphas:
+    SPEC = kernels.universal_kernel(4)
+    SUPPORT = [HypercubePoint.from_string("1100"), HypercubePoint.from_string("0110")]
+
+    @pytest.mark.parametrize(
+        "alphas, match",
+        [
+            ([[1.0], [2.0]], "a 1-d vector, got shape \\(2, 1\\)"),
+            (1.0, "a 1-d vector, got shape \\(\\)"),
+            ([1.0, math.nan], "finite, got alphas\\[1\\] = nan"),
+            ([math.inf, 1.0], "finite, got alphas\\[0\\] = inf"),
+            ([1.0, -math.inf], "finite, got alphas\\[1\\] = -inf"),
+        ],
+        ids=["2-d", "0-d", "nan", "inf", "-inf"],
+    )
+    def test_refused_at_construction(self, alphas, match):
+        with pytest.raises(ValueError, match="alphas must be " + match):
+            TrainedModel(self.SPEC, self.SUPPORT, alphas)
+
+    @pytest.mark.parametrize("alphas", [[1.0, math.nan], [[1.0, 2.0]]], ids=["nan", "2-d"])
+    def test_refused_from_a_model_file(self, tmp_path, alphas):
+        path = tmp_path / "model.json"
+        harness.save_model(TrainedModel(self.SPEC, self.SUPPORT, [1.0, 2.0]), str(path))
+        obj = json.loads(path.read_text())
+        obj["alphas"] = alphas
+        path.write_text(json.dumps(obj))  # json writes NaN, and json.load reads it back
+        with pytest.raises(ValueError, match="alphas must be"):
+            harness.load_model(str(path))
