@@ -56,7 +56,6 @@ __all__ = [
     "EmbeddedPoint",
     "StronglyEuclideanG",
     "poly_g",
-    "table_g",
     "LiftedKernel",
     "build_pair",
     "embed",
@@ -282,24 +281,17 @@ def embed(pair: CubeEmbedderPair, role: int, x) -> EmbeddedPoint | list[Embedded
 class StronglyEuclideanG:
     """A scalar kernel profile g on [0, domain_max], with a declared Lipschitz bound.
 
-    Represented either as polynomial coefficients in the inner product
-    (ascending order) or as a knot table with linear interpolation.  The
-    declared constant is verified on the representation's grid at
-    construction.
+    Represented as polynomial coefficients in the inner product (ascending
+    order); :func:`poly_g` verifies the declared constant on a dense grid.
     """
 
-    kind: str
     domain_max: float
     lipschitz: float
     coeffs: tuple = ()
-    knots_x: tuple = ()
-    knots_y: tuple = ()
 
     def __call__(self, a):
         a = np.clip(np.asarray(a, dtype=float), 0.0, self.domain_max)
-        if self.kind == "poly":
-            return np.polynomial.polynomial.polyval(a, np.asarray(self.coeffs))
-        return np.interp(a, np.asarray(self.knots_x), np.asarray(self.knots_y))
+        return np.polynomial.polynomial.polyval(a, np.asarray(self.coeffs))
 
 
 def poly_g(coeffs, lipschitz: float, domain_max: float) -> StronglyEuclideanG:
@@ -315,25 +307,7 @@ def poly_g(coeffs, lipschitz: float, domain_max: float) -> StronglyEuclideanG:
         raise ValueError(
             f"declared Lipschitz constant {lipschitz:.6g} violated: observed slope {slope:.6g}"
         )
-    return StronglyEuclideanG("poly", domain_max, lipschitz, coeffs=tuple(float(v) for v in c))
-
-
-def table_g(knots_x, knots_y, lipschitz: float) -> StronglyEuclideanG:
-    """Lookup-table profile with linear interpolation; slopes checked between knots."""
-    xs = np.asarray(knots_x, dtype=float)
-    ys = np.asarray(knots_y, dtype=float)
-    if xs.ndim != 1 or xs.shape != ys.shape or xs.size < 2:
-        raise ValueError("need matching 1-d knot arrays with at least two knots")
-    if np.any(np.diff(xs) <= 0):
-        raise ValueError("knots must be strictly increasing")
-    slope = float(np.abs(np.diff(ys) / np.diff(xs)).max())
-    if slope > lipschitz * (1.0 + 1e-6):
-        raise ValueError(
-            f"declared Lipschitz constant {lipschitz:.6g} violated: observed slope {slope:.6g}"
-        )
-    return StronglyEuclideanG(
-        "table", float(xs[-1]), lipschitz, knots_x=tuple(xs), knots_y=tuple(ys)
-    )
+    return StronglyEuclideanG(domain_max, lipschitz, coeffs=tuple(float(v) for v in c))
 
 
 @dataclass(frozen=True)

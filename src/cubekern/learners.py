@@ -7,7 +7,8 @@ Three solvers live here:
   with step ``1/(lam t)`` and iterate averaging, in lazily scaled
   representer form (Shalev-Shwartz, Singer, Srebro & Cotter 2011, sec. 4):
   the iterate is ``a_t = c_t / (lam t)`` with ``c`` a sum of subgradient
-  signs, so a step that violates no margin touches no m-vector.  Its
+  signs, so a step that violates no margin touches no m-vector; the Gram
+  of a :class:`KernelSpec` is taken over the distinct training points.  Its
   ``gap`` is the primal at the averaged iterate minus the dual at that
   iterate clipped to the conjugate box below.
 * :func:`mkl_layer_solve` -- the layer-wise multiple-kernel program
@@ -53,12 +54,13 @@ Returned models are immutable.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .kernels import KernelSpec, TrainedModel, layer_classes, mix_vertices
+from .kernels import KernelSpec, TrainedModel, layer_classes, mix_vertices, points_to_bits
 from .scheme import LayerParams, d_from_p, vertex_betas
 
 __all__ = [
@@ -87,7 +89,7 @@ class LossSpec:
 
     name: str
     value: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    subgradient: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    subgradient: Callable[[float, float], float]  # at one margin z and label y
     conjugate: Callable[[np.ndarray, np.ndarray], np.ndarray]
     conjugate_domain: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
@@ -95,7 +97,7 @@ class LossSpec:
 HINGE = LossSpec(
     name="hinge",
     value=lambda z, y: np.maximum(0.0, 1.0 - y * z),
-    subgradient=lambda z, y: np.where(y * z < 1.0, -y, 0.0),
+    subgradient=lambda z, y: -y if y * z < 1.0 else 0.0,
     conjugate=lambda a, y: a * y,
     conjugate_domain=lambda y: (np.minimum(-y, 0.0), np.maximum(-y, 0.0)),
 )
@@ -103,7 +105,7 @@ HINGE = LossSpec(
 ABSOLUTE = LossSpec(
     name="absolute",
     value=lambda z, y: np.abs(z - y),
-    subgradient=lambda z, y: np.sign(z - y),
+    subgradient=lambda z, y: 1.0 if z > y else -1.0 if z < y else 0.0,
     conjugate=lambda a, y: a * y,
     conjugate_domain=lambda y: (-np.ones_like(y), np.ones_like(y)),
 )
@@ -186,37 +188,48 @@ def pegasos_train(
 
     The iterate ``a_t = (1 - 1/t) a_{t-1} - g_t e_i / (lam t)`` is kept as
     ``lam t a_t = c_t``: only ``z = K c`` is stored, the margin at step t is
-    ``z[i] / (lam (t-1))`` (zero at step 1), and a hit (``g != 0``) costs one
-    Gram row.  The average ``(1/T) sum_t a_t`` is built in closed form: a hit
-    at step s adds ``-g (H_T - H_{s-1}) / (lam T)`` to its coordinate, ``H``
-    the harmonic numbers.  ``report["gap"]`` is the primal at that average
-    minus the dual at the average clipped to the conjugate box; it is an
-    upper bound on the objective's distance from the optimum when the Gram
-    is PSD.
+    the picked point's entry of ``z`` over ``lam (t-1)`` (zero at step 1),
+    and a hit (``g != 0``) costs one Gram row.  Under a :class:`KernelSpec`
+    a kernel value depends only on the two points, so the Gram and ``z``
+    have one row per distinct point (``_MAX_GRAM_POINTS`` caps their
+    number); any other ``spec`` gets one row per point.  The average ``(1/T) sum_t a_t`` is built in
+    closed form: a hit at step s adds ``-g (H_T - H_{s-1}) / (lam T)`` to
+    its coordinate, ``H`` the harmonic numbers.  ``report["gap"]`` is the
+    primal at that average minus the dual at the average clipped to the
+    conjugate box; it is an upper bound on the objective's distance from the
+    optimum when the Gram is PSD.
     """
     m = len(points)
     if m == 0:
         raise ValueError("empty dataset")
     _positive("lam", lam)
+    if not isinstance(epochs, numbers.Integral):
+        raise ValueError(f"epochs must be an integer, got {epochs!r}")
     if epochs < 0:
         raise ValueError(f"epochs must be non-negative, got {epochs}")
     y = _check_labels(labels, m, loss)
-    k = np.asarray(spec.gram(points), dtype=float)
+    if isinstance(spec, KernelSpec):
+        masks, where = np.unique(points_to_bits(points, spec.n), return_inverse=True)
+        k = spec.gram(masks)
+    else:
+        where = np.arange(m)
+        k = np.asarray(spec.gram(points), dtype=float)
     rng = np.random.default_rng(seed)
     steps = epochs * m
     picks = rng.integers(0, m, size=steps)
     # weight[s-1] = (H_T - H_{s-1}) / (lam T), summed from the smallest term up
     # so that the weights of late hits keep their relative precision
-    weight = np.cumsum(1.0 / np.arange(steps, 0, -1))[::-1] / (lam * steps)
-    y_of = y.tolist()
-    z = np.zeros(m)  # K @ c, c the running sum of -g e_i over hits
+    weight = (np.cumsum(1.0 / np.arange(steps, 0, -1))[::-1] / (lam * steps)).tolist()
+    y_of, row_of = y.tolist(), where.tolist()
+    z = np.zeros(k.shape[0])  # K @ c over the Gram's rows, c the running sum of -g e_i
     a_bar = np.zeros(m)
-    for t, i in enumerate(picks, start=1):
-        g = loss.subgradient(z[i] / (lam * (t - 1)) if t > 1 else 0.0, y_of[i])
+    for t, i in enumerate(picks.tolist(), start=1):
+        u = row_of[i]
+        g = loss.subgradient(z.item(u) / (lam * (t - 1)) if t > 1 else 0.0, y_of[i])
         if g:
-            z -= g * k[i]
+            z -= g * k[u]
             a_bar[i] -= g * weight[t - 1]
-    objective = _primal_value(loss, y, lam, k, a_bar)
+    objective = _primal_value(loss, y, lam, k, a_bar, where)
     alpha = np.clip(a_bar, *_alpha_box(loss, y, lam))
     report = {
         "algo": "pegasos",
@@ -225,7 +238,7 @@ def pegasos_train(
         "objective": objective,
         "iters": steps,
         "seed": seed,
-        "gap": objective - _dual_value(loss, y, lam, k, alpha),
+        "gap": objective - _dual_value(loss, y, lam, k, alpha, where),
     }
     return TrainedModel(spec, tuple(points), a_bar, report)
 
@@ -313,14 +326,23 @@ def _alpha_box(loss: LossSpec, y: np.ndarray, lam: float) -> tuple[np.ndarray, n
     return -hi_a / c, -lo_a / c
 
 
-def _dual_value(loss: LossSpec, y: np.ndarray, lam: float, k: np.ndarray, alpha) -> float:
+def _merged(alpha, where, size: int):
+    """``alpha`` summed onto the Gram's rows: point i is row ``where[i]``
+    (``where`` None: the Gram has one row per point)."""
+    return alpha if where is None else np.bincount(where, weights=alpha, minlength=size)
+
+
+def _dual_value(loss: LossSpec, y: np.ndarray, lam: float, k: np.ndarray, alpha, where=None) -> float:
     conj = loss.conjugate(-lam * y.shape[0] * alpha, y)
-    return -0.5 * lam * float(alpha @ k @ alpha) - float(np.mean(conj))
+    c = _merged(alpha, where, k.shape[0])
+    return -0.5 * lam * float(c @ k @ c) - float(np.mean(conj))
 
 
-def _primal_value(loss: LossSpec, y: np.ndarray, lam: float, k: np.ndarray, alpha) -> float:
-    z = k @ alpha
-    return 0.5 * lam * float(alpha @ z) + float(np.mean(loss.value(z, y)))
+def _primal_value(loss: LossSpec, y: np.ndarray, lam: float, k: np.ndarray, alpha, where=None) -> float:
+    c = _merged(alpha, where, k.shape[0])
+    kc = k @ c
+    z = kc if where is None else kc[where]
+    return 0.5 * lam * float(c @ kc) + float(np.mean(loss.value(z, y)))
 
 
 def _inner_max(

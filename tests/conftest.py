@@ -55,6 +55,33 @@ def duality_gap(problem, beta, alphas) -> float:
     return abs(learners._primal_value(*terms, kb, alpha) - learners._dual_value(*terms, kb, alpha))
 
 
+def dense_subgradient(loss, z, y):
+    """The stock losses' subgradients on arrays: hinge ``-y`` where ``y z < 1``
+    (else 0), absolute ``sign(z - y)``."""
+    return np.where(y * z < 1.0, -y, 0.0) if loss.name == "hinge" else np.sign(z - y)
+
+
+def pegasos_oracle(spec, points, labels, lam, epochs, seed, loss):
+    """Pegasos in lazily scaled form on the dense Gram of every training point,
+    repeated points included: ``(a_bar, objective, gap)`` for the arguments of
+    ``learners.pegasos_train``, the same pick stream and the same additions."""
+    y = np.asarray(labels, dtype=float)
+    m = len(points)
+    k = np.asarray(spec.gram(points), dtype=float)
+    steps = epochs * m
+    picks = np.random.default_rng(seed).integers(0, m, size=steps)
+    weight = np.cumsum(1.0 / np.arange(steps, 0, -1))[::-1] / (lam * steps)
+    z, a_bar = np.zeros(m), np.zeros(m)
+    for t, i in enumerate(picks, start=1):
+        g = dense_subgradient(loss, z[i] / (lam * (t - 1)) if t > 1 else 0.0, y[i])
+        if g:
+            z -= g * k[i]
+            a_bar[i] -= g * weight[t - 1]
+    objective = learners._primal_value(loss, y, lam, k, a_bar)
+    alpha = np.clip(a_bar, *learners._alpha_box(loss, y, lam))
+    return a_bar, objective, objective - learners._dual_value(loss, y, lam, k, alpha)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -176,17 +176,6 @@ class TestProfiles:
         with pytest.raises(ValueError, match="Lipschitz"):
             embedding.poly_g([0.0, 1.0], lipschitz=0.5, domain_max=3.0)
 
-    def test_table_lipschitz_validated(self):
-        embedding.table_g([0.0, 1.0, 2.0], [0.0, 0.5, 1.0], lipschitz=0.5)
-        with pytest.raises(ValueError, match="Lipschitz"):
-            embedding.table_g([0.0, 1.0], [0.0, 2.0], lipschitz=1.0)
-        with pytest.raises(ValueError, match="increasing"):
-            embedding.table_g([0.0, 0.0], [0.0, 0.0], lipschitz=1.0)
-
-    def test_table_interpolates(self):
-        g = embedding.table_g([0.0, 2.0], [1.0, 0.0], lipschitz=0.5)
-        assert float(g(1.0)) == pytest.approx(0.5)
-
 
 class TestLift:
     def test_constant_profile_exact(self, rng):

@@ -11,6 +11,13 @@ Core claims:
       exact step-1/(lam t) recursion (in rationals, ties included), and
       rejects label-length mismatches, non-finite labels and hinge labels
       other than -1/+1 by name
+    - pegasos keeps z over distinct points and its alphas equal the dense
+      loop over every point (tests/conftest.py) bit for bit, with objective
+      and gap within 1e-12 (1 + |objective|), for universal, conjunction and
+      sparse-conjunction specs, both losses, repeated points with differing
+      labels and weights above n/2; a plain gram object gets one row per
+      point; 3,000 weight-4 points of n = 16 train under 25 MiB of traced
+      allocation, and 25,000 (above the Gram cap) train at all
     - the class form of the vertex Grams: ip is the popcount of the mirrored
       masks, combine and every alpha' K_t alpha equal their dense forms, and
       a non-square or non-symmetric ip, a class outside the table and a
@@ -32,14 +39,15 @@ Core claims:
       with or without an explicit lam, which must itself be finite and
       positive, as must the lam of pegasos_train and MklLayerProblem;
       hinge_labels maps {0,1} to {-1,+1}, keeps {-1,+1} and names the rest
-    - negative Pegasos epochs and negative MKL outer steps are rejected by
-      name; zero of either still runs
+    - negative or non-integer Pegasos epochs and negative MKL outer steps
+      are rejected by name; zero of either still runs
     - the Rademacher estimator matches closed forms and sits below the
       analytic bound, and rejects an empty sample, n = 1 and a B that is
       not finite and positive
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -48,7 +56,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import duality_gap, layer_dual_objective, layer_points
+from conftest import dense_subgradient, duality_gap, layer_dual_objective, layer_points, pegasos_oracle
 
 from cubekern import kernels, learners
 from cubekern.kernels import HypercubePoint
@@ -70,7 +78,7 @@ def feature_space_primal(k_mat, y, lam, loss, iters=150_000):
     v_bar = np.zeros_like(v)
     for t in range(1, iters + 1):
         z = feats @ v
-        grad = lam * v + feats.T @ loss.subgradient(z, y) / m
+        grad = lam * v + feats.T @ dense_subgradient(loss, z, y) / m
         v -= grad / (lam * t)
         v_bar += (v - v_bar) / t
     z = feats @ v_bar
@@ -262,6 +270,15 @@ class TestPegasos:
         with pytest.raises(ValueError, match=f"lam must be positive and finite, got {lam}"):
             MklLayerProblem(learners.layer_vertex_grams(pts, 2), y, lam=lam)
 
+    @pytest.mark.parametrize("epochs", [2.5, np.float64(3.0), "3"])
+    def test_non_integral_epochs_rejected(self, epochs):
+        pts = pts_from_tuples(layer_points(4, 2))
+        y = np.array([1.0, -1.0] * 3)
+        with pytest.raises(ValueError, match="epochs must be an integer, got"):
+            learners.pegasos_train(kernels.universal_kernel(4), pts, y, lam=1.0, epochs=epochs)
+        model = learners.pegasos_train(kernels.universal_kernel(4), pts, y, lam=1.0, epochs=np.int64(3))
+        assert model.report["iters"] == 18
+
     def test_negative_epochs_rejected(self):
         pts = pts_from_tuples(layer_points(4, 2))
         y = np.array([1.0, -1.0] * 3)
@@ -269,6 +286,101 @@ class TestPegasos:
             learners.pegasos_train(kernels.universal_kernel(4), pts, y, lam=1.0, epochs=-2)
         model = learners.pegasos_train(kernels.universal_kernel(4), pts, y, lam=1.0, epochs=0)
         assert model.report["iters"] == 0 and not np.any(model.alphas)
+
+
+@st.composite
+def pegasos_problems(draw):
+    """A universal, conjunction or sparse-conjunction spec on n <= 11, points
+    drawn with repeats from a pool of at most six (weights below, at and
+    above n/2), independent labels, and the solver's other arguments."""
+    n = draw(st.integers(2, 11))
+    p = draw(st.integers(0, n))
+    kind = draw(st.sampled_from(["universal", "conjunction", "sparse_conjunction"]))
+    if kind == "universal":
+        spec = kernels.universal_kernel(n)
+    elif kind == "conjunction":
+        spec = kernels.conjunction_kernel(n, p, 0.1)
+    else:
+        spec = kernels.sparse_conjunction_kernel(n, p, draw(st.integers(0, p)))
+    weights = sorted({p, n - p, n // 2, (n + 1) // 2})
+    pool = [
+        HypercubePoint.from_indices(n, draw(st.permutations(range(n)))[: draw(st.sampled_from(weights))])
+        for _ in range(draw(st.integers(1, 6)))
+    ]
+    m = draw(st.integers(1, 24))
+    points = [pool[draw(st.integers(0, len(pool) - 1))] for _ in range(m)]
+    loss = draw(st.sampled_from([HINGE, ABSOLUTE]))
+    values = [-1.0, 1.0] if loss is HINGE else [-1.0, -0.5, 0.0, 1.0]
+    labels = np.array(draw(st.lists(st.sampled_from(values), min_size=m, max_size=m)))
+    lam = 2.0 ** draw(st.integers(-6, 1))
+    return spec, points, labels, lam, draw(st.integers(1, 6)), draw(st.integers(0, 2**32 - 1)), loss
+
+
+def assert_matches_oracle(model, want):
+    a_bar, objective, gap = want
+    assert np.array_equal(model.alphas, a_bar)
+    tol = 1e-12 * (1.0 + abs(objective))
+    assert abs(model.report["objective"] - objective) <= tol
+    assert abs(model.report["gap"] - gap) <= tol
+
+
+class TestPegasosDistinctPoints:
+    @settings(max_examples=150, deadline=None)
+    @given(pegasos_problems())
+    def test_alphas_are_the_dense_loop_bit_for_bit(self, problem):
+        spec, points, labels, lam, epochs, seed, loss = problem
+        model = learners.pegasos_train(spec, points, labels, lam, epochs=epochs, seed=seed, loss=loss)
+        assert_matches_oracle(model, pegasos_oracle(*problem))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 12).flatmap(
+            lambda m: st.tuples(
+                st.lists(st.lists(st.floats(-2, 2), min_size=3, max_size=3), min_size=1, max_size=4),
+                st.lists(st.integers(0, 3), min_size=m, max_size=m),
+                st.lists(st.sampled_from([-1.0, 1.0]), min_size=m, max_size=m),
+            )
+        ),
+        st.integers(1, 5),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([HINGE, ABSOLUTE]),
+    )
+    def test_any_gram_object_gets_one_row_per_point(self, data, epochs, seed, loss):
+        # a plain object with a gram method, as train_on_cube passes: its rows
+        # are not merged, whether or not two of them are equal
+        pool, rows, labels = data
+        b = np.array([pool[r % len(pool)] for r in rows])
+        spec = SimpleNamespace(gram=lambda _pts: b @ b.T)
+        problem = (spec, list(range(len(rows))), np.array(labels), 0.25, epochs, seed, loss)
+        model = learners.pegasos_train(*problem[:4], epochs=epochs, seed=seed, loss=loss)
+        assert_matches_oracle(model, pegasos_oracle(*problem))
+
+    @staticmethod
+    def weight4_points(m, seed):
+        rng = np.random.default_rng(seed)
+        pts = [HypercubePoint.from_indices(16, rng.permutation(16)[:4].tolist()) for _ in range(m)]
+        return pts, rng.integers(0, 2, size=m) * 2.0 - 1.0
+
+    def test_peak_memory_is_a_gram_of_distinct_points(self):
+        # a dense Gram of all 3,000 points would be 69 MiB; the 1,820 points of
+        # the layer give at most 25 MiB, and 3,000 draws hit about 1,500 of them
+        pts, y = self.weight4_points(3000, 0)
+        spec = kernels.universal_kernel(16)
+        tracemalloc.start()
+        try:
+            model = learners.pegasos_train(spec, pts, y, 1e-3, epochs=2, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 25 * 2**20
+        assert model.report["iters"] == 6000
+
+    def test_point_count_above_the_gram_cap_trains(self):
+        pts, y = self.weight4_points(25_000, 1)
+        assert len(pts) > kernels._MAX_GRAM_POINTS
+        model = learners.pegasos_train(kernels.universal_kernel(16), pts, y, 1e-3, epochs=1, seed=0)
+        assert model.report["iters"] == 25_000
+        assert np.isfinite(model.report["gap"]) and model.report["gap"] >= -1e-9
 
 
 @st.composite
