@@ -31,10 +31,12 @@ complemented by XOR with the all-ones mask.  Inner products are popcounts
 of ANDed masks, taken in row blocks as uint8 (:func:`inner_product_blocks`).
 Each block indexes the layer's (p+1)-entry value table: :func:`cross_gram`
 writes the values into its output, so the float Gram is the only m x m
-array it builds, and a :class:`TrainedModel` sums them against its alphas,
-so prediction builds no support x query matrix and every temporary is
-bounded by the block size.  A model groups its support once, at
-construction, so prediction packs and groups only the queries.
+array it builds.  A :class:`TrainedModel` groups its support once, at
+construction, so prediction packs and groups only the queries; it scores
+a layer either by summing table values against its alphas block by block
+or, on a low-weight layer with many support rows, from the support's
+subset weights (2^p lookups per query).  Neither builds a support x query
+matrix, and every temporary is bounded by the block size.
 
 Kernel specs and models are immutable and thread-safe; Gram construction is
 deterministic given identical inputs.
@@ -101,8 +103,10 @@ class HypercubePoint:
 
     @classmethod
     def from_indices(cls, n: int, indices) -> "HypercubePoint":
+        """The point with ones at ``indices``; numpy integers are read as ints,
+        so ``1 << i`` cannot wrap at 64 bits."""
         mask = 0
-        for i in indices:
+        for i in indices.tolist() if isinstance(indices, np.ndarray) else indices:
             if not 0 <= i < n:
                 raise ValueError(f"index {i} out of range for n={n}")
             mask |= 1 << i
@@ -393,22 +397,17 @@ def _groups(spec: KernelSpec, masks: np.ndarray, values: np.ndarray) -> dict:
     return out
 
 
-def _layer_blocks(spec: KernelSpec, rows: dict, cols: dict):
-    """Yield ``(g, row values, col values, ip)`` for every layer both groupings hold.
+def _blocks(a: np.ndarray, b: np.ndarray):
+    """Yield ``(row slice, column slice, ip)`` covering every pair of ``a`` and ``b``.
 
-    ``ip`` is a uint8 block of inner products between the layer's row and
-    column masks, at most ``_BLOCK_ELEMS`` entries however many columns the
-    layer has, ``g`` the layer's value table, and the values are those of
-    the block's rows and columns.
+    ``ip`` is the uint8 block of inner products between those rows of ``a``
+    and columns of ``b``, at most ``_BLOCK_ELEMS`` entries however many
+    columns there are.
     """
-    for w, (col_values, b) in cols.items():
-        if w in rows:
-            row_values, a = rows[w]
-            g = spec.per_layer[w].g_table
-            for c in range(0, b.size, _BLOCK_ELEMS):
-                cc = slice(c, c + _BLOCK_ELEMS)
-                for start, ip in inner_product_blocks(a, b[cc]):
-                    yield g, row_values[start : start + len(ip)], col_values[cc], ip
+    for c in range(0, b.size, _BLOCK_ELEMS):
+        cc = slice(c, c + _BLOCK_ELEMS)
+        for start, ip in inner_product_blocks(a, b[cc]):
+            yield slice(start, start + len(ip)), cc, ip
 
 
 def cross_gram(spec: KernelSpec, rows, cols) -> np.ndarray:
@@ -420,9 +419,12 @@ def cross_gram(spec: KernelSpec, rows, cols) -> np.ndarray:
     xr, xc = _packed(rows, spec.n), _packed(cols, spec.n)
     out = np.zeros((xr.size, xc.size))
     row_groups = _groups(spec, xr, np.arange(xr.size))
-    col_groups = _groups(spec, xc, np.arange(xc.size))
-    for g, ri, ci, ip in _layer_blocks(spec, row_groups, col_groups):
-        out[np.ix_(ri, ci)] = g[ip]
+    for w, (ci, b) in _groups(spec, xc, np.arange(xc.size)).items():
+        if w in row_groups:
+            ri, a = row_groups[w]
+            g = spec.per_layer[w].g_table
+            for rs, cs, ip in _blocks(a, b):
+                out[np.ix_(ri[rs], ci[cs])] = g[ip]
     return out
 
 
@@ -488,6 +490,67 @@ def sparse_conjunction_kernel(n: int, s: int, ell: int) -> KernelSpec:
     return KernelSpec(n, "sparse_conjunction", {s: _sparse_layer(n, s, beta)})
 
 
+_SUBSET_COST = 12  # one submask lookup costs about as much as 12 support rows' inner products
+
+
+def _submasks(masks: np.ndarray, p: int) -> np.ndarray:
+    """The (rows, 2^p) uint64 submasks of weight-p masks.
+
+    Row order: the lowest set bit is peeled p times, and each peel appends
+    the submasks found so far with that bit set.  One row is enumerated on
+    Python ints, in the same order, which is cheaper than p numpy passes.
+    """
+    if masks.size == 1:
+        rest, row = int(masks[0]), [0]
+        for _ in range(p):
+            low = rest & -rest
+            rest ^= low
+            row += [s | low for s in row]
+        return np.array([row], dtype=np.uint64)
+    subs = np.zeros((masks.size, 1), dtype=np.uint64)
+    rest = masks.copy()
+    for _ in range(p):
+        low = rest & (~rest + np.uint64(1))
+        rest ^= low
+        subs = np.hstack([subs, subs | low[:, None]])
+    return subs
+
+
+@dataclass(frozen=True)
+class _SubsetWeights:
+    """A layer's support as weights on the subsets it covers.
+
+    ``g(k) = sum_l c_l C(k, l)`` with ``c = p_from_d(g)``, and ``C(<s, x>, l)``
+    counts the l-subsets s and x share, so ``sum_i alpha_i g(<s_i, x>)`` is
+    ``sum_{T ⊆ x} wts[T]`` with ``wts[T] = c_|T| * sum_{i: T ⊆ s_i} alpha_i``.
+    ``keys`` are the sorted submasks of the support, ``wts`` their weights.
+    """
+
+    p: int
+    keys: np.ndarray
+    wts: np.ndarray
+
+    @classmethod
+    def build(cls, alphas: np.ndarray, masks: np.ndarray, g_table: np.ndarray) -> "_SubsetWeights":
+        p = len(g_table) - 1
+        keys, inv = np.unique(_submasks(masks, p).ravel(), return_inverse=True)
+        covered = np.bincount(inv, np.repeat(alphas, 1 << p), minlength=keys.size)
+        return cls(p, keys, covered * p_from_d(g_table)[np.bitwise_count(keys)])
+
+    def scores(self, masks: np.ndarray) -> np.ndarray:
+        """``sum_{T ⊆ x} wts[T]`` for each weight-p mask x, in row chunks of at
+        most ``_BLOCK_ELEMS`` submasks."""
+        out = np.empty(masks.size)
+        step = max(1, _BLOCK_ELEMS >> self.p)
+        for start in range(0, masks.size, step):
+            subs = _submasks(masks[start : start + step], self.p)
+            idx = np.searchsorted(self.keys, subs)
+            np.minimum(idx, self.keys.size - 1, out=idx)
+            hit = self.keys[idx] == subs
+            out[start : start + step] = np.where(hit, self.wts[idx], 0.0).sum(axis=1)
+        return out
+
+
 @dataclass(frozen=True)
 class TrainedModel:
     """A classifier in representer form: f(x) = sum_i alpha_i k(x_i, x).
@@ -495,10 +558,25 @@ class TrainedModel:
     ``alphas`` must be a finite 1-d vector, one entry per support point.
     ``spec`` is usually a :class:`KernelSpec`: the support is then packed
     once, here, its repeated points merged, zero alphas dropped and the rest
-    grouped by layer, and a prediction sums table values against the alphas
-    block by block, building no support x query matrix.  ``spec``
-    may also be any object with ``gram`` / ``cross_gram`` methods (e.g. a
-    lifted kernel on embedded points), which gets the support as points.
+    grouped by layer.  Each layer group is scored in one of two ways, and
+    neither builds a support x query matrix:
+
+    * blocks: a query's score sums the alphas against the layer's value
+      table at its inner products with the support rows, block by block;
+      one step per support row.
+    * subset weights: the layer's value table is ``sum_l c_l C(k, l)``, so a
+      score is a sum over the query's 2^p submasks T of ``c_|T|`` times the
+      alphas of the support points containing T; the model stores those
+      weights once, and a query costs 2^p lookups.
+
+    A layer on canonical weight p takes the subset path when
+    ``_SUBSET_COST * 2^p <= rows`` (a lookup costs about 12 rows' inner
+    products) and ``rows * 2^p <= _BLOCK_ELEMS``; other layers, and every
+    ``sparse_conjunction`` spec (whose queries come in every weight), take
+    the block path.  ``predict`` goes straight to the point's layer, and
+    equals ``predict_many([x])[0]`` exactly.  ``spec`` may also be any
+    object with ``gram`` / ``cross_gram`` methods (e.g. a lifted kernel on
+    embedded points), which gets the support as points.
     """
 
     spec: object
@@ -526,19 +604,45 @@ class TrainedModel:
             merged = np.bincount(where, weights=a, minlength=masks.size)
             scored = merged != 0.0
             groups = _groups(self.spec, masks[scored], merged[scored])
+            if self.spec.kind != "sparse_conjunction":  # its queries come in every weight
+                for w, (alphas, support) in groups.items():
+                    p = self.spec.per_layer[w].layer.p
+                    if _SUBSET_COST << p <= support.size and support.size << p <= _BLOCK_ELEMS:
+                        groups[w] = _SubsetWeights.build(alphas, support, self.spec.per_layer[w].g_table)
         object.__setattr__(self, "_support_groups", groups)
 
+    def _layer_scores(self, w: int, masks: np.ndarray) -> np.ndarray:
+        """Scores of query masks, mirrored onto layer w, against the support's group there."""
+        group = self._support_groups[w]
+        if isinstance(group, _SubsetWeights):
+            return group.scores(masks)
+        alphas, support = group
+        g = self.spec.per_layer[w].g_table
+        out = np.zeros(masks.size)
+        for rs, cs, ip in _blocks(support, masks):
+            out[cs] += alphas[rs] @ g[ip]
+        return out
+
     def predict(self, x: HypercubePoint) -> float:
-        return float(self.predict_many([x])[0])
+        if self._support_groups is None:
+            return float(self.predict_many([x])[0])
+        mask = points_to_bits([x], self.spec.n)
+        if self.spec.kind == "sparse_conjunction":
+            (w,) = self.spec.per_layer
+        else:
+            w, mask = x.weight, _mirrored(mask, x.weight, self.spec.n)
+        if w not in self._support_groups:
+            return 0.0
+        return float(self._layer_scores(w, mask)[0])
 
     def predict_many(self, points) -> np.ndarray:
         if self._support_groups is None:
             return self.alphas @ self.spec.cross_gram(self.support, list(points))
         masks = points_to_bits(points, self.spec.n)
         out = np.zeros(masks.size)
-        cols = _groups(self.spec, masks, np.arange(masks.size))
-        for g, a, ci, ip in _layer_blocks(self.spec, self._support_groups, cols):
-            out[ci] += a @ g[ip]
+        for w, (ci, b) in _groups(self.spec, masks, np.arange(masks.size)).items():
+            if w in self._support_groups:
+                out[ci] = self._layer_scores(w, b)
         return out
 
     def norm_sq(self) -> float:

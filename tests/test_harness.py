@@ -2,7 +2,8 @@
 
 Core claims:
     - conjunction datasets have exact labels, honest noise, warn on
-      layers the conjunction can never fire on, and refuse m below 1
+      layers the conjunction can never fire on, and refuse m below 1; at
+      n = 64 every draw succeeds, with int bit masks, also through bench
     - save -> load is bit-exact for both point flavors; reports regenerate
       their datasets exactly
     - verify_suite passes clean and names (module, check, params) under each
@@ -43,6 +44,7 @@ import pytest
 
 from cubekern import cli, embedding, harness, kernels, learners
 from cubekern.harness import gen_conjunction_dataset
+from cubekern.kernels import HypercubePoint
 
 
 def run_cli(*argv, check=True):
@@ -78,6 +80,14 @@ class TestDatasetGeneration:
         truth = np.array([1.0 if pt.to_string()[0] == "1" else 0.0 for pt in data.points])
         corr = np.corrcoef(truth, data.labels)[0, 1]
         assert abs(corr) <= 3.0 / math.sqrt(m)
+
+    def test_top_coordinate_of_64_bits(self):
+        # numpy indices once made 1 << 63 negative, so most n = 64 draws failed
+        assert HypercubePoint.from_indices(64, np.array([63, 0])).bits == (1 << 63) | 1
+        for seed in range(20):
+            data = gen_conjunction_dataset(64, [0, 1], "sparse", 4, 30, 0.0, seed=seed)
+            assert all(type(pt.bits) is int and pt.weight == 4 for pt in data.points)
+        run_cli("bench", "--n", "64", "--s", "4", "--literals", "2", "--m", "50", "--algo", "universal")
 
     def test_infeasible_layer_warns(self):
         with pytest.warns(UserWarning, match="below literal count"):

@@ -31,7 +31,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cubekern import embedding, harness, kernels
@@ -105,9 +105,18 @@ def specs_and_points(draw, dims=DIMS, admissible=False):
 
 
 @st.composite
-def model_cases(draw):
+def conjunction_specs_and_points(draw):
+    """A conjunction_kernel spec on a layer below or above n/2, and points on it and off it."""
+    n = draw(st.integers(1, 32))
+    p = draw(st.integers(0, n))
+    spec = kernels.conjunction_kernel(n, p, draw(st.floats(0.01, 0.9)))
+    return spec, draw(point_sets(n, [p])), draw(point_sets(n, [p, draw(st.integers(0, n))]))
+
+
+@st.composite
+def model_cases(draw, specs=specs_and_points()):
     """A spec, a support with repeated points and zero alphas, and queries."""
-    spec, support, queries = draw(specs_and_points())
+    spec, support, queries = draw(specs)
     if support:
         support = support + draw(st.lists(st.sampled_from(support), max_size=4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -171,6 +180,104 @@ def test_small_blocks_split_rows_and_columns(monkeypatch):
     monkeypatch.setattr(kernels, "_BLOCK_ELEMS", 3)  # fewer than a layer's columns
     assert np.array_equal(kernels.cross_gram(spec, support, queries), want_gram)
     assert np.abs(model.predict_many(queries) - want_pred).max() <= 1e-12 * (1.0 + np.abs(model.alphas).sum())
+
+
+def subset_tolerance(spec, alphas):
+    """Bound on |subset-path score - alphas @ cross_gram|, fixed before running.
+
+    A layer's subset weights carry c = p_from_d(g), and a score sums
+    c_l C(k, l) over submasks, so the rounding scales with
+    sum_l |c_l| C(p, l).  |c_l| is taken as the sum of its terms'
+    magnitudes, sum_j C(l, j) |g_j|: the terms cancel where a table is
+    smooth (mix_vertices tables at p >= 8), and that cancellation, not |c_l|,
+    sets the rounding.  32 eps times that, times sum |alpha|, over the worst layer.
+    """
+    worst = 0.0
+    for lk in spec.per_layer.values():
+        g = np.abs(lk.g_table)
+        p = len(g) - 1
+        terms = [sum(math.comb(l, j) * g[j] for j in range(l + 1)) for l in range(p + 1)]
+        worst = max(worst, sum(math.comb(p, l) * terms[l] for l in range(p + 1)))
+    return 32 * np.finfo(float).eps * worst * np.abs(alphas).sum()
+
+
+def subset_layers(model):
+    return sorted(w for w, grp in model._support_groups.items() if isinstance(grp, kernels._SubsetWeights))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    st.one_of(
+        model_cases(),
+        model_cases(specs_and_points(st.just(16))),
+        model_cases(specs_and_points(st.sampled_from([2, 5, 16, 32]), admissible=True)),
+        model_cases(conjunction_specs_and_points()),
+    ),
+    st.sampled_from([1 << 18, 64, 8]),
+    st.integers(1, 40),
+)
+def test_subset_path_matches_cross_gram(monkeypatch, case, build_elems, score_elems):
+    # every layer that fits build_elems takes the subset path; larger ones keep
+    # the block path, so one model can hold both; score_elems splits the queries
+    spec, support, alphas, queries = case
+    monkeypatch.setattr(kernels, "_SUBSET_COST", 0)
+    monkeypatch.setattr(kernels, "_BLOCK_ELEMS", build_elems)
+    model = TrainedModel(spec, support, alphas)
+    want = alphas @ kernels.cross_gram(spec, support, queries)
+    monkeypatch.setattr(kernels, "_BLOCK_ELEMS", score_elems)
+    got = model.predict_many(queries)
+    assert got.shape == (len(queries),)
+    assert np.abs(got - want).max(initial=0.0) <= subset_tolerance(spec, alphas)
+    for x in queries:
+        assert model.predict(x) == model.predict_many([x])[0]
+    if spec.kind == "sparse_conjunction":
+        assert subset_layers(model) == []
+
+
+def test_submasks_of_one_row_match_the_batch_enumeration():
+    for mask in (0, 0b1011, (1 << 63) | (1 << 40) | 0b101, ((1 << 12) - 1) << 52):
+        p = mask.bit_count()
+        row = kernels._submasks(np.array([mask], dtype=np.uint64), p)
+        assert np.array_equal(kernels._submasks(np.array([mask, mask], dtype=np.uint64), p), np.vstack([row, row]))
+        subs, s = {0}, mask
+        while s:
+            subs.add(s)
+            s = (s - 1) & mask
+        assert row.shape == (1, 1 << p) and set(row[0].tolist()) == subs
+
+
+def test_layers_take_the_path_their_size_selects():
+    # the shape of an mkl-cube model: distinct support rows on layers 3, 6 and
+    # 12 of n = 16 (12 is mirrored onto p = 4); subset path when 12 * 2^p <= rows
+    rng = np.random.default_rng(3)
+    universal = kernels.universal_kernel(16)
+    spec = KernelSpec(16, "direct_sum", {w: universal.per_layer[w] for w in (3, 6, 12)})
+    support = []
+    for w, rows in ((3, 200), (6, 290), (12, 260)):
+        layer = [b for b in range(1 << 16) if b.bit_count() == w]
+        support += [HypercubePoint(16, b) for b in rng.choice(layer, rows, replace=False).tolist()]
+    model = TrainedModel(spec, support, rng.normal(size=len(support)))
+    assert subset_layers(model) == [3, 12]
+    queries = [HypercubePoint(16, b) for b in rng.integers(0, 1 << 16, 3000).tolist()]
+    want = model.alphas @ kernels.cross_gram(spec, support, queries)
+    assert np.abs(model.predict_many(queries) - want).max() <= subset_tolerance(spec, model.alphas)
+
+
+def test_subset_path_builds_and_scores_in_bounded_memory():
+    rng = np.random.default_rng(4)
+    draw = lambda m: [HypercubePoint.from_indices(16, rng.permutation(16)[:4]) for _ in range(m)]
+    support, queries, alphas = draw(3000), draw(4000), rng.normal(size=3000)
+    tracemalloc.start()
+    try:
+        model = TrainedModel(kernels.universal_kernel(16), support, alphas)
+        got = model.predict_many(queries)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert subset_layers(model) == [4]
+    want = alphas @ kernels.cross_gram(model.spec, support, queries)
+    assert np.abs(got - want).max() <= subset_tolerance(model.spec, alphas)
 
 
 @PROPERTY
