@@ -558,25 +558,17 @@ class TrainedModel:
     ``alphas`` must be a finite 1-d vector, one entry per support point.
     ``spec`` is usually a :class:`KernelSpec`: the support is then packed
     once, here, its repeated points merged, zero alphas dropped and the rest
-    grouped by layer.  Each layer group is scored in one of two ways, and
-    neither builds a support x query matrix:
-
-    * blocks: a query's score sums the alphas against the layer's value
-      table at its inner products with the support rows, block by block;
-      one step per support row.
-    * subset weights: the layer's value table is ``sum_l c_l C(k, l)``, so a
-      score is a sum over the query's 2^p submasks T of ``c_|T|`` times the
-      alphas of the support points containing T; the model stores those
-      weights once, and a query costs 2^p lookups.
-
-    A layer on canonical weight p takes the subset path when
-    ``_SUBSET_COST * 2^p <= rows`` (a lookup costs about 12 rows' inner
-    products) and ``rows * 2^p <= _BLOCK_ELEMS``; other layers, and every
-    ``sparse_conjunction`` spec (whose queries come in every weight), take
-    the block path.  ``predict`` goes straight to the point's layer, and
-    equals ``predict_many([x])[0]`` exactly.  ``spec`` may also be any
-    object with ``gram`` / ``cross_gram`` methods (e.g. a lifted kernel on
-    embedded points), which gets the support as points.
+    grouped by layer.  A layer on canonical weight p with ``rows`` support
+    points is scored from the support's subset weights (:class:`_SubsetWeights`,
+    2^p lookups per query) when ``_SUBSET_COST * 2^p <= rows`` and
+    ``rows * 2^p <= _BLOCK_ELEMS``, and otherwise by summing table values
+    against the alphas block by block (one step per support row); a
+    ``sparse_conjunction`` spec, whose queries come in every weight, always
+    takes the blocks.  Neither path builds a support x query matrix.
+    ``predict`` goes straight to the point's layer and equals
+    ``predict_many([x])[0]`` exactly.  ``spec`` may also be any object with
+    ``gram`` / ``cross_gram`` methods (e.g. a lifted kernel on embedded
+    points), which gets the support as points.
     """
 
     spec: object

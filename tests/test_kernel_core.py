@@ -13,8 +13,17 @@ Core claims:
       query weights no support point has, and empty query lists; norm_sq
       equals the dense alpha^T K alpha to the same relative tolerance
     - prediction builds no support x query matrix: scoring 4,000 queries
-      against a 4,000-point support traces under 8 MiB of allocation
-    - a single prediction equals the batch prediction of the same point
+      against a 4,000-point support traces under 8 MiB of allocation, and
+      so do building and scoring a subset-path model of 3,000 points
+    - a layer scored from the support's subset weights matches
+      alphas @ cross_gram within a bound on the binomial basis' rounding,
+      for random, mix_vertices and conjunction tables, mirrored layers,
+      repeated points, zero alphas, models with layers on both paths and
+      queries split into chunks; on a model shaped like mkl-cube's, layers
+      3 and 12 take that path and layer 6 does not; one row's submasks
+      match the batch enumeration
+    - a single prediction equals the batch prediction of the same point,
+      and predict(x) == predict_many([x])[0] exactly on both paths
     - a model over a lifted kernel (embedded points of a real pair) still predicts
     - save_model -> load_model keeps every prediction
     - bad input is rejected by name: wrong dimensions, masks out of range,
@@ -267,17 +276,18 @@ def test_subset_path_builds_and_scores_in_bounded_memory():
     rng = np.random.default_rng(4)
     draw = lambda m: [HypercubePoint.from_indices(16, rng.permutation(16)[:4]) for _ in range(m)]
     support, queries, alphas = draw(3000), draw(4000), rng.normal(size=3000)
+    spec = kernels.universal_kernel(16)
     tracemalloc.start()
     try:
-        model = TrainedModel(kernels.universal_kernel(16), support, alphas)
+        model = TrainedModel(spec, support, alphas)
         got = model.predict_many(queries)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
     assert subset_layers(model) == [4]
-    want = alphas @ kernels.cross_gram(model.spec, support, queries)
-    assert np.abs(got - want).max() <= subset_tolerance(model.spec, alphas)
+    want = alphas @ kernels.cross_gram(spec, support, queries)
+    assert np.abs(got - want).max() <= subset_tolerance(spec, alphas)
 
 
 @PROPERTY
