@@ -536,10 +536,8 @@ def verify_suite(
     """
     if fault is not None and fault not in FAULT_TAGS:
         raise ValueError(f"unknown fault {fault!r}; choose from {FAULT_TAGS}")
-    if max_n < 1:
-        raise ValueError(f"max_n must be at least 1, got {max_n}")
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
+    learners.check_count("max_n", max_n, 1)
+    learners.check_count("trials", trials, 1)
     rng = np.random.default_rng(seed)
     oracle_cap = min(max_n, scheme.MAX_ORACLE_N)
     checks = [

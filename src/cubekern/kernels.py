@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,6 +54,8 @@ import numpy as np
 from .scheme import (
     BetaCoeffs,
     LayerParams,
+    _rounded,
+    _scaled,
     d_from_p,
     is_admissible,
     p_from_d,
@@ -114,8 +117,11 @@ class HypercubePoint:
 
     @classmethod
     def from_array(cls, arr) -> "HypercubePoint":
+        """The point of a 1-d array of 0/1 entries; entry i is coordinate i."""
         a = np.asarray(arr)
-        return cls.from_indices(a.shape[0], np.nonzero(a)[0].tolist())
+        if a.ndim != 1 or not np.isin(a, (0, 1)).all():
+            raise ValueError(f"from_array needs a 1-d array of 0/1 entries, got {a.tolist()!r}")
+        return cls.from_indices(a.shape[0], np.flatnonzero(a).tolist())
 
     def to_string(self) -> str:
         return format(self.bits, f"0{self.n}b")[::-1]
@@ -165,31 +171,40 @@ def make_layer_kernel(layer: LayerParams, beta) -> LayerKernel:
 def complement_layer_kernel(kernel: LayerKernel) -> LayerKernel:
     """The same kernel function expressed on the complementary layer.
 
-    Complementing both arguments maps inner products by
-    ``k -> n - 2p + k``, so the table of the mirrored kernel is a shifted
-    slice of the original; its coefficients are recovered by
-    :func:`~cubekern.scheme.p_from_d` (exact since any table of length p'+1
-    has a unique binomial-basis interpolant).
+    Complementing both arguments maps inner products by ``k -> k + s``,
+    ``s = n - 2p'``, and ``g(k + s) = sum_l beta_l sum_r C(k, r) C(s, l - r)``
+    (Vandermonde), so ``beta'_r = sum_{l >= r} C(s, l - r) beta_l`` for
+    ``r <= p'``, exact over the stored floats and rounded once.
     """
     layer = kernel.layer
     comp = layer.complement()
     shift = layer.n - 2 * comp.p  # inner products on `layer` minus those on `comp`
     if shift < 0:
         raise ValueError("complement_layer_kernel expects p >= n/2 to mirror downward")
-    return make_layer_kernel(comp, p_from_d(kernel.g_table[shift : shift + comp.p + 1]))
+    nums, den = _scaled(kernel.beta.tolist())
+    beta = [
+        sum(math.comb(shift, ell - r) * nums[ell] for ell in range(r, len(nums))) for r in range(comp.p + 1)
+    ]
+    return make_layer_kernel(comp, _rounded(beta, den))
 
 
 def mix_vertices(layer: LayerParams, lambdas) -> LayerKernel:
-    """Sub-convex combination of the vertex kernels: beta = sum_i lambda_i beta^(i)."""
+    """Sub-convex combination of the vertex kernels: beta = sum_i lambda_i beta^(i),
+    exact over the floats of the weights and of the vertices, rounded once."""
     lam = np.asarray(lambdas, dtype=float)
     if lam.shape != (layer.p + 1,):
         raise ValueError(f"expected {layer.p + 1} mixture weights, got {lam.shape}")
+    if not np.isfinite(lam).all():
+        raise ValueError(f"mixture weights must be finite, got {lam.tolist()}")
     if lam.min(initial=0.0) < -1e-12:
         raise ValueError("negative mixture weight")
     if lam.sum() > 1.0 + 1e-12:
         raise ValueError(f"mixture weights sum to {lam.sum():.6g} > 1")
-    beta = np.clip(lam, 0.0, None) @ vertex_betas(layer)
-    return make_layer_kernel(layer, beta)
+    weights, wden = _scaled(np.clip(lam, 0.0, None).tolist())
+    verts, vden = _scaled(vertex_betas(layer).ravel().tolist())
+    q = layer.p + 1
+    beta = [sum(map(operator.mul, weights, verts[ell::q])) for ell in range(q)]
+    return make_layer_kernel(layer, _rounded(beta, wden * vden))
 
 
 _KINDS = ("direct_sum", "universal", "conjunction", "sparse_conjunction")

@@ -127,6 +127,15 @@ def _positive(name: str, value: float) -> float:
     return value
 
 
+def check_count(name: str, value, minimum: int = 0) -> None:
+    """Refuse a count ``value`` that is not an integer of at least ``minimum``, by ``name``."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        bound = "non-negative" if minimum == 0 else f"at least {minimum}"
+        raise ValueError(f"{name} must be {bound}, got {value}")
+
+
 def regularization_weight(n: int, B: float, epsilon: float, lam: float | None = None) -> float:
     """The weight ``lam = epsilon / (n B^2)`` of the regularized problem for
     norm-``B`` classifiers on ``{0,1}^n`` learned to accuracy ``epsilon``.
@@ -203,10 +212,7 @@ def pegasos_train(
     if m == 0:
         raise ValueError("empty dataset")
     _positive("lam", lam)
-    if not isinstance(epochs, numbers.Integral):
-        raise ValueError(f"epochs must be an integer, got {epochs!r}")
-    if epochs < 0:
-        raise ValueError(f"epochs must be non-negative, got {epochs}")
+    check_count("epochs", epochs)
     y = _check_labels(labels, m, loss)
     if isinstance(spec, KernelSpec):
         masks, where = np.unique(points_to_bits(points, spec.n), return_inverse=True)
@@ -401,8 +407,7 @@ def mkl_layer_solve(problem: MklLayerProblem, outer_iters: int = 500) -> MklSolu
     alpha re-polished (up to ``_INNER_MAX_ITER`` steps) and the duality gap
     computed there; ``inner_iters`` counts the inner steps of all of it.
     """
-    if outer_iters < 0:
-        raise ValueError(f"outer_iters must be non-negative, got {outer_iters}")
+    check_count("outer_iters", outer_iters)
     q = problem.table.shape[0]
     beta = np.full(q, 1.0 / q)
     alpha = np.zeros(problem.m)
@@ -556,8 +561,7 @@ def rademacher_estimate(points, B: float, trials: int = 200, seed: int = 0) -> R
     closed-form bound ``sqrt(2 e B^2 ln(n) / m)``, which needs n >= 2.
     """
     _positive("B", B)
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    check_count("trials", trials, 1)
     m = len(points)
     if m == 0:
         raise ValueError("empty sample")

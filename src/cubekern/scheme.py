@@ -27,7 +27,9 @@ Those eigenvalues form the upper-triangular matrix returned by
 ``delta @ beta >= 0`` entrywise, and its diagonal value is
 ``<eta, beta>`` with ``eta_l = C(p, l)``.  Admissible kernels (PSD with
 diagonal at most 1) therefore form a polytope with ``p + 1`` vertices,
-computed by :func:`vertex_betas`.
+given in closed form by :func:`vertex_betas`.  Every number here is
+evaluated exactly, from integer closed forms and the stored floats (each
+an integer over a power of two), and rounded once.
 
 The oracle functions at the bottom (:func:`oracle_gram`,
 :func:`oracle_eigenvalues`) build the explicit ``C(n,p) x C(n,p)`` matrices
@@ -44,12 +46,13 @@ pure function, so everything can be shared freely across threads.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 __all__ = [
     "LayerParams",
@@ -169,19 +172,53 @@ def _require_canonical(layer: LayerParams, op: str) -> None:
         )
 
 
+def _scaled(values) -> tuple[list[int], int]:
+    """Finite floats as integer numerators over one power-of-two denominator."""
+    ratios = [v.as_integer_ratio() for v in values]
+    den = max((d for _, d in ratios), default=1)
+    return [num * (den // d) for num, d in ratios], den
+
+
+def _ratio(num: int, den: int) -> float:
+    """``num / den`` correctly rounded; an infinity past the float range."""
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
+
+
+def _rounded(nums, den: int) -> np.ndarray:
+    return np.array([_ratio(num, den) for num in nums], dtype=float)
+
+
+def _differences(d: list[int]) -> list[int]:
+    """Newton's forward differences ``c_r = sum_{l <= r} (-1)^(r-l) C(r, l) d_l``."""
+    out = []
+    while d:
+        out.append(d[0])
+        d = [b - a for a, b in zip(d, d[1:])]
+    return out
+
+
+@functools.cache
+def _delta_rows(layer: LayerParams) -> tuple[tuple[int, ...], ...]:
+    """The exact integer rows of :func:`delta_matrix`, cached per layer."""
+    n, p = layer.n, layer.p
+    return tuple(
+        (0,) * j + tuple(math.comb(n - ell - j, p - ell) * math.comb(p - j, ell - j) for ell in range(j, p + 1))
+        for j in range(p + 1)
+    )
+
+
 def delta_matrix(layer: LayerParams) -> np.ndarray:
     """Upper-triangular (p+1)x(p+1) matrix mapping beta to the layer eigenvalues.
 
     Entry (j, l) is the eigenvalue of the basis kernel ``b_l`` on the j-th
-    common eigenspace: ``C(n-l-j, p-l) * C(p-j, l-j)`` for ``j <= l``.
+    common eigenspace: ``C(n-l-j, p-l) * C(p-j, l-j)`` for ``j <= l``, an
+    integer correctly rounded to a float.
     """
     _require_canonical(layer, "delta_matrix")
-    n, p = layer.n, layer.p
-    delta = np.zeros((p + 1, p + 1))
-    for ell in range(p + 1):
-        for j in range(ell + 1):
-            delta[j, ell] = binomial(n - ell - j, p - ell) * binomial(p - j, ell - j)
-    return delta
+    return np.array(_delta_rows(layer), dtype=float)
 
 
 def eta_vector(layer: LayerParams) -> np.ndarray:
@@ -201,63 +238,75 @@ def eigen_multiplicities(layer: LayerParams) -> np.ndarray:
 
 
 def eigen_profile(beta: BetaCoeffs) -> np.ndarray:
-    """The p+1 distinct eigenvalues of the kernel with coefficients ``beta``."""
-    _require_canonical(beta.layer, "eigen_profile")
-    return delta_matrix(beta.layer) @ beta.beta
+    """The p+1 distinct eigenvalues ``delta @ beta`` of the kernel with
+    coefficients ``beta``, exact over the stored floats and rounded once."""
+    return is_admissible(beta).profile
 
 
 def is_admissible(beta: BetaCoeffs, tol: float = DEFAULT_PSD_TOL) -> AdmissibilityReport:
     """Check PSD-ness and the unit diagonal bound of a candidate kernel.
 
-    Admissible iff every entry of ``delta @ beta`` is at least
-    ``-tol * max(1, ||delta @ beta||_inf)`` and ``<eta, beta> <= 1 + tol``.
+    The eigenvalues ``delta @ beta`` and the diagonal ``<eta, beta>`` are
+    exact over the stored floats.  Those may be roundings of an admissible
+    beta (a vertex's zero eigenvalues come out as tiny numbers of either
+    sign), so each bound gains their half-ulp radius,
+    ``1/2 sum_l delta_jl ulp(beta_l)`` for eigenvalue j and
+    ``1/2 sum_l C(p, l) ulp(beta_l)`` for the diagonal.  Admissible iff
+    every eigenvalue plus its radius is at least
+    ``-tol * max(1, ||delta @ beta||_inf)`` and the diagonal minus its
+    radius is at most ``1 + tol``.  The report rounds the exact values once.
     """
-    profile = eigen_profile(beta)
-    diagonal = float(eta_vector(beta.layer) @ beta.beta)
-    floor = -tol * max(1.0, float(np.abs(profile).max(initial=0.0)))
-    bad = np.nonzero(profile < floor)[0]
-    if bad.size:
-        j = int(bad[0])
-        return AdmissibilityReport(
-            False, profile, diagonal, violation=f"negative eigenvalue at index {j}"
-        )
-    if diagonal > 1.0 + tol:
+    layer = beta.layer
+    _require_canonical(layer, "is_admissible")
+    p = layer.p
+    coeffs = beta.beta.tolist()
+    nums, den = _scaled(coeffs + [math.ulp(b) / 2 for b in coeffs])
+    rows = _delta_rows(layer) + (tuple(math.comb(p, ell) for ell in range(p + 1)),)
+    values = [sum(map(operator.mul, row, nums[: p + 1])) for row in rows]
+    radii = [sum(map(operator.mul, row, nums[p + 1 :])) for row in rows]
+    profile = _rounded(values[:-1], den)
+    diagonal = _ratio(values[-1], den)
+    tol_num, tol_den = float(tol).as_integer_ratio()
+    scale = max(den, *map(abs, values[:-1]))  # den * max(1, ||delta @ beta||_inf)
+    for j in range(p + 1):
+        if (values[j] + radii[j]) * tol_den < -tol_num * scale:
+            return AdmissibilityReport(
+                False, profile, diagonal, violation=f"negative eigenvalue at index {j}"
+            )
+    if (values[-1] - radii[-1] - den) * tol_den > tol_num * den:
         return AdmissibilityReport(
             False, profile, diagonal, violation=f"diagonal bound: k(x,x)={diagonal:.6g} > 1"
         )
     return AdmissibilityReport(True, profile, diagonal)
 
 
+@functools.cache
 def vertex_betas(layer: LayerParams) -> np.ndarray:
     """The p+1 extreme points of the admissible-kernel polytope, one per row.
 
-    Row i solves ``delta @ raw = e_i`` by back-substitution and is then
-    scaled by ``1 / <eta, raw>`` so that its diagonal is exactly 1.  Vertex i
-    has a single nonzero eigenvalue, on eigenspace ``V_i``.
+    Vertex i has diagonal 1 and its one nonzero eigenvalue on ``V_i``; its
+    value at inner product ``k = p - j`` is ``P_j(i) / v_j`` (Delsarte 1973,
+    sec. 4), with the Eberlein polynomial and valency
+
+        P_j(i) = sum_h (-1)^h C(i, h) C(p - i, j - h) C(n - p - i, j - h)
+        v_j    = C(p, j) C(n - p, j).
+
+    Row i is that table's Newton differences, exact and rounded once.  The
+    result is cached per layer and read-only.
     """
     _require_canonical(layer, "vertex_betas")
-    p = layer.p
-    delta = delta_matrix(layer)
-    eta = eta_vector(layer)
-    scale = float(np.abs(delta).max())
-    out = np.zeros((p + 1, p + 1))
+    n, p = layer.n, layer.p
+    valency = [math.comb(p, j) * math.comb(n - p, j) for j in range(p + 1)]
+    den = math.lcm(*valency)
+    rows = []
     for i in range(p + 1):
-        e = np.zeros(p + 1)
-        e[i] = 1.0
-        raw = solve_triangular(delta, e, lower=False)
-        residual = float(np.abs(delta @ raw - e).max())
-        if residual > 1e-9 * scale:
-            raise ArithmeticError(
-                f"triangular solve residual {residual:.3g} exceeds 1e-9*||delta|| "
-                f"for (n={layer.n}, p={p}, i={i})"
-            )
-        xi = float(eta @ raw)
-        if xi <= 0.0:
-            raise ArithmeticError(
-                f"nonpositive vertex normalizer xi={xi:.3g} for (n={layer.n}, p={p}, i={i})"
-            )
-        out[i] = raw / xi
-    return out
+        # P_j(i) is a convolution over h of these two integer rows
+        signed = [(-1) ** h * math.comb(i, h) for h in range(i + 1)]
+        pairs = [math.comb(p - i, t) * math.comb(n - p - i, t) for t in range(p + 1)]
+        eberlein = [sum(map(operator.mul, signed, pairs[j::-1])) for j in range(p + 1)]
+        table = [eberlein[p - k] * (den // valency[p - k]) for k in range(p + 1)]
+        rows.append(_rounded(_differences(table), den))
+    return _frozen(rows)
 
 
 def d_from_p(p_coeffs) -> np.ndarray:
@@ -267,25 +316,19 @@ def d_from_p(p_coeffs) -> np.ndarray:
     With ``D_l`` the 0/1 matrix of pairs with intersection exactly ``l``,
     ``b_r = sum_{l >= r} C(l, r) D_l``, so the D-coefficient at ``l`` is
     ``d_l = sum_{r <= l} C(l, r) c_r = g(l)``, the value at inner product ``l``
-    (zero-pad ``c`` for larger ones).  Exact for integer-valued inputs.
+    (zero-pad ``c`` for larger ones).  Each entry is the exact value over the
+    input floats, correctly rounded.
     """
-    c = np.asarray(p_coeffs, dtype=float)
-    size = c.shape[0]
-    out = np.zeros(size)
-    for ell in range(size):
-        out[ell] = sum(math.comb(ell, r) * c[r] for r in range(ell + 1))
-    return out
+    c, den = _scaled(np.asarray(p_coeffs, dtype=float).tolist())
+    return _rounded([sum(math.comb(ell, r) * c[r] for r in range(ell + 1)) for ell in range(len(c))], den)
 
 
 def p_from_d(d_coeffs) -> np.ndarray:
     """Inverse of :func:`d_from_p`, a value table's coefficients (Newton's
-    forward differences): c_r = sum_{l <= r} (-1)^(r-l) C(r, l) d_l."""
-    d = np.asarray(d_coeffs, dtype=float)
-    size = d.shape[0]
-    out = np.zeros(size)
-    for r in range(size):
-        out[r] = sum((-1) ** (r - ell) * math.comb(r, ell) * d[ell] for ell in range(r + 1))
-    return out
+    forward differences): c_r = sum_{l <= r} (-1)^(r-l) C(r, l) d_l, exact
+    over the input floats and correctly rounded."""
+    nums, den = _scaled(np.asarray(d_coeffs, dtype=float).tolist())
+    return _rounded(_differences(nums), den)
 
 
 def enumerate_layer(layer: LayerParams) -> np.ndarray:

@@ -7,7 +7,8 @@ Core claims:
     - save -> load is bit-exact for both point flavors; reports regenerate
       their datasets exactly
     - verify_suite passes clean and names (module, check, params) under each
-      documented fault injection
+      documented fault injection, and refuses a max_n or trial count that
+      is not an integer
     - bench: the analytic conjunction model has zero test error noiseless,
       and nothing beats coin flipping at noise 1/2
     - the CLI emits the promised JSON schemas, is byte-deterministic for a
@@ -197,6 +198,11 @@ class TestVerifySuite:
     def test_unknown_fault_rejected(self):
         with pytest.raises(ValueError, match="fault"):
             harness.verify_suite(fault="nope")
+
+    @pytest.mark.parametrize("name", ["max_n", "trials"])
+    def test_non_integral_counts_rejected(self, name):
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got 2.5"):
+            harness.verify_suite(**{name: 2.5})
 
 
 class TestLossEvaluation:

@@ -1,12 +1,16 @@
 """Hypercube kernel specs: direct sums, universal mixture, conjunction kernels.
 
 Core claims:
-    - points parse, complement and inner-product correctly
+    - points parse, complement and inner-product correctly; from_array
+      refuses arrays that are not 1-d or hold entries other than 0/1
     - layer kernel tables match hand-computed g values; bad coefficients,
       non-finite ones and non-finite mixture weights included, are rejected
       with the violated constraint named
     - the universal kernel matches the averaged vertices, has unit diagonal,
-      zero cross-layer values, and exact complement symmetry
+      zero cross-layer values, and exact complement symmetry; every table
+      is the exact binomial sum of its beta, rounded once (n = 63, 64 too)
+    - a kernel mirrored below n/2 has the exact Vandermonde coefficients
+      sum_l C(n - 2p', l - r) beta_l, rounded once
     - one-layer Grams are PSD at oracle scale; two-layer Grams are block
       diagonal
     - vertex-mixture Grams satisfy the mixture identity and the
@@ -21,6 +25,7 @@ Core claims:
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -58,6 +63,22 @@ class TestHypercubePoint:
             HypercubePoint.from_string("")
         with pytest.raises(ValueError):
             HypercubePoint.from_string("110").inner(HypercubePoint.from_string("11"))
+
+    @pytest.mark.parametrize(
+        "arr, match",
+        [
+            ([0, 2, 1], "\\[0, 2, 1\\]"),
+            ([0.5, 1], "\\[0.5, 1.0\\]"),
+            (["0", "1"], "\\['0', '1'\\]"),
+            ([[0, 1], [1, 0]], "\\[\\[0, 1\\], \\[1, 0\\]\\]"),
+            (5, "5"),
+        ],
+        ids=["two", "fraction", "strings", "2-d", "0-d"],
+    )
+    def test_from_array_rejects_bad_input(self, arr, match):
+        with pytest.raises(ValueError, match="from_array needs a 1-d array of 0/1 entries, got " + match):
+            HypercubePoint.from_array(arr)
+        assert HypercubePoint.from_array(np.array([True, False, True])).to_string() == "101"
 
 
 class TestLayerKernel:
@@ -99,11 +120,20 @@ class TestMixVertices:
             kernels.mix_vertices(LayerParams(4, 2), [-0.1, 0.5, 0.0])
         with pytest.raises(ValueError, match="sum"):
             kernels.mix_vertices(LayerParams(4, 2), [0.6, 0.6, 0.0])
-        with pytest.raises(ValueError, match="beta must be finite"):
+        with pytest.raises(ValueError, match="mixture weights must be finite, got \\[nan, 0.0, 0.0\\]"):
             kernels.mix_vertices(LayerParams(4, 2), [np.nan, 0.0, 0.0])
 
 
 class TestUniversalKernel:
+    @pytest.mark.parametrize("n", [16, 63, 64])
+    def test_tables_are_the_rounded_exact_values(self, n):
+        for lk in kernels.universal_kernel(n).per_layer.values():
+            want = [
+                float(sum(Fraction(b) * math.comb(k, ell) for ell, b in enumerate(lk.beta)))
+                for k in range(lk.layer.p + 1)
+            ]
+            assert lk.g_table.tolist() == want
+
     def test_layer2_beta(self):
         spec = kernels.universal_kernel(4)
         assert spec.per_layer[2].beta == pytest.approx([1 / 3, -1 / 6, 1.0])
@@ -226,6 +256,20 @@ class TestComplementConversion:
                 assert direct == pytest.approx(via, abs=1e-12)
 
 
+    @pytest.mark.parametrize("n", [16, 63, 64])
+    def test_mirrored_beta_is_the_rounded_vandermonde_sum(self, n):
+        for p in range(n // 2 + 1, n + 1):
+            beta = np.zeros(p + 1)
+            beta[:3] = 1.0 / (1 + p + math.comb(p, 2))
+            high = kernels.LayerKernel(LayerParams(n, p), beta, scheme.d_from_p(beta))
+            s = 2 * p - n
+            want = [
+                float(sum(math.comb(s, ell - r) * Fraction(beta[ell]) for ell in range(r, p + 1)))
+                for r in range(n - p + 1)
+            ]
+            assert kernels.complement_layer_kernel(high).beta.tolist() == want
+
+
 class TestContainment:
     def test_mixture_identity_and_norm_bound(self, rng):
         for n, p in ((6, 2), (6, 3), (8, 3)):
@@ -328,13 +372,17 @@ class TestSparseConjunction:
         assert model.predict(x) == pytest.approx(0.0, abs=1e-12)
 
     def test_padded_table_is_the_binomial_sum(self):
-        # the table runs past the home layer to k = n, also when read back from JSON
+        # the table runs past the home layer to k = n, also when read back from JSON,
+        # and each entry is the exact binomial sum of the stored beta, rounded once
         for n in (1, 2, 7, 16, 33, 62, 63, 64):
             for s in sorted({0, 1, n // 2, n - 1, n}):
                 for ell in sorted({0, s // 2, s}):
                     spec = kernels.sparse_conjunction_kernel(n, s, ell)
                     beta = spec.per_layer[s].beta
-                    want = [sum(beta[i] * math.comb(k, i) for i in range(s + 1)) for k in range(n + 1)]
+                    want = [
+                        float(sum(Fraction(beta[i]) * math.comb(k, i) for i in range(s + 1)))
+                        for k in range(n + 1)
+                    ]
                     assert np.array_equal(spec.per_layer[s].g_table, want)
                     loaded = KernelSpec.from_json_dict(spec.to_json_dict())
                     assert np.array_equal(loaded.per_layer[s].g_table, want)

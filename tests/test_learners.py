@@ -39,11 +39,13 @@ Core claims:
       with or without an explicit lam, which must itself be finite and
       positive, as must the lam of pegasos_train and MklLayerProblem;
       hinge_labels maps {0,1} to {-1,+1}, keeps {-1,+1} and names the rest
-    - negative or non-integer Pegasos epochs and negative MKL outer steps
-      are rejected by name; zero of either still runs
+    - negative or non-integer Pegasos epochs and MKL outer steps (of
+      mkl_layer_solve and mkl_train) are rejected by name; zero of either
+      still runs
     - the Rademacher estimator matches closed forms and sits below the
-      analytic bound, and rejects an empty sample, n = 1 and a B that is
-      not finite and positive
+      analytic bound, and rejects an empty sample, n = 1, a B that is
+      not finite and positive and a trial count that is not an integer of
+      at least 1
 """
 
 import math
@@ -525,6 +527,13 @@ class TestMklLayerSolve:
         sol = learners.mkl_layer_solve(problem, outer_iters=0)
         assert sol.trace.size == 0 and sol.inner_converged
 
+    def test_non_integral_outer_iters_rejected(self):
+        pts = pts_from_tuples(layer_points(4, 2))
+        with pytest.raises(ValueError, match="outer_iters must be an integer, got 2.5"):
+            learners.mkl_layer_solve(two_point_problem(), outer_iters=2.5)
+        with pytest.raises(ValueError, match="outer_iters must be an integer, got 2.5"):
+            learners.mkl_train(pts, np.array([1.0, -1.0] * 3), B=1.0, epsilon=0.1, outer_iters=2.5)
+
     def test_capped_outer_step_does_not_mark_polished_solution(self, monkeypatch):
         flags, steps = [], []
         inner_max = learners._inner_max
@@ -795,8 +804,10 @@ class TestRademacher:
         assert est.mean + 2 * est.stderr <= est.bound
 
     def test_trials_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="trials must be at least 1, got 0"):
             learners.rademacher_estimate([HypercubePoint.from_string("10")], B=1.0, trials=0)
+        with pytest.raises(ValueError, match="trials must be an integer, got 2.5"):
+            learners.rademacher_estimate([HypercubePoint.from_string("10")], B=1.0, trials=2.5)
 
     def test_empty_sample(self):
         with pytest.raises(ValueError, match="empty sample"):

@@ -6,23 +6,48 @@ Core claims:
     - delta_matrix is upper triangular with positive diagonal, and its
       columns are exactly the spectra of the explicit basis matrices
     - eta gives the kernel diagonal
-    - vertex kernels solve the triangular systems and have one-hot spectra
+    - vertex kernels are the correctly rounded closed form of the Johnson
+      scheme (checked in rationals, n = 64 included) and have one-hot spectra
     - basis change between binomial and indicator coefficients is an exact
-      involution and matches explicitly built matrices
-    - is_admissible agrees with the dense PSD + diagonal oracle
+      involution on integers, correctly rounded on any floats (an infinity
+      past the float range), and matches explicitly built matrices
+    - is_admissible agrees with the dense PSD + diagonal oracle; for n up to
+      64 it accepts every vertex, the universal mean, random capped-simplex
+      mixes and conjunction kernels on both sides of n/2, and rejects
+      1.01 * vertex (diagonal) and -vertex (negative eigenvalue)
     - coefficients that are not finite are refused by name
     - the scheme is commutative at oracle scale
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import canonical_layers, explicit_basis_matrices
 
-from cubekern import scheme
+from cubekern import kernels, scheme
 from cubekern.scheme import BetaCoeffs, LayerParams
+
+#: a canonical layer (n, p) with n <= 64
+LAYERS = st.integers(1, 64).flatmap(lambda n: st.builds(LayerParams, st.just(n), st.integers(0, n // 2)))
+
+
+def exact_vertex_table(layer, i):
+    """Vertex i's value table g(k) = P_{p-k}(i) / v_{p-k}, in rationals."""
+    n, p = layer.n, layer.p
+    table = []
+    for k in range(p + 1):
+        j = p - k
+        eberlein = sum(
+            (-1) ** h * math.comb(i, h) * math.comb(p - i, j - h) * math.comb(n - p - i, j - h)
+            for h in range(min(i, j) + 1)
+        )
+        table.append(Fraction(eberlein, math.comb(p, j) * math.comb(n - p, j)))
+    return table
 
 
 class TestBinomial:
@@ -169,6 +194,21 @@ class TestVertices:
         verts = scheme.vertex_betas(LayerParams(2, 1))
         assert np.abs(verts - np.array([[1.0, 0.0], [-1.0, 2.0]])).max() < 1e-12
 
+    @pytest.mark.parametrize("n", [8, 16, 33, 63, 64])
+    def test_correctly_rounded_closed_form(self, n):
+        for p in sorted({0, 1, n // 4, n // 2 - 1, n // 2}):
+            layer = LayerParams(n, p)
+            verts = scheme.vertex_betas(layer)
+            assert not verts.flags.writeable
+            for i in range(p + 1):
+                table = exact_vertex_table(layer, i)
+                assert table[p] == 1
+                want = [
+                    float(sum((-1) ** (r - ell) * math.comb(r, ell) * table[ell] for ell in range(r + 1)))
+                    for r in range(p + 1)
+                ]
+                assert verts[i].tolist() == want, (layer, i)
+
     def test_validity_sweep(self):
         for layer in canonical_layers(8):
             verts = scheme.vertex_betas(layer)
@@ -212,6 +252,23 @@ class TestBasisChange:
             d_coeffs = scheme.d_from_p(coeffs)
             from_d = sum(c * d for c, d in zip(d_coeffs, d_mats))
             assert np.array_equal(from_p, from_d)
+
+    def test_correctly_rounded_on_floats(self, rng):
+        for size in (1, 5, 17, 33, 65):
+            vec = rng.normal(size=size) * 10.0 ** rng.integers(-20, 20, size=size)
+            exact = [Fraction(v) for v in vec]
+            table = [sum(math.comb(ell, r) * exact[r] for r in range(ell + 1)) for ell in range(size)]
+            diffs = [
+                sum((-1) ** (r - ell) * math.comb(r, ell) * exact[ell] for ell in range(r + 1)) for r in range(size)
+            ]
+            assert scheme.d_from_p(vec).tolist() == [float(x) for x in table]
+            assert scheme.p_from_d(vec).tolist() == [float(x) for x in diffs]
+
+    def test_overflow_is_infinite(self):
+        assert scheme.d_from_p([1e308, 1e308]).tolist() == [1e308, math.inf]
+        assert scheme.p_from_d([1e308, -1e308]).tolist() == [1e308, -math.inf]
+        report = scheme.is_admissible(BetaCoeffs(LayerParams(8, 3), np.array([1e307, 0.0, 0.0, 0.0])))
+        assert report.profile[0] == math.inf and "diagonal" in report.violation
 
     def test_length_preserved(self):
         with pytest.raises(Exception):
@@ -302,3 +359,32 @@ class TestCommutativity:
             rhs = g2 @ g1
             scale = max(1.0, np.abs(lhs).max())
             assert np.abs(lhs - rhs).max() <= 1e-8 * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(LAYERS, st.data())
+def test_certificate_on_the_polytope_up_to_n64(layer, data):
+    verts = scheme.vertex_betas(layer)
+    i = data.draw(st.integers(0, layer.p), label="vertex")
+    assert scheme.is_admissible(BetaCoeffs(layer, verts[i])).ok
+    report = scheme.is_admissible(BetaCoeffs(layer, 1.01 * verts[i]))
+    assert not report.ok and report.violation.startswith("diagonal bound")
+    report = scheme.is_admissible(BetaCoeffs(layer, -verts[i]))
+    assert not report.ok and report.violation == f"negative eigenvalue at index {i}"
+    uniform = kernels.mix_vertices(layer, np.full(layer.p + 1, 1.0 / (layer.p + 1)))
+    assert scheme.is_admissible(BetaCoeffs(layer, uniform.beta)).ok
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    lam = rng.random(layer.p + 1)
+    mixed = kernels.mix_vertices(layer, lam / lam.sum() * rng.uniform(0.0, 1.0))
+    assert scheme.is_admissible(BetaCoeffs(layer, mixed.beta)).ok
+    for p in (layer.p, layer.n - layer.p):
+        spec = kernels.conjunction_kernel(layer.n, p, data.draw(st.floats(0.01, 0.99), label="eps"))
+        assert scheme.is_admissible(BetaCoeffs(layer, spec.per_layer[p].beta)).ok
+
+
+def test_every_vertex_and_universal_layer_certified_up_to_n64():
+    for layer in canonical_layers(64):
+        for row in scheme.vertex_betas(layer):
+            assert scheme.is_admissible(BetaCoeffs(layer, row)).ok, layer
+    for n in range(1, 65):
+        kernels.universal_kernel(n)
