@@ -420,13 +420,14 @@ def _check_containment(rng: np.random.Generator, triples: int = 40) -> dict:
         for trial in range(triples):
             m = int(rng.integers(2, 13))
             idx = rng.integers(0, len(points), size=m)
-            ip, table = learners.layer_vertex_grams([points[i] for i in idx], p)
+            where, ip, table = learners.layer_vertex_grams([points[i] for i in idx], p)
             lam = rng.random(p + 1)
             lam /= lam.sum()
             alpha = rng.normal(size=m)
-            quads = learners._vertex_quads(ip, table, alpha)
+            quads = learners._vertex_quads(ip, table, alpha, where)
             mixed = float(lam @ quads)
-            direct = float(alpha @ (lam @ table)[ip] @ alpha)
+            # the direct side expands the mixed Gram per point, so it does not rely on the merge
+            direct = float(alpha @ (lam @ table)[ip][np.ix_(where, where)] @ alpha)
             scale = max(1.0, abs(mixed), abs(direct))
             if abs(mixed - direct) > 1e-10 * scale:
                 return _check(

@@ -51,16 +51,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .scheme import (
-    BetaCoeffs,
-    LayerParams,
-    _rounded,
-    _scaled,
-    d_from_p,
-    is_admissible,
-    p_from_d,
-    vertex_betas,
-)
+from .scheme import BetaCoeffs, LayerParams, _rounded, _scaled, d_from_p, is_admissible, vertex_betas
 
 __all__ = [
     "HypercubePoint",
@@ -78,7 +69,6 @@ __all__ = [
     "cross_gram",
     "points_to_bits",
     "inner_product_blocks",
-    "layer_classes",
 ]
 
 
@@ -318,8 +308,11 @@ def _json_int(value, what: str) -> int:
 
 
 def _sparse_layer(n: int, s: int, beta) -> LayerKernel:
-    """Weight-free layer kernel of ``beta`` on layer s, its table zero-padded to k = 0..n."""
+    """Weight-free layer kernel of ``beta`` on layer s, its table zero-padded to
+    k = 0..n; certified admissible on layer s when that is canonical (2s <= n)."""
     coeffs = BetaCoeffs(LayerParams(n, s), beta)
+    if coeffs.layer.is_canonical:
+        make_layer_kernel(coeffs.layer, coeffs.beta)
     return LayerKernel(coeffs.layer, coeffs.beta, d_from_p(np.pad(coeffs.beta, (0, n - s))))
 
 
@@ -363,24 +356,6 @@ def inner_product_blocks(a: np.ndarray, b: np.ndarray):
     step = max(1, _BLOCK_ELEMS // max(b.size, 1))
     for start in range(0, a.size, step):
         yield start, np.bitwise_count(a[start : start + step, None] & b)
-
-
-def layer_classes(points, weight: int) -> tuple[np.ndarray, LayerParams]:
-    """Inner-product classes of points of one weight, with their canonical layer.
-
-    Returns the (m, m) uint8 matrix of inner products on the canonical layer
-    (points above n/2 are complemented first), so entry (i, j) indexes any
-    value table of that layer, and the layer itself.
-    """
-    n = points[0].n
-    masks = points_to_bits(points, n)
-    if np.any(np.bitwise_count(masks) != weight):
-        raise ValueError("all points must share the stated weight")
-    masks = _mirrored(masks, weight, n)
-    ip = np.empty((masks.size, masks.size), dtype=np.uint8)
-    for start, block in inner_product_blocks(masks, masks):
-        ip[start : start + len(block)] = block
-    return ip, LayerParams(n, weight).canonical()
 
 
 def gram(spec: KernelSpec, points) -> np.ndarray:
@@ -499,9 +474,6 @@ def sparse_conjunction_kernel(n: int, s: int, ell: int) -> KernelSpec:
         raise ValueError(f"sparsity s={s} exceeds dimension n={n}")
     beta = np.zeros(s + 1)
     beta[ell] = 1.0 / math.comb(s, ell)
-    if 2 * s <= n:
-        # sanity: certified admissible on its home layer when checkable
-        make_layer_kernel(LayerParams(n, s), beta)
     return KernelSpec(n, "sparse_conjunction", {s: _sparse_layer(n, s, beta)})
 
 
@@ -535,8 +507,8 @@ def _submasks(masks: np.ndarray, p: int) -> np.ndarray:
 class _SubsetWeights:
     """A layer's support as weights on the subsets it covers.
 
-    ``g(k) = sum_l c_l C(k, l)`` with ``c = p_from_d(g)``, and ``C(<s, x>, l)``
-    counts the l-subsets s and x share, so ``sum_i alpha_i g(<s_i, x>)`` is
+    ``g(k) = sum_l c_l C(k, l)`` with ``c`` the layer's ``beta``, and
+    ``C(<s, x>, l)`` counts the l-subsets s and x share, so ``sum_i alpha_i g(<s_i, x>)`` is
     ``sum_{T ⊆ x} wts[T]`` with ``wts[T] = c_|T| * sum_{i: T ⊆ s_i} alpha_i``.
     ``keys`` are the sorted submasks of the support, ``wts`` their weights.
     """
@@ -546,11 +518,11 @@ class _SubsetWeights:
     wts: np.ndarray
 
     @classmethod
-    def build(cls, alphas: np.ndarray, masks: np.ndarray, g_table: np.ndarray) -> "_SubsetWeights":
-        p = len(g_table) - 1
+    def build(cls, alphas: np.ndarray, masks: np.ndarray, beta: np.ndarray) -> "_SubsetWeights":
+        p = len(beta) - 1
         keys, inv = np.unique(_submasks(masks, p).ravel(), return_inverse=True)
         covered = np.bincount(inv, np.repeat(alphas, 1 << p), minlength=keys.size)
-        return cls(p, keys, covered * p_from_d(g_table)[np.bitwise_count(keys)])
+        return cls(p, keys, covered * beta[np.bitwise_count(keys)])
 
     def scores(self, masks: np.ndarray) -> np.ndarray:
         """``sum_{T ⊆ x} wts[T]`` for each weight-p mask x, in row chunks of at
@@ -615,7 +587,7 @@ class TrainedModel:
                 for w, (alphas, support) in groups.items():
                     p = self.spec.per_layer[w].layer.p
                     if _SUBSET_COST << p <= support.size and support.size << p <= _BLOCK_ELEMS:
-                        groups[w] = _SubsetWeights.build(alphas, support, self.spec.per_layer[w].g_table)
+                        groups[w] = _SubsetWeights.build(alphas, support, self.spec.per_layer[w].beta)
         object.__setattr__(self, "_support_groups", groups)
 
     def _layer_scores(self, w: int, masks: np.ndarray) -> np.ndarray:

@@ -24,12 +24,13 @@ Three solvers live here:
   admissible layer kernel, together with the closed-form bound
   ``sqrt(2 e B^2 ln(n) / m)``.
 
-Vertex Grams are kept in inner-product-class form: a layer Gram is
-``sum_k g(k) D_k``, ``D_k`` the 0/1 indicator of "inner product = k".
-:func:`layer_vertex_grams` gives the uint8 matrix ``ip`` and the value tables
-``table[t] = d_from_p(beta_t)``; vertex t's Gram ``table[t][ip]`` is never
-built.  MKL and Rademacher use ``K_beta = (beta @ table)[ip]`` and
-``alpha' K_t alpha = (table @ s)[t]`` with ``s_k = alpha' D_k alpha``.
+Vertex Grams are kept in inner-product-class form over a layer's distinct
+points: :func:`layer_vertex_grams` gives ``(where, ip, table)``, point i being
+distinct point ``where[i]``, ``ip`` their uint8 inner products and
+``table[t]`` vertex t's value table; ``table[t][ip]`` is never built.  With
+``c = bincount(where, alpha)``, MKL and Rademacher use ``K_beta = (beta @
+table)[ip]``, ``K alpha = (K_beta c)[where]`` and ``alpha' K_t alpha =
+(table @ s)[t]``, ``s_k`` the sum of ``c_r c_s`` over pairs with ``ip = k``.
 
 Duality convention.  For fixed ``beta`` the dual of the primal program is
 
@@ -60,8 +61,8 @@ from typing import Callable
 
 import numpy as np
 
-from .kernels import KernelSpec, TrainedModel, layer_classes, mix_vertices, points_to_bits
-from .scheme import LayerParams, d_from_p, vertex_betas
+from .kernels import KernelSpec, TrainedModel, _mirrored, inner_product_blocks, mix_vertices, points_to_bits
+from .scheme import LayerParams, vertex_tables
 
 __all__ = [
     "LossSpec",
@@ -256,7 +257,8 @@ def pegasos_train(
 @dataclass
 class MklLayerProblem:
     """Fixed data for the per-layer saddle program; ``vertex_grams`` is the
-    class form ``(ip, table)`` of :func:`layer_vertex_grams`."""
+    class form ``(where, ip, table)`` of :func:`layer_vertex_grams`.  Labels
+    and alphas stay one per point: a repeated point may carry both labels."""
 
     vertex_grams: tuple
     labels: np.ndarray
@@ -265,20 +267,22 @@ class MklLayerProblem:
 
     def __post_init__(self):
         self.labels = np.asarray(self.labels, dtype=float)
-        ip, table = np.asarray(self.vertex_grams[0]), np.asarray(self.vertex_grams[1], dtype=float)
-        m = self.labels.shape[0]
+        where, ip, table = map(np.asarray, self.vertex_grams)
+        m, u = self.labels.shape[0], len(ip)
         if m == 0:
             raise ValueError("at least one sample required")
         _positive("lam", self.lam)
-        if ip.shape != (m, m) or not np.array_equal(ip, ip.T):
-            raise ValueError(f"inner-product matrix must be symmetric of shape {(m, m)}, got {ip.shape}")
+        if ip.shape != (u, u) or not np.array_equal(ip, ip.T):
+            raise ValueError(f"inner-product matrix must be symmetric of shape {(u, u)}, got {ip.shape}")
+        if where.shape != (m,) or where.dtype.kind not in "iu" or np.any((where < 0) | (where >= u)):
+            raise ValueError(f"point rows `where` must be {m} integers indexing the {u} rows of ip")
         q = table.shape[1] if table.ndim == 2 else 0
         if not np.issubdtype(ip.dtype, np.integer) or ip.min() < 0 or ip.max() >= q:
             raise ValueError(f"inner-product classes must be integers indexing a (vertices, {q}) table")
         diag = table[:, np.diag(ip)].max(axis=1)
         if diag.max() > 1.0 + 1e-9:
             raise ValueError(f"vertex Gram {int(diag.argmax())} has diagonal above 1")
-        self.ip, self.table = ip, table
+        self.where, self.ip, self.table = where, ip, table.astype(float)
 
     @property
     def m(self) -> int:
@@ -290,13 +294,14 @@ class MklLayerProblem:
         return self.loss, self.labels, self.lam
 
     def combine(self, beta: np.ndarray) -> np.ndarray:
-        """K_beta = sum_t beta_t K_t, one lookup of the mixed table."""
+        """K_beta = sum_t beta_t K_t over the distinct points, one lookup of the mixed table."""
         return (np.asarray(beta, dtype=float) @ self.table)[self.ip]
 
 
-def _vertex_quads(ip: np.ndarray, table: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """Every alpha' K_t alpha as table @ s, with s_k = alpha' D_k alpha."""
-    s = np.bincount(ip.ravel(), weights=np.outer(alpha, alpha).ravel(), minlength=table.shape[1])
+def _vertex_quads(ip: np.ndarray, table: np.ndarray, alpha, where) -> np.ndarray:
+    """Every alpha' K_t alpha as table @ s: s_k sums c_r c_s where ip[r, s] = k, c = bincount(where, alpha)."""
+    c = np.bincount(where, alpha, len(ip))
+    s = np.bincount(ip.ravel(), weights=np.outer(c, c).ravel(), minlength=table.shape[1])
     return table @ s
 
 
@@ -332,23 +337,16 @@ def _alpha_box(loss: LossSpec, y: np.ndarray, lam: float) -> tuple[np.ndarray, n
     return -hi_a / c, -lo_a / c
 
 
-def _merged(alpha, where, size: int):
-    """``alpha`` summed onto the Gram's rows: point i is row ``where[i]``
-    (``where`` None: the Gram has one row per point)."""
-    return alpha if where is None else np.bincount(where, weights=alpha, minlength=size)
-
-
-def _dual_value(loss: LossSpec, y: np.ndarray, lam: float, k: np.ndarray, alpha, where=None) -> float:
+def _dual_value(loss: LossSpec, y: np.ndarray, lam: float, k: np.ndarray, alpha, where) -> float:
     conj = loss.conjugate(-lam * y.shape[0] * alpha, y)
-    c = _merged(alpha, where, k.shape[0])
+    c = np.bincount(where, alpha, k.shape[0])
     return -0.5 * lam * float(c @ k @ c) - float(np.mean(conj))
 
 
-def _primal_value(loss: LossSpec, y: np.ndarray, lam: float, k: np.ndarray, alpha, where=None) -> float:
-    c = _merged(alpha, where, k.shape[0])
+def _primal_value(loss: LossSpec, y: np.ndarray, lam: float, k: np.ndarray, alpha, where) -> float:
+    c = np.bincount(where, alpha, k.shape[0])
     kc = k @ c
-    z = kc if where is None else kc[where]
-    return 0.5 * lam * float(c @ kc) + float(np.mean(loss.value(z, y)))
+    return 0.5 * lam * float(c @ kc) + float(np.mean(loss.value(kc[where], y)))
 
 
 def _inner_max(
@@ -360,17 +358,18 @@ def _inner_max(
 ) -> tuple[np.ndarray, bool, int]:
     """FISTA ascent for sup_alpha G(alpha, beta) at fixed beta (Beck & Teboulle 2009).
 
-    Each step is ``x+ = clip(v + grad/(lam L))`` from the extrapolated point v,
-    with ``L = max_i sum_j |K_beta[i, j]| >= ||K_beta||_2`` and one K_beta
-    matvec; the first, from ``v = x``, is a plain projected gradient step.
+    ``kb`` is over the distinct points.  Each step is ``x+ = clip(v + grad/(lam L))``
+    from the extrapolated point v, with one matvec ``(kb @ bincount(where, v))[where]``
+    and ``L = max_r sum_s |kb[r, s]| count_s >= ||K_beta||_2``, ``count_s`` the
+    points on row s; the first, from ``v = x``, is a plain projected gradient step.
     Momentum restarts (``theta = 1``, ``v = x+``) when ``(x+ - x).(v - x+) > 0``
     (O'Donoghue & Candes 2015).  Stops when ``lam L ||v - x+||``, the
     projected-gradient norm at v, is at most ``tol``.
     """
-    lam, y = problem.lam, problem.labels
+    lam, y, where, u = problem.lam, problem.labels, problem.where, kb.shape[0]
     lo, hi = _alpha_box(*problem.terms)
     alpha = np.clip(alpha0, lo, hi)
-    top = float(np.linalg.norm(kb, np.inf))
+    top = float((np.abs(kb) @ np.bincount(where, minlength=u)).max())
     if top <= 1e-300:
         # kernel zero to working precision: the dual is linear, optimum at a box corner
         alpha = np.clip(np.where(y > 0, hi, np.where(y < 0, lo, 0.0)), lo, hi)
@@ -378,7 +377,7 @@ def _inner_max(
     step = 1.0 / (lam * top)
     v, theta = alpha, 1.0
     for it in range(1, max_iter + 1):
-        nxt = np.clip(v + step * (lam * (y - kb @ v)), lo, hi)
+        nxt = np.clip(v + step * (lam * (y - (kb @ np.bincount(where, v, u))[where])), lo, hi)
         if float(np.linalg.norm((v - nxt) / step)) <= tol:
             return nxt, True, it
         move = nxt - alpha
@@ -419,17 +418,17 @@ def mkl_layer_solve(problem: MklLayerProblem, outer_iters: int = 500) -> MklSolu
         kb = problem.combine(beta)
         alpha, _, iters = _inner_max(problem, kb, alpha, _INNER_TOL, loop_cap)
         inner_iters += iters
-        val = _dual_value(*problem.terms, kb, alpha)
+        val = _dual_value(*problem.terms, kb, alpha, problem.where)
         if val < best[0]:
             best = (val, beta.copy(), alpha.copy())
         trace[k - 1] = best[0]
-        subg = -0.5 * problem.lam * _vertex_quads(problem.ip, problem.table, alpha)
+        subg = -0.5 * problem.lam * _vertex_quads(problem.ip, problem.table, alpha, problem.where)
         beta = project_capped_simplex(beta - subg / math.sqrt(k))
     _, beta_star, alpha_star = best
     kb = problem.combine(beta_star)
     alpha_star, polished, iters = _inner_max(problem, kb, alpha_star, _INNER_TOL, _INNER_MAX_ITER)
-    primal = _primal_value(*problem.terms, kb, alpha_star)
-    dual = _dual_value(*problem.terms, kb, alpha_star)
+    primal = _primal_value(*problem.terms, kb, alpha_star, problem.where)
+    dual = _dual_value(*problem.terms, kb, alpha_star, problem.where)
     return MklSolution(
         beta=beta_star,
         alphas=alpha_star,
@@ -446,23 +445,30 @@ def mkl_layer_solve(problem: MklLayerProblem, outer_iters: int = 500) -> MklSolu
 # MKL over the whole cube
 
 
-def layer_vertex_grams(points, weight: int) -> tuple[np.ndarray, np.ndarray]:
-    """Vertex-kernel Grams of points of one weight, in class form ``(ip, table)``.
+def layer_vertex_grams(points, weight: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Vertex-kernel Grams of points of one weight, in class form ``(where, ip, table)``.
 
-    ``ip`` is the (m, m) uint8 inner-product matrix on the canonical layer p
-    (weights above n/2 are complemented first); row t of the (p+1, p+1)
-    ``table`` is ``d_from_p(beta_t)``, so vertex t's Gram is ``table[t][ip]``.
+    Point i is distinct point ``where[i]`` on the canonical layer p (weights
+    above n/2 are complemented first), ``ip`` is the (u, u) uint8 inner-product
+    matrix of the u distinct points and row t of the (p+1, p+1) ``table`` is
+    vertex t's value table, so vertex t's Gram is ``table[t][ip]``.
     """
-    ip, layer = layer_classes(points, weight)
-    return ip, np.array([d_from_p(beta) for beta in vertex_betas(layer)])
+    n = points[0].n
+    masks = points_to_bits(points, n)
+    if np.any(np.bitwise_count(masks) != weight):
+        raise ValueError(f"all points must have weight {weight}")
+    masks, where = np.unique(_mirrored(masks, weight, n), return_inverse=True)
+    ip = np.concatenate([block for _, block in inner_product_blocks(masks, masks)])
+    return where, ip, vertex_tables(LayerParams(n, weight).canonical())
 
 
 def _layers(points):
-    """Yield ``(weight, indices, layer_vertex_grams(...))`` per occupied weight, ascending."""
-    weights = np.array([pt.weight for pt in points])
-    for w in np.unique(weights).tolist():
-        idx = np.flatnonzero(weights == w)
-        yield w, idx, layer_vertex_grams([points[i] for i in idx], w)
+    """``(n, layers)`` of a non-empty point list, each point checked once, by its index;
+    ``layers`` yields ``(weight, indices, layer_vertex_grams(...))`` per occupied weight, ascending."""
+    n = getattr(points[0], "n", 1)  # a first entry that is not a point is named by points_to_bits
+    weights = np.bitwise_count(points_to_bits(points, n))
+    groups = {w: np.flatnonzero(weights == w) for w in np.unique(weights).tolist()}
+    return n, ((w, idx, layer_vertex_grams([points[i] for i in idx], w)) for w, idx in groups.items())
 
 
 @dataclass
@@ -506,14 +512,14 @@ def mkl_train(
     m = len(points)
     if m == 0:
         raise ValueError("empty dataset")
-    n = points[0].n
+    n, layers = _layers(points)
     lam = regularization_weight(n, B, epsilon, lam_override)
     y = _check_labels(labels, m, loss)
     per_layer: dict[int, MklSolution] = {}
     spec_layers = {}
     alphas = np.zeros(m)
     total = 0.0
-    for w, idx, grams in _layers(points):
+    for w, idx, grams in layers:
         problem = MklLayerProblem(grams, y[idx], lam, loss)
         sol = mkl_layer_solve(problem, outer_iters=outer_iters)
         per_layer[w] = sol
@@ -565,18 +571,18 @@ def rademacher_estimate(points, B: float, trials: int = 200, seed: int = 0) -> R
     m = len(points)
     if m == 0:
         raise ValueError("empty sample")
-    n = points[0].n
+    n, layers = _layers(points)
     if n < 2:
         raise ValueError(f"the bound sqrt(2 e B^2 ln(n) / m) needs n >= 2, got n={n}")
-    layer_data = list(_layers(points))
+    layer_data = list(layers)
     rng = np.random.default_rng(seed)
     vals = np.empty(trials)
     share = {w: 0.0 for w, _, _ in layer_data}
     for trial in range(trials):
         sigma = rng.integers(0, 2, size=m) * 2.0 - 1.0
         total = 0.0
-        for w, idx, (ip, table) in layer_data:
-            q = max(float(_vertex_quads(ip, table, sigma[idx]).max()), 0.0)
+        for w, idx, (where, ip, table) in layer_data:
+            q = max(float(_vertex_quads(ip, table, sigma[idx], where).max()), 0.0)
             share[w] += q / trials
             total += q
         vals[trial] = (B / m) * math.sqrt(total)

@@ -66,6 +66,7 @@ __all__ = [
     "eigen_profile",
     "is_admissible",
     "vertex_betas",
+    "vertex_tables",
     "p_from_d",
     "d_from_p",
     "enumerate_layer",
@@ -281,6 +282,22 @@ def is_admissible(beta: BetaCoeffs, tol: float = DEFAULT_PSD_TOL) -> Admissibili
 
 
 @functools.cache
+def _vertex_rows(layer: LayerParams) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """``(den, rows)``: entry k of row i is ``den * P_{p-k}(i) / v_{p-k}`` (see :func:`vertex_betas`)."""
+    n, p = layer.n, layer.p
+    valency = [math.comb(p, j) * math.comb(n - p, j) for j in range(p + 1)]
+    den = math.lcm(*valency)
+    rows = []
+    for i in range(p + 1):
+        # P_j(i) is a convolution over h of these two integer rows
+        signed = [(-1) ** h * math.comb(i, h) for h in range(i + 1)]
+        pairs = [math.comb(p - i, t) * math.comb(n - p - i, t) for t in range(p + 1)]
+        eberlein = [sum(map(operator.mul, signed, pairs[j::-1])) for j in range(p + 1)]
+        rows.append(tuple(eberlein[p - k] * (den // valency[p - k]) for k in range(p + 1)))
+    return den, tuple(rows)
+
+
+@functools.cache
 def vertex_betas(layer: LayerParams) -> np.ndarray:
     """The p+1 extreme points of the admissible-kernel polytope, one per row.
 
@@ -295,18 +312,16 @@ def vertex_betas(layer: LayerParams) -> np.ndarray:
     result is cached per layer and read-only.
     """
     _require_canonical(layer, "vertex_betas")
-    n, p = layer.n, layer.p
-    valency = [math.comb(p, j) * math.comb(n - p, j) for j in range(p + 1)]
-    den = math.lcm(*valency)
-    rows = []
-    for i in range(p + 1):
-        # P_j(i) is a convolution over h of these two integer rows
-        signed = [(-1) ** h * math.comb(i, h) for h in range(i + 1)]
-        pairs = [math.comb(p - i, t) * math.comb(n - p - i, t) for t in range(p + 1)]
-        eberlein = [sum(map(operator.mul, signed, pairs[j::-1])) for j in range(p + 1)]
-        table = [eberlein[p - k] * (den // valency[p - k]) for k in range(p + 1)]
-        rows.append(_rounded(_differences(table), den))
-    return _frozen(rows)
+    den, rows = _vertex_rows(layer)
+    return _frozen([_rounded(_differences(list(row)), den) for row in rows])
+
+
+@functools.cache
+def vertex_tables(layer: LayerParams) -> np.ndarray:
+    """Row i is vertex i's value table ``P_{p-k}(i) / v_{p-k}`` (:func:`vertex_betas`), rounded once."""
+    _require_canonical(layer, "vertex_tables")
+    den, rows = _vertex_rows(layer)
+    return _frozen([_rounded(row, den) for row in rows])
 
 
 def d_from_p(p_coeffs) -> np.ndarray:

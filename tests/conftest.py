@@ -32,12 +32,23 @@ def explicit_basis_matrices(n, p):
     return d_mats, b_mats
 
 
+def per_point(problem):
+    """The layer problem with one class-form row per point: its distinct form
+    ``(where, ip, table)`` expanded to ``(arange(m), ip[where][:, where], table)``.
+    The MKL oracles below take this form, so they do not rely on the merge."""
+    where, ip = problem.where, problem.ip
+    grams = (np.arange(problem.m), ip[np.ix_(where, where)], problem.table)
+    return learners.MklLayerProblem(grams, problem.labels, problem.lam, problem.loss)
+
+
 def layer_dual_objective(problem, beta) -> float:
     """The outer objective G(beta) = sup_alpha G(alpha, beta) at a fixed beta,
-    by the inner ascent from zero to tolerance 1e-10 in at most 200,000 steps."""
-    kb = problem.combine(beta)
-    alpha, _, _ = learners._inner_max(problem, kb, np.zeros(problem.m), 1e-10, 200_000)
-    return learners._dual_value(*problem.terms, kb, alpha)
+    by the inner ascent from zero to tolerance 1e-10 in at most 200,000 steps,
+    on the per-point form."""
+    dense = per_point(problem)
+    kb = dense.combine(beta)
+    alpha, _, _ = learners._inner_max(dense, kb, np.zeros(dense.m), 1e-10, 200_000)
+    return learners._dual_value(*dense.terms, kb, alpha, dense.where)
 
 
 def duality_gap(problem, beta, alphas) -> float:
@@ -45,14 +56,16 @@ def duality_gap(problem, beta, alphas) -> float:
 
     The primal is evaluated at ``w = sum_i alpha_i phi(x_i)``; the dual uses
     the conjugate at ``-lam m alpha`` (see the learners module docstring).
+    Both are taken on the per-point form.
     """
     alpha = np.asarray(alphas, dtype=float)
     lo, hi = learners._alpha_box(*problem.terms)
     slack = 1e-9 * (1.0 + float(np.abs(hi - lo).max()))
     if np.any(alpha < lo - slack) or np.any(alpha > hi + slack):
         return math.inf
-    kb, terms = problem.combine(beta), problem.terms
-    return abs(learners._primal_value(*terms, kb, alpha) - learners._dual_value(*terms, kb, alpha))
+    dense = per_point(problem)
+    kb, terms, rows = dense.combine(beta), dense.terms, dense.where
+    return abs(learners._primal_value(*terms, kb, alpha, rows) - learners._dual_value(*terms, kb, alpha, rows))
 
 
 def dense_subgradient(loss, z, y):
@@ -77,9 +90,9 @@ def pegasos_oracle(spec, points, labels, lam, epochs, seed, loss):
         if g:
             z -= g * k[i]
             a_bar[i] -= g * weight[t - 1]
-    objective = learners._primal_value(loss, y, lam, k, a_bar)
+    objective = learners._primal_value(loss, y, lam, k, a_bar, np.arange(m))
     alpha = np.clip(a_bar, *learners._alpha_box(loss, y, lam))
-    return a_bar, objective, objective - learners._dual_value(loss, y, lam, k, alpha)
+    return a_bar, objective, objective - learners._dual_value(loss, y, lam, k, alpha, np.arange(m))
 
 
 @pytest.fixture

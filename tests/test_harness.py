@@ -4,8 +4,8 @@ Core claims:
     - conjunction datasets have exact labels, honest noise, warn on
       layers the conjunction can never fire on, and refuse m below 1; at
       n = 64 every draw succeeds, with int bit masks, also through bench
-    - save -> load is bit-exact for both point flavors; reports regenerate
-      their datasets exactly
+    - save -> load is bit-exact for both point flavors and for analytic
+      conjunction models; reports regenerate their datasets exactly
     - verify_suite passes clean and names (module, check, params) under each
       documented fault injection, and refuses a max_n or trial count that
       is not an integer
@@ -143,6 +143,17 @@ class TestRoundTrips:
         harness.save_model(model, path)
         back = harness.load_model(path)
         assert np.array_equal(back.alphas, model.alphas)
+        assert np.array_equal(back.predict_many(data.points), model.predict_many(data.points))
+
+    @pytest.mark.parametrize("n, s, literals", [(6, 2, [0]), (12, 4, [1, 5]), (8, 6, [0, 2, 7]), (64, 40, [63])])
+    def test_analytic_model_round_trip(self, tmp_path, n, s, literals):
+        # sparse-conjunction layers are certified on load when 2s <= n
+        model = kernels.analytic_weights(n, s, literals)
+        path = str(tmp_path / "m.json")
+        harness.save_model(model, path)
+        back = harness.load_model(path)
+        data = gen_conjunction_dataset(n, literals, "sparse", s, 20, 0.0, seed=3)
+        assert np.array_equal(back.spec.per_layer[s].g_table, model.spec.per_layer[s].g_table)
         assert np.array_equal(back.predict_many(data.points), model.predict_many(data.points))
 
     def test_model_file_refuses_non_finite_numbers(self, tmp_path):

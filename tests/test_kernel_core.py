@@ -46,7 +46,7 @@ from hypothesis import strategies as st
 
 from cubekern import embedding, harness, kernels
 from cubekern.kernels import HypercubePoint, KernelSpec, TrainedModel
-from cubekern.scheme import LayerParams
+from cubekern.scheme import LayerParams, p_from_d
 
 DIMS = st.sampled_from([1, 2, 5, 16, 63, 64])
 PROPERTY = settings(max_examples=100, deadline=None)
@@ -69,7 +69,9 @@ def specs_and_points(draw, dims=DIMS, admissible=False):
 
     A universal spec is always ``universal_kernel(n)``.  Otherwise the value
     tables are arbitrary by default: packing, inner products, weight gating
-    and the complement do not depend on table values.  With ``admissible``
+    and the complement do not depend on table values.  A direct-sum layer
+    carries its table's coefficients as ``beta``, as the subset path reads
+    those.  With ``admissible``
     the spec comes from the library's constructors (needed where a model
     file rebuilds its layers through the admissibility check).
     """
@@ -96,9 +98,8 @@ def specs_and_points(draw, dims=DIMS, admissible=False):
                 lam = rng.random(layer.p + 1)
                 per_layer[w] = kernels.mix_vertices(layer, lam / lam.sum())
             else:
-                per_layer[w] = kernels.LayerKernel(
-                    layer, np.zeros(layer.p + 1), rng.normal(size=layer.p + 1)
-                )
+                table = rng.normal(size=layer.p + 1)
+                per_layer[w] = kernels.LayerKernel(layer, p_from_d(table), table)
         spec = KernelSpec(n, "direct_sum", per_layer)
         # one weight no layer covers, so absent layers are exercised too
         weights = layer_weights + [draw(st.integers(0, n))]
@@ -188,9 +189,9 @@ def test_small_blocks_split_rows_and_columns(monkeypatch):
 def subset_tolerance(spec, alphas):
     """Bound on |subset-path score - alphas @ cross_gram|, fixed before running.
 
-    A layer's subset weights carry c = p_from_d(g), and a score sums
-    c_l C(k, l) over submasks, so the rounding scales with
-    sum_l |c_l| C(p, l).  |c_l| is taken as the sum of its terms'
+    A layer's subset weights carry its beta c, the Newton differences of g
+    up to rounding, and a score sums c_l C(k, l) over submasks, so the
+    rounding scales with sum_l |c_l| C(p, l).  |c_l| is taken as the sum of its terms'
     magnitudes, sum_j C(l, j) |g_j|: the terms cancel where a table is
     smooth (mix_vertices tables at p >= 8), and that cancellation, not |c_l|,
     sets the rounding.  32 eps times that, times sum |alpha|, over the worst layer.

@@ -20,8 +20,9 @@ Core claims:
       the sparse kernel reproduces conjunctions exactly with squared norm
       C(s, l), and its zero-padded table is the binomial sum up to k = n
       on n <= 64
-    - specs round-trip through JSON; a missing key, an unknown kind and a
-      sparse-conjunction beta of the wrong length are rejected by name
+    - specs round-trip through JSON; a missing key, an unknown kind, a
+      sparse-conjunction beta of the wrong length and one inadmissible on
+      its home layer (2s <= n) are rejected by name
 """
 
 import math
@@ -420,6 +421,10 @@ class TestSerialization:
             ({"n": 4, "kind": "universal"}, "missing key 'layers'"),
             ({"n": 4, "kind": "universal", "layers": [{"beta": [1.0]}]}, "missing key 'p'"),
             ({"n": 4, "kind": "universal", "layers": [{"p": 0}]}, "missing key 'beta'"),
+            (
+                {"n": 8, "kind": "sparse_conjunction", "layers": [{"p": 3, "beta": [5, -7, 0, 2]}]},
+                "kernel spec layers\\[0\\]: inadmissible kernel on \\(n=8, p=3\\)",
+            ),
         ],
     )
     def test_bad_json_rejected_by_name(self, obj, match):

@@ -18,10 +18,17 @@ Core claims:
       labels and weights above n/2; a plain gram object gets one row per
       point; 3,000 weight-4 points of n = 16 train under 25 MiB of traced
       allocation, and 25,000 (above the Gram cap) train at all
-    - the class form of the vertex Grams: ip is the popcount of the mirrored
-      masks, combine and every alpha' K_t alpha equal their dense forms, and
-      a non-square or non-symmetric ip, a class outside the table and a
-      vertex diagonal above 1 are rejected by name
+    - the class form (where, ip, table) of the vertex Grams: ip is the
+      popcount of the distinct mirrored masks, ip[where][:, where] that of
+      every pair of points, table the exact vertex tables; combine and every
+      alpha' K_t alpha equal their dense forms, and a non-square or
+      non-symmetric ip, a class outside the table, a vertex diagonal above
+      1, and a where of the wrong length, type or range are rejected by name
+    - the layer solver on the distinct form matches the per-point form
+      (tests/conftest.py) on repeated points with conflicting labels, both
+      losses, to 1e-7 (1 + |objective|) in objective and trace and 1e-6 in
+      beta; 10,000 weight-4 points of n = 16 train through mkl_train under
+      160 MiB of traced allocation
     - the layer MKL solver certifies saddles (tiny gaps), keeps a monotone
       best-so-far trace, reduces to a fixed-kernel SVM on one vertex, and
       its outer objective is convex along simplex segments; its convergence
@@ -33,7 +40,9 @@ Core claims:
       to 1e-9 relative, and a kernel that is zero to working precision gives
       the box corner
     - mkl_train decomposes across layers and uses lambda = eps/(n B^2),
-      and rejects label-length mismatches and hinge labels other than -1/+1
+      and rejects label-length mismatches and hinge labels other than -1/+1;
+      it and rademacher_estimate name a point of another dimension or one
+      that is not a HypercubePoint by its index
     - regularization_weight is the one home of lambda = eps/(n B^2): it
       rejects a B that is not finite and positive and an eps outside (0, 1),
       with or without an explicit lam, which must itself be finite and
@@ -58,9 +67,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_subgradient, duality_gap, layer_dual_objective, layer_points, pegasos_oracle
+from conftest import dense_subgradient, duality_gap, layer_dual_objective, layer_points, pegasos_oracle, per_point
 
-from cubekern import kernels, learners
+from cubekern import kernels, learners, scheme
 from cubekern.kernels import HypercubePoint
 from cubekern.scheme import LayerParams
 from cubekern.learners import ABSOLUTE, HINGE, MklLayerProblem
@@ -141,9 +150,9 @@ class TestDualityGap:
 
     def test_zero_kernel_loss_only(self):
         pts = [HypercubePoint.from_string("1100"), HypercubePoint.from_string("0011")]
-        ip, table = learners.layer_vertex_grams(pts, 2)
+        where, ip, table = learners.layer_vertex_grams(pts, 2)
         y = np.array([1.0, -1.0])
-        problem = MklLayerProblem((ip, 0.0 * table), y, lam=0.1, loss=HINGE)
+        problem = MklLayerProblem((where, ip, 0.0 * table), y, lam=0.1, loss=HINGE)
         alpha = np.array([2.0, -2.0])  # feasible: alpha_i y_i in [0, 1/(lam m)] = [0, 5]
         gap = duality_gap(problem, np.full(3, 1 / 3), alpha)
         assert gap == pytest.approx(abs(1.0 - 0.1 * float(y @ alpha)))
@@ -400,32 +409,33 @@ class TestClassForm:
     @given(layer_samples())
     def test_ip_is_popcount_of_mirrored_masks(self, case):
         n, w, pts = case
-        ip, table = learners.layer_vertex_grams(pts, w)
+        where, ip, table = learners.layer_vertex_grams(pts, w)
         mirror = [x.complement() if 2 * w > n else x for x in pts]
         assert ip.dtype == np.uint8
-        assert np.array_equal(ip, [[x.inner(y) for y in mirror] for x in mirror])
+        assert ip.shape == (len(set(mirror)),) * 2 and where.shape == (len(pts),)
+        assert np.array_equal(ip[np.ix_(where, where)], [[x.inner(y) for y in mirror] for x in mirror])
         assert table.shape == (min(w, n - w) + 1,) * 2
-        core_ip, layer = kernels.layer_classes(pts, w)
-        assert np.array_equal(core_ip, ip) and layer == LayerParams(n, min(w, n - w))
+        assert np.array_equal(table, scheme.vertex_tables(LayerParams(n, min(w, n - w))))
 
     @settings(max_examples=100, deadline=None)
     @given(layer_samples(), st.integers(0, 2**32 - 1))
     def test_combine_and_quads_match_dense(self, case, seed):
         n, w, pts = case
         rng = np.random.default_rng(seed)
-        ip, table = learners.layer_vertex_grams(pts, w)
-        problem = MklLayerProblem((ip, table), rng.choice([-1.0, 1.0], size=len(pts)), lam=0.1)
+        where, ip, table = learners.layer_vertex_grams(pts, w)
+        problem = MklLayerProblem((where, ip, table), rng.choice([-1.0, 1.0], size=len(pts)), lam=0.1)
         beta = learners.project_capped_simplex(rng.random(table.shape[0]))
         alpha = rng.normal(size=len(pts))
-        dense = [t[ip] for t in table]
+        dense = [t[ip][np.ix_(where, where)] for t in table]
         want = sum(b * g for b, g in zip(beta, dense))
-        assert np.allclose(problem.combine(beta), want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
-        quads = learners._vertex_quads(ip, table, alpha)
+        got = problem.combine(beta)[np.ix_(where, where)]
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+        quads = learners._vertex_quads(ip, table, alpha, where)
         want = np.array([alpha @ g @ alpha for g in dense])
         assert np.allclose(quads, want, rtol=1e-12, atol=1e-12 * max(1.0, np.abs(want).max()))
 
     def test_bad_class_form_rejected(self):
-        ip, table = learners.layer_vertex_grams(pts_from_tuples(layer_points(5, 2))[:4], 2)
+        where, ip, table = learners.layer_vertex_grams(pts_from_tuples(layer_points(5, 2))[:4], 2)
         y = np.array([1.0, -1.0, 1.0, -1.0])
         skew = ip.copy()
         skew[0, 1] += 1
@@ -434,12 +444,17 @@ class TestClassForm:
         big = table.copy()
         big[1, 2] = 1.5
         cases = [
-            ((ip[:, :3], table), "symmetric of shape"),
-            ((skew, table), "symmetric of shape"),
-            ((high, table), "classes"),
-            ((ip.astype(float), table), "classes"),
-            ((ip, table[:, :2]), "classes"),
-            ((ip, big), "vertex Gram 1 has diagonal above 1"),
+            ((where, ip[:, :3], table), "symmetric of shape"),
+            ((where, skew, table), "symmetric of shape"),
+            ((where, high, table), "classes"),
+            ((where, ip.astype(float), table), "classes"),
+            ((where, ip, table[:, :2]), "classes"),
+            ((where, ip, big), "vertex Gram 1 has diagonal above 1"),
+            ((where[:3], ip, table), "point rows `where` must be 4 integers"),
+            ((where + 1, ip, table), "point rows `where` must be 4 integers"),
+            ((where - 1, ip, table), "point rows `where` must be 4 integers"),
+            ((where.astype(float), ip, table), "point rows `where` must be 4 integers"),
+            ((ip, table), "not enough values to unpack"),
         ]
         for grams, match in cases:
             with pytest.raises(ValueError, match=match):
@@ -507,7 +522,7 @@ class TestMklLayerSolve:
         problem = MklLayerProblem(learners.layer_vertex_grams(pts, 2), y, lam=lam)
         sol = learners.mkl_layer_solve(problem, outer_iters=150)
         k_beta = problem.combine(sol.beta)
-        oracle = feature_space_primal(k_beta, y, lam, HINGE)
+        oracle = feature_space_primal(k_beta[np.ix_(problem.where, problem.where)], y, lam, HINGE)
         assert sol.objective == pytest.approx(oracle, rel=0.01)
 
     def test_inner_nonconvergence_flagged(self, monkeypatch):
@@ -560,6 +575,36 @@ class TestMklLayerSolve:
 
 
 @st.composite
+def repeated_point_problems(draw):
+    """A layer problem on n <= 8 under either loss whose points repeat, some
+    copies with the opposite label."""
+    _, w, pts = draw(layer_samples(max_n=8))
+    y = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=len(pts), max_size=len(pts)))
+    for i, flip in draw(st.lists(st.tuples(st.integers(0, len(pts) - 1), st.booleans()), min_size=1, max_size=8)):
+        pts.append(pts[i])
+        y.append(-y[i] if flip else y[i])
+    loss = draw(st.sampled_from([HINGE, ABSOLUTE]))
+    lam = draw(st.floats(1e-2, 1.0))
+    return MklLayerProblem(learners.layer_vertex_grams(pts, w), np.array(y), lam=lam, loss=loss)
+
+
+class TestDistinctForm:
+    # Stated before running: both forms take the same steps up to rounding
+    # order, so the objective and every trace entry agree to 1e-7 (1 + |value|)
+    # and beta to 1e-6 in every coordinate.
+    @settings(max_examples=40, deadline=None)
+    @given(repeated_point_problems())
+    def test_layer_solve_matches_the_per_point_form(self, problem):
+        dense = per_point(problem)
+        assert dense.ip.shape == (problem.m, problem.m) and problem.ip.shape[0] < problem.m
+        got = learners.mkl_layer_solve(problem, outer_iters=20)
+        want = learners.mkl_layer_solve(dense, outer_iters=20)
+        assert abs(got.objective - want.objective) <= 1e-7 * (1.0 + abs(want.objective))
+        assert np.all(np.abs(got.trace - want.trace) <= 1e-7 * (1.0 + np.abs(want.trace)))
+        assert np.abs(got.beta - want.beta).max() <= 1e-6
+
+
+@st.composite
 def layer_problems(draw):
     """A layer problem on n <= 8 under either loss, and a beta on the capped simplex."""
     _, w, pts = draw(layer_samples(max_n=8))
@@ -567,7 +612,7 @@ def layer_problems(draw):
     y = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=len(pts), max_size=len(pts))))
     loss = draw(st.sampled_from([HINGE, ABSOLUTE]))
     problem = MklLayerProblem(grams, y, lam=draw(st.floats(1e-3, 1.0)), loss=loss)
-    raw = draw(st.lists(st.floats(0.0, 1.0), min_size=len(grams[1]), max_size=len(grams[1])))
+    raw = draw(st.lists(st.floats(0.0, 1.0), min_size=len(grams[2]), max_size=len(grams[2])))
     return problem, learners.project_capped_simplex(np.array(raw))
 
 
@@ -592,15 +637,17 @@ class TestInnerAscent:
     def test_step_bound_covers_top_eigenvalue(self, case):
         problem, beta = case
         kb = problem.combine(beta)
-        top = float(np.linalg.eigvalsh(kb).max())
+        dense = kb[np.ix_(problem.where, problem.where)]
+        top = float(np.linalg.eigvalsh(dense).max())
         assume(top > 1e-6)
         # from alpha = 0 under the absolute loss, with a box too wide to clip,
         # one step moves every alpha_i by y_i / L, which gives the bound L away
-        wide = MklLayerProblem((problem.ip, problem.table), problem.labels, lam=1e-12, loss=ABSOLUTE)
+        grams = (problem.where, problem.ip, problem.table)
+        wide = MklLayerProblem(grams, problem.labels, lam=1e-12, loss=ABSOLUTE)
         alpha, _, iters = learners._inner_max(wide, kb, np.zeros(problem.m), 0.0, 1)
         assert iters == 1
         bound = 1.0 / np.abs(alpha)
-        assert bound == pytest.approx(np.full(problem.m, np.abs(kb).sum(axis=1).max()), rel=1e-12)
+        assert bound == pytest.approx(np.full(problem.m, np.abs(dense).sum(axis=1).max()), rel=1e-12)
         assert bound.min() >= top * (1.0 - 1e-12)
 
     @settings(max_examples=100, deadline=None)
@@ -610,10 +657,10 @@ class TestInnerAscent:
         kb = problem.combine(beta)
         lo, hi = learners._alpha_box(*problem.terms)
         alpha = np.random.default_rng(seed).uniform(lo, hi)
-        val = learners._dual_value(*problem.terms, kb, alpha)
+        val = learners._dual_value(*problem.terms, kb, alpha, problem.where)
         for _ in range(20):
             alpha, _, _ = learners._inner_max(problem, kb, alpha, 0.0, 1)
-            nxt = learners._dual_value(*problem.terms, kb, alpha)
+            nxt = learners._dual_value(*problem.terms, kb, alpha, problem.where)
             assert nxt >= val - 1e-12 * (1.0 + abs(val))
             val = nxt
 
@@ -628,8 +675,8 @@ class TestInnerAscent:
         start = np.random.default_rng(seed).uniform(lo - (hi - lo), hi + (hi - lo))
         alpha, _, iters = learners._inner_max(problem, kb, start, 0.0, steps)
         assert iters <= steps
-        before = learners._dual_value(*problem.terms, kb, np.clip(start, lo, hi))
-        after = learners._dual_value(*problem.terms, kb, alpha)
+        before = learners._dual_value(*problem.terms, kb, np.clip(start, lo, hi), problem.where)
+        after = learners._dual_value(*problem.terms, kb, alpha, problem.where)
         assert after >= before - 1e-12 * (1.0 + abs(before))
 
     @settings(max_examples=40, deadline=None)
@@ -642,10 +689,10 @@ class TestInnerAscent:
         assert converged
         # plain projected gradient needs O(cond(K_beta)) steps: a draw like beta = (0.9, 1e-9)
         # leaves it far from 1e-10 after millions, so such draws have no oracle here
-        oracle, reached = projected_gradient_oracle(problem, kb, 1e-10, 20_000)
+        oracle, reached = projected_gradient_oracle(problem, kb[np.ix_(problem.where, problem.where)], 1e-10, 20_000)
         assume(reached)
-        dual = learners._dual_value(*problem.terms, kb, alpha)
-        assert dual == pytest.approx(learners._dual_value(*problem.terms, kb, oracle), rel=1e-9)
+        dual = learners._dual_value(*problem.terms, kb, alpha, problem.where)
+        assert dual == pytest.approx(learners._dual_value(*problem.terms, kb, oracle, problem.where), rel=1e-9)
 
     def test_kernel_zero_to_working_precision_takes_the_box_corner(self):
         # a subnormal K_beta would overflow the step 1/(lam L); its dual is linear
@@ -762,6 +809,23 @@ class TestMklTrain:
         for w in r1.per_layer:
             assert np.array_equal(r1.per_layer[w].beta, r2.per_layer[w].beta)
 
+    def test_ten_thousand_points_train_without_a_point_gram(self):
+        # one weight-4 layer of n = 16 drawn 10,000 times has about 1,800 distinct
+        # points; a per-point float Gram alone would be 763 MiB
+        rng = np.random.default_rng(0)
+        pts = [HypercubePoint.from_indices(16, rng.choice(16, 4, replace=False)) for _ in range(10_000)]
+        y = np.array([1.0 if x.bits & 3 == 3 else -1.0 for x in pts])
+        y[rng.random(y.size) < 0.1] *= -1.0
+        tracemalloc.start()
+        try:
+            result = learners.mkl_train(pts, y, B=4.0, epsilon=0.05, outer_iters=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 160 * 2**20
+        sol = result.per_layer[4]
+        assert list(result.per_layer) == [4] and result.model.alphas.shape == (10_000,)
+        assert np.isfinite(sol.objective) and sol.gap <= 1e-4 * (1.0 + abs(sol.objective))
 
     def test_label_length_mismatch(self):
         pts = pts_from_tuples(layer_points(4, 2))
@@ -777,6 +841,29 @@ class TestMklTrain:
         with pytest.raises(ValueError, match="hinge-loss labels"):
             learners.mkl_train(pts, y, B=1.0, epsilon=0.1, outer_iters=5)
         learners.mkl_train(pts, y, B=1.0, epsilon=0.1, loss=ABSOLUTE, outer_iters=5)
+
+
+def bad_point_lists():
+    """Point lists each trainer must refuse, naming the entry at fault by its index."""
+    a, b, c = (HypercubePoint.from_string(s) for s in ("1100", "11100", "0110"))
+    return [
+        ([a, b], ValueError, r"points\[1\] has n=5"),
+        ([a, b, c], ValueError, r"points\[1\] has n=5"),
+        ([a, "0110"], TypeError, r"points\[1\] is not a HypercubePoint \(got str\)"),
+        (["1100", c], TypeError, r"points\[0\] is not a HypercubePoint \(got str\)"),
+    ]
+
+
+@pytest.mark.parametrize("points, error, match", bad_point_lists())
+def test_mkl_train_names_a_bad_point(points, error, match):
+    with pytest.raises(error, match=match):
+        learners.mkl_train(points, np.ones(len(points)), B=1.0, epsilon=0.1, outer_iters=5)
+
+
+@pytest.mark.parametrize("points, error, match", bad_point_lists())
+def test_rademacher_estimate_names_a_bad_point(points, error, match):
+    with pytest.raises(error, match=match):
+        learners.rademacher_estimate(points, B=1.0, trials=5)
 
 
 class TestRademacher:

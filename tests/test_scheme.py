@@ -6,8 +6,9 @@ Core claims:
     - delta_matrix is upper triangular with positive diagonal, and its
       columns are exactly the spectra of the explicit basis matrices
     - eta gives the kernel diagonal
-    - vertex kernels are the correctly rounded closed form of the Johnson
-      scheme (checked in rationals, n = 64 included) and have one-hot spectra
+    - vertex kernels, as coefficients and as value tables, are the correctly
+      rounded closed form of the Johnson scheme (checked in rationals, n = 64
+      included) and have one-hot spectra
     - basis change between binomial and indicator coefficients is an exact
       involution on integers, correctly rounded on any floats (an infinity
       past the float range), and matches explicitly built matrices
@@ -208,6 +209,15 @@ class TestVertices:
                     for r in range(p + 1)
                 ]
                 assert verts[i].tolist() == want, (layer, i)
+
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    def test_vertex_tables_are_the_correctly_rounded_closed_form(self, n):
+        for p in range(n // 2 + 1):
+            layer = LayerParams(n, p)
+            tables = scheme.vertex_tables(layer)
+            assert not tables.flags.writeable and tables.shape == (p + 1, p + 1)
+            for i in range(p + 1):
+                assert tables[i].tolist() == [float(g) for g in exact_vertex_table(layer, i)], (layer, i)
 
     def test_validity_sweep(self):
         for layer in canonical_layers(8):
