@@ -40,7 +40,7 @@ spec = kernels.conjunction_kernel(n, s, eps)
 depth = int(np.count_nonzero(spec.per_layer[s].beta))
 print(f"\ntruncated kernel: depth T = {depth - 1} "
       f"(ceil(sqrt({n}) ln(1/{eps})) clamped to s={s}), unit diagonal "
-      f"{spec.per_layer[s].g_table[-1]:.6f}")
+      f"{spec.tables[s][-1]:.6f}")
 labels = 2.0 * noisy.labels - 1.0
 fit = learners.pegasos_train(
     spec, list(noisy.points), labels, lam=5e-4, epochs=500, seed=0

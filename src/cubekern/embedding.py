@@ -105,7 +105,7 @@ class IntervalEmbedderPair:
     cells: tuple[np.ndarray, np.ndarray]  # per role: (t,) uint16, searchsorted(grid, U)
     seed: int
     attempt: int
-    pair_inner: np.ndarray = field(default=None, repr=False)  # (K, K) int64, role1 x role2
+    pair_inner: np.ndarray = field(default=None, init=False, repr=False)  # derived (K, K) int64, role1 x role2
 
     def ensure_pair_inner(self) -> np.ndarray:
         """#{bits b : c1_b <= i, c2_b <= j}, a 2-D cumulative histogram of the cells."""

@@ -4,7 +4,10 @@ A :class:`KernelSpec` stores one layer kernel per occupied Hamming weight
 and evaluates as a direct sum: points of different weight have kernel value
 0, and layers with weight above ``n/2`` are handled by complementing both
 inputs (which maps the layer onto its mirror below ``n/2``, where the
-spectral machinery of :mod:`cubekern.scheme` applies).
+spectral machinery of :mod:`cubekern.scheme` applies).  A layer kernel is
+stored only as its certified binomial-basis coefficients
+(:class:`~cubekern.scheme.BetaCoeffs`); the spec derives each layer's value
+table from them once, so every scorer reads the same numbers.
 
 Included constructions:
 
@@ -28,7 +31,7 @@ Every Gram and every prediction is computed by one core.  Points are packed
 once into an (m,) uint64 array of bit masks (:func:`points_to_bits`;
 n <= 64) and grouped by the layer that scores them, with groups above n/2
 complemented by XOR with the all-ones mask.  Inner products are popcounts
-of ANDed masks, taken in row blocks as uint8 (:func:`inner_product_blocks`).
+of ANDed masks, taken in bounded blocks as uint8 (:func:`inner_product_blocks`).
 Each block indexes the layer's (p+1)-entry value table: :func:`cross_gram`
 writes the values into its output, so the float Gram is the only m x m
 array it builds.  A :class:`TrainedModel` groups its support once, at
@@ -51,11 +54,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .scheme import BetaCoeffs, LayerParams, _rounded, _scaled, d_from_p, is_admissible, vertex_betas
+from .scheme import BetaCoeffs, LayerParams, _frozen, _rounded, _scaled, d_from_p, is_admissible, vertex_betas
 
 __all__ = [
     "HypercubePoint",
-    "LayerKernel",
     "KernelSpec",
     "TrainedModel",
     "make_layer_kernel",
@@ -125,40 +127,18 @@ class HypercubePoint:
         return HypercubePoint(self.n, ~self.bits & ((1 << self.n) - 1))
 
 
-@dataclass(frozen=True)
-class LayerKernel:
-    """An admissible kernel on one layer with its value table.
-
-    ``g_table[k]`` is the kernel value at inner product ``k``, ``d_from_p``
-    of ``beta``; it covers ``k = 0..p`` (and ``k = 0..n``, from ``beta``
-    zero-padded, for the weight-free sparse-conjunction kind).
-    """
-
-    layer: LayerParams
-    beta: np.ndarray
-    g_table: np.ndarray
-
-    def __post_init__(self):
-        b = np.array(self.beta, dtype=float)
-        g = np.array(self.g_table, dtype=float)
-        b.flags.writeable = False
-        g.flags.writeable = False
-        object.__setattr__(self, "beta", b)
-        object.__setattr__(self, "g_table", g)
-
-
-def make_layer_kernel(layer: LayerParams, beta) -> LayerKernel:
-    """Validated layer kernel; rejects inadmissible coefficients by name."""
+def make_layer_kernel(layer: LayerParams, beta) -> BetaCoeffs:
+    """Certified layer kernel; rejects inadmissible coefficients by name."""
     coeffs = BetaCoeffs(layer, np.asarray(beta, dtype=float))
     report = is_admissible(coeffs)
     if not report:
         raise ValueError(
             f"inadmissible kernel on (n={layer.n}, p={layer.p}): {report.violation}"
         )
-    return LayerKernel(layer, coeffs.beta, d_from_p(coeffs.beta))
+    return coeffs
 
 
-def complement_layer_kernel(kernel: LayerKernel) -> LayerKernel:
+def complement_layer_kernel(kernel: BetaCoeffs) -> BetaCoeffs:
     """The same kernel function expressed on the complementary layer.
 
     Complementing both arguments maps inner products by ``k -> k + s``,
@@ -178,7 +158,7 @@ def complement_layer_kernel(kernel: LayerKernel) -> LayerKernel:
     return make_layer_kernel(comp, _rounded(beta, den))
 
 
-def mix_vertices(layer: LayerParams, lambdas) -> LayerKernel:
+def mix_vertices(layer: LayerParams, lambdas) -> BetaCoeffs:
     """Sub-convex combination of the vertex kernels: beta = sum_i lambda_i beta^(i),
     exact over the floats of the weights and of the vertices, rounded once."""
     lam = np.asarray(lambdas, dtype=float)
@@ -204,31 +184,42 @@ _KINDS = ("direct_sum", "universal", "conjunction", "sparse_conjunction")
 class KernelSpec:
     """A full hypercube kernel: one layer kernel per occupied weight.
 
-    Layers stored under a weight above ``n/2`` hold the kernel of the
-    mirrored layer and are evaluated on complemented inputs.  Absent layers
-    evaluate to 0.  ``kind`` is one of ``direct_sum``, ``universal``,
+    ``per_layer`` holds each layer's certified :class:`BetaCoeffs`, its only
+    stored form.  Layers stored under a weight above ``n/2`` hold the kernel
+    of the mirrored layer and are evaluated on complemented inputs.  Absent
+    layers evaluate to 0.  ``kind`` is one of ``direct_sum``, ``universal``,
     ``conjunction`` or ``sparse_conjunction`` (which has exactly one layer);
-    any other raises a ``ValueError``.
+    any other raises a ``ValueError``.  ``tables[w]``, derived here once, is
+    the read-only value table ``d_from_p(beta)`` over inner products
+    ``k = 0..p``; the weight-free ``sparse_conjunction`` layer's beta is
+    zero-padded first, so its table covers ``k = 0..n``.
     """
 
     n: int
     kind: str
-    per_layer: dict[int, LayerKernel]
+    per_layer: dict[int, BetaCoeffs]
+    tables: dict[int, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown kernel kind {self.kind!r}; choose from {', '.join(_KINDS)}")
-        if self.kind == "sparse_conjunction" and len(self.per_layer) != 1:
+        sparse = self.kind == "sparse_conjunction"
+        if sparse and len(self.per_layer) != 1:
             raise ValueError(f"a sparse_conjunction spec has one layer, got {len(self.per_layer)}")
         for w, lk in self.per_layer.items():
             if not 0 <= w <= self.n:
                 raise ValueError(f"layer weight {w} outside [0, {self.n}]")
-            expected = w if self.kind == "sparse_conjunction" else LayerParams(self.n, w).canonical().p
+            expected = w if sparse else LayerParams(self.n, w).canonical().p
             if lk.layer.n != self.n or lk.layer.p != expected:
                 raise ValueError(
                     f"layer {w}: stored kernel is for (n={lk.layer.n}, p={lk.layer.p}), "
                     f"expected (n={self.n}, p={expected})"
                 )
+        tables = {  # the weight-free sparse layer is read at every inner product k = 0..n
+            w: _frozen(d_from_p(np.pad(lk.beta, (0, self.n - w if sparse else 0))))
+            for w, lk in self.per_layer.items()
+        }
+        object.__setattr__(self, "tables", tables)
 
     # -- evaluation ----------------------------------------------------------
 
@@ -236,18 +227,15 @@ class KernelSpec:
         if x.n != self.n or y.n != self.n:
             raise ValueError(f"point dimension mismatch with kernel (n={self.n})")
         if self.kind == "sparse_conjunction":
-            (lk,) = self.per_layer.values()
-            return float(lk.g_table[x.inner(y)])
-        if x.weight != y.weight:
-            return 0.0
-        lk = self.per_layer.get(x.weight)
-        if lk is None:
+            (g,) = self.tables.values()
+            return float(g[x.inner(y)])
+        if x.weight != y.weight or x.weight not in self.tables:
             return 0.0
         if 2 * x.weight > self.n:
             k = x.complement().inner(y.complement())
         else:
             k = x.inner(y)
-        return float(lk.g_table[k])
+        return float(self.tables[x.weight][k])
 
     def gram(self, points) -> np.ndarray:
         return gram(self, points)
@@ -307,13 +295,11 @@ def _json_int(value, what: str) -> int:
     raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
-def _sparse_layer(n: int, s: int, beta) -> LayerKernel:
-    """Weight-free layer kernel of ``beta`` on layer s, its table zero-padded to
-    k = 0..n; certified admissible on layer s when that is canonical (2s <= n)."""
+def _sparse_layer(n: int, s: int, beta) -> BetaCoeffs:
+    """The coefficients of a weight-free kernel on layer s, certified admissible
+    there when that layer is canonical (2s <= n)."""
     coeffs = BetaCoeffs(LayerParams(n, s), beta)
-    if coeffs.layer.is_canonical:
-        make_layer_kernel(coeffs.layer, coeffs.beta)
-    return LayerKernel(coeffs.layer, coeffs.beta, d_from_p(np.pad(coeffs.beta, (0, n - s))))
+    return make_layer_kernel(coeffs.layer, coeffs.beta) if coeffs.layer.is_canonical else coeffs
 
 
 def points_to_bits(points, n: int) -> np.ndarray:
@@ -325,7 +311,7 @@ def points_to_bits(points, n: int) -> np.ndarray:
         if not isinstance(pt, HypercubePoint):
             raise TypeError(f"points[{i}] is not a HypercubePoint (got {type(pt).__name__})")
         if pt.n != n:
-            raise ValueError(f"point dimension mismatch with kernel (n={n}): points[{i}] has n={pt.n}")
+            raise ValueError(f"point dimension mismatch: points[{i}] has n={pt.n}, expected n={n}")
     return np.fromiter((pt.bits for pt in points), dtype=np.uint64, count=len(points))
 
 
@@ -343,19 +329,25 @@ def _mirrored(masks: np.ndarray, weight: int, n: int) -> np.ndarray:
     return masks ^ np.uint64((1 << n) - 1) if 2 * weight > n else masks
 
 
-_BLOCK_ELEMS = 1 << 18  # entries per block: bounds every temporary of the lookup
+_BLOCK_ELEMS = 1 << 18  # entries per block: bounds every temporary of the lookup and of the MKL quads
 _MAX_GRAM_POINTS = 20000  # a dense Gram of this many points is 3 GiB of floats
 
 
 def inner_product_blocks(a: np.ndarray, b: np.ndarray):
-    """Yield ``(start, ip)`` over row blocks, ``ip[i, j] = popcount(a[start + i] & b[j])``.
+    """Yield ``(rows, cols, ip)`` covering every pair of ``a`` and ``b``.
 
-    ``a`` and ``b`` are uint64 mask arrays; ``ip`` is uint8.  Callers push
-    each block through a value table, so no m x m integer matrix is built.
+    ``a`` and ``b`` are uint64 mask arrays, ``rows`` and ``cols`` slices of
+    them, and ``ip[i, j] = popcount(a[rows][i] & b[cols][j])`` is a uint8
+    block of at most ``_BLOCK_ELEMS`` entries however many columns there
+    are.  Callers push each block through a value table, so no m x m
+    integer matrix is built.
     """
-    step = max(1, _BLOCK_ELEMS // max(b.size, 1))
-    for start in range(0, a.size, step):
-        yield start, np.bitwise_count(a[start : start + step, None] & b)
+    for c in range(0, b.size, _BLOCK_ELEMS):
+        cols = slice(c, c + _BLOCK_ELEMS)
+        step = max(1, _BLOCK_ELEMS // b[cols].size)
+        for r in range(0, a.size, step):
+            rows = slice(r, r + step)
+            yield rows, cols, np.bitwise_count(a[rows, None] & b[cols])
 
 
 def gram(spec: KernelSpec, points) -> np.ndarray:
@@ -387,19 +379,6 @@ def _groups(spec: KernelSpec, masks: np.ndarray, values: np.ndarray) -> dict:
     return out
 
 
-def _blocks(a: np.ndarray, b: np.ndarray):
-    """Yield ``(row slice, column slice, ip)`` covering every pair of ``a`` and ``b``.
-
-    ``ip`` is the uint8 block of inner products between those rows of ``a``
-    and columns of ``b``, at most ``_BLOCK_ELEMS`` entries however many
-    columns there are.
-    """
-    for c in range(0, b.size, _BLOCK_ELEMS):
-        cc = slice(c, c + _BLOCK_ELEMS)
-        for start, ip in inner_product_blocks(a, b[cc]):
-            yield slice(start, start + len(ip)), cc, ip
-
-
 def cross_gram(spec: KernelSpec, rows, cols) -> np.ndarray:
     """Kernel values between two point lists, by weight group.
 
@@ -412,8 +391,8 @@ def cross_gram(spec: KernelSpec, rows, cols) -> np.ndarray:
     for w, (ci, b) in _groups(spec, xc, np.arange(xc.size)).items():
         if w in row_groups:
             ri, a = row_groups[w]
-            g = spec.per_layer[w].g_table
-            for rs, cs, ip in _blocks(a, b):
+            g = spec.tables[w]
+            for rs, cs, ip in inner_product_blocks(a, b):
                 out[np.ix_(ri[rs], ci[cs])] = g[ip]
     return out
 
@@ -433,8 +412,8 @@ def universal_kernel(n: int) -> KernelSpec:
     """
     if not 1 <= n <= 64:
         raise ValueError(f"n={n} outside supported range [1, 64]")
-    cache: dict[LayerParams, LayerKernel] = {}
-    per_layer: dict[int, LayerKernel] = {}
+    cache: dict[LayerParams, BetaCoeffs] = {}
+    per_layer: dict[int, BetaCoeffs] = {}
     for p in range(0, n + 1):
         layer = LayerParams(n, p).canonical()
         if layer not in cache:
@@ -460,7 +439,7 @@ def conjunction_kernel(n: int, p: int, epsilon: float, t_scale: float = 1.0) -> 
     beta = np.zeros(p + 1)
     beta[: depth + 1] = 1.0 / norm
     if 2 * p > n:
-        lk = complement_layer_kernel(LayerKernel(LayerParams(n, p), beta, d_from_p(beta)))
+        lk = complement_layer_kernel(BetaCoeffs(LayerParams(n, p), beta))
     else:
         lk = make_layer_kernel(LayerParams(n, p), beta)
     return KernelSpec(n, "conjunction", {p: lk})
@@ -596,9 +575,9 @@ class TrainedModel:
         if isinstance(group, _SubsetWeights):
             return group.scores(masks)
         alphas, support = group
-        g = self.spec.per_layer[w].g_table
+        g = self.spec.tables[w]
         out = np.zeros(masks.size)
-        for rs, cs, ip in _blocks(support, masks):
+        for rs, cs, ip in inner_product_blocks(support, masks):
             out[cs] += alphas[rs] @ g[ip]
         return out
 

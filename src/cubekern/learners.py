@@ -61,7 +61,8 @@ from typing import Callable
 
 import numpy as np
 
-from .kernels import KernelSpec, TrainedModel, _mirrored, inner_product_blocks, mix_vertices, points_to_bits
+from .kernels import _BLOCK_ELEMS, KernelSpec, TrainedModel, _mirrored, mix_vertices, points_to_bits
+from .kernels import inner_product_blocks
 from .scheme import LayerParams, vertex_tables
 
 __all__ = [
@@ -301,7 +302,11 @@ class MklLayerProblem:
 def _vertex_quads(ip: np.ndarray, table: np.ndarray, alpha, where) -> np.ndarray:
     """Every alpha' K_t alpha as table @ s: s_k sums c_r c_s where ip[r, s] = k, c = bincount(where, alpha)."""
     c = np.bincount(where, alpha, len(ip))
-    s = np.bincount(ip.ravel(), weights=np.outer(c, c).ravel(), minlength=table.shape[1])
+    s = np.zeros(table.shape[1])
+    step = max(1, _BLOCK_ELEMS // max(len(ip), 1))  # row blocks bound both u x u temporaries
+    for r in range(0, len(ip), step):
+        rows = slice(r, r + step)
+        s += np.bincount(ip[rows].ravel(), weights=np.outer(c[rows], c).ravel(), minlength=table.shape[1])
     return table @ s
 
 
@@ -458,7 +463,9 @@ def layer_vertex_grams(points, weight: int) -> tuple[np.ndarray, np.ndarray, np.
     if np.any(np.bitwise_count(masks) != weight):
         raise ValueError(f"all points must have weight {weight}")
     masks, where = np.unique(_mirrored(masks, weight, n), return_inverse=True)
-    ip = np.concatenate([block for _, block in inner_product_blocks(masks, masks)])
+    ip = np.empty((masks.size, masks.size), dtype=np.uint8)
+    for rows, cols, block in inner_product_blocks(masks, masks):
+        ip[rows, cols] = block
     return where, ip, vertex_tables(LayerParams(n, weight).canonical())
 
 

@@ -15,7 +15,8 @@ Core claims:
       exactly, transpose across roles and reject same-role products
     - each role's rows are nested thresholds 1[c <= i] of one cell vector
       c: the cumulative-histogram table equals the bit-level popcount of the
-      rows, and the cells are recovered from how many rows set each bit
+      rows, and the cells are recovered from how many rows set each bit;
+      that table is derived state, which the constructor refuses
     - save -> load round-trips the tables bit-exactly and save -> load ->
       save is byte-identical; a loaded file is certified again, so rows
       that are not nested (a flipped bit, or independently sampled rows) and
@@ -275,6 +276,13 @@ class TestNestedRows:
             assert np.array_equal(k - rows.sum(axis=0), cells[role])
             for i in (0, k - 1):
                 assert coord.row_int(role + 1, i) == int.from_bytes(coord.packed[role][i], "little")
+
+    def test_pair_table_is_derived_not_passed(self):
+        grid = embedding._interval_grid(0.5)
+        cells = (np.zeros(4, dtype=np.uint16), np.zeros(4, dtype=np.uint16))
+        with pytest.raises(TypeError, match="pair_inner"):
+            embedding.IntervalEmbedderPair(0.5, 4, grid, cells, 0, 0, pair_inner=np.zeros((1, 1)))
+        assert embedding.IntervalEmbedderPair(0.5, 4, grid, cells, 0, 0).pair_inner is None
 
 
 def _pre_change_file(pair, path):

@@ -153,7 +153,7 @@ class TestRoundTrips:
         harness.save_model(model, path)
         back = harness.load_model(path)
         data = gen_conjunction_dataset(n, literals, "sparse", s, 20, 0.0, seed=3)
-        assert np.array_equal(back.spec.per_layer[s].g_table, model.spec.per_layer[s].g_table)
+        assert np.array_equal(back.spec.tables[s], model.spec.tables[s])
         assert np.array_equal(back.predict_many(data.points), model.predict_many(data.points))
 
     def test_model_file_refuses_non_finite_numbers(self, tmp_path):

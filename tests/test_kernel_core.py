@@ -20,8 +20,9 @@ Core claims:
       for random, mix_vertices and conjunction tables, mirrored layers,
       repeated points, zero alphas, models with layers on both paths and
       queries split into chunks; on a model shaped like mkl-cube's, layers
-      3 and 12 take that path and layer 6 does not; one row's submasks
-      match the batch enumeration
+      3 and 12 take that path and layer 6 does not; a direct-sum layer built
+      by hand from its beta scores the same on both paths; one row's
+      submasks match the batch enumeration
     - a single prediction equals the batch prediction of the same point,
       and predict(x) == predict_many([x])[0] exactly on both paths
     - a model over a lifted kernel (embedded points of a real pair) still predicts
@@ -46,7 +47,7 @@ from hypothesis import strategies as st
 
 from cubekern import embedding, harness, kernels
 from cubekern.kernels import HypercubePoint, KernelSpec, TrainedModel
-from cubekern.scheme import LayerParams, p_from_d
+from cubekern.scheme import BetaCoeffs, LayerParams, p_from_d
 
 DIMS = st.sampled_from([1, 2, 5, 16, 63, 64])
 PROPERTY = settings(max_examples=100, deadline=None)
@@ -67,13 +68,14 @@ def point_sets(draw, n, weights, max_size=8):
 def specs_and_points(draw, dims=DIMS, admissible=False):
     """A kernel spec on n in ``dims`` and row and column point lists.
 
-    A universal spec is always ``universal_kernel(n)``.  Otherwise the value
-    tables are arbitrary by default: packing, inner products, weight gating
-    and the complement do not depend on table values.  A direct-sum layer
-    carries its table's coefficients as ``beta``, as the subset path reads
-    those.  With ``admissible``
-    the spec comes from the library's constructors (needed where a model
-    file rebuilds its layers through the admissibility check).
+    A universal spec is always ``universal_kernel(n)``.  Otherwise the layers
+    are arbitrary uncertified ``BetaCoeffs`` by default: packing, inner
+    products, weight gating and the complement do not depend on table values.
+    A direct-sum layer's beta is ``p_from_d`` of a random table; a
+    sparse-conjunction beta_l is N(0, 1) / C(n, l), which keeps its table,
+    zero-padded to k = n, O(s) in size.  With ``admissible`` the spec comes
+    from the library's constructors (needed where a model file rebuilds its
+    layers through the admissibility check).
     """
     n = draw(dims)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -86,8 +88,8 @@ def specs_and_points(draw, dims=DIMS, admissible=False):
         if admissible:
             spec = kernels.sparse_conjunction_kernel(n, s, ell)
         else:
-            lk = kernels.LayerKernel(LayerParams(n, s), np.zeros(s + 1), rng.normal(size=n + 1))
-            spec = KernelSpec(n, "sparse_conjunction", {s: lk})
+            beta = rng.normal(size=s + 1) / [math.comb(n, ell) for ell in range(s + 1)]
+            spec = KernelSpec(n, "sparse_conjunction", {s: BetaCoeffs(LayerParams(n, s), beta)})
         weights = [draw(st.integers(0, n)) for _ in range(3)]
     else:
         layer_weights = draw(st.lists(st.integers(0, n), min_size=1, max_size=3, unique=True))
@@ -98,8 +100,7 @@ def specs_and_points(draw, dims=DIMS, admissible=False):
                 lam = rng.random(layer.p + 1)
                 per_layer[w] = kernels.mix_vertices(layer, lam / lam.sum())
             else:
-                table = rng.normal(size=layer.p + 1)
-                per_layer[w] = kernels.LayerKernel(layer, p_from_d(table), table)
+                per_layer[w] = BetaCoeffs(layer, p_from_d(rng.normal(size=layer.p + 1)))
         spec = KernelSpec(n, "direct_sum", per_layer)
         # one weight no layer covers, so absent layers are exercised too
         weights = layer_weights + [draw(st.integers(0, n))]
@@ -197,8 +198,8 @@ def subset_tolerance(spec, alphas):
     sets the rounding.  32 eps times that, times sum |alpha|, over the worst layer.
     """
     worst = 0.0
-    for lk in spec.per_layer.values():
-        g = np.abs(lk.g_table)
+    for table in spec.tables.values():
+        g = np.abs(table)
         p = len(g) - 1
         terms = [sum(math.comb(l, j) * g[j] for j in range(l + 1)) for l in range(p + 1)]
         worst = max(worst, sum(math.comb(p, l) * terms[l] for l in range(p + 1)))
@@ -265,6 +266,25 @@ def test_layers_take_the_path_their_size_selects():
     queries = [HypercubePoint(16, b) for b in rng.integers(0, 1 << 16, 3000).tolist()]
     want = model.alphas @ kernels.cross_gram(spec, support, queries)
     assert np.abs(model.predict_many(queries) - want).max() <= subset_tolerance(spec, model.alphas)
+
+
+def test_hand_built_layer_scores_the_same_on_both_paths(monkeypatch):
+    # a layer is its beta alone: the subset path reads beta, the block path
+    # the spec's table derived from it, so both score the same kernel
+    rng = np.random.default_rng(6)
+    layer = LayerParams(12, 4)
+    spec = KernelSpec(12, "direct_sum", {w: BetaCoeffs(layer, rng.normal(size=5)) for w in (4, 8)})
+    draw = lambda m, w: [HypercubePoint.from_indices(12, rng.permutation(12)[:w]) for _ in range(m)]
+    support, queries, alphas = draw(100, 4) + draw(100, 8), draw(50, 4) + draw(50, 8), rng.normal(size=200)
+    blocks = TrainedModel(spec, support, alphas)
+    monkeypatch.setattr(kernels, "_SUBSET_COST", 0)
+    subsets = TrainedModel(spec, support, alphas)
+    assert subset_layers(blocks) == [] and subset_layers(subsets) == [4, 8]
+    want = blocks.predict_many(queries)
+    assert np.abs(subsets.predict_many(queries) - want).max() <= subset_tolerance(spec, alphas)
+    assert np.abs(want - alphas @ kernels.cross_gram(spec, support, queries)).max() <= 1e-12 * (
+        1.0 + np.abs(alphas).sum()
+    )
 
 
 def test_subset_path_builds_and_scores_in_bounded_memory():
@@ -363,14 +383,19 @@ class TestPacking:
             kernels.gram(spec, np.zeros((2, 2), dtype=np.uint64))
 
     def test_row_blocks_cover_every_row(self, monkeypatch):
+        # 5 columns give 2-row blocks; 30 columns, more than a block holds, give
+        # column chunks of 12, 12 and 6 with 1, 1 and 2 rows
         monkeypatch.setattr(kernels, "_BLOCK_ELEMS", 12)
         a = np.arange(20, dtype=np.uint64)
-        b = np.arange(5, dtype=np.uint64)
-        blocks = list(kernels.inner_product_blocks(a, b))
-        assert [s for s, _ in blocks] == list(range(0, 20, 2))
-        ip = np.vstack([blk for _, blk in blocks])
-        want = [[bin(int(x) & int(y)).count("1") for y in b] for x in a]
-        assert ip.dtype == np.uint8 and ip.tolist() == want
+        for width, shapes in ((5, {(2, 5)}), (30, {(1, 12), (2, 6)})):
+            b = np.arange(width, dtype=np.uint64)
+            ip, seen = np.zeros((a.size, b.size), dtype=np.uint8), np.zeros((a.size, b.size), dtype=int)
+            for rows, cols, blk in kernels.inner_product_blocks(a, b):
+                assert blk.dtype == np.uint8 and blk.shape in shapes
+                ip[rows, cols] = blk
+                seen[rows, cols] += 1
+            want = [[bin(int(x) & int(y)).count("1") for y in b] for x in a]
+            assert (seen == 1).all() and ip.tolist() == want
 
 
 class TestModelAlphas:

@@ -8,7 +8,8 @@ Core claims:
       with the violated constraint named
     - the universal kernel matches the averaged vertices, has unit diagonal,
       zero cross-layer values, and exact complement symmetry; every table
-      is the exact binomial sum of its beta, rounded once (n = 63, 64 too)
+      the spec derives is read-only and the exact binomial sum of its beta,
+      rounded once (n = 63, 64 too)
     - a kernel mirrored below n/2 has the exact Vandermonde coefficients
       sum_l C(n - 2p', l - r) beta_l, rounded once
     - one-layer Grams are PSD at oracle scale; two-layer Grams are block
@@ -18,8 +19,8 @@ Core claims:
     - conjunction kernels implement the truncated binomial sum with unit
       diagonal and refuse a t_scale that is not finite and non-negative;
       the sparse kernel reproduces conjunctions exactly with squared norm
-      C(s, l), and its zero-padded table is the binomial sum up to k = n
-      on n <= 64
+      C(s, l), and its zero-padded, read-only table is the binomial sum up
+      to k = n on n <= 64
     - specs round-trip through JSON; a missing key, an unknown kind, a
       sparse-conjunction beta of the wrong length and one inadmissible on
       its home layer (2s <= n) are rejected by name
@@ -85,10 +86,10 @@ class TestHypercubePoint:
 class TestLayerKernel:
     def test_g_table_examples(self):
         layer = LayerParams(4, 2)
-        lk = kernels.make_layer_kernel(layer, [1 / 3, -1 / 6, 1.0])
-        assert lk.g_table == pytest.approx([1 / 3, 1 / 6, 1.0])
-        assert kernels.make_layer_kernel(layer, [1.0, 0.0, 0.0]).g_table == pytest.approx([1.0, 1.0, 1.0])
-        assert kernels.make_layer_kernel(layer, [-1.0, 1.0, 0.0]).g_table == pytest.approx([-1.0, 0.0, 1.0])
+        table = lambda beta: scheme.d_from_p(kernels.make_layer_kernel(layer, beta).beta)
+        assert table([1 / 3, -1 / 6, 1.0]) == pytest.approx([1 / 3, 1 / 6, 1.0])
+        assert table([1.0, 0.0, 0.0]) == pytest.approx([1.0, 1.0, 1.0])
+        assert table([-1.0, 1.0, 0.0]) == pytest.approx([-1.0, 0.0, 1.0])
 
     def test_rejects_with_named_constraint(self):
         layer = LayerParams(4, 2)
@@ -103,7 +104,7 @@ class TestLayerKernel:
 class TestMixVertices:
     def test_single_vertex_is_constant_kernel(self):
         lk = kernels.mix_vertices(LayerParams(4, 2), [1.0, 0.0, 0.0])
-        assert lk.g_table == pytest.approx([1.0, 1.0, 1.0])
+        assert scheme.d_from_p(lk.beta) == pytest.approx([1.0, 1.0, 1.0])
 
     def test_uniform_equals_universal_layer(self):
         layer = LayerParams(4, 2)
@@ -128,12 +129,14 @@ class TestMixVertices:
 class TestUniversalKernel:
     @pytest.mark.parametrize("n", [16, 63, 64])
     def test_tables_are_the_rounded_exact_values(self, n):
-        for lk in kernels.universal_kernel(n).per_layer.values():
+        spec = kernels.universal_kernel(n)
+        for w, lk in spec.per_layer.items():
             want = [
                 float(sum(Fraction(b) * math.comb(k, ell) for ell, b in enumerate(lk.beta)))
                 for k in range(lk.layer.p + 1)
             ]
-            assert lk.g_table.tolist() == want
+            assert spec.tables[w].tolist() == want
+            assert not spec.tables[w].flags.writeable
 
     def test_layer2_beta(self):
         spec = kernels.universal_kernel(4)
@@ -246,14 +249,14 @@ class TestComplementConversion:
         table = np.array(
             [sum(beta[e] * scheme.binomial(k, e) for e in range(5)) for k in range(5)]
         )
-        raw = kernels.LayerKernel(high, beta, table)
+        raw = BetaCoeffs(high, beta)
         mirrored = kernels.complement_layer_kernel(raw)
         assert mirrored.layer == LayerParams(6, 2)
         pts = pts_from_tuples(layer_points(6, 4))
         for a in pts[:8]:
             for b in pts[:8]:
                 direct = float(table[a.inner(b)])
-                via = float(mirrored.g_table[a.complement().inner(b.complement())])
+                via = float(scheme.d_from_p(mirrored.beta)[a.complement().inner(b.complement())])
                 assert direct == pytest.approx(via, abs=1e-12)
 
 
@@ -262,7 +265,7 @@ class TestComplementConversion:
         for p in range(n // 2 + 1, n + 1):
             beta = np.zeros(p + 1)
             beta[:3] = 1.0 / (1 + p + math.comb(p, 2))
-            high = kernels.LayerKernel(LayerParams(n, p), beta, scheme.d_from_p(beta))
+            high = BetaCoeffs(LayerParams(n, p), beta)
             s = 2 * p - n
             want = [
                 float(sum(math.comb(s, ell - r) * Fraction(beta[ell]) for ell in range(r, p + 1)))
@@ -322,7 +325,7 @@ class TestConjunctionKernel:
         spec = kernels.conjunction_kernel(16, 2, 1e-6)
         lk = spec.per_layer[2]
         assert lk.beta.shape == (3,)
-        assert lk.g_table[-1] == pytest.approx(1.0)
+        assert spec.tables[2][-1] == pytest.approx(1.0)
 
     def test_high_layer_matches_raw_formula(self):
         # complement storage must not change values on a p > n/2 layer
@@ -384,9 +387,10 @@ class TestSparseConjunction:
                         float(sum(Fraction(beta[i]) * math.comb(k, i) for i in range(s + 1)))
                         for k in range(n + 1)
                     ]
-                    assert np.array_equal(spec.per_layer[s].g_table, want)
+                    assert np.array_equal(spec.tables[s], want)
+                    assert not spec.tables[s].flags.writeable
                     loaded = KernelSpec.from_json_dict(spec.to_json_dict())
-                    assert np.array_equal(loaded.per_layer[s].g_table, want)
+                    assert np.array_equal(loaded.tables[s], want)
 
     def test_errors(self):
         with pytest.raises(ValueError, match="ell"):
