@@ -23,9 +23,9 @@ histogram of the two cell vectors (exactly the popcount of the rows), and
 the build is retried with a fresh substream until the worst grid-pair
 deviation is within ``eps_int``, up to a bounded number of retries.  A
 loaded pair file is certified again.  Bit rows are built one at a time and
-only where bits are asked for (``EmbeddedPoint.bits``, ``packed``,
-``save_pair``).  An embedded point is held as its grid cells, and every
-lifted Gram is read from these certified tables.
+only where bits are asked for (``EmbeddedPoint.bits``, ``packed``).  An
+embedded point is held as its grid cells, and every lifted Gram is read
+from these certified tables.
 
 Kernel lifting: a scalar kernel ``g`` on inner products (L-Lipschitz on
 ``[0, n]``) lifts to embedded points as ``g(<u, v> / t)``; the lifted value
@@ -49,6 +49,8 @@ from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
+
+from .kernels import _checked_alphas
 
 __all__ = [
     "IntervalEmbedderPair",
@@ -89,21 +91,13 @@ def _interval_grid(eps_int: float) -> np.ndarray:
     return grid
 
 
-def _threshold_rows(cells: np.ndarray, k: int):
-    """The packed rows ``1[c <= i]`` for grid cells i < k, built one at a time."""
-    for i in range(k):
-        yield np.packbits(cells <= i, bitorder="little")
-
-
 @dataclass
 class IntervalEmbedderPair:
     """Certified pair of random maps from a grid on [0,1] to {0,1}^t."""
 
-    epsilon: float
     t: int
     grid: np.ndarray
     cells: tuple[np.ndarray, np.ndarray]  # per role: (t,) uint16, searchsorted(grid, U)
-    seed: int
     attempt: int
     pair_inner: np.ndarray = field(default=None, init=False, repr=False)  # derived (K, K) int64, role1 x role2
 
@@ -125,8 +119,8 @@ class IntervalEmbedderPair:
     def packed(self) -> tuple[np.ndarray, np.ndarray]:
         """Per role, the (K, ceil(t/8)) uint8 bit rows, little-endian within a row;
         built again, one row at a time, on every access."""
-        k, row = self.grid.shape[0], np.dtype((np.uint8, (self.t + 7) // 8))
-        return tuple(np.fromiter(_threshold_rows(c, k), dtype=row, count=k) for c in self.cells)
+        k = self.grid.shape[0]
+        return tuple(np.array([np.packbits(c <= i, bitorder="little") for i in range(k)]) for c in self.cells)
 
     def row_int(self, role: int, idx: int) -> int:
         return int.from_bytes(np.packbits(self.cells[role - 1] <= idx, bitorder="little"), "little")
@@ -148,7 +142,7 @@ def _build_interval_pair(eps_int: float, t: int, seed: int, coord: int) -> Inter
     for attempt in range(BUILD_RETRIES):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(coord, attempt)))
         cells = tuple(_grid_cells(grid, eps_int / 3.0, rng.random(t)) for _role in (1, 2))
-        pair = IntervalEmbedderPair(eps_int, t, grid, cells, seed, attempt)
+        pair = IntervalEmbedderPair(t, grid, cells, attempt)
         last_dev = pair.max_deviation()
         if last_dev <= eps_int:
             return pair
@@ -360,10 +354,9 @@ class EmbeddedModel:
     deviation from the grid-rounded inner products (``gram_max_deviation``),
     its minimum eigenvalue (``gram_min_eigenvalue``; it need not be PSD) and
     the amount ``gram_diagonal_shift = max(0, -gram_min_eigenvalue)`` added to
-    its diagonal before training.
+    its diagonal before training.  ``alphas`` are checked as ``TrainedModel``'s.
     """
 
-    pair: CubeEmbedderPair
     kernel: LiftedKernel
     support: tuple
     alphas: np.ndarray
@@ -371,9 +364,14 @@ class EmbeddedModel:
     _cells: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        self.alphas = _checked_alphas(self.alphas, len(self.support))
         role, self._cells = self.kernel._cells(self.support)
         if role != 1:
             raise ValueError("the support must be embedded with role 1")
+
+    @property
+    def pair(self) -> CubeEmbedderPair:
+        return self.kernel.pair
 
     def predict_many(self, xs) -> np.ndarray:
         """Predict an (m, n) batch, embedded with role 2; ``[]`` is an empty batch.
@@ -424,12 +422,10 @@ def train_on_cube(
     gram[np.diag_indices(m)] += shift
     trained = SimpleNamespace(gram=lambda _points: gram)
     model = pegasos_train(trained, support, labels, lam, epochs=epochs, seed=seed, loss=loss)
-    out = EmbeddedModel(pair, kernel, support, model.alphas, dict(model.report))
     u = pair.grid[cells]
-    out.report["gram_max_deviation"] = float(np.abs(sym / pair.t - u @ u.T).max())
-    out.report["gram_min_eigenvalue"] = min_eig
-    out.report["gram_diagonal_shift"] = shift
-    return out
+    report = dict(model.report, gram_max_deviation=float(np.abs(sym / pair.t - u @ u.T).max()))
+    report.update(gram_min_eigenvalue=min_eig, gram_diagonal_shift=shift)
+    return EmbeddedModel(kernel, support, model.alphas, report)
 
 
 # ---------------------------------------------------------------------------
@@ -437,57 +433,50 @@ def train_on_cube(
 
 _MAGIC = b"JKEM"
 _REBUILD = "rebuild it with `cubekern embed build`"
-_HEADER = struct.Struct("<4sIIIdQII")  # magic, version, n, t, eps, seed, K, nb
+_HEADER = struct.Struct("<4sIIIdQII")  # magic, version, n, t, eps, seed, K, bytes per stored value
 
 
 def save_pair(pair: CubeEmbedderPair, path: str) -> None:
-    """Write header {magic, version, n, t, eps, seed} plus row-major bit tables.
-
-    Layout after the header (which also records the grid size K and packed
-    row width nb): for each coordinate, the role-1 table then the role-2
-    table, each K rows of nb bytes, bits in little-endian order within a row.
-    Row i holds the nested threshold bits ``1[c <= i]``, built one at a time.
-    """
-    k = pair.grid.shape[0]
-    nb = (pair.t + 7) // 8
+    """Write the header {magic, version 2, n, t, eps, seed, K, 2}, each
+    coordinate's build attempt, then per coordinate its role-1 and role-2 cell
+    vectors, all as little-endian ``u16``: ``40 + 2n + 4nt`` bytes."""
+    attempts = np.array([coord.attempt for coord in pair.coords], dtype="<u2")
+    cells = np.array([coord.cells for coord in pair.coords], dtype="<u2")  # (n, 2, t)
     with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(_MAGIC, 1, pair.n, pair.t, pair.epsilon, pair.seed, k, nb))
-        for coord in pair.coords:
-            for cells in coord.cells:
-                fh.writelines(_threshold_rows(cells, k))
+        fh.write(_HEADER.pack(_MAGIC, 2, pair.n, pair.t, pair.epsilon, pair.seed, pair.grid.shape[0], 2))
+        fh.write(attempts.tobytes() + cells.tobytes())
 
 
 def load_pair(path: str) -> CubeEmbedderPair:
-    """Read a pair file, recovering each bit's cell from how many rows set it.
-
-    Rows that are not nested thresholds, and tables that deviate from the
-    grid products by more than eps/n, are rejected with a ``ValueError``.
-    """
+    """Read a pair file, refusing each malformed field by name, and certify every coordinate again."""
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
-        magic, version, n, t, eps, seed, k, nb = _HEADER.unpack(header)
-        if magic != _MAGIC or version != 1:
-            raise ValueError(f"not a version-1 embedder file: {path}")
-        grid = _interval_grid(eps / n)
-        if grid.shape[0] != k or nb != (t + 7) // 8:
-            raise ValueError("grid size or row width in file does not match its parameters")
-        coords = []
-        for c in range(n):
-            cells = []
-            for _role in (1, 2):
-                raw = fh.read(k * nb)
-                if len(raw) != k * nb:
-                    raise ValueError("truncated embedder file")
-                rows = np.frombuffer(raw, dtype=np.uint8).reshape(k, nb)
-                count = np.stack([(rows >> b & 1).sum(0) for b in range(8)], axis=1).ravel()[:t]
-                cells.append((k - count).astype(np.uint16))
-                if not all(map(np.array_equal, _threshold_rows(cells[-1], k), rows)):
-                    raise ValueError(f"{path}: coordinate {c}: rows are not nested; {_REBUILD}")
-            coords.append(IntervalEmbedderPair(eps / n, t, grid, tuple(cells), seed, -1))
-            dev = coords[-1].max_deviation()
-            if dev > eps / n:
-                raise ValueError(
-                    f"{path}: coordinate {c}: worst grid-pair deviation {dev:.4g} "
-                    f"exceeds eps/n = {eps / n:.4g}; {_REBUILD}"
-                )
+        if len(header) < _HEADER.size:
+            raise ValueError(f"{path}: {len(header)} bytes is shorter than the {_HEADER.size}-byte header")
+        magic, version, n, t, eps, seed, k, width = _HEADER.unpack(header)
+        if magic != _MAGIC or version != 2:
+            raise ValueError(f"not a version-2 embedder file: {path}; {_REBUILD}")
+        if n < 1 or t < 1 or not 3.0 * n / 0xFFFF < eps < 1.0:  # 16-bit cells must address the grid
+            raise ValueError(f"{path}: n = {n}, t = {t}, eps = {eps}; need n, t >= 1 and 3n/65535 < eps < 1")
+        if k != len(grid := _interval_grid(eps / n)):
+            raise ValueError(f"{path}: K = {k}, but the grid of eps/n = {eps / n:.6g} has {len(grid)} values")
+        if width != 2:
+            raise ValueError(f"{path}: value width {width} bytes, expected 2")
+        body = fh.read()
+    if len(body) != 2 * n + 4 * n * t:
+        raise ValueError(f"{path}: {_HEADER.size + len(body)} bytes, not 40 + 2n + 4nt for n = {n}, t = {t}")
+    attempts, cells = np.frombuffer(body, "<u2", n), np.frombuffer(body, "<u2", offset=2 * n).reshape(n, 2, t)
+    coords = []
+    for c in range(n):
+        if attempts[c] >= BUILD_RETRIES or cells[c].max() > k:
+            raise ValueError(
+                f"{path}: coordinate {c}: build attempt {attempts[c]} must be below {BUILD_RETRIES} "
+                f"and every cell at most K = {k}, got {cells[c].max()}; {_REBUILD}"
+            )
+        coords.append(IntervalEmbedderPair(t, grid, tuple(cells[c]), int(attempts[c])))
+        if (dev := coords[-1].max_deviation()) > eps / n:
+            raise ValueError(
+                f"{path}: coordinate {c}: worst grid-pair deviation {dev:.4g} "
+                f"exceeds eps/n = {eps / n:.4g}; {_REBUILD}"
+            )
     return CubeEmbedderPair(n, eps, t, seed, coords)

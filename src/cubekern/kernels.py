@@ -51,6 +51,7 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -192,21 +193,24 @@ class KernelSpec:
     any other raises a ``ValueError``.  ``tables[w]``, derived here once, is
     the read-only value table ``d_from_p(beta)`` over inner products
     ``k = 0..p``; the weight-free ``sparse_conjunction`` layer's beta is
-    zero-padded first, so its table covers ``k = 0..n``.
+    zero-padded first, so its table covers ``k = 0..n``; weights that share one
+    layer object share one table.  ``per_layer`` is a read-only copy.
     """
 
     n: int
     kind: str
-    per_layer: dict[int, BetaCoeffs]
-    tables: dict[int, np.ndarray] = field(init=False, repr=False, compare=False)
+    per_layer: MappingProxyType[int, BetaCoeffs]
+    tables: MappingProxyType[int, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown kernel kind {self.kind!r}; choose from {', '.join(_KINDS)}")
+        layers = dict(self.per_layer)
         sparse = self.kind == "sparse_conjunction"
-        if sparse and len(self.per_layer) != 1:
-            raise ValueError(f"a sparse_conjunction spec has one layer, got {len(self.per_layer)}")
-        for w, lk in self.per_layer.items():
+        if sparse and len(layers) != 1:
+            raise ValueError(f"a sparse_conjunction spec has one layer, got {len(layers)}")
+        by_object = {}  # universal_kernel shares one layer object between w and n - w
+        for w, lk in layers.items():
             if not 0 <= w <= self.n:
                 raise ValueError(f"layer weight {w} outside [0, {self.n}]")
             expected = w if sparse else LayerParams(self.n, w).canonical().p
@@ -215,11 +219,11 @@ class KernelSpec:
                     f"layer {w}: stored kernel is for (n={lk.layer.n}, p={lk.layer.p}), "
                     f"expected (n={self.n}, p={expected})"
                 )
-        tables = {  # the weight-free sparse layer is read at every inner product k = 0..n
-            w: _frozen(d_from_p(np.pad(lk.beta, (0, self.n - w if sparse else 0))))
-            for w, lk in self.per_layer.items()
-        }
-        object.__setattr__(self, "tables", tables)
+            if id(lk) not in by_object:  # the weight-free sparse layer is read at every k = 0..n
+                by_object[id(lk)] = _frozen(d_from_p(np.pad(lk.beta, (0, self.n - w if sparse else 0))))
+        tables = {w: by_object[id(lk)] for w, lk in layers.items()}
+        object.__setattr__(self, "per_layer", MappingProxyType(layers))
+        object.__setattr__(self, "tables", MappingProxyType(tables))
 
     # -- evaluation ----------------------------------------------------------
 
@@ -517,6 +521,20 @@ class _SubsetWeights:
         return out
 
 
+def _checked_alphas(alphas, count: int) -> np.ndarray:
+    """``alphas`` as a read-only float vector: 1-d, finite, one per support point."""
+    a = np.array(alphas, dtype=float)
+    if a.ndim != 1:
+        raise ValueError(f"alphas must be a 1-d vector, got shape {a.shape}")
+    bad = np.flatnonzero(~np.isfinite(a))
+    if bad.size:
+        raise ValueError(f"alphas must be finite, got alphas[{bad[0]}] = {a[bad[0]]}")
+    if a.shape[0] != count:
+        raise ValueError(f"support and alphas length mismatch: {count} points, {a.shape[0]} alphas")
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class TrainedModel:
     """A classifier in representer form: f(x) = sum_i alpha_i k(x_i, x).
@@ -544,17 +562,9 @@ class TrainedModel:
     _support_groups: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        a = np.array(self.alphas, dtype=float)
-        if a.ndim != 1:
-            raise ValueError(f"alphas must be a 1-d vector, got shape {a.shape}")
-        bad = np.flatnonzero(~np.isfinite(a))
-        if bad.size:
-            raise ValueError(f"alphas must be finite, got alphas[{bad[0]}] = {a[bad[0]]}")
-        a.flags.writeable = False
-        object.__setattr__(self, "alphas", a)
         object.__setattr__(self, "support", tuple(self.support))
-        if len(self.support) != self.alphas.shape[0]:
-            raise ValueError("support and alphas length mismatch")
+        a = _checked_alphas(self.alphas, len(self.support))
+        object.__setattr__(self, "alphas", a)
         groups = None
         if isinstance(self.spec, KernelSpec):
             # each distinct support point is scored once, with its alphas summed

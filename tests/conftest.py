@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from cubekern import learners
+from cubekern import embedding, learners
 from cubekern.scheme import LayerParams
 
 
@@ -98,3 +98,15 @@ def pegasos_oracle(spec, points, labels, lam, epochs, seed, loss):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def nested_v1_pair_file(pair, path):
+    """A pair file in the version-1 layout: the header with the row width nb,
+    then per coordinate and role the K packed threshold rows 1[c <= i]."""
+    k, nb = pair.grid.shape[0], (pair.t + 7) // 8
+    with open(path, "wb") as fh:
+        fh.write(embedding._HEADER.pack(b"JKEM", 1, pair.n, pair.t, pair.epsilon, pair.seed, k, nb))
+        for coord in pair.coords:
+            for cells in coord.cells:
+                for i in range(k):
+                    fh.write(np.packbits(cells <= i, bitorder="little").tobytes())

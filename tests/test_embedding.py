@@ -17,16 +17,21 @@ Core claims:
       c: the cumulative-histogram table equals the bit-level popcount of the
       rows, and the cells are recovered from how many rows set each bit;
       that table is derived state, which the constructor refuses
-    - save -> load round-trips the tables bit-exactly and save -> load ->
-      save is byte-identical; a loaded file is certified again, so rows
-      that are not nested (a flipped bit, or independently sampled rows) and
-      nested rows beyond eps/n are rejected by name
+    - a pair file is the header, the build attempts and the cell vectors,
+      40 + 2n + 4nt bytes: save -> load round-trips cells and attempts and
+      save -> load -> save is byte-identical; a loaded file is certified
+      again, so a cell above K, an attempt of BUILD_RETRIES or more and cells
+      beyond eps/n are rejected by coordinate, every malformed header field
+      is named, and a version-1 file (rows, nested or not) is refused with
+      the rebuild command
     - end-to-end training on real inputs fits margined linear data, on a
       training Gram certified within eps of the grid inner products, and
       Pegasos trains on it with the diagonal raised to make it PSD;
       batch prediction validates its input, agrees with single queries and
       equals the lifted cross_gram exactly; the support must be role 1;
-      a B that is not finite and positive is refused before any build
+      a B that is not finite and positive is refused before any build; a
+      model's pair is its kernel's, and alphas that are not a finite 1-d
+      vector with one entry per support point are refused at construction
     - every script under demos/ runs to exit 0
 """
 
@@ -40,6 +45,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import nested_v1_pair_file
 from cubekern import embedding, learners
 from cubekern.learners import HINGE
 
@@ -215,13 +221,22 @@ class TestLift:
         assert worst <= 2 * g.lipschitz * eps
 
 
-def small_pairs():
-    return st.builds(
-        lambda n, eps, seed: embedding.build_pair(n, eps, seed=seed),
-        st.integers(1, 3),
-        st.floats(0.2, 0.5),
-        st.integers(0, 2**16),
+@st.composite
+def small_pairs(draw, drawn_cells=False):
+    """Built pairs; with ``drawn_cells``, pairs of t <= 40 bits whose cells in
+    [0, K] and build attempts are drawn directly, so they need not certify."""
+    n, eps, seed = draw(st.integers(1, 3)), draw(st.floats(0.2, 0.5)), draw(st.integers(0, 2**16))
+    if not drawn_cells:
+        return embedding.build_pair(n, eps, seed=seed)
+    t, grid = draw(st.integers(1, 40)), embedding._interval_grid(eps / n)
+    cells = st.lists(st.integers(0, grid.shape[0]), min_size=t, max_size=t).map(
+        lambda v: np.array(v, dtype=np.uint16)
     )
+    attempts = st.integers(0, embedding.BUILD_RETRIES - 1)
+    coords = [
+        embedding.IntervalEmbedderPair(t, grid, (draw(cells), draw(cells)), draw(attempts)) for _ in range(n)
+    ]
+    return embedding.CubeEmbedderPair(n, eps, t, seed, coords)
 
 
 class TestLiftedGram:
@@ -267,7 +282,7 @@ class TestNestedRows:
             np.array(data.draw(st.lists(st.integers(0, k), min_size=t, max_size=t)), dtype=np.uint16)
             for _role in (1, 2)
         )
-        coord = embedding.IntervalEmbedderPair(eps, t, grid, cells, 0, 0)
+        coord = embedding.IntervalEmbedderPair(t, grid, cells, 0)
         bits = [np.unpackbits(rows, axis=1, count=t, bitorder="little") for rows in coord.packed]
         popcount = bits[0].astype(np.int64) @ bits[1].astype(np.int64).T
         assert np.array_equal(coord.ensure_pair_inner(), popcount)
@@ -281,12 +296,12 @@ class TestNestedRows:
         grid = embedding._interval_grid(0.5)
         cells = (np.zeros(4, dtype=np.uint16), np.zeros(4, dtype=np.uint16))
         with pytest.raises(TypeError, match="pair_inner"):
-            embedding.IntervalEmbedderPair(0.5, 4, grid, cells, 0, 0, pair_inner=np.zeros((1, 1)))
-        assert embedding.IntervalEmbedderPair(0.5, 4, grid, cells, 0, 0).pair_inner is None
+            embedding.IntervalEmbedderPair(4, grid, cells, 0, pair_inner=np.zeros((1, 1)))
+        assert embedding.IntervalEmbedderPair(4, grid, cells, 0).pair_inner is None
 
 
 def _pre_change_file(pair, path):
-    """A pair file in the same layout whose rows are independent Bernoulli(v) samples."""
+    """A version-1 pair file whose rows are independent Bernoulli(v) samples."""
     rng = np.random.default_rng(0)
     k, nb = pair.grid.shape[0], (pair.t + 7) // 8
     with open(path, "wb") as fh:
@@ -311,6 +326,7 @@ class TestPairFile:
         for ca, cb in zip(pair.coords, clone.coords):
             assert np.array_equal(ca.packed[0], cb.packed[0])
             assert np.array_equal(ca.packed[1], cb.packed[1])
+            assert ca.attempt == cb.attempt
         x = rng.random(3)
         assert embedding.embed(pair, 1, x).bits == embedding.embed(clone, 1, x).bits
 
@@ -328,25 +344,35 @@ class TestPairFile:
         embedding.save_pair(clone, str(again))
         assert first.read_bytes() == again.read_bytes()
 
-    def test_flipped_row_bit_rejected(self, tmp_path):
+    def test_cell_above_k_rejected(self, tmp_path):
         pair = embedding.build_pair(2, 0.3, seed=5)
         path = tmp_path / "pair.bin"
         embedding.save_pair(pair, str(path))
-        # bit 0 of coordinate 0's last role-1 row, which the row before it also sets
-        k, nb = pair.grid.shape[0], (pair.t + 7) // 8
-        assert pair.coords[0].cells[0][0] < k - 1
+        k = pair.grid.shape[0]
         raw = bytearray(path.read_bytes())
-        raw[embedding._HEADER.size + (k - 1) * nb] ^= 1
+        at = embedding._HEADER.size + 2 * pair.n  # coordinate 0's first role-1 cell
+        raw[at : at + 2] = (k + 1).to_bytes(2, "little")
         path.write_bytes(bytes(raw))
-        with pytest.raises(ValueError, match="coordinate 0: rows are not nested; rebuild it"):
+        with pytest.raises(ValueError, match=f"coordinate 0: .*at most K = {k}, got {k + 1}; rebuild it"):
             embedding.load_pair(str(path))
+
+    def test_attempt_out_of_range_rejected(self, tmp_path):
+        pair = embedding.build_pair(2, 0.3, seed=5)
+        pair.coords[1].attempt = embedding.BUILD_RETRIES
+        path = str(tmp_path / "pair.bin")
+        embedding.save_pair(pair, path)
+        with pytest.raises(ValueError, match="coordinate 1: build attempt 10 must be below 10"):
+            embedding.load_pair(path)
 
     def test_independently_sampled_rows_rejected(self, tmp_path):
         pair = embedding.build_pair(2, 0.3, seed=5)
-        path = str(tmp_path / "old.bin")
-        _pre_change_file(pair, path)
-        with pytest.raises(ValueError, match="rows are not nested; rebuild it with `cubekern embed build`"):
-            embedding.load_pair(path)
+        for name, write in (("old.bin", _pre_change_file), ("nested.bin", nested_v1_pair_file)):
+            path = str(tmp_path / name)
+            write(pair, path)
+            with pytest.raises(ValueError) as err:
+                embedding.load_pair(path)
+            rebuild = "rebuild it with `cubekern embed build`"
+            assert str(err.value) == f"not a version-2 embedder file: {path}; {rebuild}"
 
     def test_nested_rows_beyond_eps_rejected(self, tmp_path):
         pair = embedding.build_pair(2, 0.3, seed=5)
@@ -363,11 +389,83 @@ class TestPairFile:
         embedding.save_pair(pair, str(path))
         raw = bytearray(path.read_bytes())
         fields = list(embedding._HEADER.unpack_from(raw))
-        fields[-1] += 1  # row width nb
+        fields[-1] += 1  # bytes per stored value
         raw[: embedding._HEADER.size] = embedding._HEADER.pack(*fields)
         path.write_bytes(bytes(raw))
-        with pytest.raises(ValueError, match="row width in file does not match"):
+        with pytest.raises(ValueError, match="value width 3 bytes, expected 2"):
             embedding.load_pair(str(path))
+
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            (2, 0, "n = 0, t = "),
+            (3, 0, "t = 0, eps = "),
+            (4, 0.0, r"eps = 0.0; need n, t >= 1 and 3n/65535 < eps < 1"),
+            (4, math.nan, "eps = nan; need"),
+            (4, math.inf, "eps = inf; need"),
+            (4, 1.0, "eps = 1.0; need"),
+            (4, 1e-6, "eps = 1e-06; need"),
+            (6, 10, "K = 10, but the grid of eps/n = 0.4 has 9 values"),
+        ],
+        ids=["n", "t", "eps-zero", "eps-nan", "eps-inf", "eps-one", "eps-too-fine", "K"],
+    )
+    def test_bad_header_field_named(self, tmp_path, field, value, match):
+        path = tmp_path / "pair.bin"
+        embedding.save_pair(embedding.build_pair(1, 0.4, seed=0), str(path))
+        raw = bytearray(path.read_bytes())
+        fields = list(embedding._HEADER.unpack_from(raw))
+        fields[field] = value
+        raw[: embedding._HEADER.size] = embedding._HEADER.pack(*fields)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match=match):
+            embedding.load_pair(str(path))
+
+    @pytest.mark.parametrize(
+        "keep, extra",
+        [(0, b""), (39, b""), (None, b"\x00"), (-1, b"")],
+        ids=["empty", "39-bytes", "one-extra", "one-short"],
+    )
+    def test_bad_length_named(self, tmp_path, keep, extra):
+        pair = embedding.build_pair(1, 0.4, seed=0)
+        path = tmp_path / "pair.bin"
+        embedding.save_pair(pair, str(path))
+        raw = path.read_bytes()[:keep] + extra
+        path.write_bytes(raw)
+        assert len(path.read_bytes()) != 40 + 2 + 4 * pair.t
+        if len(raw) < 40:
+            match = f"{len(raw)} bytes is shorter than the 40-byte header"
+        else:
+            match = f"{len(raw)} bytes, not 40 \\+ 2n \\+ 4nt for n = 1, t = {pair.t}"
+        with pytest.raises(ValueError, match=match):
+            embedding.load_pair(str(path))
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_pairs(drawn_cells=True), st.data())
+    def test_drawn_cells_round_trip_or_are_named(self, tmp_path_factory, pair, data):
+        first = tmp_path_factory.mktemp("pair") / "first.bin"
+        embedding.save_pair(pair, str(first))
+        assert first.stat().st_size == 40 + 2 * pair.n + 4 * pair.n * pair.t
+        eps_int = pair.epsilon / pair.n
+        failing = [c for c, coord in enumerate(pair.coords) if coord.max_deviation() > eps_int]
+        if failing:
+            with pytest.raises(ValueError, match=f"coordinate {failing[0]}: worst grid-pair deviation"):
+                embedding.load_pair(str(first))
+        else:
+            clone = embedding.load_pair(str(first))
+            for ca, cb in zip(pair.coords, clone.coords):
+                assert np.array_equal(ca.cells[0], cb.cells[0]) and np.array_equal(ca.cells[1], cb.cells[1])
+                assert ca.attempt == cb.attempt
+            again = first.with_name("again.bin")
+            embedding.save_pair(clone, str(again))
+            assert first.read_bytes() == again.read_bytes()
+        c, role, b = (data.draw(st.integers(0, m - 1)) for m in (pair.n, 2, pair.t))
+        raw = bytearray(first.read_bytes())
+        at = 40 + 2 * pair.n + 2 * ((2 * c + role) * pair.t + b)
+        raw[at : at + 2] = (pair.grid.shape[0] + 1).to_bytes(2, "little")
+        first.write_bytes(bytes(raw))
+        named = min([c, *failing])  # coordinates are checked in order
+        with pytest.raises(ValueError, match=f"coordinate {named}: "):
+            embedding.load_pair(str(first))
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"
@@ -483,7 +581,27 @@ class TestEmbeddedPrediction:
     def test_support_must_be_role_1(self, model):
         support = embedding.embed(model.pair, 2, np.array([[0.5, 0.5]]))
         with pytest.raises(ValueError, match="role 1"):
-            embedding.EmbeddedModel(model.pair, model.kernel, tuple(support), np.ones(1), {})
+            embedding.EmbeddedModel(model.kernel, tuple(support), np.ones(1), {})
+
+    def test_pair_is_the_kernels(self, model):
+        assert model.pair is model.kernel.pair
+        other = embedding.build_pair(2, 0.3, seed=1)  # same shape, other cells
+        support = tuple(embedding.embed(other, 1, np.array([[0.5, 0.5]])))
+        with pytest.raises(ValueError, match="this kernel's pair"):
+            embedding.EmbeddedModel(model.kernel, support, np.ones(1), {})
+
+    @pytest.mark.parametrize(
+        "alphas, match",
+        [
+            (np.ones(19), "support and alphas length mismatch: 20 points, 19 alphas"),
+            (np.ones((20, 1)), r"alphas must be a 1-d vector, got shape \(20, 1\)"),
+            (np.r_[np.ones(19), np.nan], r"alphas must be finite, got alphas\[19\] = nan"),
+        ],
+        ids=["length", "2-d", "nan"],
+    )
+    def test_bad_alphas_refused_at_construction(self, model, alphas, match):
+        with pytest.raises(ValueError, match=match):
+            embedding.EmbeddedModel(model.kernel, model.support, alphas, {})
 
     def test_empty_batch(self, model):
         assert model.predict_many([]).shape == (0,)

@@ -27,7 +27,8 @@ Core claims:
       with nothing to check, a non-finite scheme beta, a c_t that is not
       finite and positive or too small for the build's self-check, an embed
       apply line without "x", not JSON or with an x of the wrong shape or
-      width (leaving no output file), rademacher on real vectors, and
+      width (leaving no output file), an embed apply pair file shorter than
+      its header or in the version-1 layout, rademacher on real vectors, and
       output or a model file holding a non-finite number exit 2 (or raise)
       with a named error
     - load_dataset names the line and the key a record lacks, a label that
@@ -43,6 +44,7 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import nested_v1_pair_file
 from cubekern import cli, embedding, harness, kernels, learners
 from cubekern.harness import gen_conjunction_dataset
 from cubekern.kernels import HypercubePoint
@@ -561,6 +563,23 @@ class TestCli:
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and msg in err
+        assert not (tmp_path / "bits.jsonl").exists()
+
+    @pytest.mark.parametrize("kind", ["two-bytes", "version-1"])
+    def test_bad_pair_file_exits_2(self, tmp_path, capsys, kind):
+        pair_path = tmp_path / "pair.bin"
+        if kind == "two-bytes":
+            pair_path.write_bytes(b"JK")
+            msg = f"{pair_path}: 2 bytes is shorter than the 40-byte header"
+        else:
+            nested_v1_pair_file(embedding.build_pair(2, 0.4, seed=1), str(pair_path))
+            msg = f"not a version-2 embedder file: {pair_path}; rebuild it with `cubekern embed build`"
+        (tmp_path / "pts.jsonl").write_text('{"x": [0.25, 0.75]}\n')
+        argv = ["embed", "apply", "--pair", str(pair_path), "--role", "1", "--quiet"]
+        argv += ["--in", str(tmp_path / "pts.jsonl"), "--out", str(tmp_path / "bits.jsonl")]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {msg}\n"
         assert not (tmp_path / "bits.jsonl").exists()
 
     def test_rademacher_on_real_vectors_exits_2(self, tmp_path, capsys):

@@ -9,7 +9,9 @@ Core claims:
     - the universal kernel matches the averaged vertices, has unit diagonal,
       zero cross-layer values, and exact complement symmetry; every table
       the spec derives is read-only and the exact binomial sum of its beta,
-      rounded once (n = 63, 64 too)
+      rounded once (n = 63, 64 too), and a weight and its mirror share one
+      table; a spec's layers and tables cannot be assigned, and changing the
+      dict it was built from changes no score
     - a kernel mirrored below n/2 has the exact Vandermonde coefficients
       sum_l C(n - 2p', l - r) beta_l, rounded once
     - one-layer Grams are PSD at oracle scale; two-layer Grams are block
@@ -137,6 +139,25 @@ class TestUniversalKernel:
             ]
             assert spec.tables[w].tolist() == want
             assert not spec.tables[w].flags.writeable
+
+    def test_one_table_per_layer_object(self):
+        spec = kernels.universal_kernel(64)
+        for w, lk in spec.per_layer.items():
+            assert spec.tables[w] is spec.tables[64 - w]
+            assert np.array_equal(spec.tables[w], scheme.d_from_p(lk.beta))
+
+    def test_layers_fixed_at_construction(self):
+        layers = dict(kernels.universal_kernel(6).per_layer)
+        spec = KernelSpec(6, "universal", layers)
+        constant = kernels.mix_vertices(LayerParams(6, 2), [1, 0, 0])
+        for mapping in (spec.per_layer, spec.tables):
+            with pytest.raises(TypeError):
+                mapping[2] = constant
+        x, y = HypercubePoint.from_string("110000"), HypercubePoint.from_string("001100")
+        before = spec.evaluate(x, y)
+        layers[2] = constant
+        assert spec.evaluate(x, y) == before == pytest.approx(2 / 9)
+        assert KernelSpec(6, "universal", layers).evaluate(x, y) == pytest.approx(1.0)
 
     def test_layer2_beta(self):
         spec = kernels.universal_kernel(4)
