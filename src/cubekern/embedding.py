@@ -31,6 +31,10 @@ Kernel lifting: a scalar kernel ``g`` on inner products (L-Lipschitz on
 ``[0, n]``) lifts to embedded points as ``g(<u, v> / t)``; the lifted value
 differs from ``g(<x, y>)`` by at most ``L * eps`` for certified pairs.
 
+An ``EmbeddedModel`` with a profile of degree <= 1 on ``[0, >= n]`` sums its
+support into an ``(n, K)`` array once and scores a query with n lookups,
+exact up to float summation order; other profiles read the tables per query.
+
 Two maps (role 1 and role 2) are needed because same-role inner products
 are biased whenever both arguments hit the same grid cell (a row dotted
 with itself counts ones, not squared ones); only role-1-vs-role-2 products
@@ -126,6 +130,13 @@ class IntervalEmbedderPair:
         return int.from_bytes(np.packbits(self.cells[role - 1] <= idx, bitorder="little"), "little")
 
 
+def _check_unit(v: np.ndarray) -> None:
+    """Refuse coordinates outside [0, 1], give or take 1e-12, NaN included."""
+    ok = (v >= -1e-12) & (v <= 1.0 + 1e-12)
+    if not ok.all():
+        raise ValueError(f"coordinates must lie in [0, 1], got {v[~ok][0]}")
+
+
 def _grid_cells(grid: np.ndarray, step: float, u: np.ndarray) -> np.ndarray:
     """``searchsorted(grid, u, side="right")`` for u in [0, 1) on the grid of
     ``_interval_grid``: ``floor(u / step) + 1``, capped at the last cell, is off
@@ -176,8 +187,7 @@ class CubeEmbedderPair:
         v = np.asarray(x, dtype=float)
         if v.ndim not in (1, 2) or v.shape[-1] != self.n:
             raise ValueError(f"expected a length-{self.n} vector, got shape {v.shape}")
-        if np.any(v < -1e-12) or np.any(v > 1.0 + 1e-12):
-            raise ValueError("coordinates must lie in [0, 1]")
+        _check_unit(v)
         cells = np.searchsorted(self.grid, np.clip(v, 0.0, 1.0), side="right") - 1
         cells.flags.writeable = False
         return cells
@@ -346,7 +356,7 @@ def lift_kernel(g: StronglyEuclideanG, pair: CubeEmbedderPair) -> LiftedKernel:
 # End-to-end training on real inputs
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class EmbeddedModel:
     """f(x) = sum_i alpha_i g(<Psi_1(x_i), Psi_2(x)> / t) over the role-1 support.
 
@@ -355,19 +365,38 @@ class EmbeddedModel:
     its minimum eigenvalue (``gram_min_eigenvalue``; it need not be PSD) and
     the amount ``gram_diagonal_shift = max(0, -gram_min_eigenvalue)`` added to
     its diagonal before training.  ``alphas`` are checked as ``TrainedModel``'s.
+
+    A profile ``g = c0 + c1 a`` with ``g.domain_max >= n`` is scored from a
+    summary built once, here: ``f(x) = c0 sum(alpha) + sum_c w_c[x_c]`` with
+    ``w_c = (c1 / t) alpha @ T_c[s_c, :]`` (``T_c`` coordinate c's table, ``s_c``
+    the support's cells).  Table entries lie in ``[0, t]``, so no clip of
+    ``g(S / t)`` binds and the summary is within ``1e-12 (1 + sum|alpha| (|c0|
+    + n |c1|))`` of ``alphas @ kernel.cross_gram``; other profiles are scored
+    from the tables bit for bit like it.  The model is frozen, so the summary
+    cannot go stale, and ``predict(x)`` is ``predict_many([x])[0]`` exactly.
     """
 
     kernel: LiftedKernel
     support: tuple
     alphas: np.ndarray
     report: dict
-    _cells: np.ndarray = field(init=False, repr=False, compare=False)
+    _cells: np.ndarray = field(init=False, repr=False)
+    _summary: tuple | None = field(init=False, repr=False)  # (c0 sum(alpha), (n, K) w) or None
 
     def __post_init__(self):
-        self.alphas = _checked_alphas(self.alphas, len(self.support))
-        role, self._cells = self.kernel._cells(self.support)
+        object.__setattr__(self, "alphas", _checked_alphas(self.alphas, len(self.support)))
+        role, cells = self.kernel._cells(self.support)
         if role != 1:
             raise ValueError("the support must be embedded with role 1")
+        object.__setattr__(self, "_cells", cells)
+        g, pair, summary = self.kernel.g, self.kernel.pair, None
+        if 1 <= len(g.coeffs) <= 2 and g.domain_max >= pair.n:
+            c0, c1 = (*g.coeffs, 0.0)[:2]
+            w = np.array([self.alphas @ co.ensure_pair_inner()[cells[:, c]] for c, co in enumerate(pair.coords)])
+            w *= c1 / pair.t
+            w.flags.writeable = False
+            summary = (c0 * self.alphas.sum(), w)
+        object.__setattr__(self, "_summary", summary)
 
     @property
     def pair(self) -> CubeEmbedderPair:
@@ -375,14 +404,18 @@ class EmbeddedModel:
 
     def predict_many(self, xs) -> np.ndarray:
         """Predict an (m, n) batch, embedded with role 2; ``[]`` is an empty batch.
-        The same table sums as ``kernel.cross_gram``, on support cells stacked once."""
+        One gather from the summary, or the table sums of ``kernel.cross_gram``
+        on support cells stacked once."""
         v = np.asarray(xs, dtype=float)
         if v.shape == (0,):
             v = v.reshape(0, self.pair.n)
         if v.ndim != 2:
             raise ValueError(f"expected an (m, {self.pair.n}) batch, got shape {v.shape}")
-        ip = self.pair.cell_inner(self._cells, self.pair.grid_indices(v))
-        return self.alphas @ self.kernel._lift(ip)
+        cells = self.pair.grid_indices(v)
+        if self._summary is not None:
+            const, w = self._summary
+            return const + w[np.arange(self.pair.n), cells].sum(axis=1)
+        return self.alphas @ self.kernel._lift(self.pair.cell_inner(self._cells, cells))
 
     def predict(self, x) -> float:
         return float(self.predict_many([x])[0])
@@ -409,6 +442,7 @@ def train_on_cube(
     xs = np.asarray(points, dtype=float)
     if xs.ndim != 2:
         raise ValueError("points must be an (m, n) array")
+    _check_unit(xs)
     m, n = xs.shape
     lam = regularization_weight(n, B, epsilon, lam_override)
     pair = build_pair(n, epsilon, seed=seed)

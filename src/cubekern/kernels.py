@@ -181,7 +181,7 @@ def mix_vertices(layer: LayerParams, lambdas) -> BetaCoeffs:
 _KINDS = ("direct_sum", "universal", "conjunction", "sparse_conjunction")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KernelSpec:
     """A full hypercube kernel: one layer kernel per occupied weight.
 
@@ -194,13 +194,14 @@ class KernelSpec:
     the read-only value table ``d_from_p(beta)`` over inner products
     ``k = 0..p``; the weight-free ``sparse_conjunction`` layer's beta is
     zero-padded first, so its table covers ``k = 0..n``; weights that share one
-    layer object share one table.  ``per_layer`` is a read-only copy.
+    layer object share one table.  ``per_layer`` is a read-only copy.  Specs
+    compare and hash by identity.
     """
 
     n: int
     kind: str
     per_layer: MappingProxyType[int, BetaCoeffs]
-    tables: MappingProxyType[int, np.ndarray] = field(init=False, repr=False, compare=False)
+    tables: MappingProxyType[int, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in _KINDS:

@@ -119,9 +119,10 @@ class LayerParams:
         return math.comb(self.n, self.p)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BetaCoeffs:
-    """Coordinates of a layer kernel in the binomial basis ``b_l``."""
+    """Coordinates of a layer kernel in the binomial basis ``b_l``; compared and
+    hashed by identity."""
 
     layer: LayerParams
     beta: np.ndarray

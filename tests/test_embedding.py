@@ -8,6 +8,7 @@ Core claims:
     - builds are deterministic in (n, eps, seed); roles are independent
     - bits-per-coordinate scales as promised and the width guard reports a
       feasible accuracy
+    - coordinates outside [0, 1], NaN included, are refused
     - embedded bit vectors agree with the certified inner-product tables
     - lifting a constant is exact; Lipschitz profiles deviate by at most
       2 L eps; declared constants are validated
@@ -27,14 +28,20 @@ Core claims:
     - end-to-end training on real inputs fits margined linear data, on a
       training Gram certified within eps of the grid inner products, and
       Pegasos trains on it with the diagonal raised to make it PSD;
-      batch prediction validates its input, agrees with single queries and
-      equals the lifted cross_gram exactly; the support must be role 1;
-      a B that is not finite and positive is refused before any build; a
-      model's pair is its kernel's, and alphas that are not a finite 1-d
-      vector with one entry per support point are refused at construction
+      batch prediction validates its input and equals single queries
+      exactly; a profile of degree <= 1 with domain_max >= n is scored from
+      the support summary within 1e-12 (1 + sum|alpha| (|c0| + n |c1|)) of
+      the lifted cross_gram, on built and drawn pairs alike, and any other
+      profile (degree 2, domain_max < n, queries past domain_max) equals it
+      exactly; the support must be role 1; a model is frozen; a B that is
+      not finite and positive, or a point outside [0, 1] or NaN, is refused
+      before any build; a model's pair is its kernel's, and alphas that are
+      not a finite 1-d vector with one entry per support point are refused
+      at construction
     - every script under demos/ runs to exit 0
 """
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -157,6 +164,18 @@ class TestEmbed:
             embedding.embed(pair, 1, np.array([-0.2, 0.5]))
         # 1e-12 slop is clamped, not rejected
         embedding.embed(pair, 1, np.array([1.0 + 5e-13, 0.0]))
+
+    def test_nan_rejected(self):
+        pair = embedding.build_pair(2, 0.3, seed=5)
+        nan = np.array([np.nan, 0.5])
+        for refuse in (
+            lambda: pair.grid_indices(nan),
+            lambda: embedding.embed(pair, 2, nan),
+            lambda: embedding.embed(pair, 1, np.array([[0.5, 0.5], nan])),
+            lambda: pair.table_inner(nan, np.array([0.5, 0.5])),
+        ):
+            with pytest.raises(ValueError, match=r"\[0, 1\], got nan"):
+                refuse()
 
     def test_bits_match_certified_tables(self, rng):
         pair = embedding.build_pair(3, 0.25, seed=4)
@@ -524,6 +543,15 @@ class TestTrainOnCube:
         with pytest.raises(ValueError, match=f"B must be positive and finite, got {B}"):
             embedding.train_on_cube(xs, ys, g, B=B, epsilon=0.1, lam_override=lam)
 
+    @pytest.mark.parametrize("bad", [np.nan, 1.5])
+    def test_bad_points_refused_before_building(self, rng, monkeypatch, bad):
+        monkeypatch.setattr(embedding, "build_pair", None)  # never reached
+        xs, ys = self._margined_data(rng, m=4)
+        xs[2, 1] = bad
+        g = embedding.poly_g([0.5, 1.0 / 6.0], lipschitz=1 / 6, domain_max=3.0)
+        with pytest.raises(ValueError, match=rf"coordinates must lie in \[0, 1\], got {bad}"):
+            embedding.train_on_cube(xs, ys, g, B=1.0, epsilon=0.1)
+
     def test_pegasos_trains_on_a_psd_gram(self, rng, monkeypatch):
         trained = []
         pegasos_train = learners.pegasos_train
@@ -544,6 +572,12 @@ class TestTrainOnCube:
         off = ~np.eye(len(xs), dtype=bool)
         assert np.array_equal(shifted[off], gram[off])
         assert np.array_equal(np.diag(shifted), np.diag(gram) + model.report["gram_diagonal_shift"])
+
+
+def summary_tolerance(model):
+    """The stated bound on |summary - alphas @ cross_gram|: 1e-12 (1 + sum|alpha| (|c0| + n |c1|))."""
+    c0, c1 = (*model.kernel.g.coeffs, 0.0)[:2]
+    return 1e-12 * (1.0 + np.abs(model.alphas).sum() * (abs(c0) + model.pair.n * abs(c1)))
 
 
 class TestEmbeddedPrediction:
@@ -574,9 +608,62 @@ class TestEmbeddedPrediction:
             xs = np.array(rows).reshape(-1, 2)
             queries = embedding.embed(model.pair, 2, xs)
             want = model.alphas @ model.kernel.cross_gram(model.support, queries)
-            assert np.array_equal(model.predict_many(xs), want)
+            assert model._summary is not None  # g = 0.5 + a/4 on [0, n]
+            assert np.abs(model.predict_many(xs) - want).max(initial=0.0) <= summary_tolerance(model)
 
         check()
+
+    @pytest.mark.parametrize(
+        "coeffs, lipschitz, domain_max",
+        [([0.5, 0.25, 0.125], 0.75, 2.0), ([0.5, 0.25], 0.25, 0.5), ([0.5, 0.25, -0.5], 0.75, 1.0)],
+        ids=["degree-2", "domain_max-below-n", "both"],
+    )
+    def test_other_profiles_equal_lifted_cross_gram_exactly(self, model, coeffs, lipschitz, domain_max):
+        g = embedding.poly_g(coeffs, lipschitz=lipschitz, domain_max=domain_max)
+        other = embedding.EmbeddedModel(embedding.lift_kernel(g, model.pair), model.support, model.alphas, {})
+        assert other._summary is None
+        corner = embedding.embed(model.pair, 2, np.ones(2))  # reaches past the two domain_max below n
+        assert model.pair.cell_inner(other._cells, corner.cells[None, :]).max() / model.pair.t > 1.0
+
+        @settings(max_examples=40, deadline=None)
+        @given(st.lists(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2), max_size=8))
+        def check(rows):
+            xs = np.array([[1.0, 1.0], *rows])
+            queries = embedding.embed(model.pair, 2, xs)
+            want = other.alphas @ other.kernel.cross_gram(other.support, queries)
+            assert np.array_equal(other.predict_many(xs), want)
+            for x in xs:
+                assert other.predict(x) == other.predict_many([x])[0]
+
+        check()
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_pairs(drawn_cells=True), st.data())
+    def test_summary_within_tolerance_on_drawn_pairs(self, pair, data):
+        n, coef = pair.n, st.floats(-8.0, 8.0)
+        c0, c1 = data.draw(coef), data.draw(st.just(0.0) | coef)
+        coeffs = data.draw(st.sampled_from([(c0,), (c0, c1)]))
+        g = embedding.poly_g(coeffs, lipschitz=abs(c1), domain_max=data.draw(st.floats(n, n + 2.0)))
+        vectors = st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)
+        xs = np.array(data.draw(st.lists(vectors, min_size=1, max_size=6)))
+        alphas = data.draw(st.lists(st.floats(-10.0, 10.0), min_size=len(xs), max_size=len(xs)))
+        model = embedding.EmbeddedModel(
+            embedding.lift_kernel(g, pair), tuple(embedding.embed(pair, 1, xs)), np.array(alphas), {}
+        )
+        assert model._summary is not None
+        ys = np.array(data.draw(st.lists(vectors, max_size=6))).reshape(-1, n)
+        want = model.alphas @ model.kernel.cross_gram(model.support, embedding.embed(pair, 2, ys))
+        got = model.predict_many(ys)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max(initial=0.0) <= summary_tolerance(model)
+        for y in ys:
+            assert model.predict(y) == model.predict_many([y])[0]
+
+    def test_model_is_frozen(self, model):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.alphas = -model.alphas
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.kernel = None
 
     def test_support_must_be_role_1(self, model):
         support = embedding.embed(model.pair, 2, np.array([[0.5, 0.5]]))
@@ -615,11 +702,15 @@ class TestEmbeddedPrediction:
             (np.full((2, 2, 2), 0.5), r"\(m, 2\) batch"),
             (np.array([[0.5, 1.2]]), r"\[0, 1\]"),
             (np.array([[-0.1, 0.5]]), r"\[0, 1\]"),
+            (np.array([[0.5, np.nan]]), r"\[0, 1\], got nan"),
         ],
     )
     def test_bad_batch_rejected(self, model, bad, match):
         with pytest.raises(ValueError, match=match):
             model.predict_many(bad)
+        if bad.shape == (1, 2):
+            with pytest.raises(ValueError, match=match):
+                model.predict(bad[0])
 
 
 DEMOS = os.path.join(os.path.dirname(__file__), os.pardir, "demos")

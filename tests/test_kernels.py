@@ -11,7 +11,8 @@ Core claims:
       the spec derives is read-only and the exact binomial sum of its beta,
       rounded once (n = 63, 64 too), and a weight and its mirror share one
       table; a spec's layers and tables cannot be assigned, and changing the
-      dict it was built from changes no score
+      dict it was built from changes no score; specs and their layers
+      compare and hash by identity
     - a kernel mirrored below n/2 has the exact Vandermonde coefficients
       sum_l C(n - 2p', l - r) beta_l, rounded once
     - one-layer Grams are PSD at oracle scale; two-layer Grams are block
@@ -145,6 +146,12 @@ class TestUniversalKernel:
         for w, lk in spec.per_layer.items():
             assert spec.tables[w] is spec.tables[64 - w]
             assert np.array_equal(spec.tables[w], scheme.d_from_p(lk.beta))
+
+    def test_equality_is_identity(self):
+        a, b = kernels.universal_kernel(6), kernels.universal_kernel(6)
+        assert a == a and a != b and len({a, b, a}) == 2
+        la, lb = a.per_layer[2], b.per_layer[2]
+        assert la == la and la != lb and len({la, lb}) == 2
 
     def test_layers_fixed_at_construction(self):
         layers = dict(kernels.universal_kernel(6).per_layer)
