@@ -48,6 +48,7 @@ deterministic given identical inputs.
 from __future__ import annotations
 
 import math
+import mmap
 import numbers
 import operator
 from dataclasses import dataclass, field
@@ -461,7 +462,11 @@ def sparse_conjunction_kernel(n: int, s: int, ell: int) -> KernelSpec:
     return KernelSpec(n, "sparse_conjunction", {s: _sparse_layer(n, s, beta)})
 
 
-_SUBSET_COST = 12  # one submask lookup costs about as much as 12 support rows' inner products
+# A binary-search submask lookup cost about as much as 12 support rows' inner
+# products, a dense one about as much as 2.  The rule keeps 12 so that every
+# layer keeps its path and its outputs bit for bit; lowering it moves layers
+# onto the subset path, which changes their rounding.
+_SUBSET_COST = 12
 
 
 def _submasks(masks: np.ndarray, p: int) -> np.ndarray:
@@ -494,19 +499,35 @@ class _SubsetWeights:
     ``g(k) = sum_l c_l C(k, l)`` with ``c`` the layer's ``beta``, and
     ``C(<s, x>, l)`` counts the l-subsets s and x share, so ``sum_i alpha_i g(<s_i, x>)`` is
     ``sum_{T ⊆ x} wts[T]`` with ``wts[T] = c_|T| * sum_{i: T ⊆ s_i} alpha_i``.
-    ``keys`` are the sorted submasks of the support, ``wts`` their weights.
+    A query is one gather and a row sum, ``table[slot(subs)].sum(axis=1)``.
+    When ``1 << n <= _BLOCK_ELEMS`` the table is dense: ``2^n`` floats
+    (8 * 2^n bytes) indexed by the submask itself, zero off the support, and
+    ``keys`` is None; a submask then costs about 4 ns to enumerate and 4 ns
+    to gather and sum.  Otherwise ``keys`` are the sorted submasks of the
+    support, the table is their weights followed by one 0.0, and a binary
+    search (about 40 ns) sends a submask not among the keys to that
+    trailing zero.  Both forms put the same value at the same position of
+    each row, so they score bit for bit alike.
     """
 
     p: int
-    keys: np.ndarray
-    wts: np.ndarray
+    keys: np.ndarray | None
+    table: np.ndarray
 
     @classmethod
-    def build(cls, alphas: np.ndarray, masks: np.ndarray, beta: np.ndarray) -> "_SubsetWeights":
-        p = len(beta) - 1
+    def build(cls, alphas: np.ndarray, masks: np.ndarray, kernel: BetaCoeffs) -> "_SubsetWeights":
+        n, p = kernel.layer.n, kernel.layer.p
         keys, inv = np.unique(_submasks(masks, p).ravel(), return_inverse=True)
         covered = np.bincount(inv, np.repeat(alphas, 1 << p), minlength=keys.size)
-        return cls(p, keys, covered * beta[np.bitwise_count(keys)])
+        wts = covered * kernel.beta[np.bitwise_count(keys)]
+        if 1 << n <= _BLOCK_ELEMS:
+            # zeroed pages of its own: taken from the heap just after a large
+            # Gram is freed, the table can keep the heap from shrinking and
+            # cost peak RSS several times its size
+            table = np.frombuffer(mmap.mmap(-1, 8 << n))
+            table[keys] = wts
+            return cls(p, None, table)
+        return cls(p, keys, np.append(wts, 0.0))
 
     def scores(self, masks: np.ndarray) -> np.ndarray:
         """``sum_{T ⊆ x} wts[T]`` for each weight-p mask x, in row chunks of at
@@ -514,11 +535,12 @@ class _SubsetWeights:
         out = np.empty(masks.size)
         step = max(1, _BLOCK_ELEMS >> self.p)
         for start in range(0, masks.size, step):
-            subs = _submasks(masks[start : start + step], self.p)
-            idx = np.searchsorted(self.keys, subs)
-            np.minimum(idx, self.keys.size - 1, out=idx)
-            hit = self.keys[idx] == subs
-            out[start : start + step] = np.where(hit, self.wts[idx], 0.0).sum(axis=1)
+            slot = _submasks(masks[start : start + step], self.p)
+            if self.keys is not None:
+                idx = np.searchsorted(self.keys, slot)
+                idx[self.keys[np.minimum(idx, self.keys.size - 1)] != slot] = self.keys.size
+                slot = idx
+            out[start : start + step] = self.table[slot].sum(axis=1)
         return out
 
 
@@ -545,7 +567,9 @@ class TrainedModel:
     once, here, its repeated points merged, zero alphas dropped and the rest
     grouped by layer.  A layer on canonical weight p with ``rows`` support
     points is scored from the support's subset weights (:class:`_SubsetWeights`,
-    2^p lookups per query) when ``_SUBSET_COST * 2^p <= rows`` and
+    2^p lookups per query into a dense ``2^n`` table when
+    ``1 << n <= _BLOCK_ELEMS``, 8 * 2^n bytes per layer, else into the sorted
+    keys) when ``_SUBSET_COST * 2^p <= rows`` and
     ``rows * 2^p <= _BLOCK_ELEMS``, and otherwise by summing table values
     against the alphas block by block (one step per support row); a
     ``sparse_conjunction`` spec, whose queries come in every weight, always
@@ -577,7 +601,7 @@ class TrainedModel:
                 for w, (alphas, support) in groups.items():
                     p = self.spec.per_layer[w].layer.p
                     if _SUBSET_COST << p <= support.size and support.size << p <= _BLOCK_ELEMS:
-                        groups[w] = _SubsetWeights.build(alphas, support, self.spec.per_layer[w].beta)
+                        groups[w] = _SubsetWeights.build(alphas, support, self.spec.per_layer[w])
         object.__setattr__(self, "_support_groups", groups)
 
     def _layer_scores(self, w: int, masks: np.ndarray) -> np.ndarray:

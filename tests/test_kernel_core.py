@@ -23,6 +23,11 @@ Core claims:
       3 and 12 take that path and layer 6 does not; a direct-sum layer built
       by hand from its beta scores the same on both paths; one row's
       submasks match the batch enumeration
+    - a subset layer's dense table (2^n floats, when 1 << n <= _BLOCK_ELEMS)
+      and its sorted keys score bit for bit alike, on n = 5 to 32 around the
+      n = 18 gate, and a query that misses every key scores exactly 0.0;
+      building and scoring four dense subset layers of n = 18 takes under
+      10 MiB: their tables plus the traced peak
     - a single prediction equals the batch prediction of the same point,
       and predict(x) == predict_many([x])[0] exactly on both paths
     - a model over a lifted kernel (embedded points of a real pair) still predicts
@@ -303,6 +308,76 @@ def test_subset_path_builds_and_scores_in_bounded_memory():
     assert subset_layers(model) == [4]
     want = alphas @ kernels.cross_gram(spec, support, queries)
     assert np.abs(got - want).max() <= subset_tolerance(spec, alphas)
+
+
+def test_dense_subset_layers_at_the_gate_build_and_score_in_bounded_memory():
+    # n = 18 is the largest n whose layers get dense 2^n tables (2 MiB each):
+    # four subset layers hold 8 MiB, and no temporary of building or scoring
+    # exceeds one _BLOCK_ELEMS block of floats, another 2 MiB.  The tables
+    # have pages of their own, which tracemalloc does not see, so their bytes
+    # are counted apart from the traced peak.
+    rng = np.random.default_rng(8)
+    draw = lambda m, w: [HypercubePoint.from_indices(18, rng.permutation(18)[:w]) for _ in range(m)]
+    spec = kernels.universal_kernel(18)
+    support = draw(100, 2) + draw(300, 3) + draw(600, 4) + draw(300, 15)
+    queries = draw(500, 2) + draw(500, 3) + draw(500, 4) + draw(500, 15)
+    alphas = rng.normal(size=len(support))
+    tracemalloc.start()
+    try:
+        model = TrainedModel(spec, support, alphas)
+        got = model.predict_many(queries)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    tables = [model._support_groups[w] for w in subset_layers(model)]
+    assert subset_layers(model) == [2, 3, 4, 15] and all(t.keys is None for t in tables)
+    assert peak + sum(t.table.nbytes for t in tables) < 10 * 2**20
+    want = alphas @ kernels.cross_gram(spec, support, queries)
+    assert np.abs(got - want).max() <= subset_tolerance(spec, alphas)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from([5, 16, 18, 19, 32]), st.integers(0, 5), st.booleans(), st.integers(0, 2**32 - 1))
+def test_dense_and_sorted_subset_tables_score_bit_for_bit_alike(monkeypatch, n, p, weigh_empty_set, seed):
+    # The same support in three models: on the top span = min(n, 18)
+    # coordinates of n itself (dense up to n = 18, sorted above), and on a
+    # layer of span coordinates, once dense and once sorted by lowering
+    # _BLOCK_ELEMS below 2^span at build time.  A shift keeps the order in
+    # which a row's submasks are enumerated, so all three gather the same
+    # values in the same order.  The last query shares no coordinate with the
+    # support; when the empty set carries no weight it scores exactly 0.0.
+    rng = np.random.default_rng(seed)
+    span = min(n, 18)
+    p = min(p, span // 2)
+    beta = rng.normal(size=p + 1)
+    if not weigh_empty_set:
+        beta[0] = 0.0
+    window = lambda coords: [int(c) for c in rng.choice(coords, p, replace=False)]
+    size = rng.integers(1, min(40, ((1 << span) - 1) >> p) + 1)
+    support = [window(span - p) for _ in range(size)]  # the top p coordinates are kept free
+    queries = [window(span) for _ in range(30)] + [list(range(span - p, span))]
+    alphas = rng.normal(size=size)
+    default = kernels._BLOCK_ELEMS
+    monkeypatch.setattr(kernels, "_SUBSET_COST", 0)
+
+    def model(dim, block_elems):
+        points = lambda sets: [HypercubePoint.from_indices(dim, [c + dim - span for c in s]) for s in sets]
+        monkeypatch.setattr(kernels, "_BLOCK_ELEMS", block_elems)
+        spec = KernelSpec(dim, "direct_sum", {p: BetaCoeffs(LayerParams(dim, p), beta)})
+        m = TrainedModel(spec, points(support), alphas)
+        monkeypatch.setattr(kernels, "_BLOCK_ELEMS", default)
+        assert subset_layers(m) == [p]
+        return m, points(queries)
+
+    forms = [model(n, default), model(span, default), model(span, (1 << span) - 1)]
+    assert [m._support_groups[p].keys is None for m, _ in forms] == [n <= 18, True, False]
+    scores = [m.predict_many(q) for m, q in forms]
+    assert all(got.tobytes() == scores[0].tobytes() for got in scores)
+    if not weigh_empty_set:
+        assert scores[0][-1] == 0.0
+    for m, q in forms:
+        for x in q:
+            assert m.predict(x) == m.predict_many([x])[0]
 
 
 @PROPERTY
