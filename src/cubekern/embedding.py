@@ -50,7 +50,6 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -139,13 +138,14 @@ def _check_unit(v: np.ndarray) -> None:
 
 def _grid_cells(grid: np.ndarray, step: float, u: np.ndarray) -> np.ndarray:
     """``searchsorted(grid, u, side="right")`` for u in [0, 1) on the grid of
-    ``_interval_grid``: ``floor(u / step) + 1``, capped at the last cell, is off
-    by at most one where rounding meets a grid point, and one exact comparison
-    each way against ``grid`` mends that."""
-    c = np.minimum(np.floor(u / step).astype(np.intp) + 1, grid.shape[0] - 1)
+    ``_interval_grid``: the guess ``trunc(u * (1 / step)) + 1``, capped at the
+    last cell, is off by at most one where rounding meets a grid point, and
+    one exact comparison each way against ``grid`` mends that."""
+    c = (u * (1.0 / step)).astype(np.uint16) + 1
+    np.minimum(c, grid.shape[0] - 1, out=c)
     c -= grid[c - 1] > u
     c += grid[c] <= u
-    return c.astype(np.uint16)
+    return c
 
 
 def _build_interval_pair(eps_int: float, t: int, seed: int, coord: int) -> IntervalEmbedderPair:
@@ -432,11 +432,14 @@ def train_on_cube(
     epochs: int = 200,
     lam_override: float | None = None,
 ) -> EmbeddedModel:
-    """Embed a real-valued sample as role 1 and train kernelized SGD on the
-    symmetrised cross-role Gram of the lifted kernel ``g(<u, v>/t)``, with
-    its diagonal raised by ``max(0, -lambda_min)`` so that Pegasos trains on
-    a PSD matrix; the off-diagonal entries stay certified."""
-    from .learners import HINGE, pegasos_train, regularization_weight
+    """Embed a real-valued sample as role 1 and train by dual coordinate
+    ascent (``learners.sdca_solve``, at most ``epochs`` epochs, one row per
+    point) on the symmetrised cross-role Gram of the lifted kernel
+    ``g(<u, v>/t)``, with its diagonal raised by ``max(0, -lambda_min)`` so
+    that it trains on a PSD matrix; the off-diagonal entries stay certified.
+    The report's ``gap``, ``epochs`` and ``converged`` are the solver's: the
+    gap certifies the diagonal-shifted problem, not the unshifted one."""
+    from .learners import HINGE, regularization_weight, sdca_solve
 
     loss = HINGE if loss is None else loss
     xs = np.asarray(points, dtype=float)
@@ -454,12 +457,14 @@ def train_on_cube(
     min_eig = float(np.linalg.eigvalsh(gram)[0])
     shift = max(0.0, -min_eig)
     gram[np.diag_indices(m)] += shift
-    trained = SimpleNamespace(gram=lambda _points: gram)
-    model = pegasos_train(trained, support, labels, lam, epochs=epochs, seed=seed, loss=loss)
+    alphas, report = sdca_solve(gram, np.arange(m), labels, lam, loss, epochs, seed)
     u = pair.grid[cells]
-    report = dict(model.report, gram_max_deviation=float(np.abs(sym / pair.t - u @ u.T).max()))
-    report.update(gram_min_eigenvalue=min_eig, gram_diagonal_shift=shift)
-    return EmbeddedModel(kernel, support, model.alphas, report)
+    report.update(
+        gram_max_deviation=float(np.abs(sym / pair.t - u @ u.T).max()),
+        gram_min_eigenvalue=min_eig,
+        gram_diagonal_shift=shift,
+    )
+    return EmbeddedModel(kernel, support, alphas, report)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,10 @@ Core claims:
       the rebuild command
     - end-to-end training on real inputs fits margined linear data, on a
       training Gram certified within eps of the grid inner products, and
-      Pegasos trains on it with the diagonal raised to make it PSD;
+      dual coordinate ascent trains on it, one row per point, with the
+      diagonal raised to make it PSD; its report is deterministic per seed,
+      converged, and its gap (within the solver's tolerance) is the primal
+      minus the dual of that shifted problem;
       batch prediction validates its input and equals single queries
       exactly; a profile of degree <= 1 with domain_max >= n is scored from
       the support summary within 1e-12 (1 + sum|alpha| (|c0| + n |c1|)) of
@@ -552,26 +555,42 @@ class TestTrainOnCube:
         with pytest.raises(ValueError, match=rf"coordinates must lie in \[0, 1\], got {bad}"):
             embedding.train_on_cube(xs, ys, g, B=1.0, epsilon=0.1)
 
-    def test_pegasos_trains_on_a_psd_gram(self, rng, monkeypatch):
+    def test_sdca_trains_on_a_psd_gram(self, rng, monkeypatch):
         trained = []
-        pegasos_train = learners.pegasos_train
+        sdca_solve = learners.sdca_solve
 
-        def spy(spec, points, *args, **kwargs):
-            trained.append(np.array(spec.gram(points)))
-            return pegasos_train(spec, points, *args, **kwargs)
+        def spy(k, where, *args):
+            trained.append((np.array(k), np.array(where)))
+            return sdca_solve(k, where, *args)
 
-        monkeypatch.setattr(learners, "pegasos_train", spy)
+        monkeypatch.setattr(learners, "sdca_solve", spy)
         xs, ys = self._margined_data(rng, m=60)
         g = embedding.poly_g([0.25, 0.5 / 3, 0.25 / 9], lipschitz=1 / 3, domain_max=3.0)
         model = embedding.train_on_cube(xs, ys, g, B=1.0, epsilon=0.1, seed=0, epochs=5)
         gram = model.kernel.gram(list(model.support))
-        (shifted,) = trained
+        ((shifted, where),) = trained
+        assert np.array_equal(where, np.arange(len(xs)))  # one row per point
         assert model.report["gram_diagonal_shift"] > 0.0  # this sample's Gram is indefinite
         eig = np.linalg.eigvalsh(shifted)
         assert eig[0] >= -1e-9 * eig[-1]
         off = ~np.eye(len(xs), dtype=bool)
         assert np.array_equal(shifted[off], gram[off])
         assert np.array_equal(np.diag(shifted), np.diag(gram) + model.report["gram_diagonal_shift"])
+
+    def test_report_certifies_the_shifted_problem(self, rng):
+        xs, ys = self._margined_data(rng, m=60)
+        g = embedding.poly_g([0.25, 0.5 / 3, 0.25 / 9], lipschitz=1 / 3, domain_max=3.0)
+        model, again = (embedding.train_on_cube(xs, ys, g, B=1.0, epsilon=0.1, seed=3) for _ in range(2))
+        assert model.alphas.tobytes() == again.alphas.tobytes() and model.report == again.report
+        report = model.report
+        assert report["algo"] == "sdca" and report["converged"] and 0 < report["epochs"] <= 200
+        objective, lam, rows = report["objective"], report["lambda"], np.arange(len(xs))
+        assert report["gap"] <= learners._SDCA_TOL * (1.0 + abs(objective))
+        shifted = model.kernel.gram(list(model.support)) + report["gram_diagonal_shift"] * np.eye(len(xs))
+        primal = learners._primal_value(HINGE, ys, lam, shifted, model.alphas, rows)
+        dual = learners._dual_value(HINGE, ys, lam, shifted, model.alphas, rows)
+        assert primal == pytest.approx(objective, rel=1e-12)
+        assert primal - dual == pytest.approx(report["gap"], rel=1e-9, abs=1e-12)
 
 
 def summary_tolerance(model):

@@ -18,6 +18,18 @@ Core claims:
       labels and weights above n/2; a plain gram object gets one row per
       point; 3,000 weight-4 points of n = 16 train under 25 MiB of traced
       allocation, and 25,000 (above the Gram cap) train at all
+    - pegasos walks its pick stream in chunks, bit for bit like the dense
+      loop across chunk boundaries: 100,000 steps trace under 24 bytes a
+      step plus 1 MiB
+    - dual coordinate ascent (sdca_solve on the Gram of the distinct
+      points, n <= 8, repeated points with conflicting labels, both losses)
+      stops with a gap of at most _SDCA_TOL (1 + |objective|), its
+      objective equals the per-point primal at its alphas and lies within
+      that gap of an independent dense solve run to 1e-12; one step is the
+      exact coordinate maximizer; it is deterministic per seed, sends the
+      alphas of zero Gram rows to the box corner toward their label,
+      reports converged=False at its epoch cap, and names an empty dataset,
+      bad labels, a bad lam, bad epochs and a Gram that `where` does not fit
     - the class form (where, ip, table) of the vertex Grams: ip is the
       popcount of the distinct mirrored masks, ip[where][:, where] that of
       every pair of points, table the exact vertex tables; combine and every
@@ -302,11 +314,11 @@ class TestPegasos:
 
 
 @st.composite
-def pegasos_problems(draw):
-    """A universal, conjunction or sparse-conjunction spec on n <= 11, points
+def pegasos_problems(draw, max_n=11):
+    """A universal, conjunction or sparse-conjunction spec on n <= max_n, points
     drawn with repeats from a pool of at most six (weights below, at and
     above n/2), independent labels, and the solver's other arguments."""
-    n = draw(st.integers(2, 11))
+    n = draw(st.integers(2, max_n))
     p = draw(st.integers(0, n))
     kind = draw(st.sampled_from(["universal", "conjunction", "sparse_conjunction"]))
     if kind == "universal":
@@ -359,8 +371,8 @@ class TestPegasosDistinctPoints:
         st.sampled_from([HINGE, ABSOLUTE]),
     )
     def test_any_gram_object_gets_one_row_per_point(self, data, epochs, seed, loss):
-        # a plain object with a gram method, as train_on_cube passes: its rows
-        # are not merged, whether or not two of them are equal
+        # a plain object with a gram method, such as a Gram built elsewhere:
+        # its rows are not merged, whether or not two of them are equal
         pool, rows, labels = data
         b = np.array([pool[r % len(pool)] for r in rows])
         spec = SimpleNamespace(gram=lambda _pts: b @ b.T)
@@ -388,12 +400,150 @@ class TestPegasosDistinctPoints:
         assert peak <= 25 * 2**20
         assert model.report["iters"] == 6000
 
+    def test_pick_stream_is_walked_in_chunks(self):
+        # 100,000 steps over 4 points: the picks and the weights hold 16 bytes
+        # a step, so the traced peak stays under 24 bytes a step plus 1 MiB;
+        # whole-length Python lists of both took about 50-75 bytes a step.  A
+        # one-epoch run first pays the one-time imports and caches untraced.
+        pts = pts_from_tuples(layer_points(4, 2))[:4]
+        y = np.array([1.0, -1.0, 1.0, -1.0])
+        spec = kernels.universal_kernel(4)
+        learners.pegasos_train(spec, pts, y, 1e-2, epochs=1, seed=0)
+        tracemalloc.start()
+        try:
+            model = learners.pegasos_train(spec, pts, y, 1e-2, epochs=25_000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert model.report["iters"] == 100_000
+        assert peak <= 24 * 100_000 + 2**20
+
+    @pytest.mark.parametrize("chunk", [1, 7, 50])
+    def test_chunks_replay_the_dense_loop_bit_for_bit(self, monkeypatch, chunk):
+        # 50 steps walked in chunks of 1, of 7 (the last one partial) and of 50
+        monkeypatch.setattr(learners, "_PICK_CHUNK", chunk)
+        rows = layer_points(6, 2)
+        pts = pts_from_tuples([rows[i] for i in (0, 3, 3, 7, 11, 0, 14, 2, 9, 3)])
+        problem = (kernels.universal_kernel(6), pts, np.array([1.0, -1.0] * 5), 0.1, 5, 11, HINGE)
+        spec, points, labels, lam, epochs, seed, loss = problem
+        model = learners.pegasos_train(spec, points, labels, lam, epochs=epochs, seed=seed, loss=loss)
+        assert_matches_oracle(model, pegasos_oracle(*problem))
+
     def test_point_count_above_the_gram_cap_trains(self):
         pts, y = self.weight4_points(25_000, 1)
         assert len(pts) > kernels._MAX_GRAM_POINTS
         model = learners.pegasos_train(kernels.universal_kernel(16), pts, y, 1e-3, epochs=1, seed=0)
         assert model.report["iters"] == 25_000
         assert np.isfinite(model.report["gap"]) and model.report["gap"] >= -1e-9
+
+
+def dense_dual_solve(k, y, lam, loss, tol=1e-12, max_iter=200_000):
+    """``(objective, gap)`` on a dense per-point Gram, independently of the
+    solvers: projected gradient ascent on the dual with momentum restarted
+    whenever it points back (step ``1/(lam ||k||_2)``), run until the primal
+    minus the dual is at most ``tol (1 + |objective|)``."""
+    rows = np.arange(len(y))
+    lo, hi = learners._alpha_box(loss, y, lam)
+    step = 1.0 / (lam * max(float(np.linalg.eigvalsh(k)[-1]), 1e-12))
+    alpha = v = np.zeros(len(y))
+    theta = 1.0
+    for _ in range(max_iter):
+        nxt = np.clip(v + step * lam * (y - k @ v), lo, hi)
+        primal = learners._primal_value(loss, y, lam, k, nxt, rows)
+        gap = primal - learners._dual_value(loss, y, lam, k, nxt, rows)
+        if gap <= tol * (1.0 + abs(primal)):
+            return primal, gap
+        if float((nxt - alpha) @ (v - nxt)) > 0.0:
+            v, theta = nxt, 1.0
+        else:
+            theta_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta * theta))
+            v = nxt + ((theta - 1.0) / theta_next) * (nxt - alpha)
+            theta = theta_next
+        alpha = nxt
+    raise AssertionError(f"the dense solve stopped at gap {gap:.3g}")
+
+
+def distinct_sdca(spec, points, labels, lam, epochs, seed, loss=HINGE):
+    """``sdca_solve`` on the Gram of the distinct points under ``spec``."""
+    masks, where = np.unique(kernels.points_to_bits(points, spec.n), return_inverse=True)
+    return learners.sdca_solve(spec.gram(masks), where, labels, lam, loss, epochs, seed)
+
+
+class TestSdca:
+    @settings(max_examples=150, deadline=None)
+    @given(pegasos_problems(max_n=8))
+    def test_stops_within_its_gap_of_a_dense_solve(self, problem):
+        spec, points, labels, lam, _, seed, loss = problem
+        alphas, report = distinct_sdca(spec, points, labels, lam, 10_000, seed, loss)
+        objective, gap = report["objective"], report["gap"]
+        assert report["converged"] and report["algo"] == "sdca"
+        assert -1e-12 * (1.0 + abs(objective)) <= gap <= learners._SDCA_TOL * (1.0 + abs(objective))
+        # every point has its own row here: the merged Gram gave the same objective
+        k = kernels.gram(spec, points)
+        per_point = learners._primal_value(loss, labels, lam, k, alphas, np.arange(len(points)))
+        assert per_point == pytest.approx(objective, rel=1e-12, abs=1e-12)
+        dense, dense_gap = dense_dual_solve(k, labels, lam, loss)
+        assert abs(objective - dense) <= gap + dense_gap + 1e-12 * (1.0 + abs(objective))
+
+    def test_deterministic_per_seed(self):
+        spec = kernels.universal_kernel(6)
+        pts = pts_from_tuples(layer_points(6, 2))[:12]
+        y = np.array([1.0, -1.0, -1.0] * 4)
+        (a1, r1), (a2, r2), (a3, _) = (distinct_sdca(spec, pts, y, 0.05, 100, s) for s in (7, 7, 8))
+        assert a1.tobytes() == a2.tobytes() and r1 == r2
+        assert r1["converged"] and r1["epochs"] > 1
+        assert not np.array_equal(a1, a3)
+
+    def test_one_step_is_exact(self):
+        # one point, k = 2, lam = 1/4: the dual (alpha - alpha^2) / 4 peaks at
+        # alpha = 1/2 inside the box [0, 4], and one step lands on it
+        alphas, report = learners.sdca_solve(np.array([[2.0]]), [0], [1.0], 0.25, HINGE, max_epochs=10)
+        assert alphas.tolist() == [0.5]
+        assert (report["epochs"], report["gap"], report["converged"]) == (1, 0.0, True)
+
+    def test_zero_rows_take_the_box_corner(self):
+        # row 0 of the Gram is zero: the dual is linear in the alphas of the
+        # points on it, which go to the corner of their box toward their label
+        k = np.array([[0.0, 0.0], [0.0, 1.0]])
+        where = np.array([0, 1, 0, 1, 0])
+        y = np.array([1.0, 1.0, -1.0, -1.0, 0.0])
+        alphas, report = learners.sdca_solve(k, where, y, 0.5, ABSOLUTE, max_epochs=100, seed=0)
+        assert alphas[[0, 2, 4]].tolist() == [0.4, -0.4, 0.0]  # the box is |alpha| <= 1/(lam m)
+        assert report["converged"]
+        # a zero Gram: one epoch reaches the corner, where primal and dual meet exactly
+        alphas, report = learners.sdca_solve(np.zeros((2, 2)), where[:4], y[:4], 0.5, HINGE, max_epochs=100)
+        assert alphas.tolist() == [0.5, 0.5, -0.5, -0.5]
+        assert (report["epochs"], report["gap"], report["converged"]) == (1, 0.0, True)
+
+    def test_epoch_cap_reports_unconverged(self):
+        spec = kernels.universal_kernel(6)
+        pts = pts_from_tuples(layer_points(6, 2))[:12]
+        y = np.array([1.0, -1.0, -1.0] * 4)
+        _, capped = distinct_sdca(spec, pts, y, 0.05, 1, 7)
+        assert (capped["epochs"], capped["converged"]) == (1, False)
+        assert capped["gap"] > learners._SDCA_TOL * (1.0 + abs(capped["objective"]))
+        alphas, none = distinct_sdca(spec, pts, y, 0.05, 0, 7)
+        assert (none["epochs"], none["converged"]) == (0, False)
+        assert not np.any(alphas)
+
+    @pytest.mark.parametrize(
+        "change, match",
+        [
+            ({"where": [], "labels": []}, "empty dataset"),
+            ({"labels": np.ones(5)}, "labels have shape"),
+            ({"labels": np.array([1.0, -1.0, 0.5, -1.0, 1.0, -1.0])}, "hinge-loss labels"),
+            ({"lam": math.nan}, "lam must be positive and finite, got nan"),
+            ({"max_epochs": -2}, "epochs must be non-negative, got -2"),
+            ({"max_epochs": 2.5}, "epochs must be an integer, got 2.5"),
+            ({"k": np.eye(3)[:2]}, "the Gram must be square"),
+            ({"where": [0, 1, 2, 3, 4, 0]}, "`where` must index its 3 rows"),
+        ],
+    )
+    def test_bad_arguments_named(self, change, match):
+        args = {"k": np.eye(3), "where": [0, 1, 2, 0, 1, 2], "labels": np.array([1.0, -1.0] * 3), "lam": 1.0}
+        args.update(change)
+        with pytest.raises(ValueError, match=match):
+            learners.sdca_solve(**args)
 
 
 @st.composite
