@@ -242,8 +242,15 @@ def save_model(model: TrainedModel, path: str) -> None:
 
 
 def load_model(path: str) -> TrainedModel:
+    """The model of a :func:`save_model` file; a malformed one raises a
+    ``ValueError`` naming the file and the key at fault."""
     with open(path) as fh:
         obj = json.load(fh)
+    for key in ("spec", "support", "alphas"):
+        if not isinstance(obj, dict) or key not in obj:
+            raise ValueError(f"{path}: model has no {key!r} key")
+    if not isinstance(obj["support"], list) or not all(isinstance(s, str) for s in obj["support"]):
+        raise ValueError(f"{path}: model 'support' must be a list of bitstrings")
     spec = KernelSpec.from_json_dict(obj["spec"])
     support = tuple(HypercubePoint.from_string(s) for s in obj["support"])
     return TrainedModel(spec, support, np.asarray(obj["alphas"], dtype=float), obj.get("report", {}))
@@ -606,10 +613,13 @@ def evaluate_losses(preds: np.ndarray, labels01: np.ndarray, convention: str) ->
     ``convention`` is "pm1" (predictions target labels mapped to +-1,
     threshold at 0) or "zero_one" (predictions target {0,1}, threshold at
     1/2).  All three losses are reported in the model's native convention.
+    ``preds`` and ``labels01`` must have the same shape.
     """
     y01 = np.asarray(labels01, dtype=float)
-    ypm, _ = learners.hinge_labels(y01)
     preds = np.asarray(preds, dtype=float)
+    if preds.shape != y01.shape:
+        raise ValueError(f"predictions have shape {preds.shape}, labels {y01.shape}")
+    ypm, _ = learners.hinge_labels(y01)
     if convention == "pm1":
         hinge = float(np.mean(np.maximum(0.0, 1.0 - ypm * preds)))
         zero_one = float(np.mean((preds >= 0.0) != (y01 >= 0.5)))

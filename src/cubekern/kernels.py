@@ -243,12 +243,6 @@ class KernelSpec:
             k = x.inner(y)
         return float(self.tables[x.weight][k])
 
-    def gram(self, points) -> np.ndarray:
-        return gram(self, points)
-
-    def cross_gram(self, rows, cols) -> np.ndarray:
-        return cross_gram(self, rows, cols)
-
     # -- serialization -------------------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -558,50 +552,48 @@ def _checked_alphas(alphas, count: int) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrainedModel:
     """A classifier in representer form: f(x) = sum_i alpha_i k(x_i, x).
 
-    ``alphas`` must be a finite 1-d vector, one entry per support point.
-    ``spec`` is usually a :class:`KernelSpec`: the support is then packed
-    once, here, its repeated points merged, zero alphas dropped and the rest
-    grouped by layer.  A layer on canonical weight p with ``rows`` support
-    points is scored from the support's subset weights (:class:`_SubsetWeights`,
-    2^p lookups per query into a dense ``2^n`` table when
-    ``1 << n <= _BLOCK_ELEMS``, 8 * 2^n bytes per layer, else into the sorted
-    keys) when ``_SUBSET_COST * 2^p <= rows`` and
-    ``rows * 2^p <= _BLOCK_ELEMS``, and otherwise by summing table values
+    ``spec`` must be a :class:`KernelSpec`; any other object raises a
+    ``TypeError``.  ``alphas`` must be a finite 1-d vector, one entry per
+    support point.  The support is packed once, here, its repeated points
+    merged, zero alphas dropped and the rest grouped by layer.  A layer on
+    canonical weight p with ``rows`` support points is scored from the
+    support's subset weights (:class:`_SubsetWeights`, 2^p lookups per query
+    into a dense ``2^n`` table when ``1 << n <= _BLOCK_ELEMS``, 8 * 2^n bytes
+    per layer, else into the sorted keys) when ``_SUBSET_COST * 2^p <= rows``
+    and ``rows * 2^p <= _BLOCK_ELEMS``, and otherwise by summing table values
     against the alphas block by block (one step per support row); a
     ``sparse_conjunction`` spec, whose queries come in every weight, always
     takes the blocks.  Neither path builds a support x query matrix.
     ``predict`` goes straight to the point's layer and equals
-    ``predict_many([x])[0]`` exactly.  ``spec`` may also be any object with
-    ``gram`` / ``cross_gram`` methods (e.g. a lifted kernel on embedded
-    points), which gets the support as points.
+    ``predict_many([x])[0]`` exactly.  Models compare and hash by identity.
     """
 
-    spec: object
+    spec: KernelSpec
     support: tuple
     alphas: np.ndarray
     report: dict = field(default_factory=dict)
-    _support_groups: object = field(init=False, repr=False, compare=False)
+    _support_groups: dict = field(init=False, repr=False)
 
     def __post_init__(self):
+        if not isinstance(self.spec, KernelSpec):
+            raise TypeError(f"a TrainedModel needs a KernelSpec, got {type(self.spec).__name__}")
         object.__setattr__(self, "support", tuple(self.support))
         a = _checked_alphas(self.alphas, len(self.support))
         object.__setattr__(self, "alphas", a)
-        groups = None
-        if isinstance(self.spec, KernelSpec):
-            # each distinct support point is scored once, with its alphas summed
-            masks, where = np.unique(points_to_bits(self.support, self.spec.n), return_inverse=True)
-            merged = np.bincount(where, weights=a, minlength=masks.size)
-            scored = merged != 0.0
-            groups = _groups(self.spec, masks[scored], merged[scored])
-            if self.spec.kind != "sparse_conjunction":  # its queries come in every weight
-                for w, (alphas, support) in groups.items():
-                    p = self.spec.per_layer[w].layer.p
-                    if _SUBSET_COST << p <= support.size and support.size << p <= _BLOCK_ELEMS:
-                        groups[w] = _SubsetWeights.build(alphas, support, self.spec.per_layer[w])
+        # each distinct support point is scored once, with its alphas summed
+        masks, where = np.unique(points_to_bits(self.support, self.spec.n), return_inverse=True)
+        merged = np.bincount(where, weights=a, minlength=masks.size)
+        scored = merged != 0.0
+        groups = _groups(self.spec, masks[scored], merged[scored])
+        if self.spec.kind != "sparse_conjunction":  # its queries come in every weight
+            for w, (alphas, support) in groups.items():
+                p = self.spec.per_layer[w].layer.p
+                if _SUBSET_COST << p <= support.size and support.size << p <= _BLOCK_ELEMS:
+                    groups[w] = _SubsetWeights.build(alphas, support, self.spec.per_layer[w])
         object.__setattr__(self, "_support_groups", groups)
 
     def _layer_scores(self, w: int, masks: np.ndarray) -> np.ndarray:
@@ -617,8 +609,6 @@ class TrainedModel:
         return out
 
     def predict(self, x: HypercubePoint) -> float:
-        if self._support_groups is None:
-            return float(self.predict_many([x])[0])
         mask = points_to_bits([x], self.spec.n)
         if self.spec.kind == "sparse_conjunction":
             (w,) = self.spec.per_layer
@@ -629,8 +619,6 @@ class TrainedModel:
         return float(self._layer_scores(w, mask)[0])
 
     def predict_many(self, points) -> np.ndarray:
-        if self._support_groups is None:
-            return self.alphas @ self.spec.cross_gram(self.support, list(points))
         masks = points_to_bits(points, self.spec.n)
         out = np.zeros(masks.size)
         for w, (ci, b) in _groups(self.spec, masks, np.arange(masks.size)).items():
@@ -640,8 +628,6 @@ class TrainedModel:
 
     def norm_sq(self) -> float:
         """||w||^2 = alpha^T K alpha over the support points."""
-        if self._support_groups is None:
-            return float(self.alphas @ self.spec.gram(self.support) @ self.alphas)
         return float(self.alphas @ self.predict_many(self.support))
 
 

@@ -12,8 +12,8 @@ Four solvers live here:
   with step ``1/(lam t)`` and iterate averaging, in lazily scaled
   representer form (Shalev-Shwartz, Singer, Srebro & Cotter 2011, sec. 4):
   the iterate is ``a_t = c_t / (lam t)`` with ``c`` a sum of subgradient
-  signs, so a step that violates no margin touches no m-vector; the Gram
-  of a :class:`KernelSpec` is taken over the distinct training points.  Its
+  signs, so a step that violates no margin touches no m-vector; its Gram
+  is always taken over the distinct training points.  Its
   ``gap`` is the primal at the averaged iterate minus the dual at that
   iterate clipped to the conjugate box below.
 * :func:`mkl_layer_solve` -- the layer-wise multiple-kernel program
@@ -67,7 +67,7 @@ from typing import Callable
 import numpy as np
 
 from .kernels import _BLOCK_ELEMS, KernelSpec, TrainedModel, _mirrored, mix_vertices, points_to_bits
-from .kernels import inner_product_blocks
+from .kernels import gram, inner_product_blocks
 from .scheme import LayerParams, vertex_tables
 
 __all__ = [
@@ -191,7 +191,7 @@ _PICK_CHUNK = 1 << 12  # Pegasos steps whose picks and weights are Python lists 
 
 
 def pegasos_train(
-    spec,
+    spec: KernelSpec,
     points,
     labels,
     lam: float,
@@ -201,35 +201,33 @@ def pegasos_train(
 ) -> TrainedModel:
     """Kernelized SGD with step 1/(lam t); returns the averaged iterate.
 
-    ``spec`` may be any object with a ``gram(points)`` method.  Runs
-    ``T = epochs * m`` steps; the sampled index stream is drawn from
-    ``default_rng(seed)``, so identical seeds give identical models.
+    ``spec`` must be a :class:`KernelSpec`; any other object raises a
+    ``TypeError`` before a point is packed.  Runs ``T = epochs * m`` steps;
+    the sampled index stream is drawn from ``default_rng(seed)``, so
+    identical seeds give identical models.
 
     The iterate ``a_t = (1 - 1/t) a_{t-1} - g_t e_i / (lam t)`` is kept as
     ``lam t a_t = c_t``: only ``z = K c`` is stored, the margin at step t is
     the picked point's entry of ``z`` over ``lam (t-1)`` (zero at step 1),
-    and a hit (``g != 0``) costs one Gram row.  Under a :class:`KernelSpec`
-    a kernel value depends only on the two points, so the Gram and ``z``
-    have one row per distinct point (``_MAX_GRAM_POINTS`` caps their
-    number); any other ``spec`` gets one row per point.  The average ``(1/T) sum_t a_t`` is built in
-    closed form: a hit at step s adds ``-g (H_T - H_{s-1}) / (lam T)`` to
-    its coordinate, ``H`` the harmonic numbers.  ``report["gap"]`` is the
+    and a hit (``g != 0``) costs one Gram row.  A kernel value depends only
+    on the two points, so the Gram and ``z`` have one row per distinct point
+    (``_MAX_GRAM_POINTS`` caps their number).  The average ``(1/T) sum_t
+    a_t`` is built in closed form: a hit at step s adds ``-g (H_T -
+    H_{s-1}) / (lam T)`` to its coordinate, ``H`` the harmonic numbers.  ``report["gap"]`` is the
     primal at that average minus the dual at the average clipped to the
     conjugate box; it is an upper bound on the objective's distance from the
     optimum when the Gram is PSD.
     """
+    if not isinstance(spec, KernelSpec):
+        raise TypeError(f"pegasos_train needs a KernelSpec, got {type(spec).__name__}")
     m = len(points)
     if m == 0:
         raise ValueError("empty dataset")
     _positive("lam", lam)
     check_count("epochs", epochs)
     y = _check_labels(labels, m, loss)
-    if isinstance(spec, KernelSpec):
-        masks, where = np.unique(points_to_bits(points, spec.n), return_inverse=True)
-        k = spec.gram(masks)
-    else:
-        where = np.arange(m)
-        k = np.asarray(spec.gram(points), dtype=float)
+    masks, where = np.unique(points_to_bits(points, spec.n), return_inverse=True)
+    k = gram(spec, masks)
     rng = np.random.default_rng(seed)
     steps = epochs * m
     picks = rng.integers(0, m, size=steps)
@@ -301,7 +299,7 @@ def sdca_solve(
     ran out before the gap was small enough.
     """
     where = np.asarray(where)
-    m = len(where)
+    m = where.size
     if m == 0:
         raise ValueError("empty dataset")
     _positive("lam", lam)
@@ -309,8 +307,11 @@ def sdca_solve(
     y = _check_labels(labels, m, loss)
     k = np.asarray(k, dtype=float)
     u = k.shape[0]
-    if k.shape != (u, u) or np.any((where < 0) | (where >= u)):
-        raise ValueError(f"the Gram must be square and `where` must index its {u} rows")
+    rows_ok = where.shape == (m,) and where.dtype.kind in "iu" and np.all((where >= 0) & (where < u))
+    if k.shape != (u, u) or not rows_ok:
+        raise ValueError(f"the Gram must be square and `where` must index its {u} rows as 1-d integers")
+    if not np.isfinite(k).all():
+        raise ValueError("the Gram must be finite")
     lo, hi = _alpha_box(loss, y, lam)
     corner = np.clip(np.where(y > 0, hi, np.where(y < 0, lo, 0.0)), lo, hi)
     y_of, row_of, lo_of, hi_of, corner_of = (v.tolist() for v in (y, where, lo, hi, corner))
@@ -358,7 +359,8 @@ def sdca_solve(
 class MklLayerProblem:
     """Fixed data for the per-layer saddle program; ``vertex_grams`` is the
     class form ``(where, ip, table)`` of :func:`layer_vertex_grams`.  Labels
-    and alphas stay one per point: a repeated point may carry both labels."""
+    and alphas stay one per point: a repeated point may carry both labels.
+    Labels must be finite, and -1 or +1 under the hinge loss."""
 
     vertex_grams: tuple
     labels: np.ndarray
@@ -366,12 +368,12 @@ class MklLayerProblem:
     loss: LossSpec = HINGE
 
     def __post_init__(self):
-        self.labels = np.asarray(self.labels, dtype=float)
         where, ip, table = map(np.asarray, self.vertex_grams)
-        m, u = self.labels.shape[0], len(ip)
+        m, u = len(self.labels), len(ip)
         if m == 0:
             raise ValueError("at least one sample required")
         _positive("lam", self.lam)
+        self.labels = _check_labels(self.labels, m, self.loss)
         if ip.shape != (u, u) or not np.array_equal(ip, ip.T):
             raise ValueError(f"inner-product matrix must be symmetric of shape {(u, u)}, got {ip.shape}")
         if where.shape != (m,) or where.dtype.kind not in "iu" or np.any((where < 0) | (where >= u)):

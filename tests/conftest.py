@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from cubekern import embedding, learners
+from cubekern import embedding, kernels, learners
 from cubekern.scheme import LayerParams
 
 
@@ -80,7 +80,7 @@ def pegasos_oracle(spec, points, labels, lam, epochs, seed, loss):
     ``learners.pegasos_train``, the same pick stream and the same additions."""
     y = np.asarray(labels, dtype=float)
     m = len(points)
-    k = np.asarray(spec.gram(points), dtype=float)
+    k = kernels.gram(spec, points)
     steps = epochs * m
     picks = np.random.default_rng(seed).integers(0, m, size=steps)
     weight = np.cumsum(1.0 / np.arange(steps, 0, -1))[::-1] / (lam * steps)

@@ -6,6 +6,10 @@ Core claims:
       n = 64 every draw succeeds, with int bit masks, also through bench
     - save -> load is bit-exact for both point flavors and for analytic
       conjunction models; reports regenerate their datasets exactly
+    - load_model names the file and the key of a model file that is not an
+      object, lacks spec, support or alphas, or whose support is not a list
+      of bitstrings; evaluate_losses refuses predictions and labels of
+      different shapes
     - verify_suite passes clean and names (module, check, params) under each
       documented fault injection, and refuses a max_n or trial count that
       is not an integer
@@ -175,6 +179,26 @@ class TestRoundTrips:
         with pytest.raises(ValueError, match="kernel spec layers\\[0\\]: beta must be finite"):
             harness.load_model(str(path))
 
+    @staticmethod
+    def assert_model_file_refused(tmp_path, obj, match):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ValueError, match=f"m.json: {match}"):
+            harness.load_model(str(path))
+
+    @pytest.mark.parametrize("key", ["spec", "support", "alphas"])
+    def test_model_file_without_key_named(self, tmp_path, key):
+        obj = harness.model_json_dict(kernels.analytic_weights(6, 2, [0]), {})
+        del obj[key]
+        self.assert_model_file_refused(tmp_path, obj, f"model has no '{key}' key")
+
+    def test_model_file_of_the_wrong_shape_named(self, tmp_path):
+        obj = harness.model_json_dict(kernels.analytic_weights(6, 2, [0]), {})
+        self.assert_model_file_refused(tmp_path, [obj], "model has no 'spec' key")
+        for support in ([3], "1100"):
+            obj["support"] = support
+            self.assert_model_file_refused(tmp_path, obj, "model 'support' must be a list of bitstrings")
+
     def test_report_regenerates_dataset(self):
         report = harness.bench_conjunction(8, 3, 2, 25, "sparse-analytic", 1.0, 0.1, seed=11)
         regen = harness.regenerate(report.train_meta)
@@ -229,6 +253,11 @@ class TestLossEvaluation:
         losses = harness.evaluate_losses(np.array([1.0, 0.0]), np.array([1.0, 1.0]), "zero_one")
         assert losses["zero_one"] == 0.5
         assert losses["absolute"] == 0.5
+
+    @pytest.mark.parametrize("preds", [[1.0], [1.0, 0.0, 1.0], [[1.0, 0.0]]])
+    def test_mismatched_lengths_refused(self, preds):
+        with pytest.raises(ValueError, match="predictions have shape"):
+            harness.evaluate_losses(np.array(preds), np.array([1.0, 0.0]), "pm1")
 
 
 class TestBench:

@@ -30,7 +30,9 @@ Core claims:
       10 MiB: their tables plus the traced peak
     - a single prediction equals the batch prediction of the same point,
       and predict(x) == predict_many([x])[0] exactly on both paths
-    - a model over a lifted kernel (embedded points of a real pair) still predicts
+    - a model takes only a KernelSpec: any other spec, a lifted kernel
+      included, is refused with a TypeError; models compare and hash by
+      identity
     - save_model -> load_model keeps every prediction bit for bit, on n from
       1 to 64
     - bad input is rejected by name: wrong dimensions, masks out of range,
@@ -406,18 +408,20 @@ def test_saved_model_predicts_the_same(case, seed):
     assert np.array_equal(loaded.predict_many(queries), model.predict_many(queries))
 
 
-@settings(max_examples=15, deadline=None)
-@given(st.integers(1, 3), st.floats(0.2, 0.5), st.integers(0, 2**16), st.data())
-def test_lifted_kernel_model_predicts(n, eps, seed, data):
-    pair = embedding.build_pair(n, eps, seed=seed)
-    kernel = embedding.lift_kernel(embedding.poly_g([1.0, 1.0], 1.0, float(n)), pair)
-    vectors = st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)
-    support = [embedding.embed(pair, 1, x) for x in data.draw(st.lists(vectors, min_size=1, max_size=5))]
-    queries = [embedding.embed(pair, 2, x) for x in data.draw(st.lists(vectors, max_size=5))]
-    alphas = np.arange(1.0, len(support) + 1.0)
-    model = TrainedModel(kernel, support, alphas)
-    want = [sum(a * kernel.evaluate(s, q) for a, s in zip(alphas, support)) for q in queries]
-    assert model.predict_many(queries) == pytest.approx(want, rel=1e-12)
+def test_only_a_kernel_spec_is_accepted():
+    # a lifted kernel scores embedded points through embedding.EmbeddedModel
+    pair = embedding.build_pair(1, 0.5, seed=0)
+    lifted = embedding.lift_kernel(embedding.poly_g([1.0, 1.0], 1.0, 1.0), pair)
+    for spec in (object(), lifted):
+        with pytest.raises(TypeError, match="a TrainedModel needs a KernelSpec, got"):
+            TrainedModel(spec, [HypercubePoint.from_string("1100")], [1.0])
+
+
+def test_models_compare_and_hash_by_identity():
+    spec, support = kernels.universal_kernel(4), [HypercubePoint.from_string("1100")]
+    model, twin = TrainedModel(spec, support, [1.0]), TrainedModel(spec, support, [1.0])
+    assert model == model and model != twin
+    assert hash(model) == hash(model) and len({model, twin}) == 2
 
 
 class TestPacking:

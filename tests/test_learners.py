@@ -8,16 +8,18 @@ Core claims:
       regularization, decouples across layers, is bit-reproducible, and
       tracks an independent feature-space primal oracle within 2% with a
       nonnegative gap at least its distance from that oracle, replays the
-      exact step-1/(lam t) recursion (in rationals, ties included), and
+      exact step-1/(lam t) recursion (in rationals, ties included, on the
+      dyadic kernel <x, y>/2 of {0,1}^4), and
       rejects label-length mismatches, non-finite labels and hinge labels
       other than -1/+1 by name
     - pegasos keeps z over distinct points and its alphas equal the dense
       loop over every point (tests/conftest.py) bit for bit, with objective
       and gap within 1e-12 (1 + |objective|), for universal, conjunction and
       sparse-conjunction specs, both losses, repeated points with differing
-      labels and weights above n/2; a plain gram object gets one row per
-      point; 3,000 weight-4 points of n = 16 train under 25 MiB of traced
-      allocation, and 25,000 (above the Gram cap) train at all
+      labels and weights above n/2; 3,000 weight-4 points of n = 16 train
+      under 25 MiB of traced allocation, and 25,000 (above the Gram cap)
+      train at all; a spec that is not a KernelSpec is refused with a
+      TypeError before a point is packed or a Gram is built
     - pegasos walks its pick stream in chunks, bit for bit like the dense
       loop across chunk boundaries: 100,000 steps trace under 24 bytes a
       step plus 1 MiB
@@ -29,13 +31,15 @@ Core claims:
       exact coordinate maximizer; it is deterministic per seed, sends the
       alphas of zero Gram rows to the box corner toward their label,
       reports converged=False at its epoch cap, and names an empty dataset,
-      bad labels, a bad lam, bad epochs and a Gram that `where` does not fit
+      bad labels, a bad lam, bad epochs, a Gram that is not finite or that
+      `where` does not fit, and a `where` that is not a 1-d integer array
     - the class form (where, ip, table) of the vertex Grams: ip is the
       popcount of the distinct mirrored masks, ip[where][:, where] that of
       every pair of points, table the exact vertex tables; combine and every
       alpha' K_t alpha equal their dense forms, and a non-square or
       non-symmetric ip, a class outside the table, a vertex diagonal above
-      1, and a where of the wrong length, type or range are rejected by name;
+      1, a where of the wrong length, type or range, and labels that are
+      not finite or, under the hinge loss, not -1/+1 are rejected by name;
       the quads of 10,000 weight-4 points of n = 16 take at most 10 MiB of
       traced allocation and match the unblocked sum
     - the layer solver on the distinct form matches the per-point form
@@ -231,7 +235,7 @@ class TestPegasos:
     @given(
         st.integers(1, 8).flatmap(
             lambda m: st.tuples(
-                st.lists(st.lists(st.integers(-2, 2), min_size=2, max_size=2), min_size=1, max_size=3),
+                st.lists(st.integers(0, 15), min_size=1, max_size=3),
                 st.lists(st.integers(0, 2), min_size=m, max_size=m),
                 st.lists(st.sampled_from([-1, 1]), min_size=m, max_size=m),
             )
@@ -242,21 +246,22 @@ class TestPegasos:
         st.sampled_from([HINGE, ABSOLUTE]),
     )
     def test_lazy_form_replays_the_exact_recursion(self, data, lam_exp, epochs, seed, loss):
-        # K = B B' on rows drawn from a pool of at most three, so duplicate
-        # points (and exact margin ties) are common; lam = 2^lam_exp
+        # k = <x, y>/2 on all of {0,1}^4, points drawn from a pool of at most
+        # three, so duplicate points (and exact margin ties) are common; every
+        # Gram entry is dyadic, as is lam = 2^lam_exp, so the float margins are exact
         pool, rows, labels = data
-        b = np.array([pool[r % len(pool)] for r in rows])
-        k = b @ b.T
+        spec = kernels.sparse_conjunction_kernel(4, 2, 1)
+        points = [HypercubePoint(4, pool[r % len(pool)]) for r in rows]
+        k = kernels.gram(spec, points)
         m, lam = len(rows), Fraction(2) ** lam_exp
         model = learners.pegasos_train(
-            SimpleNamespace(gram=lambda _pts: k), list(range(m)), np.array(labels, dtype=float),
-            float(lam), epochs=epochs, seed=seed, loss=loss,
+            spec, points, np.array(labels, dtype=float), float(lam), epochs=epochs, seed=seed, loss=loss
         )
         # step 1/(lam t) on a_{t-1} with margin K[i] . a_{t-1}, and the running mean
         a, a_bar = [Fraction(0)] * m, [Fraction(0)] * m
         picks = np.random.default_rng(seed).integers(0, m, size=epochs * m).tolist()
         for t, i in enumerate(picks, start=1):
-            z, y = sum(int(k[i, j]) * a[j] for j in range(m)), labels[i]
+            z, y = sum(Fraction(k[i, j]) * a[j] for j in range(m)), labels[i]
             g = (-y if y * z < 1 else 0) if loss is HINGE else (z > y) - (z < y)
             a = [v * (1 - Fraction(1, t)) for v in a]
             a[i] -= g / (lam * t)
@@ -267,6 +272,17 @@ class TestPegasos:
     def test_empty_dataset(self):
         with pytest.raises(ValueError, match="empty"):
             learners.pegasos_train(kernels.universal_kernel(4), [], np.array([]), lam=1.0)
+
+    @pytest.mark.parametrize("spec", [object(), SimpleNamespace(n=4, gram=lambda pts: np.eye(len(pts)))])
+    def test_only_a_kernel_spec_is_accepted(self, monkeypatch, spec):
+        # refused before a point is packed or a Gram is built
+        calls = []
+        monkeypatch.setattr(learners, "points_to_bits", lambda *args: calls.append("pack"))
+        monkeypatch.setattr(learners, "gram", lambda *args: calls.append("gram"))
+        pts = pts_from_tuples(layer_points(4, 2))
+        with pytest.raises(TypeError, match="pegasos_train needs a KernelSpec, got"):
+            learners.pegasos_train(spec, pts, np.array([1.0, -1.0] * 3), lam=1.0)
+        assert calls == []
 
     def test_label_length_mismatch(self):
         pts = pts_from_tuples(layer_points(4, 2))
@@ -357,29 +373,6 @@ class TestPegasosDistinctPoints:
         model = learners.pegasos_train(spec, points, labels, lam, epochs=epochs, seed=seed, loss=loss)
         assert_matches_oracle(model, pegasos_oracle(*problem))
 
-    @settings(max_examples=60, deadline=None)
-    @given(
-        st.integers(1, 12).flatmap(
-            lambda m: st.tuples(
-                st.lists(st.lists(st.floats(-2, 2), min_size=3, max_size=3), min_size=1, max_size=4),
-                st.lists(st.integers(0, 3), min_size=m, max_size=m),
-                st.lists(st.sampled_from([-1.0, 1.0]), min_size=m, max_size=m),
-            )
-        ),
-        st.integers(1, 5),
-        st.integers(0, 2**32 - 1),
-        st.sampled_from([HINGE, ABSOLUTE]),
-    )
-    def test_any_gram_object_gets_one_row_per_point(self, data, epochs, seed, loss):
-        # a plain object with a gram method, such as a Gram built elsewhere:
-        # its rows are not merged, whether or not two of them are equal
-        pool, rows, labels = data
-        b = np.array([pool[r % len(pool)] for r in rows])
-        spec = SimpleNamespace(gram=lambda _pts: b @ b.T)
-        problem = (spec, list(range(len(rows))), np.array(labels), 0.25, epochs, seed, loss)
-        model = learners.pegasos_train(*problem[:4], epochs=epochs, seed=seed, loss=loss)
-        assert_matches_oracle(model, pegasos_oracle(*problem))
-
     @staticmethod
     def weight4_points(m, seed):
         rng = np.random.default_rng(seed)
@@ -466,7 +459,7 @@ def dense_dual_solve(k, y, lam, loss, tol=1e-12, max_iter=200_000):
 def distinct_sdca(spec, points, labels, lam, epochs, seed, loss=HINGE):
     """``sdca_solve`` on the Gram of the distinct points under ``spec``."""
     masks, where = np.unique(kernels.points_to_bits(points, spec.n), return_inverse=True)
-    return learners.sdca_solve(spec.gram(masks), where, labels, lam, loss, epochs, seed)
+    return learners.sdca_solve(kernels.gram(spec, masks), where, labels, lam, loss, epochs, seed)
 
 
 class TestSdca:
@@ -537,6 +530,9 @@ class TestSdca:
             ({"max_epochs": 2.5}, "epochs must be an integer, got 2.5"),
             ({"k": np.eye(3)[:2]}, "the Gram must be square"),
             ({"where": [0, 1, 2, 3, 4, 0]}, "`where` must index its 3 rows"),
+            ({"where": [0.0, 1.0, 2.0, 0.0, 1.0, 2.0]}, "`where` must index its 3 rows as 1-d integers"),
+            ({"where": [[0, 1, 2], [0, 1, 2]]}, "`where` must index its 3 rows as 1-d integers"),
+            ({"k": np.diag([1.0, math.nan, 1.0])}, "the Gram must be finite"),
         ],
     )
     def test_bad_arguments_named(self, change, match):
@@ -630,6 +626,19 @@ class TestClassForm:
         for grams, match in cases:
             with pytest.raises(ValueError, match=match):
                 MklLayerProblem(grams, y, lam=0.1)
+
+    @pytest.mark.parametrize(
+        "labels, loss, match",
+        [
+            ([1.0, 0.0, 1.0, 0.0], HINGE, "hinge-loss labels must be -1 or \\+1"),
+            ([1.0, -1.0, math.nan, -1.0], HINGE, "labels must be finite"),
+            ([0.5, 0.0, math.nan, -1.0], ABSOLUTE, "labels must be finite"),
+        ],
+    )
+    def test_bad_labels_rejected(self, labels, loss, match):
+        grams = learners.layer_vertex_grams(pts_from_tuples(layer_points(5, 2))[:4], 2)
+        with pytest.raises(ValueError, match=match):
+            MklLayerProblem(grams, np.array(labels), lam=0.1, loss=loss)
 
 
 class TestMklLayerSolve:

@@ -4,14 +4,20 @@ Core claims:
     - every third-party module that src/cubekern imports, at module level or
       inside a function, is declared in pyproject.toml's dependencies, and
       every declared dependency is imported
+    - every name in a module's __all__ resolves in that module, so removing
+      a name cannot leave a stale export
 """
 
 import ast
+import importlib
 import re
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted(path.stem for path in (ROOT / "src" / "cubekern").glob("*.py"))
 
 
 def declared_dependencies() -> set[str]:
@@ -37,3 +43,10 @@ def test_dependencies_match_imports():
     imported = third_party_imports()
     assert "numpy" in imported
     assert imported == declared_dependencies()
+
+
+@pytest.mark.parametrize("stem", MODULES)
+def test_every_export_resolves(stem):
+    module = importlib.import_module("cubekern" if stem == "__init__" else f"cubekern.{stem}")
+    missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+    assert missing == [], f"{module.__name__}.__all__ names what it does not define"
