@@ -251,9 +251,16 @@ def load_model(path: str) -> TrainedModel:
             raise ValueError(f"{path}: model has no {key!r} key")
     if not isinstance(obj["support"], list) or not all(isinstance(s, str) for s in obj["support"]):
         raise ValueError(f"{path}: model 'support' must be a list of bitstrings")
-    spec = KernelSpec.from_json_dict(obj["spec"])
-    support = tuple(HypercubePoint.from_string(s) for s in obj["support"])
-    return TrainedModel(spec, support, np.asarray(obj["alphas"], dtype=float), obj.get("report", {}))
+    try:
+        alphas = np.asarray(obj["alphas"], dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{path}: model 'alphas' must be a list of numbers") from None
+    try:
+        spec = KernelSpec.from_json_dict(obj["spec"])
+        support = tuple(HypercubePoint.from_string(s) for s in obj["support"])
+        return TrainedModel(spec, support, alphas, obj.get("report", {}))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _clean_report(report: dict) -> dict:

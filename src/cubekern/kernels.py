@@ -38,8 +38,12 @@ array it builds.  A :class:`TrainedModel` groups its support once, at
 construction, so prediction packs and groups only the queries; it scores
 a layer either by summing table values against its alphas block by block
 or, on a low-weight layer with many support rows, from the support's
-subset weights (2^p lookups per query).  Neither builds a support x query
-matrix, and every temporary is bounded by the block size.
+subset weights (2^p lookups per query).  When a 2^n table fits one block
+(n <= 18), building the model also scores every mask of such a layer once,
+C(n, p) * 2^p lookups (about 0.4 ms at n = 16, p = 4 and 25-50 ms at
+n = 18, p = 7 on one x86-64 core), and stores the scores in the table, so
+a query of the layer is one table read.  Neither path builds a support x
+query matrix, and every temporary is bounded by the block size.
 
 Kernel specs and models are immutable and thread-safe; Gram construction is
 deterministic given identical inputs.
@@ -457,9 +461,12 @@ def sparse_conjunction_kernel(n: int, s: int, ell: int) -> KernelSpec:
 
 
 # A binary-search submask lookup cost about as much as 12 support rows' inner
-# products, a dense one about as much as 2.  The rule keeps 12 so that every
-# layer keeps its path and its outputs bit for bit; lowering it moves layers
-# onto the subset path, which changes their rounding.
+# products.  A dense layer answers a query with one read but pays C(n, p) * 2^p
+# lookups when the model is built (25-50 ms at n = 18, p = 7, the worst the
+# gate admits), so whether it beats the block path depends on how many
+# queries follow, and no ratio to a support row prices it.  The rule keeps 12
+# so that every layer keeps its path and its outputs bit for bit; lowering it
+# moves layers onto the subset path, which changes their rounding.
 _SUBSET_COST = 12
 
 
@@ -486,6 +493,17 @@ def _submasks(masks: np.ndarray, p: int) -> np.ndarray:
     return subs
 
 
+def _layer_masks(n: int, p: int) -> np.ndarray:
+    """Every weight-p mask of n bits, as uint64, built coordinate by coordinate:
+    ``masks[j]`` holds the weight-j masks of the coordinates added so far, so
+    no 2^n temporary is made."""
+    masks = [np.zeros(1, dtype=np.uint64)] + [np.empty(0, dtype=np.uint64)] * p
+    for i in range(n):
+        for j in range(min(i + 1, p), 0, -1):
+            masks[j] = np.concatenate([masks[j], masks[j - 1] | np.uint64(1 << i)])
+    return masks[p]
+
+
 @dataclass(frozen=True)
 class _SubsetWeights:
     """A layer's support as weights on the subsets it covers.
@@ -493,15 +511,23 @@ class _SubsetWeights:
     ``g(k) = sum_l c_l C(k, l)`` with ``c`` the layer's ``beta``, and
     ``C(<s, x>, l)`` counts the l-subsets s and x share, so ``sum_i alpha_i g(<s_i, x>)`` is
     ``sum_{T ⊆ x} wts[T]`` with ``wts[T] = c_|T| * sum_{i: T ⊆ s_i} alpha_i``.
-    A query is one gather and a row sum, ``table[slot(subs)].sum(axis=1)``.
+    A score is one gather and a row sum, ``table[slot(subs)].sum(axis=1)``.
     When ``1 << n <= _BLOCK_ELEMS`` the table is dense: ``2^n`` floats
-    (8 * 2^n bytes) indexed by the submask itself, zero off the support, and
-    ``keys`` is None; a submask then costs about 4 ns to enumerate and 4 ns
-    to gather and sum.  Otherwise ``keys`` are the sorted submasks of the
-    support, the table is their weights followed by one 0.0, and a binary
-    search (about 40 ns) sends a submask not among the keys to that
-    trailing zero.  Both forms put the same value at the same position of
-    each row, so they score bit for bit alike.
+    (8 * 2^n bytes) indexed by the submask itself, and ``keys`` is None.
+    :meth:`build` fills it with the weights, zero off the support, then
+    scores every weight-p mask x by that gather and row sum and writes the
+    score at ``table[x]``.  This works in place: the one weight-p subset of
+    x is x itself, so no other row reads that entry.  A query is then one
+    read, ``table[x]``; the entries below weight p are build scratch that
+    no query reads, and those above it stay zero.  The scoring is C(n, p) *
+    2^p lookups, paid once per layer: measured on one x86-64 core, about
+    0.4 ms at n = 16, p = 4, 1 ms at n = 18, p = 4 and 25-50 ms (by host
+    speed) at n = 18, p = 7, the largest layer the subset gate admits.
+    Otherwise ``keys`` are the sorted submasks of the support, the table is
+    their weights followed by one 0.0, and a binary search (about 40 ns)
+    sends a submask not among the keys to that trailing zero.  Both forms
+    sum the same values in the same order for each query, so they score bit
+    for bit alike.
     """
 
     p: int
@@ -520,21 +546,28 @@ class _SubsetWeights:
             # cost peak RSS several times its size
             table = np.frombuffer(mmap.mmap(-1, 8 << n))
             table[keys] = wts
+            # a weight-p entry is read only by its own row, so each score can
+            # overwrite it in place
+            layer = _layer_masks(n, p)
+            step = max(1, _BLOCK_ELEMS >> p)
+            for start in range(0, layer.size, step):
+                rows = layer[start : start + step]
+                table[rows] = table[_submasks(rows, p)].sum(axis=1)
             return cls(p, None, table)
         return cls(p, keys, np.append(wts, 0.0))
 
     def scores(self, masks: np.ndarray) -> np.ndarray:
-        """``sum_{T ⊆ x} wts[T]`` for each weight-p mask x, in row chunks of at
-        most ``_BLOCK_ELEMS`` submasks."""
+        """``sum_{T ⊆ x} wts[T]`` for each weight-p mask x: one read of a dense
+        table, else in row chunks of at most ``_BLOCK_ELEMS`` submasks."""
+        if self.keys is None:
+            return self.table[masks]
         out = np.empty(masks.size)
         step = max(1, _BLOCK_ELEMS >> self.p)
         for start in range(0, masks.size, step):
             slot = _submasks(masks[start : start + step], self.p)
-            if self.keys is not None:
-                idx = np.searchsorted(self.keys, slot)
-                idx[self.keys[np.minimum(idx, self.keys.size - 1)] != slot] = self.keys.size
-                slot = idx
-            out[start : start + step] = self.table[slot].sum(axis=1)
+            idx = np.searchsorted(self.keys, slot)
+            idx[self.keys[np.minimum(idx, self.keys.size - 1)] != slot] = self.keys.size
+            out[start : start + step] = self.table[idx].sum(axis=1)
         return out
 
 
@@ -561,14 +594,17 @@ class TrainedModel:
     support point.  The support is packed once, here, its repeated points
     merged, zero alphas dropped and the rest grouped by layer.  A layer on
     canonical weight p with ``rows`` support points is scored from the
-    support's subset weights (:class:`_SubsetWeights`, 2^p lookups per query
-    into a dense ``2^n`` table when ``1 << n <= _BLOCK_ELEMS``, 8 * 2^n bytes
-    per layer, else into the sorted keys) when ``_SUBSET_COST * 2^p <= rows``
-    and ``rows * 2^p <= _BLOCK_ELEMS``, and otherwise by summing table values
-    against the alphas block by block (one step per support row); a
-    ``sparse_conjunction`` spec, whose queries come in every weight, always
-    takes the blocks.  Neither path builds a support x query matrix.
-    ``predict`` goes straight to the point's layer and equals
+    support's subset weights (:class:`_SubsetWeights`) when
+    ``_SUBSET_COST * 2^p <= rows`` and ``rows * 2^p <= _BLOCK_ELEMS``: one
+    read per query of a dense ``2^n`` table that holds the layer's scores
+    when ``1 << n <= _BLOCK_ELEMS`` (8 * 2^n bytes per layer, filled here at
+    C(n, p) * 2^p lookups), else 2^p lookups per query into the sorted
+    keys.  Other layers sum table values against the alphas block by block
+    (one step per support row); a ``sparse_conjunction`` spec, whose
+    queries come in every weight, always takes the blocks.  Neither path
+    builds a support x query matrix.  ``predict`` goes straight to the
+    point's layer, on a dense subset layer to its one entry without
+    packing, refuses what :func:`points_to_bits` refuses, and equals
     ``predict_many([x])[0]`` exactly.  Models compare and hash by identity.
     """
 
@@ -609,11 +645,16 @@ class TrainedModel:
         return out
 
     def predict(self, x: HypercubePoint) -> float:
-        mask = points_to_bits([x], self.spec.n)
+        n = self.spec.n
+        if isinstance(x, HypercubePoint) and x.n == n:  # a sparse_conjunction spec has no subset layer
+            group = self._support_groups.get(x.weight)
+            if isinstance(group, _SubsetWeights) and group.keys is None:
+                return float(group.table[x.bits ^ ((1 << n) - 1) if 2 * x.weight > n else x.bits])
+        mask = points_to_bits([x], n)
         if self.spec.kind == "sparse_conjunction":
             (w,) = self.spec.per_layer
         else:
-            w, mask = x.weight, _mirrored(mask, x.weight, self.spec.n)
+            w, mask = x.weight, _mirrored(mask, x.weight, n)
         if w not in self._support_groups:
             return 0.0
         return float(self._layer_scores(w, mask)[0])

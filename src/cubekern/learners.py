@@ -306,6 +306,8 @@ def sdca_solve(
     check_count("epochs", max_epochs)
     y = _check_labels(labels, m, loss)
     k = np.asarray(k, dtype=float)
+    if k.ndim != 2:
+        raise ValueError(f"the Gram must be a square 2-d array, got shape {k.shape}")
     u = k.shape[0]
     rows_ok = where.shape == (m,) and where.dtype.kind in "iu" and np.all((where >= 0) & (where < u))
     if k.shape != (u, u) or not rows_ok:
@@ -369,6 +371,8 @@ class MklLayerProblem:
 
     def __post_init__(self):
         where, ip, table = map(np.asarray, self.vertex_grams)
+        if np.ndim(self.labels) != 1:
+            raise ValueError(f"labels must be a 1-d vector, got shape {np.shape(self.labels)}")
         m, u = len(self.labels), len(ip)
         if m == 0:
             raise ValueError("at least one sample required")

@@ -7,9 +7,10 @@ Core claims:
     - save -> load is bit-exact for both point flavors and for analytic
       conjunction models; reports regenerate their datasets exactly
     - load_model names the file and the key of a model file that is not an
-      object, lacks spec, support or alphas, or whose support is not a list
-      of bitstrings; evaluate_losses refuses predictions and labels of
-      different shapes
+      object, lacks spec, support or alphas, whose support is not a list
+      of bitstrings or whose alphas are not a list of numbers, and names
+      the file and the layer of a malformed spec; evaluate_losses refuses
+      predictions and labels of different shapes
     - verify_suite passes clean and names (module, check, params) under each
       documented fault injection, and refuses a max_n or trial count that
       is not an integer
@@ -198,6 +199,17 @@ class TestRoundTrips:
         for support in ([3], "1100"):
             obj["support"] = support
             self.assert_model_file_refused(tmp_path, obj, "model 'support' must be a list of bitstrings")
+
+    @pytest.mark.parametrize("alphas", [{"a": 1}, ["x"]])
+    def test_model_file_with_malformed_alphas_named(self, tmp_path, alphas):
+        obj = harness.model_json_dict(kernels.analytic_weights(6, 2, [0]), {})
+        obj["alphas"] = alphas
+        self.assert_model_file_refused(tmp_path, obj, "model 'alphas' must be a list of numbers")
+
+    def test_model_file_with_malformed_spec_names_the_file(self, tmp_path):
+        obj = harness.model_json_dict(kernels.analytic_weights(6, 2, [0]), {})
+        obj["spec"]["layers"][0]["p"] = 1.5
+        self.assert_model_file_refused(tmp_path, obj, r"kernel spec layers\[0\]: 'p' must be an integer")
 
     def test_report_regenerates_dataset(self):
         report = harness.bench_conjunction(8, 3, 2, 25, "sparse-analytic", 1.0, 0.1, seed=11)

@@ -28,6 +28,13 @@ Core claims:
       n = 18 gate, and a query that misses every key scores exactly 0.0;
       building and scoring four dense subset layers of n = 18 takes under
       10 MiB: their tables plus the traced peak
+    - every mask of a dense subset layer (n <= 12, below and above n/2)
+      scores bit for bit as the sorted keys of the same support score it,
+      in a batch and one point at a time
+    - a single prediction on a dense subset layer reads one table entry: a
+      weight above n/2 reads its mirror's, a weight with no support group
+      scores 0.0, and a non-point or a point of the wrong dimension raises
+      the TypeError or ValueError of points_to_bits, message and all
     - a single prediction equals the batch prediction of the same point,
       and predict(x) == predict_many([x])[0] exactly on both paths
     - a model takes only a KernelSpec: any other spec, a lifted kernel
@@ -46,6 +53,7 @@ import math
 import os
 import tempfile
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -380,6 +388,66 @@ def test_dense_and_sorted_subset_tables_score_bit_for_bit_alike(monkeypatch, n, 
     for m, q in forms:
         for x in q:
             assert m.predict(x) == m.predict_many([x])[0]
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(1, 12), st.integers(0, 6), st.booleans(), st.integers(0, 2**32 - 1))
+def test_every_mask_of_a_dense_layer_scores_as_the_sorted_form(monkeypatch, n, p, mirrored, seed):
+    # A dense table holds a score at every mask of its layer, computed when
+    # the model is built.  Every point of the layer, not a sample of queries,
+    # must score as the sorted keys of the same support score it, with no
+    # tolerance: the bytes compare, in a batch and one point at a time.
+    rng = np.random.default_rng(seed)
+    p = min(p, n // 2)
+    w = n - p if mirrored else p
+    spec = KernelSpec(n, "direct_sum", {w: BetaCoeffs(LayerParams(n, p), rng.normal(size=p + 1))})
+    layer = [HypercubePoint(n, b) for b in range(1 << n) if b.bit_count() == w]
+    size = rng.integers(1, min(40, ((1 << n) - 1) >> p) + 1)
+    support = [layer[i] for i in rng.integers(0, len(layer), size)]
+    alphas = rng.normal(size=size)
+    monkeypatch.setattr(kernels, "_SUBSET_COST", 0)
+    dense = TrainedModel(spec, support, alphas)
+    with monkeypatch.context() as patch:
+        patch.setattr(kernels, "_BLOCK_ELEMS", (1 << n) - 1)
+        keyed = TrainedModel(spec, support, alphas)
+    assert dense._support_groups[w].keys is None and keyed._support_groups[w].keys is not None
+    want = keyed.predict_many(layer)
+    assert dense.predict_many(layer).tobytes() == want.tobytes()
+    assert np.array([dense.predict(x) for x in layer]).tobytes() == want.tobytes()
+
+
+def test_single_prediction_on_a_dense_layer_refuses_what_packing_refuses(monkeypatch):
+    monkeypatch.setattr(kernels, "_SUBSET_COST", 0)
+    model = TrainedModel(kernels.universal_kernel(8), [HypercubePoint.from_indices(8, [0, 1])], [1.0])
+    assert subset_layers(model) == [2] and model._support_groups[2].keys is None
+    lookalike = SimpleNamespace(n=8, bits=3, weight=2)
+    non_points = [(lookalike, TypeError), ("11000000", TypeError)]
+    for bad, error in non_points + [(HypercubePoint(9, 3), ValueError), (HypercubePoint(7, 3), ValueError)]:
+        with pytest.raises(error) as packing:
+            kernels.points_to_bits([bad], 8)
+        with pytest.raises(error) as single:
+            model.predict(bad)
+        assert str(single.value) == str(packing.value)
+
+
+def test_single_prediction_reads_the_mirror_entry_and_zero_off_the_support(monkeypatch):
+    # layer 7 of n = 10 is scored on its mirror, p = 3: a query reads the entry
+    # of its complement, and its own weight-7 entry is never written
+    monkeypatch.setattr(kernels, "_SUBSET_COST", 0)
+    rng = np.random.default_rng(11)
+    universal = kernels.universal_kernel(10)
+    spec = KernelSpec(10, "direct_sum", {w: universal.per_layer[w] for w in (3, 7)})
+    draw = lambda m: [HypercubePoint.from_indices(10, rng.permutation(10)[:7]) for _ in range(m)]
+    support = draw(20)
+    model = TrainedModel(spec, support, rng.normal(size=20))
+    assert subset_layers(model) == [7] and model._support_groups[7].keys is None
+    table = model._support_groups[7].table
+    for x in support + draw(20):
+        assert model.predict(x) == table[x.complement().bits] == model.predict_many([x])[0]
+        assert table[x.bits] == 0.0
+    for w in (3, 4):  # a layer with no support, and a weight with no layer
+        x = HypercubePoint.from_indices(10, range(w))
+        assert model.predict(x) == 0.0 and model.predict_many([x])[0] == 0.0
 
 
 @PROPERTY

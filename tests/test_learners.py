@@ -31,15 +31,17 @@ Core claims:
       exact coordinate maximizer; it is deterministic per seed, sends the
       alphas of zero Gram rows to the box corner toward their label,
       reports converged=False at its epoch cap, and names an empty dataset,
-      bad labels, a bad lam, bad epochs, a Gram that is not finite or that
-      `where` does not fit, and a `where` that is not a 1-d integer array
+      bad labels, a bad lam, bad epochs, a Gram that is not finite, not
+      2-d (a 0-d scalar too) or that `where` does not fit, and a `where`
+      that is not a 1-d integer array
     - the class form (where, ip, table) of the vertex Grams: ip is the
       popcount of the distinct mirrored masks, ip[where][:, where] that of
       every pair of points, table the exact vertex tables; combine and every
       alpha' K_t alpha equal their dense forms, and a non-square or
       non-symmetric ip, a class outside the table, a vertex diagonal above
       1, a where of the wrong length, type or range, and labels that are
-      not finite or, under the hinge loss, not -1/+1 are rejected by name;
+      not a 1-d vector (a 0-d scalar too), not finite or, under the hinge
+      loss, not -1/+1 are rejected by name;
       the quads of 10,000 weight-4 points of n = 16 take at most 10 MiB of
       traced allocation and match the unblocked sum
     - the layer solver on the distinct form matches the per-point form
@@ -541,6 +543,10 @@ class TestSdca:
         with pytest.raises(ValueError, match=match):
             learners.sdca_solve(**args)
 
+    def test_zero_d_gram_named(self):
+        with pytest.raises(ValueError, match=r"the Gram must be a square 2-d array, got shape \(\)"):
+            learners.sdca_solve(np.float64(1.0), [0], [1.0], 1.0)
+
 
 @st.composite
 def layer_samples(draw, max_n=16):
@@ -639,6 +645,11 @@ class TestClassForm:
         grams = learners.layer_vertex_grams(pts_from_tuples(layer_points(5, 2))[:4], 2)
         with pytest.raises(ValueError, match=match):
             MklLayerProblem(grams, np.array(labels), lam=0.1, loss=loss)
+
+    def test_zero_d_labels_named(self):
+        grams = learners.layer_vertex_grams(pts_from_tuples(layer_points(5, 2))[:4], 2)
+        with pytest.raises(ValueError, match=r"labels must be a 1-d vector, got shape \(\)"):
+            MklLayerProblem(grams, 1.0, 0.1)
 
 
 class TestMklLayerSolve:
