@@ -299,8 +299,21 @@ class StronglyEuclideanG:
 
 
 def poly_g(coeffs, lipschitz: float, domain_max: float) -> StronglyEuclideanG:
-    """Polynomial profile; verifies max |g'| on a dense grid of [0, domain_max]."""
+    """Polynomial profile; verifies max |g'| on a dense grid of [0, domain_max].
+
+    The coefficients must be a non-empty 1-d sequence of finite numbers,
+    ``domain_max`` finite and positive and ``lipschitz`` finite and
+    non-negative; each is refused by name otherwise.
+    """
     c = np.asarray(coeffs, dtype=float)
+    if c.ndim != 1 or c.size == 0:
+        raise ValueError(f"coeffs must be a non-empty 1-d sequence, got shape {c.shape}")
+    if not np.all(np.isfinite(c)):
+        raise ValueError(f"coeffs must be finite, got {c.tolist()}")
+    if not 0.0 < domain_max < math.inf:
+        raise ValueError(f"domain_max must be positive and finite, got {domain_max}")
+    if not 0.0 <= lipschitz < math.inf:
+        raise ValueError(f"lipschitz must be non-negative and finite, got {lipschitz}")
     if c.size >= 2:
         deriv = np.polynomial.polynomial.polyder(c)
         grid = np.linspace(0.0, domain_max, 4097)
@@ -447,6 +460,8 @@ def train_on_cube(
         raise ValueError("points must be an (m, n) array")
     _check_unit(xs)
     m, n = xs.shape
+    if m == 0:
+        raise ValueError("empty dataset")
     lam = regularization_weight(n, B, epsilon, lam_override)
     pair = build_pair(n, epsilon, seed=seed)
     support = tuple(embed(pair, 1, xs))

@@ -105,8 +105,7 @@ def gen_conjunction_dataset(
         raise ValueError("literal index out of range")
     if not 0 <= weight <= n:
         raise ValueError(f"layer weight {weight} outside [0, {n}]")
-    if m < 1:
-        raise ValueError(f"m must be at least 1, got {m}")
+    learners.check_count("m", m, 1)
     if not 0.0 <= noise_rate <= 1.0:
         raise ValueError("noise_rate must be in [0, 1]")
     if weight < len(lits):
@@ -495,7 +494,7 @@ def _check_fenchel(max_err: float = 1e-6) -> dict:
             grid = np.linspace(float(lo[0]), float(hi[0]), 2001)
             for z in zs:
                 direct = float(loss.value(np.array(z), ya))
-                via_conj = float(np.max(grid * z - loss.conjugate(grid, y)))
+                via_conj = float(np.max(grid * (z - y)))  # sup of a z - conj(a, y) over the box
                 if abs(direct - via_conj) > max_err:
                     return _check(
                         "learners",

@@ -46,8 +46,10 @@ where ``conj`` is the Fenchel conjugate of the loss in its first argument.
 With this scaling the primal optimizer is literally ``w = sum_i alpha_i
 phi(x_i)``, so a single coefficient vector serves both the dual objective
 and the representer-form predictions, and the duality gap
-|primal - dual| -> 0 certifies the saddle.  For the two stock losses the
-conjugate is linear (``conj(a, y) = a y``) on a box:
+|primal - dual| -> 0 certifies the saddle.  A loss is its value and its
+conjugate box (:class:`LossSpec`): the conjugate is linear, ``conj(a, y) = a
+y``, on that box, so ``loss(z, y) = sup_a a (z - y)`` over it, and every
+solver reads the dual term and Pegasos' subgradient off the box:
 
     hinge     loss(z,y) = max(0, 1 - y z),  y in {-1,+1}:  a y in [-1, 0]
     absolute  loss(z,y) = |z - y|:                         |a| <= 1
@@ -93,28 +95,22 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LossSpec:
-    """A 1-Lipschitz convex loss with an explicit conjugate on a box domain."""
+    """A 1-Lipschitz convex loss ``value(z, y) = sup_a a (z - y)``, the sup over the box ``conjugate_domain(y)``."""
 
     name: str
     value: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    subgradient: Callable[[float, float], float]  # at one margin z and label y
-    conjugate: Callable[[np.ndarray, np.ndarray], np.ndarray]
     conjugate_domain: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
 HINGE = LossSpec(
     name="hinge",
     value=lambda z, y: np.maximum(0.0, 1.0 - y * z),
-    subgradient=lambda z, y: -y if y * z < 1.0 else 0.0,
-    conjugate=lambda a, y: a * y,
     conjugate_domain=lambda y: (np.minimum(-y, 0.0), np.maximum(-y, 0.0)),
 )
 
 ABSOLUTE = LossSpec(
     name="absolute",
     value=lambda z, y: np.abs(z - y),
-    subgradient=lambda z, y: 1.0 if z > y else -1.0 if z < y else 0.0,
-    conjugate=lambda a, y: a * y,
     conjugate_domain=lambda y: (-np.ones_like(y), np.ones_like(y)),
 )
 
@@ -209,7 +205,9 @@ def pegasos_train(
     The iterate ``a_t = (1 - 1/t) a_{t-1} - g_t e_i / (lam t)`` is kept as
     ``lam t a_t = c_t``: only ``z = K c`` is stored, the margin at step t is
     the picked point's entry of ``z`` over ``lam (t-1)`` (zero at step 1),
-    and a hit (``g != 0``) costs one Gram row.  A kernel value depends only
+    the subgradient ``g_t`` is the end of its conjugate box that the margin
+    points to (``hi`` above ``y_i``, ``lo`` below, 0 on a tie), and a hit
+    (``g != 0``) costs one Gram row.  A kernel value depends only
     on the two points, so the Gram and ``z`` have one row per distinct point
     (``_MAX_GRAM_POINTS`` caps their number).  The average ``(1/T) sum_t
     a_t`` is built in closed form: a hit at step s adds ``-g (H_T -
@@ -240,13 +238,15 @@ def pegasos_train(
     weight = weight[::-1]
     weight /= lam * steps
     y_of, row_of = y.tolist(), where.tolist()
+    lo_of, hi_of = (v.tolist() for v in loss.conjugate_domain(y))
     z = np.zeros(k.shape[0])  # K @ c over the Gram's rows, c the running sum of -g e_i
     a_bar = np.zeros(m)
     for s in range(0, steps, _PICK_CHUNK):  # Python lists of one chunk at a time
         chunk = zip(picks[s : s + _PICK_CHUNK].tolist(), weight[s : s + _PICK_CHUNK].tolist())
         for t, (i, w_t) in enumerate(chunk, start=s + 1):
-            u = row_of[i]
-            g = loss.subgradient(z.item(u) / (lam * (t - 1)) if t > 1 else 0.0, y_of[i])
+            u, y_i = row_of[i], y_of[i]
+            margin = z.item(u) / (lam * (t - 1)) if t > 1 else 0.0
+            g = hi_of[i] if margin > y_i else lo_of[i] if margin < y_i else 0.0  # argmax of a (margin - y_i)
             if g:
                 z -= g * k[u]
                 a_bar[i] -= g * w_t
@@ -448,7 +448,7 @@ def _alpha_box(loss: LossSpec, y: np.ndarray, lam: float) -> tuple[np.ndarray, n
 
 
 def _dual_value(loss: LossSpec, y: np.ndarray, lam: float, k: np.ndarray, alpha, where) -> float:
-    conj = loss.conjugate(-lam * y.shape[0] * alpha, y)
+    conj = (-lam * y.shape[0] * alpha) * y  # the linear conjugate conj(a, y) = a y
     c = np.bincount(where, alpha, k.shape[0])
     return -0.5 * lam * float(c @ k @ c) - float(np.mean(conj))
 
@@ -563,6 +563,8 @@ def layer_vertex_grams(points, weight: int) -> tuple[np.ndarray, np.ndarray, np.
     matrix of the u distinct points and row t of the (p+1, p+1) ``table`` is
     vertex t's value table, so vertex t's Gram is ``table[t][ip]``.
     """
+    if len(points) == 0:
+        raise ValueError("at least one point required")
     n = points[0].n
     masks = points_to_bits(points, n)
     if np.any(np.bitwise_count(masks) != weight):

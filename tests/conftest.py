@@ -2,6 +2,7 @@ import itertools
 import math
 
 import numpy as np
+import numpy.ma  # noqa: F401 -- np.unique imports it on first use; loaded here, no tracemalloc bound counts it
 import pytest
 
 from cubekern import embedding, kernels, learners

@@ -11,7 +11,10 @@ Core claims:
     - coordinates outside [0, 1], NaN included, are refused
     - embedded bit vectors agree with the certified inner-product tables
     - lifting a constant is exact; Lipschitz profiles deviate by at most
-      2 L eps; declared constants are validated
+      2 L eps; declared constants are validated, and poly_g names
+      coefficients that are not a non-empty 1-d finite sequence, a
+      domain_max that is not finite and positive and a lipschitz that is
+      not finite and non-negative
     - lifted Grams read from the tables equal the bit-level products
       exactly, transpose across roles and reject same-role products
     - each role's rows are nested thresholds 1[c <= i] of one cell vector
@@ -37,11 +40,11 @@ Core claims:
       the lifted cross_gram, on built and drawn pairs alike, and any other
       profile (degree 2, domain_max < n, queries past domain_max) equals it
       exactly; the support must be role 1; a model is frozen; a B that is
-      not finite and positive, or a point outside [0, 1] or NaN, is refused
-      before any build; a model's pair is its kernel's, and alphas that are
-      not a finite 1-d vector with one entry per support point are refused
-      at construction
-    - every script under demos/ runs to exit 0
+      not finite and positive, a point outside [0, 1] or NaN, or an empty
+      sample is refused before any build; a model's pair is its kernel's,
+      and alphas that are not a finite 1-d vector with one entry per
+      support point are refused at construction
+    - every script under demos/ runs to exit 0 against this checkout's src/
 """
 
 import dataclasses
@@ -204,6 +207,26 @@ class TestProfiles:
         embedding.poly_g([0.0, 1.0 / 3.0], lipschitz=1 / 3, domain_max=3.0)
         with pytest.raises(ValueError, match="Lipschitz"):
             embedding.poly_g([0.0, 1.0], lipschitz=0.5, domain_max=3.0)
+
+    @pytest.mark.parametrize(
+        "coeffs, lipschitz, domain_max, match",
+        [
+            ([], 0.0, 3.0, r"coeffs must be a non-empty 1-d sequence, got shape \(0,\)"),
+            ([[1.0, 2.0]], 5.0, 3.0, r"coeffs must be a non-empty 1-d sequence, got shape \(1, 2\)"),
+            ([1.0, math.nan], 1.0, 3.0, r"coeffs must be finite, got \[1.0, nan\]"),
+            ([math.inf], 0.0, 3.0, r"coeffs must be finite, got \[inf\]"),
+            ([1.0, 1.0], 1.0, -5.0, "domain_max must be positive and finite, got -5.0"),
+            ([1.0, 1.0], 1.0, 0.0, "domain_max must be positive and finite, got 0.0"),
+            ([1.0, 1.0], 1.0, math.nan, "domain_max must be positive and finite, got nan"),
+            ([1.0, 1.0], 1.0, math.inf, "domain_max must be positive and finite, got inf"),
+            ([1.0, 1.0], math.nan, 3.0, "lipschitz must be non-negative and finite, got nan"),
+            ([1.0, 1.0], math.inf, 3.0, "lipschitz must be non-negative and finite, got inf"),
+            ([1.0], -1.0, 3.0, "lipschitz must be non-negative and finite, got -1.0"),
+        ],
+    )
+    def test_bad_profiles_named(self, coeffs, lipschitz, domain_max, match):
+        with pytest.raises(ValueError, match=match):
+            embedding.poly_g(coeffs, lipschitz=lipschitz, domain_max=domain_max)
 
 
 class TestLift:
@@ -555,6 +578,12 @@ class TestTrainOnCube:
         with pytest.raises(ValueError, match=rf"coordinates must lie in \[0, 1\], got {bad}"):
             embedding.train_on_cube(xs, ys, g, B=1.0, epsilon=0.1)
 
+    def test_empty_sample_refused_before_building(self, monkeypatch):
+        monkeypatch.setattr(embedding, "build_pair", None)  # never reached
+        g = embedding.poly_g([0.5, 1.0 / 6.0], lipschitz=1 / 6, domain_max=3.0)
+        with pytest.raises(ValueError, match="empty dataset"):
+            embedding.train_on_cube(np.zeros((0, 3)), np.zeros(0), g, B=1.0, epsilon=0.1)
+
     def test_sdca_trains_on_a_psd_gram(self, rng, monkeypatch):
         trained = []
         sdca_solve = learners.sdca_solve
@@ -737,7 +766,13 @@ DEMOS = os.path.join(os.path.dirname(__file__), os.pardir, "demos")
 
 @pytest.mark.parametrize("demo", sorted(f for f in os.listdir(DEMOS) if f.endswith(".py")))
 def test_demo_runs(demo):
+    # against this checkout's src/, whatever PYTHONPATH or cwd the suite itself was run with
+    src = os.path.abspath(os.path.join(DEMOS, os.pardir, "src"))
     proc = subprocess.run(
-        [sys.executable, os.path.join(DEMOS, demo)], capture_output=True, text=True, timeout=120
+        [sys.executable, os.path.join(DEMOS, demo)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=dict(os.environ, PYTHONPATH=src),
     )
     assert proc.returncode == 0, proc.stderr

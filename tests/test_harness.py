@@ -2,7 +2,8 @@
 
 Core claims:
     - conjunction datasets have exact labels, honest noise, warn on
-      layers the conjunction can never fire on, and refuse m below 1; at
+      layers the conjunction can never fire on, and refuse an m below 1 or
+      not an integer by name; at
       n = 64 every draw succeeds, with int bit masks, also through bench
     - save -> load is bit-exact for both point flavors and for analytic
       conjunction models; reports regenerate their datasets exactly
@@ -13,7 +14,8 @@ Core claims:
       predictions and labels of different shapes
     - verify_suite passes clean and names (module, check, params) under each
       documented fault injection, and refuses a max_n or trial count that
-      is not an integer
+      is not an integer; a wrong conjugate box swapped into learners.HINGE
+      fails its fenchel_young check, naming the loss and y
     - bench: the analytic conjunction model has zero test error noiseless,
       and nothing beats coin flipping at noise 1/2
     - the CLI emits the promised JSON schemas, is byte-deterministic for a
@@ -41,6 +43,7 @@ Core claims:
       numbers, a point of another dimension, and a line that is not JSON
 """
 
+import dataclasses
 import json
 import math
 import subprocess
@@ -110,6 +113,8 @@ class TestDatasetGeneration:
         for m in (0, -1):
             with pytest.raises(ValueError, match=f"m must be at least 1, got {m}"):
                 gen_conjunction_dataset(8, [0], "sparse", 3, m, 0.0, seed=0)
+        with pytest.raises(ValueError, match="m must be an integer, got 2.5"):
+            gen_conjunction_dataset(8, [0], "sparse", 3, 2.5, 0.0, seed=0)
 
 
 class TestRoundTrips:
@@ -243,6 +248,21 @@ class TestVerifySuite:
         assert failure["module"]
         assert failure["check"]
         assert failure["params"]
+
+    def test_a_wrong_conjugate_box_fails_fenchel_young(self, monkeypatch):
+        # half the hinge box: sup_a a (z - y) over it is half the hinge loss
+        box = learners.HINGE.conjugate_domain
+
+        def half_box(y):
+            lo, hi = box(y)
+            return 0.5 * lo, 0.5 * hi
+
+        monkeypatch.setattr(learners, "HINGE", dataclasses.replace(learners.HINGE, conjugate_domain=half_box))
+        verdict = harness.verify_suite(max_n=4, trials=10, seed=0)
+        assert not verdict["passed"]
+        failure = next(f for f in verdict["failures"] if f["check"] == "fenchel_young")
+        assert failure["module"] == "learners"
+        assert failure["params"]["loss"] == "hinge" and failure["params"]["y"] == -1.0
 
     def test_unknown_fault_rejected(self):
         with pytest.raises(ValueError, match="fault"):

@@ -1,7 +1,8 @@
 """Trainers, saddle solver, duality gaps, Rademacher estimates.
 
 Core claims:
-    - both stock losses satisfy Fenchel-Young against their conjugates
+    - a loss is exactly its name, value and conjugate box, and both stock
+      losses satisfy Fenchel-Young against the linear conjugate a y on it
     - duality_gap (a test helper) reproduces hand values at alpha = 0 and
       degenerate kernels
     - pegasos hits the 1-d closed-form optimum, collapses under huge
@@ -9,7 +10,8 @@ Core claims:
       tracks an independent feature-space primal oracle within 2% with a
       nonnegative gap at least its distance from that oracle, replays the
       exact step-1/(lam t) recursion (in rationals, ties included, on the
-      dyadic kernel <x, y>/2 of {0,1}^4), and
+      dyadic kernel <x, y>/2 of {0,1}^4), takes no step on an absolute-loss
+      tie (margin == y, a zero label at step 1), and
       rejects label-length mismatches, non-finite labels and hinge labels
       other than -1/+1 by name
     - pegasos keeps z over distinct points and its alphas equal the dense
@@ -34,6 +36,7 @@ Core claims:
       bad labels, a bad lam, bad epochs, a Gram that is not finite, not
       2-d (a 0-d scalar too) or that `where` does not fit, and a `where`
       that is not a 1-d integer array
+    - layer_vertex_grams names an empty point list
     - the class form (where, ip, table) of the vertex Grams: ip is the
       popcount of the distinct mirrored masks, ip[where][:, where] that of
       every pair of points, table the exact vertex tables; combine and every
@@ -77,6 +80,7 @@ Core claims:
       at least 1
 """
 
+import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
@@ -128,12 +132,9 @@ class TestLosses:
     def test_hinge_values(self):
         assert HINGE.value(np.array(0.0), np.array(1.0)) == 1.0
         assert HINGE.value(np.array(2.0), np.array(1.0)) == 0.0
-        assert HINGE.subgradient(np.array(0.5), np.array(1.0)) == -1.0
-        assert HINGE.subgradient(np.array(2.0), np.array(1.0)) == 0.0
 
     def test_absolute_values(self):
         assert ABSOLUTE.value(np.array(0.5), np.array(-1.0)) == 1.5
-        assert ABSOLUTE.subgradient(np.array(0.5), np.array(-1.0)) == 1.0
 
     def test_bounded_at_zero(self):
         for loss in (HINGE, ABSOLUTE):
@@ -147,8 +148,11 @@ class TestLosses:
         grid = np.linspace(float(lo[0]), float(hi[0]), 4001)
         for z in np.linspace(-3.0, 3.0, 121):
             direct = float(loss.value(np.array(z), np.array(y)))
-            via = float(np.max(grid * z - loss.conjugate(grid, y)))
+            via = float(np.max(grid * z - grid * y))  # the linear conjugate conj(a, y) = a y
             assert abs(direct - via) <= 1e-6
+
+    def test_a_loss_is_its_value_and_conjugate_box(self):
+        assert [f.name for f in dataclasses.fields(learners.LossSpec)] == ["name", "value", "conjugate_domain"]
 
     def test_get_loss(self):
         assert learners.get_loss("abs") is ABSOLUTE
@@ -424,6 +428,21 @@ class TestPegasosDistinctPoints:
         model = learners.pegasos_train(spec, points, labels, lam, epochs=epochs, seed=seed, loss=loss)
         assert_matches_oracle(model, pegasos_oracle(*problem))
 
+    def test_absolute_loss_ties_take_no_step(self):
+        # the first pick's label is 0 and its margin 0, so step 1 is a tie
+        # (margin == y), whose subgradient is 0 and not an end of the box
+        rows = layer_points(6, 2)
+        pts = pts_from_tuples([rows[i] for i in (0, 3, 3, 7, 11, 0)])
+        labels = np.array([1.0, -0.5, 0.5, 1.0, -1.0, 0.5])
+        spec, lam, epochs, seed = kernels.universal_kernel(6), 0.1, 5, 4
+        labels[np.random.default_rng(seed).integers(0, len(pts), size=epochs * len(pts))[0]] = 0.0
+        problem = (spec, pts, labels, lam, epochs, seed, ABSOLUTE)
+        model = learners.pegasos_train(spec, pts, labels, lam, epochs=epochs, seed=seed, loss=ABSOLUTE)
+        assert_matches_oracle(model, pegasos_oracle(*problem))
+        # with every label 0 every step is a tie, and no coefficient moves
+        model = learners.pegasos_train(spec, pts, np.zeros(6), lam, epochs=epochs, seed=seed, loss=ABSOLUTE)
+        assert not np.any(model.alphas)
+
     def test_point_count_above_the_gram_cap_trains(self):
         pts, y = self.weight4_points(25_000, 1)
         assert len(pts) > kernels._MAX_GRAM_POINTS
@@ -632,6 +651,10 @@ class TestClassForm:
         for grams, match in cases:
             with pytest.raises(ValueError, match=match):
                 MklLayerProblem(grams, y, lam=0.1)
+
+    def test_empty_point_list_named(self):
+        with pytest.raises(ValueError, match="at least one point required"):
+            learners.layer_vertex_grams([], 2)
 
     @pytest.mark.parametrize(
         "labels, loss, match",

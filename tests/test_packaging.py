@@ -6,10 +6,14 @@ Core claims:
       every declared dependency is imported
     - every name in a module's __all__ resolves in that module, so removing
       a name cannot leave a stale export
+    - every function and method that perfbench/tracing.py wraps resolves on
+      cubekern (a method in its class __dict__, where install reads it), so
+      a rename cannot break a traced benchmark run unseen
 """
 
 import ast
 import importlib
+import importlib.util
 import re
 import sys
 from pathlib import Path
@@ -50,3 +54,29 @@ def test_every_export_resolves(stem):
     module = importlib.import_module("cubekern" if stem == "__init__" else f"cubekern.{stem}")
     missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
     assert missing == [], f"{module.__name__}.__all__ names what it does not define"
+
+
+def tracing_module():
+    """perfbench/tracing.py, loaded by path under a private name; nothing under perfbench/ is imported as a package."""
+    spec = importlib.util.spec_from_file_location("_perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look the module up while the file runs
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+def test_every_traced_name_resolves():
+    tracing = tracing_module()
+    missing = []
+    for mod_name, attr, *_ in tracing._FUNCTIONS:
+        if not callable(getattr(importlib.import_module(f"cubekern.{mod_name}"), attr, None)):
+            missing.append(f"{mod_name}.{attr}")
+    for mod_name, cls_name, attr, *_ in tracing._METHODS:
+        cls = getattr(importlib.import_module(f"cubekern.{mod_name}"), cls_name, None)
+        if attr not in getattr(cls, "__dict__", {}):
+            missing.append(f"{mod_name}.{cls_name}.{attr}")
+    assert tracing._FUNCTIONS and tracing._METHODS
+    assert missing == [], "perfbench/tracing.py wraps names cubekern does not define"
