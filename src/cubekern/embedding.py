@@ -33,7 +33,10 @@ differs from ``g(<x, y>)`` by at most ``L * eps`` for certified pairs.
 
 An ``EmbeddedModel`` with a profile of degree <= 1 on ``[0, >= n]`` sums its
 support into an ``(n, K)`` array once and scores a query with n lookups,
-exact up to float summation order; other profiles read the tables per query.
+exact up to float summation order: a single query is n bisections of the
+grid and n list reads in Python floats, a batch is n column gathers, and
+both add their n terms left to right; other profiles read the tables per
+query.
 
 Two maps (role 1 and role 2) are needed because same-role inner products
 are biased whenever both arguments hit the same grid cell (a row dotted
@@ -48,8 +51,11 @@ and thread-safe.
 from __future__ import annotations
 
 import math
+import operator
 import struct
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -83,7 +89,8 @@ def required_bits(epsilon: float, c_t: float = DEFAULT_CT) -> int:
 
 
 def _interval_grid(eps_int: float) -> np.ndarray:
-    """Multiples of eps_int/3 covering [0,1], extended to include 1.0 exactly."""
+    """Multiples of eps_int/3 covering [0,1], extended to include 1.0 exactly;
+    read-only, so a copy taken of it (``EmbeddedModel``'s list) cannot go stale."""
     step = eps_int / 3.0
     count = int(math.floor(1.0 / step + 1e-9))
     grid = step * np.arange(count + 1)
@@ -91,6 +98,7 @@ def _interval_grid(eps_int: float) -> np.ndarray:
         grid[-1] = 1.0
     else:
         grid = np.append(grid, 1.0)
+    grid.flags.writeable = False
     return grid
 
 
@@ -327,12 +335,20 @@ def poly_g(coeffs, lipschitz: float, domain_max: float) -> StronglyEuclideanG:
     return StronglyEuclideanG(domain_max, lipschitz, coeffs=tuple(float(v) for v in c))
 
 
+def _check_profile(g) -> None:
+    if not isinstance(g, StronglyEuclideanG):
+        raise TypeError(f"g must be a StronglyEuclideanG profile (see poly_g), got {type(g).__name__}")
+
+
 @dataclass(frozen=True)
 class LiftedKernel:
     """k(x, y) = g(<Psi_1(x), Psi_2(y)> / t), read from the pair's certified tables."""
 
     g: StronglyEuclideanG
     pair: CubeEmbedderPair
+
+    def __post_init__(self):
+        _check_profile(self.g)
 
     def _lift(self, ip: np.ndarray) -> np.ndarray:
         return np.asarray(self.g(np.clip(ip / self.pair.t, 0.0, self.pair.n)), dtype=float)
@@ -385,8 +401,20 @@ class EmbeddedModel:
     the support's cells).  Table entries lie in ``[0, t]``, so no clip of
     ``g(S / t)`` binds and the summary is within ``1e-12 (1 + sum|alpha| (|c0|
     + n |c1|))`` of ``alphas @ kernel.cross_gram``; other profiles are scored
-    from the tables bit for bit like it.  The model is frozen, so the summary
-    cannot go stale, and ``predict(x)`` is ``predict_many([x])[0]`` exactly.
+    from the tables bit for bit like it.
+
+    On the summary, ``predict(x)`` works in Python floats after one
+    ``asarray``: per coordinate a range check, a clip to ``[0, 1]`` and a
+    ``bisect_right`` on the grid's list pick ``w_c[x_c]`` from ``w``'s rows,
+    a few microseconds for n = 5, about a quarter of a one-row batch.
+    ``predict_many`` gathers the same terms a column at a time.  Both add the
+    n terms left to right and then add ``c0 sum(alpha)`` (``_in_order``), so
+    ``predict(x)`` is ``predict_many([x])[0]`` exactly.  A row sum of the
+    ``(m, n)`` terms would agree for n < 8 but sums pairwise from n = 8 on;
+    the two orders differ by at most ``n eps (|c0 sum(alpha)| + sum_c
+    |w_c[x_c]|)``, ``eps`` the float64 machine epsilon, well inside the bound
+    above.  The model is frozen and the grid read-only, so the summary and
+    its lists cannot go stale.
     """
 
     kernel: LiftedKernel
@@ -394,7 +422,8 @@ class EmbeddedModel:
     alphas: np.ndarray
     report: dict
     _cells: np.ndarray = field(init=False, repr=False)
-    _summary: tuple | None = field(init=False, repr=False)  # (c0 sum(alpha), (n, K) w) or None
+    # (c0 sum(alpha), (n, K) w, grid as a list, w as a list of rows) or None
+    _summary: tuple | None = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "alphas", _checked_alphas(self.alphas, len(self.support)))
@@ -408,7 +437,7 @@ class EmbeddedModel:
             w = np.array([self.alphas @ co.ensure_pair_inner()[cells[:, c]] for c, co in enumerate(pair.coords)])
             w *= c1 / pair.t
             w.flags.writeable = False
-            summary = (c0 * self.alphas.sum(), w)
+            summary = (float(c0 * self.alphas.sum()), w, pair.grid.tolist(), w.tolist())
         object.__setattr__(self, "_summary", summary)
 
     @property
@@ -417,8 +446,8 @@ class EmbeddedModel:
 
     def predict_many(self, xs) -> np.ndarray:
         """Predict an (m, n) batch, embedded with role 2; ``[]`` is an empty batch.
-        One gather from the summary, or the table sums of ``kernel.cross_gram``
-        on support cells stacked once."""
+        n column gathers from the summary, or the table sums of
+        ``kernel.cross_gram`` on support cells stacked once."""
         v = np.asarray(xs, dtype=float)
         if v.shape == (0,):
             v = v.reshape(0, self.pair.n)
@@ -426,12 +455,33 @@ class EmbeddedModel:
             raise ValueError(f"expected an (m, {self.pair.n}) batch, got shape {v.shape}")
         cells = self.pair.grid_indices(v)
         if self._summary is not None:
-            const, w = self._summary
-            return const + w[np.arange(self.pair.n), cells].sum(axis=1)
+            const, w = self._summary[:2]
+            return const + _in_order([w_c[col] for w_c, col in zip(w, cells.T)])
         return self.alphas @ self.kernel._lift(self.pair.cell_inner(self._cells, cells))
 
     def predict(self, x) -> float:
-        return float(self.predict_many([x])[0])
+        """Predict one length-n vector, embedded with role 2."""
+        v = np.asarray(x, dtype=float)
+        if v.shape != (self.pair.n,):
+            raise ValueError(f"expected a length-{self.pair.n} vector, got shape {v.shape}")
+        if self._summary is None:
+            return float(self.predict_many(v[None, :])[0])
+        const, _, grid, rows = self._summary
+        terms = []
+        for a, w_c in zip(v.tolist(), rows):
+            if not -1e-12 <= a <= 1.0 + 1e-12:  # _check_unit's test, NaN included
+                raise ValueError(f"coordinates must lie in [0, 1], got {a}")
+            # the clip to [0, 1]: grid[-1] is 1.0, so a above 1 already lands in the last cell
+            terms.append(w_c[bisect_right(grid, a if a > 0.0 else 0.0) - 1])
+        return const + _in_order(terms)
+
+
+def _in_order(terms):
+    """``((0.0 + t_0) + t_1) + ...``: the one order in which both of
+    ``EmbeddedModel``'s summary paths add their terms, floats or columns.
+    It is numpy's row sum for fewer than 8 terms, down to the sign of a
+    zero, which the leading ``0.0`` sets."""
+    return reduce(operator.add, terms, 0.0)
 
 
 def train_on_cube(
@@ -452,9 +502,10 @@ def train_on_cube(
     that it trains on a PSD matrix; the off-diagonal entries stay certified.
     The report's ``gap``, ``epochs`` and ``converged`` are the solver's: the
     gap certifies the diagonal-shifted problem, not the unshifted one."""
-    from .learners import HINGE, regularization_weight, sdca_solve
+    from .learners import HINGE, _check_labels, check_count, regularization_weight, sdca_solve
 
     loss = HINGE if loss is None else loss
+    _check_profile(g)
     xs = np.asarray(points, dtype=float)
     if xs.ndim != 2:
         raise ValueError("points must be an (m, n) array")
@@ -462,6 +513,8 @@ def train_on_cube(
     m, n = xs.shape
     if m == 0:
         raise ValueError("empty dataset")
+    labels = _check_labels(labels, m, loss)
+    check_count("epochs", epochs)
     lam = regularization_weight(n, B, epsilon, lam_override)
     pair = build_pair(n, epsilon, seed=seed)
     support = tuple(embed(pair, 1, xs))

@@ -27,7 +27,7 @@ Core claims:
       again, so a cell above K, an attempt of BUILD_RETRIES or more and cells
       beyond eps/n are rejected by coordinate, every malformed header field
       is named, and a version-1 file (rows, nested or not) is refused with
-      the rebuild command
+      the rebuild command; the grids of built and loaded pairs are read-only
     - end-to-end training on real inputs fits margined linear data, on a
       training Gram certified within eps of the grid inner products, and
       dual coordinate ascent trains on it, one row per point, with the
@@ -35,15 +35,21 @@ Core claims:
       converged, and its gap (within the solver's tolerance) is the primal
       minus the dual of that shifted problem;
       batch prediction validates its input and equals single queries
-      exactly; a profile of degree <= 1 with domain_max >= n is scored from
-      the support summary within 1e-12 (1 + sum|alpha| (|c0| + n |c1|)) of
-      the lifted cross_gram, on built and drawn pairs alike, and any other
-      profile (degree 2, domain_max < n, queries past domain_max) equals it
-      exactly; the support must be role 1; a model is frozen; a B that is
-      not finite and positive, a point outside [0, 1] or NaN, or an empty
-      sample is refused before any build; a model's pair is its kernel's,
-      and alphas that are not a finite 1-d vector with one entry per
-      support point are refused at construction
+      bit for bit, for n from 1 to 10 and at 0, 1, grid values and 1e-12
+      outside [0, 1]; against a numpy row sum of the summary terms it is
+      exact for n < 8 and within n eps (|c0 sum(alpha)| + sum_c |w_c[x_c]|)
+      from n = 8 on; a single point that is not a length-n vector is named
+      as one, on either path; a profile of degree <= 1 with domain_max >= n
+      is scored from the support summary within 1e-12 (1 + sum|alpha| (|c0|
+      + n |c1|)) of the lifted cross_gram, on built and drawn pairs alike,
+      and any other profile (degree 2, domain_max < n, queries past
+      domain_max) equals it exactly; the support must be role 1; a model is
+      frozen; a B that is not finite and positive, a point outside [0, 1] or
+      NaN, an empty sample, bad labels, a bad epoch cap or a profile that is
+      not a StronglyEuclideanG (a TypeError, in lift_kernel too) is refused
+      before any build; a model's pair is its kernel's, and alphas that are
+      not a finite 1-d vector with one entry per support point are refused
+      at construction
     - every script under demos/ runs to exit 0 against this checkout's src/
 """
 
@@ -267,10 +273,11 @@ class TestLift:
 
 
 @st.composite
-def small_pairs(draw, drawn_cells=False):
-    """Built pairs; with ``drawn_cells``, pairs of t <= 40 bits whose cells in
-    [0, K] and build attempts are drawn directly, so they need not certify."""
-    n, eps, seed = draw(st.integers(1, 3)), draw(st.floats(0.2, 0.5)), draw(st.integers(0, 2**16))
+def small_pairs(draw, drawn_cells=False, max_n=3):
+    """Built pairs of n <= max_n; with ``drawn_cells``, pairs of t <= 40 bits
+    whose cells in [0, K] and build attempts are drawn directly, so they need
+    not certify."""
+    n, eps, seed = draw(st.integers(1, max_n)), draw(st.floats(0.2, 0.5)), draw(st.integers(0, 2**16))
     if not drawn_cells:
         return embedding.build_pair(n, eps, seed=seed)
     t, grid = draw(st.integers(1, 40)), embedding._interval_grid(eps / n)
@@ -374,6 +381,15 @@ class TestPairFile:
             assert ca.attempt == cb.attempt
         x = rng.random(3)
         assert embedding.embed(pair, 1, x).bits == embedding.embed(clone, 1, x).bits
+
+    def test_grids_are_read_only(self, tmp_path):
+        pair = embedding.build_pair(2, 0.3, seed=4)
+        path = str(tmp_path / "pair.bin")
+        embedding.save_pair(pair, path)
+        for built in (pair, embedding.load_pair(path)):
+            for grid in (built.grid, *(coord.grid for coord in built.coords)):
+                with pytest.raises(ValueError, match="read-only"):
+                    grid[1] = 0.5
 
     @settings(max_examples=10, deadline=None)
     @given(small_pairs())
@@ -584,6 +600,34 @@ class TestTrainOnCube:
         with pytest.raises(ValueError, match="empty dataset"):
             embedding.train_on_cube(np.zeros((0, 3)), np.zeros(0), g, B=1.0, epsilon=0.1)
 
+    @pytest.mark.parametrize(
+        "change, error, match",
+        [
+            (dict(g=lambda a: a), TypeError, "StronglyEuclideanG profile .*, got function"),
+            (dict(g=[0.5, 1.0]), TypeError, "StronglyEuclideanG profile .*, got list"),
+            (dict(labels=np.ones(3)), ValueError, r"labels have shape \(3,\), expected \(4,\)"),
+            (dict(labels=np.array([1.0, -1.0, 0.5, 1.0])), ValueError, "hinge-loss labels must be -1 or \\+1"),
+            (dict(labels=np.array([1.0, -1.0, np.nan, 1.0])), ValueError, "labels must be finite"),
+            (dict(epochs=-1), ValueError, "epochs must be non-negative, got -1"),
+            (dict(epochs=2.5), ValueError, "epochs must be an integer, got 2.5"),
+        ],
+        ids=["lambda", "list", "label-count", "label-value", "label-nan", "epochs-negative", "epochs-float"],
+    )
+    def test_bad_inputs_refused_before_building(self, rng, monkeypatch, change, error, match):
+        calls = []
+        monkeypatch.setattr(embedding, "build_pair", lambda *args, **kw: calls.append(args))
+        xs, ys = self._margined_data(rng, m=4)
+        g = embedding.poly_g([0.5, 1.0 / 6.0], lipschitz=1 / 6, domain_max=3.0)
+        args = dict(points=xs, labels=ys, g=g, B=1.0, epsilon=0.1, epochs=5)
+        with pytest.raises(error, match=match):
+            embedding.train_on_cube(**{**args, **change})
+        assert calls == []
+
+    def test_lift_kernel_refuses_a_bare_function(self):
+        pair = embedding.build_pair(2, 0.4, seed=0)
+        with pytest.raises(TypeError, match="StronglyEuclideanG profile .*, got function"):
+            embedding.lift_kernel(lambda a: a, pair)
+
     def test_sdca_trains_on_a_psd_gram(self, rng, monkeypatch):
         trained = []
         sdca_solve = learners.sdca_solve
@@ -644,8 +688,7 @@ class TestEmbeddedPrediction:
             batch = model.predict_many(np.array(rows).reshape(-1, 2))
             assert batch.shape == (len(rows),)
             for j, x in enumerate(rows):
-                assert model.predict(x) == model.predict_many([x])[0]
-                assert model.predict(x) == pytest.approx(batch[j], rel=1e-12, abs=1e-12)
+                assert model.predict(x) == model.predict_many([x])[0] == batch[j]
 
         check()
 
@@ -707,6 +750,37 @@ class TestEmbeddedPrediction:
         for y in ys:
             assert model.predict(y) == model.predict_many([y])[0]
 
+    @settings(max_examples=80, deadline=None)
+    @given(small_pairs(drawn_cells=True, max_n=10), st.data())
+    def test_single_and_batch_sum_in_one_order(self, pair, data):
+        """predict and predict_many agree bit for bit, past numpy's 8-wide
+        pairwise row sum too; against that row sum (the earlier batch form)
+        they are exact for n < 8 and within n eps (|c0 sum(alpha)| + sum_c
+        |w_c[x_c]|) from n = 8 on."""
+        n, grid = pair.n, pair.grid.tolist()
+        c0, c1 = data.draw(st.floats(-8.0, 8.0)), data.draw(st.floats(-8.0, 8.0))
+        g = embedding.poly_g([c0, c1], lipschitz=abs(c1), domain_max=float(n))
+        xs = np.array(data.draw(st.lists(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n), min_size=1)))
+        alphas = data.draw(st.lists(st.floats(-10.0, 10.0), min_size=len(xs), max_size=len(xs)))
+        model = embedding.EmbeddedModel(
+            embedding.lift_kernel(g, pair), tuple(embedding.embed(pair, 1, xs)), np.array(alphas), {}
+        )
+        edges = [0.0, 1.0, -1e-12, 1.0 + 1e-12]
+        coord = st.floats(0.0, 1.0) | st.sampled_from(edges) | st.sampled_from(grid)
+        queries = data.draw(st.lists(st.lists(coord, min_size=n, max_size=n), min_size=1, max_size=12))
+        ys = np.array([*queries, [0.0] * n, [1.0] * n])
+        batch = model.predict_many(ys)
+        for y, want in zip(ys, batch):
+            assert np.float64(model.predict(y)).tobytes() == want.tobytes()
+        const, w = model._summary[:2]
+        terms = w[np.arange(n), pair.grid_indices(ys)]
+        row_sum = const + terms.sum(axis=1)
+        if n < 8:
+            assert batch.tobytes() == row_sum.tobytes()
+        else:
+            bound = n * np.finfo(float).eps * (abs(const) + np.abs(terms).sum(axis=1))
+            assert np.all(np.abs(batch - row_sum) <= bound)
+
     def test_model_is_frozen(self, model):
         with pytest.raises(dataclasses.FrozenInstanceError):
             model.alphas = -model.alphas
@@ -759,6 +833,33 @@ class TestEmbeddedPrediction:
         if bad.shape == (1, 2):
             with pytest.raises(ValueError, match=match):
                 model.predict(bad[0])
+
+    @pytest.mark.parametrize(
+        "bad, match",
+        [
+            (0.5, r"length-2 vector, got shape \(\)"),
+            ([0.1, 0.2, 0.3], r"length-2 vector, got shape \(3,\)"),
+            ([[0.1, 0.2]], r"length-2 vector, got shape \(1, 2\)"),
+            ([[[0.1, 0.2]]], r"length-2 vector, got shape \(1, 1, 2\)"),
+            ([0.5, 1.0 + 2e-12], r"\[0, 1\], got 1.000000000002"),
+            ([-2e-12, 0.5], r"\[0, 1\], got -2e-12"),
+            ([np.nan, 0.5], r"\[0, 1\], got nan"),
+        ],
+        ids=["scalar", "length-3", "one-row", "nested-row", "above", "below", "nan"],
+    )
+    @pytest.mark.parametrize("summary", [True, False], ids=["summary", "tables"])
+    def test_bad_point_rejected_as_a_vector(self, model, bad, match, summary):
+        if not summary:
+            g = embedding.poly_g([0.5, 0.25, 0.125], lipschitz=0.75, domain_max=2.0)
+            model = embedding.EmbeddedModel(embedding.lift_kernel(g, model.pair), model.support, model.alphas, {})
+        assert (model._summary is not None) == summary
+        with pytest.raises(ValueError, match=match):
+            model.predict(bad)
+
+    def test_range_edges_accepted(self, model):
+        low, high = np.array([-1e-12, 0.5]), np.array([0.5, 1.0 + 1e-12])
+        assert model.predict(low) == model.predict([0.0, 0.5]) == model.predict_many([low])[0]
+        assert model.predict(high) == model.predict([0.5, 1.0]) == model.predict_many([high])[0]
 
 
 DEMOS = os.path.join(os.path.dirname(__file__), os.pardir, "demos")
