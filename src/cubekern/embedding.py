@@ -59,6 +59,7 @@ from functools import reduce
 
 import numpy as np
 
+from . import learners
 from .kernels import _checked_alphas
 
 __all__ = [
@@ -451,7 +452,7 @@ class EmbeddedModel:
         v = np.asarray(xs, dtype=float)
         if v.shape == (0,):
             v = v.reshape(0, self.pair.n)
-        if v.ndim != 2:
+        if v.ndim != 2 or v.shape[1] != self.pair.n:
             raise ValueError(f"expected an (m, {self.pair.n}) batch, got shape {v.shape}")
         cells = self.pair.grid_indices(v)
         if self._summary is not None:
@@ -491,7 +492,7 @@ def train_on_cube(
     B: float,
     epsilon: float,
     seed: int = 0,
-    loss=None,
+    loss: learners.LossSpec = learners.HINGE,
     epochs: int = 200,
     lam_override: float | None = None,
 ) -> EmbeddedModel:
@@ -502,20 +503,14 @@ def train_on_cube(
     that it trains on a PSD matrix; the off-diagonal entries stay certified.
     The report's ``gap``, ``epochs`` and ``converged`` are the solver's: the
     gap certifies the diagonal-shifted problem, not the unshifted one."""
-    from .learners import HINGE, _check_labels, check_count, regularization_weight, sdca_solve
-
-    loss = HINGE if loss is None else loss
     _check_profile(g)
     xs = np.asarray(points, dtype=float)
     if xs.ndim != 2:
         raise ValueError("points must be an (m, n) array")
     _check_unit(xs)
     m, n = xs.shape
-    if m == 0:
-        raise ValueError("empty dataset")
-    labels = _check_labels(labels, m, loss)
-    check_count("epochs", epochs)
-    lam = regularization_weight(n, B, epsilon, lam_override)
+    lam = learners.regularization_weight(n, B, epsilon, lam_override)
+    labels = learners._dual_problem(labels, m, lam, loss, epochs)[0]
     pair = build_pair(n, epsilon, seed=seed)
     support = tuple(embed(pair, 1, xs))
     kernel = lift_kernel(g, pair)
@@ -525,7 +520,7 @@ def train_on_cube(
     min_eig = float(np.linalg.eigvalsh(gram)[0])
     shift = max(0.0, -min_eig)
     gram[np.diag_indices(m)] += shift
-    alphas, report = sdca_solve(gram, np.arange(m), labels, lam, loss, epochs, seed)
+    alphas, report = learners.sdca_solve(gram, np.arange(m), labels, lam, loss, epochs, seed)
     u = pair.grid[cells]
     report.update(
         gram_max_deviation=float(np.abs(sym / pair.t - u @ u.T).max()),

@@ -54,6 +54,11 @@ solver reads the dual term and Pegasos' subgradient off the box:
     hinge     loss(z,y) = max(0, 1 - y z),  y in {-1,+1}:  a y in [-1, 0]
     absolute  loss(z,y) = |z - y|:                         |a| <= 1
 
+Every trainer here, and ``embedding.train_on_cube``, first calls
+:func:`_dual_problem`, which refuses in order a loss not a :class:`LossSpec`
+(``TypeError``), no points, a bad ``lam``, a bad epoch cap, and labels that
+are not one finite value per point, -1 or +1 under the hinge loss.
+
 Solvers are single-threaded state machines per problem instance; distinct
 layer problems share only immutable class data and may run concurrently.
 Returned models are immutable.
@@ -63,7 +68,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -125,7 +130,9 @@ def get_loss(name: str) -> LossSpec:
 
 
 def _positive(name: str, value: float) -> float:
-    """``value``, after checking that it is finite and positive."""
+    """``value``, after checking that it is a finite positive number."""
+    if not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a number, got {type(value).__name__} {value!r}")
     if not 0.0 < value < math.inf:
         raise ValueError(f"{name} must be positive and finite, got {value}")
     return value
@@ -168,8 +175,22 @@ def hinge_labels(labels) -> tuple[np.ndarray, str]:
     raise ValueError("hinge training expects labels in {0,1} or {-1,+1}")
 
 
-def _check_labels(labels, m: int, loss: LossSpec) -> np.ndarray:
-    """Labels as floats: one per point, finite, and -1 or +1 under the hinge loss."""
+def _alpha_box(loss: LossSpec, y: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """The dual box ``-lam m alpha_i in dom conj(., y_i)``, as bounds on alpha."""
+    lo_a, hi_a = loss.conjugate_domain(y)
+    c = lam * y.shape[0]
+    return -hi_a / c, -lo_a / c
+
+
+def _dual_problem(labels, m: int, lam: float, loss: LossSpec, epochs=None) -> tuple:
+    """``(y, (lo, hi))``: the labels as floats and their :func:`_alpha_box`, once the contract holds."""
+    if not isinstance(loss, LossSpec):
+        raise TypeError(f"loss must be a LossSpec (see get_loss), got {type(loss).__name__}")
+    if m == 0:
+        raise ValueError("empty dataset")
+    _positive("lam", lam)
+    if epochs is not None:
+        check_count("epochs", epochs)
     y = np.asarray(labels, dtype=float)
     if y.shape != (m,):
         raise ValueError(f"labels have shape {y.shape}, expected ({m},) to match the points")
@@ -177,7 +198,12 @@ def _check_labels(labels, m: int, loss: LossSpec) -> np.ndarray:
         raise ValueError("labels must be finite")
     if loss.name == "hinge" and not np.all(np.abs(y) == 1.0):
         raise ValueError("hinge-loss labels must be -1 or +1")
-    return y
+    return y, _alpha_box(loss, y, lam)
+
+
+def _corner(y: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The box corner toward the labels, where a dual linear in alpha (a zero kernel) peaks."""
+    return np.clip(np.where(y > 0, hi, np.where(y < 0, lo, 0.0)), lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -219,11 +245,7 @@ def pegasos_train(
     if not isinstance(spec, KernelSpec):
         raise TypeError(f"pegasos_train needs a KernelSpec, got {type(spec).__name__}")
     m = len(points)
-    if m == 0:
-        raise ValueError("empty dataset")
-    _positive("lam", lam)
-    check_count("epochs", epochs)
-    y = _check_labels(labels, m, loss)
+    y, (lo, hi) = _dual_problem(labels, m, lam, loss, epochs)
     masks, where = np.unique(points_to_bits(points, spec.n), return_inverse=True)
     k = gram(spec, masks)
     rng = np.random.default_rng(seed)
@@ -251,7 +273,7 @@ def pegasos_train(
                 z -= g * k[u]
                 a_bar[i] -= g * w_t
     objective = _primal_value(loss, y, lam, k, a_bar, where)
-    alpha = np.clip(a_bar, *_alpha_box(loss, y, lam))
+    alpha = np.clip(a_bar, lo, hi)
     report = {
         "algo": "pegasos",
         "loss": loss.name,
@@ -289,10 +311,9 @@ def sdca_solve(
     step ``alpha_i <- clip(alpha_i + (y_i - z[r]) / k[r, r], box_i)``, ``r =
     where[i]``, maximizes it over alpha_i; ``z = k @ c`` gains ``delta k[r]``
     when alpha_i moves by ``delta``.  A row whose diagonal is not positive (a
-    zero row, in a PSD Gram) makes the dual linear in alpha_i, which goes to
-    the box corner toward ``y_i``.  Before the first epoch and after each one
-    the gap ``_primal_value - _dual_value`` is recomputed from ``k``, and the
-    run stops once it is at most ``_SDCA_TOL (1 + |objective|)``.
+    zero row, in a PSD Gram) sends alpha_i to :func:`_corner`.  The gap
+    ``_primal_value - _dual_value``, recomputed from ``k`` before the first
+    epoch and after each, stops the run once at most ``_SDCA_TOL (1 + |objective|)``.
 
     The report holds ``objective`` (the primal at the alphas), that ``gap``,
     the ``epochs`` run and ``converged``, which is False when ``max_epochs``
@@ -300,11 +321,7 @@ def sdca_solve(
     """
     where = np.asarray(where)
     m = where.size
-    if m == 0:
-        raise ValueError("empty dataset")
-    _positive("lam", lam)
-    check_count("epochs", max_epochs)
-    y = _check_labels(labels, m, loss)
+    y, (lo, hi) = _dual_problem(labels, m, lam, loss, max_epochs)
     k = np.asarray(k, dtype=float)
     if k.ndim != 2:
         raise ValueError(f"the Gram must be a square 2-d array, got shape {k.shape}")
@@ -314,9 +331,7 @@ def sdca_solve(
         raise ValueError(f"the Gram must be square and `where` must index its {u} rows as 1-d integers")
     if not np.isfinite(k).all():
         raise ValueError("the Gram must be finite")
-    lo, hi = _alpha_box(loss, y, lam)
-    corner = np.clip(np.where(y > 0, hi, np.where(y < 0, lo, 0.0)), lo, hi)
-    y_of, row_of, lo_of, hi_of, corner_of = (v.tolist() for v in (y, where, lo, hi, corner))
+    y_of, row_of, lo_of, hi_of, corner_of = (v.tolist() for v in (y, where, lo, hi, _corner(y, lo, hi)))
     diag = np.diagonal(k).tolist()
     alpha = [0.0] * m
     z = np.zeros(u)
@@ -361,23 +376,20 @@ def sdca_solve(
 class MklLayerProblem:
     """Fixed data for the per-layer saddle program; ``vertex_grams`` is the
     class form ``(where, ip, table)`` of :func:`layer_vertex_grams`.  Labels
-    and alphas stay one per point: a repeated point may carry both labels.
-    Labels must be finite, and -1 or +1 under the hinge loss."""
+    and alphas stay one per point: a repeated point may carry both labels."""
 
     vertex_grams: tuple
     labels: np.ndarray
     lam: float
     loss: LossSpec = HINGE
+    box: tuple = field(init=False, repr=False, compare=False)  # (lo, hi) from _dual_problem
 
     def __post_init__(self):
         where, ip, table = map(np.asarray, self.vertex_grams)
-        if np.ndim(self.labels) != 1:
-            raise ValueError(f"labels must be a 1-d vector, got shape {np.shape(self.labels)}")
+        if np.ndim(self.labels) == 0:
+            raise ValueError("labels must be a 1-d vector, got shape ()")
         m, u = len(self.labels), len(ip)
-        if m == 0:
-            raise ValueError("at least one sample required")
-        _positive("lam", self.lam)
-        self.labels = _check_labels(self.labels, m, self.loss)
+        self.labels, self.box = _dual_problem(self.labels, m, self.lam, self.loss)
         if ip.shape != (u, u) or not np.array_equal(ip, ip.T):
             raise ValueError(f"inner-product matrix must be symmetric of shape {(u, u)}, got {ip.shape}")
         if where.shape != (m,) or where.dtype.kind not in "iu" or np.any((where < 0) | (where >= u)):
@@ -428,7 +440,9 @@ class MklSolution:
 
 
 def project_capped_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto {x >= 0, sum x <= 1}."""
+    """Euclidean projection of a finite vector onto {x >= 0, sum x <= 1}."""
+    if (bad := np.flatnonzero(~np.isfinite(v))).size:
+        raise ValueError(f"project_capped_simplex needs finite entries, got v[{bad[0]}] = {v[bad[0]]}")
     w = np.maximum(v, 0.0)
     if w.sum() <= 1.0:
         return w
@@ -438,13 +452,6 @@ def project_capped_simplex(v: np.ndarray) -> np.ndarray:
     rho = np.nonzero(u - css / idx > 0)[0][-1]
     theta = css[rho] / (rho + 1.0)
     return np.maximum(v - theta, 0.0)
-
-
-def _alpha_box(loss: LossSpec, y: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
-    """The dual box ``-lam m alpha_i in dom conj(., y_i)``, as bounds on alpha."""
-    lo_a, hi_a = loss.conjugate_domain(y)
-    c = lam * y.shape[0]
-    return -hi_a / c, -lo_a / c
 
 
 def _dual_value(loss: LossSpec, y: np.ndarray, lam: float, k: np.ndarray, alpha, where) -> float:
@@ -477,13 +484,11 @@ def _inner_max(
     projected-gradient norm at v, is at most ``tol``.
     """
     lam, y, where, u = problem.lam, problem.labels, problem.where, kb.shape[0]
-    lo, hi = _alpha_box(*problem.terms)
+    lo, hi = problem.box
     alpha = np.clip(alpha0, lo, hi)
     top = float((np.abs(kb) @ np.bincount(where, minlength=u)).max())
-    if top <= 1e-300:
-        # kernel zero to working precision: the dual is linear, optimum at a box corner
-        alpha = np.clip(np.where(y > 0, hi, np.where(y < 0, lo, 0.0)), lo, hi)
-        return alpha, True, 0
+    if top <= 1e-300:  # kernel zero to working precision: the dual is linear
+        return _corner(y, lo, hi), True, 0
     step = 1.0 / (lam * top)
     v, theta = alpha, 1.0
     for it in range(1, max_iter + 1):
@@ -625,10 +630,10 @@ def mkl_train(
     """
     m = len(points)
     if m == 0:
-        raise ValueError("empty dataset")
+        raise ValueError("empty dataset")  # before _layers reads points[0]
     n, layers = _layers(points)
     lam = regularization_weight(n, B, epsilon, lam_override)
-    y = _check_labels(labels, m, loss)
+    y = _dual_problem(labels, m, lam, loss)[0]
     per_layer: dict[int, MklSolution] = {}
     spec_layers = {}
     alphas = np.zeros(m)

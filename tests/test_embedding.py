@@ -51,6 +51,9 @@ Core claims:
       not a finite 1-d vector with one entry per support point are refused
       at construction
     - every script under demos/ runs to exit 0 against this checkout's src/
+    - build_pair names an epsilon outside (0, 1) and an n below 1, embed a
+      role other than 1 or 2, and train_on_cube 1-d points and a B that is
+      not a number
 """
 
 import dataclasses
@@ -820,7 +823,7 @@ class TestEmbeddedPrediction:
         "bad, match",
         [
             (np.array([0.5, 0.5]), r"\(m, 2\) batch"),
-            (np.full((3, 3), 0.5), "length-2 vector"),
+            (np.full((3, 3), 0.5), r"\(m, 2\) batch"),
             (np.full((2, 2, 2), 0.5), r"\(m, 2\) batch"),
             (np.array([[0.5, 1.2]]), r"\[0, 1\]"),
             (np.array([[-0.1, 0.5]]), r"\[0, 1\]"),
@@ -877,3 +880,22 @@ def test_demo_runs(demo):
         env=dict(os.environ, PYTHONPATH=src),
     )
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: embedding.build_pair(2, 1.5), ValueError, "epsilon must be in (0, 1)"),
+        (lambda: embedding.build_pair(0, 0.3), ValueError, "n must be positive"),
+        (lambda: embedding.embed(embedding.build_pair(2, 0.4), 3, [0.5, 0.5]), ValueError, "role must be 1 or 2"),
+        (lambda: embedding.train_on_cube([0.5, 0.2], [1.0, -1.0], embedding.poly_g([1.0], 0.0, 2.0), 1.0, 0.5),
+         ValueError, "points must be an (m, n) array"),
+        (lambda: embedding.train_on_cube([[0.5, 0.2]], [1.0], embedding.poly_g([1.0], 0.0, 2.0), "1", 0.5),
+         TypeError, "B must be a number, got str '1'"),
+    ],
+    ids=["pair-epsilon", "pair-n", "embed-role", "train-1d-points", "train-B-str"],
+)
+def test_boundary_errors_named(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message

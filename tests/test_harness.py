@@ -41,6 +41,10 @@ Core claims:
     - load_dataset names the line and the key a record lacks, a label that
       is not a number, an x that is neither a bitstring nor a list of
       numbers, a point of another dimension, and a line that is not JSON
+    - Dataset names a point/label count mismatch and non-finite labels,
+      gen_conjunction_dataset a literal or a layer weight out of range,
+      regenerate an unknown generator, save_dataset a non-finite coordinate
+      and load_dataset a file of blank lines
 """
 
 import dataclasses
@@ -664,3 +668,35 @@ class TestCli:
             run_cli("train", "--algo", "pegasos", "--data", "/nope.jsonl", check=False).returncode
             == 2
         )
+
+
+def _blank_file(tmp_path):
+    path = tmp_path / "blank.jsonl"
+    path.write_text("\n\n  \n")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda tmp: harness.Dataset(2, [HypercubePoint(2, 1)], [1.0, 0.0]), ValueError,
+         "points and labels length mismatch"),
+        (lambda tmp: harness.Dataset(2, [HypercubePoint(2, 1)], [math.inf]), ValueError, "labels must be finite"),
+        (lambda tmp: gen_conjunction_dataset(8, [9], "uniform_layer", 3, 10, 0.0, 0), ValueError,
+         "literal index out of range"),
+        (lambda tmp: gen_conjunction_dataset(8, [1], "uniform_layer", 9, 10, 0.0, 0), ValueError,
+         "layer weight 9 outside [0, 8]"),
+        (lambda tmp: gen_conjunction_dataset(8, [1], "sparse", -1, 10, 0.0, 0), ValueError,
+         "layer weight -1 outside [0, 8]"),
+        (lambda tmp: harness.regenerate({"generator": "x"}), ValueError, "unknown generator 'x'"),
+        (lambda tmp: harness.save_dataset(harness.Dataset(2, [np.array([math.nan, 0.5])], [1.0]), str(tmp / "d")),
+         ValueError, "cannot serialize non-finite float"),
+        (lambda tmp: harness.load_dataset(_blank_file(tmp)), ValueError, "empty dataset file: "),
+    ],
+    ids=["dataset-count", "dataset-label", "literal", "weight-high", "weight-negative", "generator",
+         "save-nan", "load-blank"],
+)
+def test_boundary_errors_named(tmp_path, call, error, message):
+    with pytest.raises(error) as exc:
+        call(tmp_path)
+    assert str(exc.value).startswith(message)

@@ -27,6 +27,10 @@ Core claims:
     - specs round-trip through JSON; a missing key, an unknown kind, a
       sparse-conjunction beta of the wrong length and one inadmissible on
       its home layer (2s <= n) are rejected by name
+    - a point of dimension 0, a mask or an index beyond n, a complement
+      below n/2, a wrong number of mixture weights, a spec layer outside
+      [0, n] or stored for another (n, p), and a kernel constructor's n or
+      layer out of range are refused by name
 """
 
 import math
@@ -462,3 +466,30 @@ class TestSerialization:
     def test_bad_json_rejected_by_name(self, obj, match):
         with pytest.raises(ValueError, match=match):
             KernelSpec.from_json_dict(obj)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: HypercubePoint(0, 0), "dimension must be positive"),
+        (lambda: HypercubePoint(3, 8), "bit mask out of range for dimension"),
+        (lambda: HypercubePoint.from_indices(4, [4]), "index 4 out of range for n=4"),
+        (lambda: kernels.complement_layer_kernel(kernels.mix_vertices(LayerParams(6, 2), [0.5, 0.0, 0.0])),
+         "complement_layer_kernel expects p >= n/2 to mirror downward"),
+        (lambda: kernels.mix_vertices(LayerParams(6, 2), [0.5, 0.5]), "expected 3 mixture weights, got (2,)"),
+        (lambda: KernelSpec(4, "direct_sum", {5: kernels.universal_kernel(4).per_layer[1]}),
+         "layer weight 5 outside [0, 4]"),
+        (lambda: KernelSpec(4, "direct_sum", {1: kernels.universal_kernel(6).per_layer[1]}),
+         "layer 1: stored kernel is for (n=6, p=1), expected (n=4, p=1)"),
+        (lambda: kernels.universal_kernel(0), "n=0 outside supported range [1, 64]"),
+        (lambda: kernels.universal_kernel(65), "n=65 outside supported range [1, 64]"),
+        (lambda: kernels.conjunction_kernel(6, 7, 0.1), "layer weight p=7 outside [0, 6]"),
+        (lambda: kernels.sparse_conjunction_kernel(6, 7, 1), "sparsity s=7 exceeds dimension n=6"),
+    ],
+    ids=["point-n0", "point-mask", "from-indices", "complement-below-half", "mixture-count", "spec-weight",
+         "spec-layer", "universal-0", "universal-65", "conjunction-p", "sparse-s"],
+)
+def test_boundary_errors_named(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message

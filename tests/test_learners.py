@@ -78,6 +78,15 @@ Core claims:
       analytic bound, and rejects an empty sample, n = 1, a B that is
       not finite and positive and a trial count that is not an integer of
       at least 1
+    - one input contract: pegasos_train, sdca_solve, MklLayerProblem,
+      mkl_train and embedding.train_on_cube raise the same exception, with
+      the same message, for a loss given by name, no points, a lam of nan
+      or of "1", a bad epoch cap (where they take one), labels of the wrong
+      shape, a NaN label and a label of 0.5 under the hinge loss, before any
+      of them builds a Gram, vertex Grams or an embedder
+    - project_capped_simplex names a non-finite entry; layer_vertex_grams
+      names mixed weights, mkl_train an empty dataset and
+      rademacher_estimate a B that is not a number
 """
 
 import dataclasses
@@ -93,7 +102,7 @@ from hypothesis import strategies as st
 
 from conftest import dense_subgradient, duality_gap, layer_dual_objective, layer_points, pegasos_oracle, per_point
 
-from cubekern import kernels, learners, scheme
+from cubekern import embedding, kernels, learners, scheme
 from cubekern.kernels import HypercubePoint
 from cubekern.scheme import LayerParams
 from cubekern.learners import ABSOLUTE, HINGE, MklLayerProblem
@@ -928,6 +937,11 @@ class TestProjection:
             learners.project_capped_simplex(np.array([-0.5, 0.4, 0.2])), [0.0, 0.4, 0.2]
         )
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry_named(self, bad):
+        with pytest.raises(ValueError, match=rf"project_capped_simplex needs finite entries, got v\[1\] = {bad}"):
+            learners.project_capped_simplex(np.array([0.2, bad, 0.3]))
+
     def test_oversum_projects_to_simplex(self, rng):
         for _ in range(50):
             v = rng.normal(size=6) * 2
@@ -1122,3 +1136,90 @@ class TestRademacher:
     def test_bound_needs_two_coordinates(self):
         with pytest.raises(ValueError, match="n >= 2"):
             learners.rademacher_estimate([HypercubePoint.from_string("1")], B=1.0)
+
+
+# ---------------------------------------------------------------------------
+# One input contract for every trainer
+
+CONTRACT_POINTS = pts_from_tuples(layer_points(4, 2))
+CONTRACT_LAYER = learners.layer_vertex_grams(CONTRACT_POINTS, 2)
+
+
+def _cube_rows(points):
+    return np.array([[float(c) for c in p.to_string()] for p in points]).reshape(-1, 4)
+
+
+# each trainer as (points, labels, lam, loss, epochs); an epoch cap of None is
+# left at the trainer's default, and a layer problem's points are its labels
+CONTRACT_TRAINERS = {
+    "pegasos_train": lambda pts, y, lam, loss, epochs: learners.pegasos_train(
+        kernels.universal_kernel(4), pts, y, lam, 3 if epochs is None else epochs, loss=loss
+    ),
+    "sdca_solve": lambda pts, y, lam, loss, epochs: learners.sdca_solve(
+        np.eye(len(pts)), np.arange(len(pts)), y, lam, loss, 3 if epochs is None else epochs
+    ),
+    "MklLayerProblem": lambda pts, y, lam, loss, epochs: MklLayerProblem(CONTRACT_LAYER, y, lam, loss),
+    "mkl_train": lambda pts, y, lam, loss, epochs: learners.mkl_train(
+        pts, y, 1.0, 0.1, loss, outer_iters=2, lam_override=lam
+    ),
+    "train_on_cube": lambda pts, y, lam, loss, epochs: embedding.train_on_cube(
+        _cube_rows(pts), y, embedding.poly_g([0.5, 0.25], 0.25, 4.0), 1.0, 0.5, loss=loss,
+        epochs=3 if epochs is None else epochs, lam_override=lam,
+    ),
+}
+EPOCH_TRAINERS = ("pegasos_train", "sdca_solve", "train_on_cube")
+
+
+@pytest.mark.parametrize(
+    "change, error, message",
+    [
+        ({"loss": "hinge"}, TypeError, "loss must be a LossSpec (see get_loss), got str"),
+        ({"pts": [], "y": np.zeros(0)}, ValueError, "empty dataset"),
+        ({"lam": math.nan}, ValueError, "lam must be positive and finite, got nan"),
+        ({"lam": "1"}, TypeError, "lam must be a number, got str '1'"),
+        ({"epochs": -1}, ValueError, "epochs must be non-negative, got -1"),
+        ({"epochs": 2.5}, ValueError, "epochs must be an integer, got 2.5"),
+        ({"y": np.ones((6, 1))}, ValueError, "labels have shape (6, 1), expected (6,) to match the points"),
+        ({"y": np.array([1.0, -1.0, math.nan, -1.0, 1.0, -1.0])}, ValueError, "labels must be finite"),
+        ({"y": np.array([1.0, -1.0, 0.5, -1.0, 1.0, -1.0])}, ValueError, "hinge-loss labels must be -1 or +1"),
+    ],
+    ids=["loss-name", "empty", "lam-nan", "lam-str", "epochs-negative", "epochs-float", "label-shape",
+         "label-nan", "label-half"],
+)
+def test_every_trainer_refuses_a_bad_input_alike_before_building(monkeypatch, change, error, message):
+    """pegasos_train, sdca_solve, MklLayerProblem, mkl_train and
+    embedding.train_on_cube raise the same error for the same bad input, and
+    none of them packs a Gram, builds vertex Grams or an embedder first."""
+    built = []
+    for module, name in [(learners, "gram"), (learners, "layer_vertex_grams"), (embedding, "build_pair")]:
+        monkeypatch.setattr(module, name, lambda *a, _name=name, **kw: built.append(_name))
+    args = {"pts": CONTRACT_POINTS, "y": np.array([1.0, -1.0] * 3), "lam": 0.1, "loss": HINGE, "epochs": None}
+    args.update(change)
+    trainers = EPOCH_TRAINERS if "epochs" in change else CONTRACT_TRAINERS
+    for name in trainers:
+        with pytest.raises(error) as exc:
+            CONTRACT_TRAINERS[name](**args)
+        assert str(exc.value) == message, name
+    assert built == []
+
+
+@pytest.mark.parametrize("name", CONTRACT_TRAINERS)
+def test_every_trainer_runs_on_the_contract_input(name):
+    CONTRACT_TRAINERS[name](CONTRACT_POINTS, np.array([1.0, -1.0] * 3), 0.1, HINGE, None)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: learners.layer_vertex_grams(pts_from_tuples([(1, 1, 0, 0), (1, 1, 1, 0)]), 2), ValueError,
+         "all points must have weight 2"),
+        (lambda: learners.mkl_train([], [], 1.0, 0.1), ValueError, "empty dataset"),
+        (lambda: learners.rademacher_estimate(pts_from_tuples([(1, 0)]), "1"), TypeError,
+         "B must be a number, got str '1'"),
+    ],
+    ids=["vertex-grams-mixed-weights", "mkl-train-empty", "rademacher-B-str"],
+)
+def test_boundary_errors_named(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message

@@ -4,6 +4,7 @@ Core claims:
     - every third-party module that src/cubekern imports, at module level or
       inside a function, is declared in pyproject.toml's dependencies, and
       every declared dependency is imported
+    - no src/cubekern module imports scipy at module level
     - every name in a module's __all__ resolves in that module, so removing
       a name cannot leave a stale export
     - every function and method that perfbench/tracing.py wraps resolves on
@@ -32,14 +33,36 @@ def declared_dependencies() -> set[str]:
     return {re.match(r"[A-Za-z0-9_.-]+", dep).group(0).lower().replace("-", "_") for dep in ast.literal_eval(match[1])}
 
 
-def third_party_imports() -> set[str]:
+def imported_names(nodes) -> set[str]:
+    """Top-level package names of the absolute imports among ``nodes``."""
     names = set()
-    for path in sorted((ROOT / "src" / "cubekern").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Import):
-                names.update(alias.name.split(".")[0] for alias in node.names)
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names.add(node.module.split(".")[0])
+    for node in nodes:
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def module_trees() -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted((ROOT / "src" / "cubekern").glob("*.py"))}
+
+
+def import_time_nodes(tree: ast.Module):
+    """The nodes of ``tree`` that run when the module is imported: all but function bodies."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(
+            child
+            for child in ast.iter_child_nodes(node)
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        )
+
+
+def third_party_imports() -> set[str]:
+    names = set().union(*(imported_names(ast.walk(tree)) for tree in module_trees().values()))
     return {name for name in names if name not in sys.stdlib_module_names and name != "cubekern"}
 
 
@@ -47,6 +70,15 @@ def test_dependencies_match_imports():
     imported = third_party_imports()
     assert "numpy" in imported
     assert imported == declared_dependencies()
+
+
+@pytest.mark.parametrize("stem", MODULES)
+def test_scipy_is_never_imported_at_module_level(stem):
+    """Importing scipy.optimize raises a fresh process's peak RSS from about
+    30 to 77 MiB, which every workload's peak_rss_mib would carry; a module
+    that needs scipy imports it inside the function that uses it."""
+    module_level = imported_names(import_time_nodes(module_trees()[stem]))
+    assert "scipy" not in module_level, f"cubekern.{stem} imports scipy at module level"
 
 
 @pytest.mark.parametrize("stem", MODULES)
