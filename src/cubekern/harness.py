@@ -76,7 +76,9 @@ class Dataset:
         self.labels = np.asarray(self.labels, dtype=float)
         self.points = tuple(self.points)
         if len(self.points) != self.labels.shape[0]:
-            raise ValueError("points and labels length mismatch")
+            raise ValueError(
+                f"points and labels length mismatch: {len(self.points)} points, {self.labels.shape[0]} labels"
+            )
         if not np.all(np.isfinite(self.labels)):
             raise ValueError("labels must be finite")
 
@@ -101,8 +103,9 @@ def gen_conjunction_dataset(
     if mode not in ("uniform_layer", "sparse"):
         raise ValueError(f"unknown mode {mode!r}")
     lits = tuple(sorted(set(int(i) for i in literals)))
-    if any(i < 0 or i >= n for i in lits):
-        raise ValueError("literal index out of range")
+    for i in lits:
+        if not 0 <= i < n:
+            raise ValueError(f"literal index out of range: literal {i} for n={n}")
     if not 0 <= weight <= n:
         raise ValueError(f"layer weight {weight} outside [0, {n}]")
     learners.check_count("m", m, 1)
@@ -148,21 +151,21 @@ def regenerate(meta: dict) -> Dataset:
     )
 
 
-def _jfloat(v: float) -> str:
+def _jfloat(v: float, i: int) -> str:
     v = float(v)
     if not math.isfinite(v):
-        raise ValueError("cannot serialize non-finite float")
+        raise ValueError(f"cannot serialize non-finite float {v} at point {i}")
     return repr(v)
 
 
 def save_dataset(dataset: Dataset, path: str) -> None:
     with open(path, "w") as fh:
-        for pt, y in zip(dataset.points, dataset.labels):
+        for i, (pt, y) in enumerate(zip(dataset.points, dataset.labels)):
             if isinstance(pt, HypercubePoint):
                 xs = json.dumps(pt.to_string())
             else:
-                xs = "[" + ", ".join(_jfloat(v) for v in np.asarray(pt, dtype=float)) + "]"
-            fh.write(f'{{"x": {xs}, "y": {_jfloat(y)}}}\n')
+                xs = "[" + ", ".join(_jfloat(v, i) for v in np.asarray(pt, dtype=float)) + "]"
+            fh.write(f'{{"x": {xs}, "y": {_jfloat(y, i)}}}\n')
 
 
 def _is_number(v) -> bool:

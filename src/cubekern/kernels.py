@@ -40,8 +40,8 @@ a layer either by summing table values against its alphas block by block
 or, on a low-weight layer with many support rows, from the support's
 subset weights (2^p lookups per query).  When a 2^n table fits one block
 (n <= 18), building the model also scores every mask of such a layer once,
-C(n, p) * 2^p lookups (about 0.4 ms at n = 16, p = 4 and 25-50 ms at
-n = 18, p = 7 on one x86-64 core), and stores the scores in the table, so
+C(n, p) * 2^p lookups (about 0.4 ms at n = 16, p = 4 and 30-90 ms at
+n = 18, p = 8 on one x86-64 core), and stores the scores in the table, so
 a query of the layer is one table read.  Neither path builds a support x
 query matrix, and every temporary is bounded by the block size.
 
@@ -460,14 +460,19 @@ def sparse_conjunction_kernel(n: int, s: int, ell: int) -> KernelSpec:
     return KernelSpec(n, "sparse_conjunction", {s: _sparse_layer(n, s, beta)})
 
 
-# A binary-search submask lookup cost about as much as 12 support rows' inner
-# products.  A dense layer answers a query with one read but pays C(n, p) * 2^p
-# lookups when the model is built (25-50 ms at n = 18, p = 7, the worst the
-# gate admits), so whether it beats the block path depends on how many
-# queries follow, and no ratio to a support row prices it.  The rule keeps 12
-# so that every layer keeps its path and its outputs bit for bit; lowering it
-# moves layers onto the subset path, which changes their rounding.
+# What a subset layer costs, in support rows of the block path (4-7 ns each):
+# a layer takes it when cost * 2^p <= rows.  A sorted-keys lookup is a binary
+# search, about 12 rows, paid 2^p times per query.  A dense layer answers a
+# query with one read and pays only its build, C(n, p) * 2^p row-sum lookups,
+# so with cost the price of one build lookup in rows it costs no more than one
+# block-path pass over the layer's C(n, p) points.  That price measured
+# 1.7-2.9 at p = 7-8 and 3.8-5.0 at p = 6 (n = 16-18), and 3 lies between.
+# Below p = 6 the table's fixed cost (its pages, the layer's masks) weighs
+# more, but the whole build stays under 3 ms at n = 16.  The worst the dense
+# gate admits, 3 * 4^p <= 2^18, is p = 8: about 30 ms at n = 16 and 80-90 ms
+# at n = 18.
 _SUBSET_COST = 12
+_DENSE_COST = 3
 
 
 def _submasks(masks: np.ndarray, p: int) -> np.ndarray:
@@ -521,8 +526,9 @@ class _SubsetWeights:
     read, ``table[x]``; the entries below weight p are build scratch that
     no query reads, and those above it stay zero.  The scoring is C(n, p) *
     2^p lookups, paid once per layer: measured on one x86-64 core, about
-    0.4 ms at n = 16, p = 4, 1 ms at n = 18, p = 4 and 25-50 ms (by host
-    speed) at n = 18, p = 7, the largest layer the subset gate admits.
+    0.4 ms at n = 16, p = 4, 7 ms at n = 16, p = 6, 25-50 ms (by host
+    speed) at n = 18, p = 7 and 80-90 ms at n = 18, p = 8, the largest
+    layer the dense gate (``_DENSE_COST``) admits.
     Otherwise ``keys`` are the sorted submasks of the support, the table is
     their weights followed by one 0.0, and a binary search (about 40 ns)
     sends a submask not among the keys to that trailing zero.  Both forms
@@ -595,17 +601,19 @@ class TrainedModel:
     merged, zero alphas dropped and the rest grouped by layer.  A layer on
     canonical weight p with ``rows`` support points is scored from the
     support's subset weights (:class:`_SubsetWeights`) when
-    ``_SUBSET_COST * 2^p <= rows`` and ``rows * 2^p <= _BLOCK_ELEMS``: one
-    read per query of a dense ``2^n`` table that holds the layer's scores
-    when ``1 << n <= _BLOCK_ELEMS`` (8 * 2^n bytes per layer, filled here at
-    C(n, p) * 2^p lookups), else 2^p lookups per query into the sorted
-    keys.  Other layers sum table values against the alphas block by block
-    (one step per support row); a ``sparse_conjunction`` spec, whose
-    queries come in every weight, always takes the blocks.  Neither path
-    builds a support x query matrix.  ``predict`` goes straight to the
-    point's layer, on a dense subset layer to its one entry without
-    packing, refuses what :func:`points_to_bits` refuses, and equals
-    ``predict_many([x])[0]`` exactly.  Models compare and hash by identity.
+    ``cost * 2^p <= rows`` and ``rows * 2^p <= _BLOCK_ELEMS``: one read per
+    query of a dense ``2^n`` table that holds the layer's scores when
+    ``1 << n <= _BLOCK_ELEMS`` (8 * 2^n bytes per layer, filled here at
+    C(n, p) * 2^p lookups, up to about 90 ms at n = 18, p = 8), with
+    ``cost = _DENSE_COST``; else 2^p lookups per query into the sorted
+    keys, with ``cost = _SUBSET_COST``.  Other layers sum table values
+    against the alphas block by block (one step per support row); a
+    ``sparse_conjunction`` spec, whose queries come in every weight, always
+    takes the blocks.  Neither path builds a support x query matrix.
+    ``predict`` goes straight to the point's layer, on a dense subset layer
+    to its one entry without packing, refuses what :func:`points_to_bits`
+    refuses, and equals ``predict_many([x])[0]`` exactly.  Models compare
+    and hash by identity.
     """
 
     spec: KernelSpec
@@ -625,10 +633,11 @@ class TrainedModel:
         merged = np.bincount(where, weights=a, minlength=masks.size)
         scored = merged != 0.0
         groups = _groups(self.spec, masks[scored], merged[scored])
+        cost = _DENSE_COST if 1 << self.spec.n <= _BLOCK_ELEMS else _SUBSET_COST
         if self.spec.kind != "sparse_conjunction":  # its queries come in every weight
             for w, (alphas, support) in groups.items():
                 p = self.spec.per_layer[w].layer.p
-                if _SUBSET_COST << p <= support.size and support.size << p <= _BLOCK_ELEMS:
+                if cost << p <= support.size and support.size << p <= _BLOCK_ELEMS:
                     groups[w] = _SubsetWeights.build(alphas, support, self.spec.per_layer[w])
         object.__setattr__(self, "_support_groups", groups)
 

@@ -631,6 +631,7 @@ def mkl_train(
     m = len(points)
     if m == 0:
         raise ValueError("empty dataset")  # before _layers reads points[0]
+    check_count("outer_iters", outer_iters)  # before the first layer's vertex Grams
     n, layers = _layers(points)
     lam = regularization_weight(n, B, epsilon, lam_override)
     y = _dual_problem(labels, m, lam, loss)[0]

@@ -680,17 +680,18 @@ def _blank_file(tmp_path):
     "call, error, message",
     [
         (lambda tmp: harness.Dataset(2, [HypercubePoint(2, 1)], [1.0, 0.0]), ValueError,
-         "points and labels length mismatch"),
+         "points and labels length mismatch: 1 points, 2 labels"),
         (lambda tmp: harness.Dataset(2, [HypercubePoint(2, 1)], [math.inf]), ValueError, "labels must be finite"),
         (lambda tmp: gen_conjunction_dataset(8, [9], "uniform_layer", 3, 10, 0.0, 0), ValueError,
-         "literal index out of range"),
+         "literal index out of range: literal 9 for n=8"),
         (lambda tmp: gen_conjunction_dataset(8, [1], "uniform_layer", 9, 10, 0.0, 0), ValueError,
          "layer weight 9 outside [0, 8]"),
         (lambda tmp: gen_conjunction_dataset(8, [1], "sparse", -1, 10, 0.0, 0), ValueError,
          "layer weight -1 outside [0, 8]"),
         (lambda tmp: harness.regenerate({"generator": "x"}), ValueError, "unknown generator 'x'"),
-        (lambda tmp: harness.save_dataset(harness.Dataset(2, [np.array([math.nan, 0.5])], [1.0]), str(tmp / "d")),
-         ValueError, "cannot serialize non-finite float"),
+        (lambda tmp: harness.save_dataset(harness.Dataset(2, list(np.array([[0.5, 0.5], [0.25, math.nan]])), [1.0, 1.0]),
+                                         str(tmp / "d")),
+         ValueError, "cannot serialize non-finite float nan at point 1"),
         (lambda tmp: harness.load_dataset(_blank_file(tmp)), ValueError, "empty dataset file: "),
     ],
     ids=["dataset-count", "dataset-label", "literal", "weight-high", "weight-negative", "generator",

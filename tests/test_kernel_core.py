@@ -20,14 +20,21 @@ Core claims:
       for random, mix_vertices and conjunction tables, mirrored layers,
       repeated points, zero alphas, models with layers on both paths and
       queries split into chunks; on a model shaped like mkl-cube's, layers
-      3 and 12 take that path and layer 6 does not; a direct-sum layer built
-      by hand from its beta scores the same on both paths; one row's
-      submasks match the batch enumeration
+      3, 6 and 12 all take that path, layer 6 as a dense table; a direct-sum
+      layer built by hand from its beta scores the same on both paths; one
+      row's submasks match the batch enumeration
     - a subset layer's dense table (2^n floats, when 1 << n <= _BLOCK_ELEMS)
       and its sorted keys score bit for bit alike, on n = 5 to 32 around the
       n = 18 gate, and a query that misses every key scores exactly 0.0;
       building and scoring four dense subset layers of n = 18 takes under
-      10 MiB: their tables plus the traced peak
+      10 MiB, their tables plus the traced peak, and one layer of p = 8,
+      the largest the dense gate admits, under 18 MiB
+    - a layer of n <= 12 with _DENSE_COST * 2^p <= rows < _SUBSET_COST * 2^p
+      distinct support rows (below and above n/2, with repeated points and
+      zero alphas) takes the dense form, and every mask of it scores within
+      the binomial rounding bound of alphas @ cross_gram, bit for bit as the
+      sorted keys score it, and as predict_many([x])[0] does; with one row
+      fewer than _DENSE_COST * 2^p it keeps the block path
     - every mask of a dense subset layer (n <= 12, below and above n/2)
       scores bit for bit as the sorted keys of the same support score it,
       in a batch and one point at a time
@@ -241,6 +248,7 @@ def test_subset_path_matches_cross_gram(monkeypatch, case, build_elems, score_el
     # the block path, so one model can hold both; score_elems splits the queries
     spec, support, alphas, queries = case
     monkeypatch.setattr(kernels, "_SUBSET_COST", 0)
+    monkeypatch.setattr(kernels, "_DENSE_COST", 0)
     monkeypatch.setattr(kernels, "_BLOCK_ELEMS", build_elems)
     model = TrainedModel(spec, support, alphas)
     want = alphas @ kernels.cross_gram(spec, support, queries)
@@ -268,7 +276,8 @@ def test_submasks_of_one_row_match_the_batch_enumeration():
 
 def test_layers_take_the_path_their_size_selects():
     # the shape of an mkl-cube model: distinct support rows on layers 3, 6 and
-    # 12 of n = 16 (12 is mirrored onto p = 4); subset path when 12 * 2^p <= rows
+    # 12 of n = 16 (12 is mirrored onto p = 4); n = 16 tables are dense, so a
+    # layer takes the subset path when 3 * 2^p <= rows: layer 6 at 192 <= 290
     rng = np.random.default_rng(3)
     universal = kernels.universal_kernel(16)
     spec = KernelSpec(16, "direct_sum", {w: universal.per_layer[w] for w in (3, 6, 12)})
@@ -277,7 +286,8 @@ def test_layers_take_the_path_their_size_selects():
         layer = [b for b in range(1 << 16) if b.bit_count() == w]
         support += [HypercubePoint(16, b) for b in rng.choice(layer, rows, replace=False).tolist()]
     model = TrainedModel(spec, support, rng.normal(size=len(support)))
-    assert subset_layers(model) == [3, 12]
+    assert subset_layers(model) == [3, 6, 12]
+    assert all(model._support_groups[w].keys is None for w in (3, 6, 12))
     queries = [HypercubePoint(16, b) for b in rng.integers(0, 1 << 16, 3000).tolist()]
     want = model.alphas @ kernels.cross_gram(spec, support, queries)
     assert np.abs(model.predict_many(queries) - want).max() <= subset_tolerance(spec, model.alphas)
@@ -291,8 +301,11 @@ def test_hand_built_layer_scores_the_same_on_both_paths(monkeypatch):
     spec = KernelSpec(12, "direct_sum", {w: BetaCoeffs(layer, rng.normal(size=5)) for w in (4, 8)})
     draw = lambda m, w: [HypercubePoint.from_indices(12, rng.permutation(12)[:w]) for _ in range(m)]
     support, queries, alphas = draw(100, 4) + draw(100, 8), draw(50, 4) + draw(50, 8), rng.normal(size=200)
-    blocks = TrainedModel(spec, support, alphas)
+    with monkeypatch.context() as patch:
+        patch.setattr(kernels, "_DENSE_COST", 1 << 12)  # more than any layer has rows
+        blocks = TrainedModel(spec, support, alphas)
     monkeypatch.setattr(kernels, "_SUBSET_COST", 0)
+    monkeypatch.setattr(kernels, "_DENSE_COST", 0)
     subsets = TrainedModel(spec, support, alphas)
     assert subset_layers(blocks) == [] and subset_layers(subsets) == [4, 8]
     want = blocks.predict_many(queries)
@@ -346,6 +359,84 @@ def test_dense_subset_layers_at_the_gate_build_and_score_in_bounded_memory():
     assert np.abs(got - want).max() <= subset_tolerance(spec, alphas)
 
 
+def test_the_largest_dense_layer_the_gate_admits_builds_and_scores_in_bounded_memory():
+    # 3 * 4^p <= 2^18 admits p = 8 at n = 18 with 768 to 1,024 rows.  The
+    # support's rows * 2^p submasks then fill most of one _BLOCK_ELEMS block
+    # (2 MiB of 8-byte entries), and np.unique with its inverse holds about
+    # six arrays of that size at once (the submasks, a flat copy, the sort
+    # order, the sorted copy, the cumulative sum and the inverse); scoring the
+    # layer holds three blocks besides the inverse and the keys.  So no more
+    # than eight blocks, 16 MiB, are traced at once, and the table adds 2 MiB.
+    rng = np.random.default_rng(12)
+    layer = kernels._layer_masks(18, 8)
+    support = [HypercubePoint(18, b) for b in rng.choice(layer, 900, replace=False).tolist()]
+    queries = [HypercubePoint(18, b) for b in rng.choice(layer, 500).tolist()]
+    spec = KernelSpec(18, "direct_sum", {8: kernels.universal_kernel(18).per_layer[8]})
+    alphas = rng.normal(size=900)
+    tracemalloc.start()
+    try:
+        model = TrainedModel(spec, support, alphas)
+        got = model.predict_many(queries)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert subset_layers(model) == [8] and model._support_groups[8].keys is None
+    assert peak + model._support_groups[8].table.nbytes < 18 * 2**20
+    want = alphas @ kernels.cross_gram(spec, support, queries)
+    assert np.abs(got - want).max() <= subset_tolerance(spec, alphas)
+
+
+# (n, p) of n <= 12 whose layer holds at least _DENSE_COST * 2^p masks
+DENSE_BAND_LAYERS = [
+    (n, p) for n in range(2, 13) for p in range(1, n // 2 + 1) if math.comb(n, p) >= kernels._DENSE_COST << p
+]
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(DENSE_BAND_LAYERS), st.booleans(), st.integers(0, 2**32 - 1))
+def test_layers_only_the_dense_gate_admits_score_within_the_bound(monkeypatch, layer_shape, mirrored, seed):
+    # `rows` distinct support points with nonzero alphas, where
+    # _DENSE_COST * 2^p <= rows < _SUBSET_COST * 2^p: only the dense gate
+    # admits the layer.  Some points repeat with alphas that keep their sum,
+    # and others carry a zero alpha or alphas that cancel, so the layer's
+    # rows are the distinct points whose alphas do not sum to zero.
+    n, p = layer_shape
+    rng = np.random.default_rng(seed)
+    w = n - p if mirrored else p
+    spec = KernelSpec(n, "direct_sum", {w: BetaCoeffs(LayerParams(n, p), rng.normal(size=p + 1))})
+    layer = [HypercubePoint(n, b) for b in range(1 << n) if b.bit_count() == w]
+    lo = kernels._DENSE_COST << p
+    rows = int(rng.integers(lo, min(kernels._SUBSET_COST << p, len(layer) + 1)))
+    order = rng.permutation(len(layer))
+    kept, spare = [layer[i] for i in order[:rows]], [layer[i] for i in order[rows : rows + 2]]
+    repeats = [kept[i] for i in rng.choice(rows, 5, replace=False)]
+    support = kept + repeats + [x for x in spare for _ in "ab"]
+    extra = [0.0, 0.0, 1.5, -1.5][: 2 * len(spare)]  # spare[0] weighs zero, spare[1]'s alphas cancel
+    alphas = np.concatenate([rng.normal(size=rows + 5), extra])
+    model = TrainedModel(spec, support, alphas)
+    group = model._support_groups[w]
+    assert isinstance(group, kernels._SubsetWeights) and group.keys is None
+    got = model.predict_many(layer)
+    assert np.abs(got - alphas @ kernels.cross_gram(spec, support, layer)).max() <= subset_tolerance(spec, alphas)
+    for j, x in enumerate(layer):
+        assert model.predict(x) == model.predict_many([x])[0] == got[j]
+    # the sorted keys of the same merged support, forced by a block below 2^n
+    masks, where = np.unique(kernels.points_to_bits(support, n), return_inverse=True)
+    merged = np.bincount(where, weights=alphas)
+    assert np.count_nonzero(merged) == rows
+    with monkeypatch.context() as patch:
+        patch.setattr(kernels, "_BLOCK_ELEMS", (1 << n) - 1)
+        keyed = kernels._SubsetWeights.build(
+            merged[merged != 0.0], kernels._mirrored(masks[merged != 0.0], w, n), spec.per_layer[w]
+        )
+        assert keyed.keys is not None
+        queries = kernels._mirrored(kernels.points_to_bits(layer, n), w, n)
+        assert keyed.scores(queries).tobytes() == got.tobytes()
+    # one row fewer than the dense gate asks for keeps the block path
+    fewer = TrainedModel(spec, kept[: lo - 1], alphas[: lo - 1])
+    assert isinstance(fewer._support_groups[w], tuple)
+
+
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.sampled_from([5, 16, 18, 19, 32]), st.integers(0, 5), st.booleans(), st.integers(0, 2**32 - 1))
 def test_dense_and_sorted_subset_tables_score_bit_for_bit_alike(monkeypatch, n, p, weigh_empty_set, seed):
@@ -369,6 +460,7 @@ def test_dense_and_sorted_subset_tables_score_bit_for_bit_alike(monkeypatch, n, 
     alphas = rng.normal(size=size)
     default = kernels._BLOCK_ELEMS
     monkeypatch.setattr(kernels, "_SUBSET_COST", 0)
+    monkeypatch.setattr(kernels, "_DENSE_COST", 0)
 
     def model(dim, block_elems):
         points = lambda sets: [HypercubePoint.from_indices(dim, [c + dim - span for c in s]) for s in sets]
@@ -406,6 +498,7 @@ def test_every_mask_of_a_dense_layer_scores_as_the_sorted_form(monkeypatch, n, p
     support = [layer[i] for i in rng.integers(0, len(layer), size)]
     alphas = rng.normal(size=size)
     monkeypatch.setattr(kernels, "_SUBSET_COST", 0)
+    monkeypatch.setattr(kernels, "_DENSE_COST", 0)
     dense = TrainedModel(spec, support, alphas)
     with monkeypatch.context() as patch:
         patch.setattr(kernels, "_BLOCK_ELEMS", (1 << n) - 1)
@@ -418,6 +511,7 @@ def test_every_mask_of_a_dense_layer_scores_as_the_sorted_form(monkeypatch, n, p
 
 def test_single_prediction_on_a_dense_layer_refuses_what_packing_refuses(monkeypatch):
     monkeypatch.setattr(kernels, "_SUBSET_COST", 0)
+    monkeypatch.setattr(kernels, "_DENSE_COST", 0)
     model = TrainedModel(kernels.universal_kernel(8), [HypercubePoint.from_indices(8, [0, 1])], [1.0])
     assert subset_layers(model) == [2] and model._support_groups[2].keys is None
     lookalike = SimpleNamespace(n=8, bits=3, weight=2)
@@ -434,6 +528,7 @@ def test_single_prediction_reads_the_mirror_entry_and_zero_off_the_support(monke
     # layer 7 of n = 10 is scored on its mirror, p = 3: a query reads the entry
     # of its complement, and its own weight-7 entry is never written
     monkeypatch.setattr(kernels, "_SUBSET_COST", 0)
+    monkeypatch.setattr(kernels, "_DENSE_COST", 0)
     rng = np.random.default_rng(11)
     universal = kernels.universal_kernel(10)
     spec = KernelSpec(10, "direct_sum", {w: universal.per_layer[w] for w in (3, 7)})

@@ -83,7 +83,8 @@ Core claims:
       the same message, for a loss given by name, no points, a lam of nan
       or of "1", a bad epoch cap (where they take one), labels of the wrong
       shape, a NaN label and a label of 0.5 under the hinge loss, before any
-      of them builds a Gram, vertex Grams or an embedder
+      of them builds a Gram, vertex Grams or an embedder; mkl_train refuses
+      a bad outer_iters before it builds any layer's vertex Grams
     - project_capped_simplex names a non-finite entry; layer_vertex_grams
       names mixed weights, mkl_train an empty dataset and
       rademacher_estimate a B that is not a number
@@ -1206,6 +1207,19 @@ def test_every_trainer_refuses_a_bad_input_alike_before_building(monkeypatch, ch
 @pytest.mark.parametrize("name", CONTRACT_TRAINERS)
 def test_every_trainer_runs_on_the_contract_input(name):
     CONTRACT_TRAINERS[name](CONTRACT_POINTS, np.array([1.0, -1.0] * 3), 0.1, HINGE, None)
+
+
+@pytest.mark.parametrize(
+    "outer_iters, message",
+    [(-1, "outer_iters must be non-negative, got -1"), (2.5, "outer_iters must be an integer, got 2.5")],
+    ids=["negative", "float"],
+)
+def test_mkl_train_refuses_a_bad_outer_cap_before_building(monkeypatch, outer_iters, message):
+    built = []
+    monkeypatch.setattr(learners, "layer_vertex_grams", lambda *a, **kw: built.append(a))
+    with pytest.raises(ValueError) as exc:
+        learners.mkl_train(CONTRACT_POINTS, np.array([1.0, -1.0] * 3), 1.0, 0.1, outer_iters=outer_iters)
+    assert str(exc.value) == message and built == []
 
 
 @pytest.mark.parametrize(
