@@ -3,7 +3,8 @@
 Instead of committing to a kernel up front, the layer MKL program searches
 the vertex polytope {beta >= 0, sum beta <= 1} for the best mixture while
 simultaneously fitting the dual classifier.  Saddle quality is certified by
-the duality gap.  For comparison, the same data is fit with plain
+the saddle gap between the best upper and lower bounds, and the returned
+point's fit by the inner duality gap.  For comparison, the same data is fit with plain
 kernelized SGD under the fixed universal kernel.
 """
 
@@ -21,9 +22,9 @@ B, eps = 3.0, 0.1
 result = learners.mkl_train(list(data.points), labels, B=B, epsilon=eps, outer_iters=250)
 print(f"\nregularization lambda = eps/(n B^2) = {result.lam:.5f}")
 for w, sol in result.per_layer.items():
-    print(f"layer weight {w}: beta = {np.round(sol.beta, 4)}, "
-          f"objective = {sol.objective:.5f}, duality gap = {sol.gap:.2e}, "
-          f"inner converged = {sol.inner_converged}")
+    print(f"layer weight {w}: beta = {np.round(sol.beta, 4)}, objective = {sol.objective:.5f}, "
+          f"saddle gap = {sol.saddle_gap:.2e} after {sol.outer_iters} Frank-Wolfe steps "
+          f"(converged = {sol.converged}), inner duality gap = {sol.gap:.2e}")
 
 preds = result.model.predict_many(data.points)
 hinge = np.maximum(0.0, 1.0 - labels * preds).mean()

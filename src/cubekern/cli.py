@@ -131,9 +131,12 @@ def _cmd_train(args) -> int:
         )
         model = result.model
         per_layer = result.layer_report()
-        for w, s in sorted(result.per_layer.items()):
+        for w, s in sorted(result.per_layer.items()):  # warned even with --quiet
+            if not s.converged:
+                gap = f"saddle gap {s.saddle_gap:.3g} above its tolerance after {s.outer_iters} Frank-Wolfe steps"
+                print(f"warning: layer {w}: {gap}", file=sys.stderr)
             if not s.inner_converged:
-                print(f"warning: layer {w}: inner ascent hit its iteration cap", file=sys.stderr)
+                print(f"warning: layer {w}: the SDCA polish hit its epoch cap", file=sys.stderr)
     report = dict(model.report)
     report["label_mapping"] = mapping
     report["per_layer"] = per_layer
@@ -261,7 +264,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--eps", type=float, default=0.1)
     p_train.add_argument("--lam", type=float, default=None, help="override lambda = eps/(n B^2)")
     p_train.add_argument("--epochs", type=int, default=100)
-    p_train.add_argument("--outer-iters", type=int, default=500)
+    p_train.add_argument(
+        "--outer-iters", type=int, default=500,
+        help="MKL: the most Frank-Wolfe steps per layer, each one SDCA epoch; a layer stops"
+        " sooner once its saddle gap is certified",
+    )
     p_train.set_defaults(func=_cmd_train)
 
     p_rad = sub.add_parser("rademacher", parents=[common], help="complexity estimate")
@@ -300,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--eps", type=float, default=0.1)
     p_bench.add_argument("--noise", type=float, default=0.0)
     p_bench.add_argument("--epochs", type=int, default=300)
-    p_bench.add_argument("--outer-iters", type=int, default=300)
+    p_bench.add_argument("--outer-iters", type=int, default=300, help="MKL: the most Frank-Wolfe steps per layer")
     p_bench.add_argument(
         "--t-scale", dest="t_scale", type=float, default=1.0,
         help="scale on the conjunction-kernel depth ceil(t_scale sqrt(n) ln(1/eps))",

@@ -285,7 +285,7 @@ def _clean_report(report: dict) -> dict:
 # ---------------------------------------------------------------------------
 # Verification suite
 
-FAULT_TAGS = ("delta_sign", "vertex_norm", "conjunction_alpha")
+FAULT_TAGS = ("delta_sign", "vertex_norm", "conjunction_alpha", "stale_lower_bound")
 
 
 def _check(module: str, name: str, passed: bool, params: dict, detail: str = "") -> dict:
@@ -436,14 +436,15 @@ def _check_containment(rng: np.random.Generator, triples: int = 40) -> dict:
         for trial in range(triples):
             m = int(rng.integers(2, 13))
             idx = rng.integers(0, len(points), size=m)
-            where, ip, table = learners.layer_vertex_grams([points[i] for i in idx], p)
+            pts = [points[i] for i in idx]
             lam = rng.random(p + 1)
             lam /= lam.sum()
             alpha = rng.normal(size=m)
-            quads = learners._vertex_quads(ip, table, alpha, where)
+            quads = learners._vertex_quads(learners.layer_vertex_grams(pts, p), alpha)
             mixed = float(lam @ quads)
-            # the direct side expands the mixed Gram per point, so it does not rely on the merge
-            direct = float(alpha @ (lam @ table)[ip][np.ix_(where, where)] @ alpha)
+            # the direct side is the mixed Gram of every pair of points, from their inner products
+            ip = np.array([[x.inner(y) for y in pts] for x in pts])
+            direct = float(alpha @ (lam @ scheme.vertex_tables(layer))[ip] @ alpha)
             scale = max(1.0, abs(mixed), abs(direct))
             if abs(mixed - direct) > 1e-10 * scale:
                 return _check(
@@ -509,37 +510,42 @@ def _check_fenchel(max_err: float = 1e-6) -> dict:
     return _check("learners", "fenchel_young", True, {"grid": "z in [-3,3], 121 points"})
 
 
-def _check_mkl_gap(rng: np.random.Generator) -> dict:
+def _check_mkl_gap(rng: np.random.Generator, fault: str | None) -> dict:
+    """Solve two small layers and check each certificate on dense per-point Grams:
+    a best-upper trace that never rises, an inner gap within 1e-4 (1 + |objective|),
+    and a lower bound that is ``D(alpha)`` at the alphas it names, in the box and
+    at most the objective.  Fault ``stale_lower_bound`` names the zero start alphas."""
+    n, p, m, lam = 6, 2, 10, 0.1
+    layer = scheme.LayerParams(n, p)
+    tables, rows = scheme.vertex_tables(layer), scheme.enumerate_layer(layer)
+    layers = []
     for loss in (learners.HINGE, learners.ABSOLUTE):
-        n, p, m = 6, 2, 10
-        rows = scheme.enumerate_layer(scheme.LayerParams(n, p))
-        idx = rng.integers(0, rows.shape[0], size=m)
-        pts = [HypercubePoint.from_array(rows[i]) for i in idx]
+        pts = [HypercubePoint.from_array(rows[i]) for i in rng.integers(0, rows.shape[0], size=m)]
         if loss.name == "hinge":
             labels = rng.integers(0, 2, size=m) * 2.0 - 1.0
         else:
             labels = rng.uniform(-1.0, 1.0, size=m)
-        problem = learners.MklLayerProblem(
-            learners.layer_vertex_grams(pts, p), labels, lam=0.1, loss=loss
-        )
+        problem = learners.MklLayerProblem(learners.layer_vertex_grams(pts, p), labels, lam=lam, loss=loss)
         sol = learners.mkl_layer_solve(problem, outer_iters=150)
-        if not np.all(np.diff(sol.trace) <= 1e-12):
-            return _check(
-                "learners",
-                "mkl_saddle",
-                False,
-                {"loss": loss.name},
-                "best-so-far trace increased",
-            )
-        if sol.gap > 1e-4 * (1.0 + abs(sol.objective)):
-            return _check(
-                "learners",
-                "mkl_saddle",
-                False,
-                {"loss": loss.name},
+        a = np.zeros(m) if fault == "stale_lower_bound" else sol.lower_alphas
+        ip = np.array([[x.inner(y) for y in pts] for x in pts])
+        lower = lam * float(a @ labels) - 0.5 * lam * max(0.0, max(float(a @ t[ip] @ a) for t in tables))
+        (lo, hi), tol = learners._alpha_box(loss, labels, lam), 1e-9 * (1.0 + abs(lower))
+        for failed, detail in (
+            (np.any(np.diff(sol.trace) > 1e-12), "best-upper trace increased"),
+            (
+                sol.gap > 1e-4 * (1.0 + abs(sol.objective)),
                 f"duality gap {sol.gap:.3g} too large for objective {sol.objective:.3g}",
-            )
-    return _check("learners", "mkl_saddle", True, {"instances": 2})
+            ),
+            (np.any((a < lo - tol) | (a > hi + tol)), "lower-bound alphas leave the conjugate box"),
+            (abs(sol.lower - lower) > tol, f"lower bound {sol.lower!r} is not D(alpha) = {lower!r} at its alphas"),
+            (sol.lower > sol.objective + tol, f"lower bound {sol.lower!r} above the objective {sol.objective!r}"),
+        ):
+            if failed:
+                return _check("learners", "mkl_saddle", False, {"loss": loss.name}, detail)
+        report = {"saddle_gap": sol.saddle_gap, "converged": sol.converged, "outer_steps": sol.outer_iters}
+        layers.append({"loss": loss.name, **report})
+    return _check("learners", "mkl_saddle", True, {"instances": 2, "layers": layers})
 
 
 def verify_suite(
@@ -547,7 +553,7 @@ def verify_suite(
 ) -> dict:
     """Run every oracle-backed invariant; returns a machine-readable verdict.
 
-    ``fault`` injects one of three documented bugs into a check's inputs
+    ``fault`` injects one of four documented bugs into a check's inputs
     (see :data:`FAULT_TAGS`) so the suite's failure reporting can itself be
     tested; the library under test is never modified.
     """
@@ -565,7 +571,7 @@ def verify_suite(
         _check_containment(rng),
         _check_conjunction(rng, fault),
         _check_fenchel(),
-        _check_mkl_gap(rng),
+        _check_mkl_gap(rng, fault),
     ]
     passed = all(c["passed"] for c in checks)
     return {

@@ -479,7 +479,8 @@ def _submasks(masks: np.ndarray, p: int) -> np.ndarray:
     """The (rows, 2^p) uint64 submasks of weight-p masks.
 
     Row order: the lowest set bit is peeled p times, and each peel appends
-    the submasks found so far with that bit set.  One row is enumerated on
+    the submasks found so far with that bit set, so column j of every row
+    holds a submask of ``popcount(j)`` bits.  One row is enumerated on
     Python ints, in the same order, which is cheaper than p numpy passes.
     """
     if masks.size == 1:
@@ -496,6 +497,20 @@ def _submasks(masks: np.ndarray, p: int) -> np.ndarray:
         rest ^= low
         subs = np.hstack([subs, subs | low[:, None]])
     return subs
+
+
+def _subset_layout(masks: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(keys, slots, sizes)`` of weight-p masks: the sorted distinct submasks,
+    each mask's :func:`_submasks` as ``searchsorted`` indices into them (one
+    array of the submasks' size besides them), and each key's size."""
+    subs = _submasks(masks, p)
+    keys = np.unique(subs)
+    return keys, np.searchsorted(keys, subs), np.bitwise_count(keys)
+
+
+def _subset_sums(slots: np.ndarray, c: np.ndarray, size: int) -> np.ndarray:
+    """``W[T]``, the sum of ``c_r`` over the rows r whose slots hold key T, for ``size`` keys."""
+    return np.bincount(slots.ravel(), np.repeat(c, slots.shape[1]), minlength=size)
 
 
 def _layer_masks(n: int, p: int) -> np.ndarray:
@@ -515,8 +530,9 @@ class _SubsetWeights:
 
     ``g(k) = sum_l c_l C(k, l)`` with ``c`` the layer's ``beta``, and
     ``C(<s, x>, l)`` counts the l-subsets s and x share, so ``sum_i alpha_i g(<s_i, x>)`` is
-    ``sum_{T ⊆ x} wts[T]`` with ``wts[T] = c_|T| * sum_{i: T ⊆ s_i} alpha_i``.
-    A score is one gather and a row sum, ``table[slot(subs)].sum(axis=1)``.
+    ``sum_{T ⊆ x} wts[T]`` with ``wts[T] = c_|T| * sum_{i: T ⊆ s_i} alpha_i``
+    (:func:`_subset_layout`, :func:`_subset_sums`).  A score is one gather
+    and a row sum, ``table[slot(subs)].sum(axis=1)``.
     When ``1 << n <= _BLOCK_ELEMS`` the table is dense: ``2^n`` floats
     (8 * 2^n bytes) indexed by the submask itself, and ``keys`` is None.
     :meth:`build` fills it with the weights, zero off the support, then
@@ -543,9 +559,9 @@ class _SubsetWeights:
     @classmethod
     def build(cls, alphas: np.ndarray, masks: np.ndarray, kernel: BetaCoeffs) -> "_SubsetWeights":
         n, p = kernel.layer.n, kernel.layer.p
-        keys, inv = np.unique(_submasks(masks, p).ravel(), return_inverse=True)
-        covered = np.bincount(inv, np.repeat(alphas, 1 << p), minlength=keys.size)
-        wts = covered * kernel.beta[np.bitwise_count(keys)]
+        keys, slots, sizes = _subset_layout(masks, p)
+        wts = _subset_sums(slots, alphas, keys.size) * kernel.beta[sizes]
+        del slots  # one submask-sized array fewer while the dense scores are built
         if 1 << n <= _BLOCK_ELEMS:
             # zeroed pages of its own: taken from the heap just after a large
             # Gram is freed, the table can keep the heap from shrinking and

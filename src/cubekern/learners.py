@@ -3,39 +3,37 @@
 Four solvers live here:
 
 * :func:`sdca_solve` -- stochastic dual coordinate ascent (Shalev-Shwartz &
-  Zhang 2013) on the dual below over a fixed PSD Gram: one exact,
-  box-clipped coordinate step per point per epoch, and a stop once the
+  Zhang 2013) on the dual below over a fixed PSD Gram, stopped once the
   duality gap, recomputed after each epoch, is at most ``_SDCA_TOL (1 +
   |objective|)``.  ``train_on_cube`` runs it on a lifted Gram.
 * :func:`pegasos_train` -- kernelized stochastic subgradient descent on the
   regularized objective ``lam/2 ||w||^2 + mean_i loss(<w, phi(x_i)>, y_i)``
   with step ``1/(lam t)`` and iterate averaging, in lazily scaled
-  representer form (Shalev-Shwartz, Singer, Srebro & Cotter 2011, sec. 4):
-  the iterate is ``a_t = c_t / (lam t)`` with ``c`` a sum of subgradient
-  signs, so a step that violates no margin touches no m-vector; its Gram
-  is always taken over the distinct training points.  Its
-  ``gap`` is the primal at the averaged iterate minus the dual at that
-  iterate clipped to the conjugate box below.
+  representer form (Shalev-Shwartz, Singer, Srebro & Cotter 2011, sec. 4)
+  over the Gram of the distinct training points.  Its ``gap`` is the primal
+  at the averaged iterate minus the dual there, clipped to the box below.
 * :func:`mkl_layer_solve` -- the layer-wise multiple-kernel program
-  ``inf_{beta in simplex} sup_alpha G(alpha, beta)`` where the kernel is a
-  sub-convex combination ``K_beta = sum_t beta_t K_t`` of the vertex Grams.
-  The outer loop is projected subgradient descent on the capped simplex
-  ``{beta >= 0, sum beta <= 1}``; the inner loop is accelerated projected
-  gradient ascent (FISTA with gradient restart) over the box carved out by
-  the loss conjugate, with the certified step
-  ``1/(lam max_i sum_j |K_beta[i, j]|)`` (see :func:`_inner_max`).
+  ``inf_beta sup_alpha G(alpha, beta)``, beta on the capped simplex ``{beta
+  >= 0, sum beta <= 1}`` and ``K_beta = sum_t beta_t K_t`` over the vertex
+  Grams: Frank-Wolfe on beta (Jaggi 2013), one SDCA epoch per step, stopped
+  once its certified saddle gap is at most ``_SADDLE_TOL (1 + |objective|)``.
 * :func:`rademacher_estimate` -- Monte-Carlo empirical Rademacher
   complexity of the class of bounded-norm classifiers under *any*
-  admissible layer kernel, together with the closed-form bound
-  ``sqrt(2 e B^2 ln(n) / m)``.
+  admissible layer kernel, with the closed-form bound ``sqrt(2 e B^2 ln(n) / m)``.
 
-Vertex Grams are kept in inner-product-class form over a layer's distinct
-points: :func:`layer_vertex_grams` gives ``(where, ip, table)``, point i being
-distinct point ``where[i]``, ``ip`` their uint8 inner products and
-``table[t]`` vertex t's value table; ``table[t][ip]`` is never built.  With
-``c = bincount(where, alpha)``, MKL and Rademacher use ``K_beta = (beta @
-table)[ip]``, ``K alpha = (K_beta c)[where]`` and ``alpha' K_t alpha =
-(table @ s)[t]``, ``s_k`` the sum of ``c_r c_s`` over pairs with ``ip = k``.
+A layer's vertex Grams (:func:`layer_vertex_grams`) come in one of two forms
+over its distinct points, and both answer the same questions -- a point's
+margin ``(K_beta c)_r``, the diagonal, a step at one point, ``K_beta c`` and
+every vertex quad ``c' K_t c``, ``c = bincount(where, alpha)``:
+
+* :class:`SubsetForm`, for ``p <= _SUBSET_MAX_P``.  ``C(<x,y>, l)`` counts the
+  l-subsets x and y share, so with ``W[T] = sum of c_r over rows covering T``
+  and ``coef = beta @ vertex_betas``, ``(K_beta c)_r = sum_{T in x_r}
+  coef_|T| W[T]`` and ``c' K_t c = vertex_betas[t] @ bincount(sizes, W^2)``.
+  ``W`` does not depend on beta, so a Frank-Wolfe step costs nothing.
+* the class form ``(where, ip, table)``: ``ip`` the uint8 inner products of
+  the distinct points and ``table[t]`` vertex t's value table, so ``K_beta =
+  (beta @ table)[ip]``.
 
 Duality convention.  For fixed ``beta`` the dual of the primal program is
 
@@ -44,12 +42,12 @@ Duality convention.  For fixed ``beta`` the dual of the primal program is
 
 where ``conj`` is the Fenchel conjugate of the loss in its first argument.
 With this scaling the primal optimizer is literally ``w = sum_i alpha_i
-phi(x_i)``, so a single coefficient vector serves both the dual objective
-and the representer-form predictions, and the duality gap
-|primal - dual| -> 0 certifies the saddle.  A loss is its value and its
-conjugate box (:class:`LossSpec`): the conjugate is linear, ``conj(a, y) = a
-y``, on that box, so ``loss(z, y) = sup_a a (z - y)`` over it, and every
-solver reads the dual term and Pegasos' subgradient off the box:
+phi(x_i)``, so one coefficient vector serves the dual objective and the
+representer-form predictions, and the duality gap certifies the inner
+``sup``.  A loss is its value and its conjugate box (:class:`LossSpec`): the
+conjugate is linear, ``conj(a, y) = a y``, on that box, so ``loss(z, y) =
+sup_a a (z - y)`` over it, and every solver reads the dual term and Pegasos'
+subgradient off the box:
 
     hinge     loss(z,y) = max(0, 1 - y z),  y in {-1,+1}:  a y in [-1, 0]
     absolute  loss(z,y) = |z - y|:                         |a| <= 1
@@ -60,7 +58,7 @@ Every trainer here, and ``embedding.train_on_cube``, first calls
 are not one finite value per point, -1 or +1 under the hinge loss.
 
 Solvers are single-threaded state machines per problem instance; distinct
-layer problems share only immutable class data and may run concurrently.
+layer problems share only immutable data and may run concurrently.
 Returned models are immutable.
 """
 
@@ -69,13 +67,13 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .kernels import _BLOCK_ELEMS, KernelSpec, TrainedModel, _mirrored, mix_vertices, points_to_bits
-from .kernels import gram, inner_product_blocks
-from .scheme import LayerParams, vertex_tables
+from .kernels import _subset_layout, _subset_sums, gram, inner_product_blocks
+from .scheme import LayerParams, vertex_betas, vertex_tables
 
 __all__ = [
     "LossSpec",
@@ -86,6 +84,7 @@ __all__ = [
     "hinge_labels",
     "pegasos_train",
     "sdca_solve",
+    "SubsetForm",
     "MklLayerProblem",
     "MklSolution",
     "MklTrainResult",
@@ -93,7 +92,6 @@ __all__ = [
     "mkl_train",
     "RademacherEstimate",
     "rademacher_estimate",
-    "project_capped_simplex",
     "layer_vertex_grams",
 ]
 
@@ -292,6 +290,45 @@ def pegasos_train(
 _SDCA_TOL = 1e-4  # SDCA stops once gap <= _SDCA_TOL (1 + |objective|)
 
 
+class _Gram:
+    """A PSD Gram ``k`` over u rows as an SDCA operator: ``margin(r)`` is ``(k @
+    c)_r`` for the alphas' row sums c, and ``step(r, delta)`` moves a point on row r."""
+
+    def __init__(self, k: np.ndarray, z: np.ndarray):
+        self.k, self.z, self.diag = k, z, np.diagonal(k).tolist()
+        self.margin = z.item  # called once per step: no Python frame
+
+    def step(self, r: int, delta: float) -> None:
+        self.z += delta * self.k[r]
+
+
+def _point_lists(where, y, lo, hi) -> tuple:
+    """``(row, y, lo, hi, corner)`` per point, as the Python lists :func:`_sdca_epoch` reads."""
+    return tuple(v.tolist() for v in (where, y, lo, hi, _corner(y, lo, hi)))
+
+
+def _sdca_epoch(op, alpha: list, order: list, points: tuple) -> None:
+    """One SDCA pass over the points in ``order``, in place on ``alpha`` and ``op``.
+
+    ``points`` is :func:`_point_lists`.  The step ``alpha_i <- clip(alpha_i +
+    (y_i - op.margin(r)) / op.diag[r], box_i)``, r point i's row, maximizes
+    the dual over alpha_i; a row whose diagonal is not positive (a zero row,
+    in a PSD Gram) sends alpha_i to :func:`_corner`.
+    """
+    row_of, y_of, lo_of, hi_of, corner_of = points
+    diag, margin, step = op.diag, op.margin, op.step
+    for i in order:
+        r = row_of[i]
+        if diag[r] > 0.0:
+            new = min(max(alpha[i] + (y_of[i] - margin(r)) / diag[r], lo_of[i]), hi_of[i])
+        else:
+            new = corner_of[i]
+        delta = new - alpha[i]
+        if delta:
+            alpha[i] = new
+            step(r, delta)
+
+
 def sdca_solve(
     k,
     where,
@@ -305,13 +342,8 @@ def sdca_solve(
     dual of the module docstring, for a PSD Gram ``k`` over u rows and point i
     on row ``where[i]``; returns one alpha per point and a report.
 
-    Each epoch visits the points once, in ``rng.permutation(m)`` with ``rng =
-    default_rng(seed)``, so identical seeds give identical alphas.  The dual is
-    ``lam (alpha . y - c' k c / 2)``, ``c = bincount(where, alpha)``, so the
-    step ``alpha_i <- clip(alpha_i + (y_i - z[r]) / k[r, r], box_i)``, ``r =
-    where[i]``, maximizes it over alpha_i; ``z = k @ c`` gains ``delta k[r]``
-    when alpha_i moves by ``delta``.  A row whose diagonal is not positive (a
-    zero row, in a PSD Gram) sends alpha_i to :func:`_corner`.  The gap
+    Each epoch is :func:`_sdca_epoch` in ``rng.permutation(m)``, ``rng =
+    default_rng(seed)``, so identical seeds give identical alphas.  The gap
     ``_primal_value - _dual_value``, recomputed from ``k`` before the first
     epoch and after each, stops the run once at most ``_SDCA_TOL (1 + |objective|)``.
 
@@ -331,10 +363,9 @@ def sdca_solve(
         raise ValueError(f"the Gram must be square and `where` must index its {u} rows as 1-d integers")
     if not np.isfinite(k).all():
         raise ValueError("the Gram must be finite")
-    y_of, row_of, lo_of, hi_of, corner_of = (v.tolist() for v in (y, where, lo, hi, _corner(y, lo, hi)))
-    diag = np.diagonal(k).tolist()
+    points = _point_lists(where, y, lo, hi)
+    op = _Gram(k, np.zeros(u))
     alpha = [0.0] * m
-    z = np.zeros(u)
     rng = np.random.default_rng(seed)
     epochs = 0
     while True:
@@ -345,16 +376,7 @@ def sdca_solve(
         if converged or epochs == max_epochs:
             break
         epochs += 1
-        for i in rng.permutation(m).tolist():
-            r = row_of[i]
-            if diag[r] > 0.0:
-                new = min(max(alpha[i] + (y_of[i] - z.item(r)) / diag[r], lo_of[i]), hi_of[i])
-            else:
-                new = corner_of[i]
-            delta = new - alpha[i]
-            if delta:
-                alpha[i] = new
-                z += delta * k[r]
+        _sdca_epoch(op, alpha, rng.permutation(m).tolist(), points)
     report = {
         "algo": "sdca",
         "loss": loss.name,
@@ -371,12 +393,106 @@ def sdca_solve(
 # ---------------------------------------------------------------------------
 # MKL over one layer
 
+# The subset form's cap on p: its sums err by at most 32 eps 3^p sum|c| in K c and
+# 32 eps 3^p (sum|c|)^2 in a quad (the term-magnitude bound with |g| <= 1), 4.7e-11
+# sum|c| at p = 8, where a row's 2^p slots take 2 KiB.
+_SUBSET_MAX_P = 8
+_SADDLE_TOL = 1e-3  # Frank-Wolfe stops once saddle_gap <= _SADDLE_TOL (1 + |objective|)
+_POLISH_TOL = 1e-6  # the polish stops once the inner gap <= _POLISH_TOL (1 + |objective|)
+_POLISH_STEPS = 2_000_000  # SDCA steps the polish may take: _POLISH_STEPS // m epochs
+
+
+class SubsetForm(NamedTuple):
+    """Point i is row ``where[i]``, ``slots[r]`` row r's 2^p subsets as indices
+    into the layer's sorted distinct subsets (``kernels._subset_layout``),
+    ``sizes`` their sizes and ``betas`` the vertices' binomial-basis coefficients."""
+
+    where: np.ndarray
+    slots: np.ndarray
+    sizes: np.ndarray
+    betas: np.ndarray
+
+
+class _SubsetOperator:
+    """The subset form as an SDCA operator: :meth:`load` fills ``W`` from row sums c,
+    :meth:`at` takes ``coef`` from beta, and a step at row r adds to its 2^p slots."""
+
+    def __init__(self, form: SubsetForm):
+        self.slots, self.sizes, self.betas = form.slots, form.sizes, form.betas
+        p = len(self.betas) - 1
+        self.rows, self.vertices = len(self.slots), p + 1
+        self.cols = np.bitwise_count(np.arange(1 << p))
+        self.choose = np.array([math.comb(p, ell) for ell in range(p + 1)], dtype=float)
+        self.w = np.zeros(len(self.sizes))
+
+    def load(self, c: np.ndarray) -> None:
+        self.w = _subset_sums(self.slots, c, len(self.sizes))
+
+    def at(self, beta: np.ndarray) -> None:
+        coef = beta @ self.betas
+        self.coef = coef[self.cols]
+        self.diag = [float(coef @ self.choose)] * self.rows
+
+    def margin(self, r: int) -> float:
+        return float(self.w[self.slots[r]] @ self.coef)
+
+    def step(self, r: int, delta: float) -> None:
+        self.w[self.slots[r]] += delta
+
+    def kc(self) -> np.ndarray:
+        return self.w[self.slots] @ self.coef
+
+    def quads(self) -> np.ndarray:
+        return self.betas @ np.bincount(self.sizes, self.w * self.w, len(self.betas))
+
+
+class _ClassOperator(_Gram):
+    """The class form as an SDCA operator: :meth:`at` mixes ``K_beta = (beta @ table)[ip]``."""
+
+    def __init__(self, ip: np.ndarray, table: np.ndarray):
+        self.ip, self.table, self.rows, self.vertices = ip, table, len(ip), len(table)
+        self.k, self.c = None, np.zeros(self.rows)
+
+    def load(self, c: np.ndarray) -> None:
+        self.c = c
+        if self.k is not None:
+            np.matmul(self.k, c, out=self.z)  # in place: margin reads this z
+
+    def at(self, beta: np.ndarray) -> None:
+        k = (beta @ self.table)[self.ip]
+        _Gram.__init__(self, k, k @ self.c)
+
+    def kc(self) -> np.ndarray:
+        return self.z
+
+    def quads(self) -> np.ndarray:
+        """Every c' K_t c as table @ s: s_k sums c_r c_s where ip[r, s] = k, in row blocks."""
+        ip, c = self.ip, self.c
+        s = np.zeros(self.table.shape[1])
+        step = max(1, _BLOCK_ELEMS // max(len(ip), 1))  # row blocks bound both u x u temporaries
+        for r in range(0, len(ip), step):
+            rows = slice(r, r + step)
+            s += np.bincount(ip[rows].ravel(), weights=np.outer(c[rows], c).ravel(), minlength=len(s))
+        return self.table @ s
+
+
+def _operator(grams):
+    """The SDCA operator of either form of :func:`layer_vertex_grams`."""
+    return _SubsetOperator(grams) if isinstance(grams, SubsetForm) else _ClassOperator(*grams[1:])
+
+
+def _vertex_quads(grams, alpha) -> np.ndarray:
+    """Every ``alpha' K_t alpha`` of a layer, from either form of :func:`layer_vertex_grams`."""
+    op = _operator(grams)
+    op.load(np.bincount(grams[0], alpha, op.rows))
+    return op.quads()
+
 
 @dataclass
 class MklLayerProblem:
-    """Fixed data for the per-layer saddle program; ``vertex_grams`` is the
-    class form ``(where, ip, table)`` of :func:`layer_vertex_grams`.  Labels
-    and alphas stay one per point: a repeated point may carry both labels."""
+    """Fixed data for the per-layer saddle program; ``vertex_grams`` is either form of
+    :func:`layer_vertex_grams`.  Labels and alphas stay one per point: a repeated
+    point may carry both labels."""
 
     vertex_grams: tuple
     labels: np.ndarray
@@ -385,22 +501,31 @@ class MklLayerProblem:
     box: tuple = field(init=False, repr=False, compare=False)  # (lo, hi) from _dual_problem
 
     def __post_init__(self):
-        where, ip, table = map(np.asarray, self.vertex_grams)
         if np.ndim(self.labels) == 0:
             raise ValueError("labels must be a 1-d vector, got shape ()")
-        m, u = len(self.labels), len(ip)
+        m = len(self.labels)
         self.labels, self.box = _dual_problem(self.labels, m, self.lam, self.loss)
-        if ip.shape != (u, u) or not np.array_equal(ip, ip.T):
-            raise ValueError(f"inner-product matrix must be symmetric of shape {(u, u)}, got {ip.shape}")
+        if isinstance(self.vertex_grams, SubsetForm):
+            where, u = np.asarray(self.vertex_grams.where), len(self.vertex_grams.slots)
+        else:
+            where, ip, table = map(np.asarray, self.vertex_grams)
+            u = len(ip)
+            if ip.shape != (u, u) or not np.array_equal(ip, ip.T):
+                raise ValueError(f"inner-product matrix must be symmetric of shape {(u, u)}, got {ip.shape}")
         if where.shape != (m,) or where.dtype.kind not in "iu" or np.any((where < 0) | (where >= u)):
-            raise ValueError(f"point rows `where` must be {m} integers indexing the {u} rows of ip")
-        q = table.shape[1] if table.ndim == 2 else 0
-        if not np.issubdtype(ip.dtype, np.integer) or ip.min() < 0 or ip.max() >= q:
-            raise ValueError(f"inner-product classes must be integers indexing a (vertices, {q}) table")
-        diag = table[:, np.diag(ip)].max(axis=1)
-        if diag.max() > 1.0 + 1e-9:
-            raise ValueError(f"vertex Gram {int(diag.argmax())} has diagonal above 1")
-        self.where, self.ip, self.table = where, ip, table.astype(float)
+            raise ValueError(f"point rows `where` must be {m} integers indexing the {u} rows of the vertex Grams")
+        if not isinstance(self.vertex_grams, SubsetForm):
+            q = table.shape[1] if table.ndim == 2 else 0
+            if not np.issubdtype(ip.dtype, np.integer) or ip.min() < 0 or ip.max() >= q:
+                raise ValueError(f"inner-product classes must be integers indexing a (vertices, {q}) table")
+            if (bad := np.argwhere(~np.isfinite(table))).size:
+                t, k = bad[0].tolist()
+                raise ValueError(f"vertex tables must be finite, got table[{t}, {k}] = {table[t, k]}")
+            diag = table[:, np.diag(ip)].max(axis=1)
+            if diag.max() > 1.0 + 1e-9:
+                raise ValueError(f"vertex Gram {int(diag.argmax())} has diagonal above 1")
+            self.vertex_grams = (where, ip, table.astype(float))
+        self.where = where
 
     @property
     def m(self) -> int:
@@ -411,47 +536,28 @@ class MklLayerProblem:
         """``(loss, labels, lam)``: the primal, the dual and the box need these, as in Pegasos."""
         return self.loss, self.labels, self.lam
 
-    def combine(self, beta: np.ndarray) -> np.ndarray:
-        """K_beta = sum_t beta_t K_t over the distinct points, one lookup of the mixed table."""
-        return (np.asarray(beta, dtype=float) @ self.table)[self.ip]
-
-
-def _vertex_quads(ip: np.ndarray, table: np.ndarray, alpha, where) -> np.ndarray:
-    """Every alpha' K_t alpha as table @ s: s_k sums c_r c_s where ip[r, s] = k, c = bincount(where, alpha)."""
-    c = np.bincount(where, alpha, len(ip))
-    s = np.zeros(table.shape[1])
-    step = max(1, _BLOCK_ELEMS // max(len(ip), 1))  # row blocks bound both u x u temporaries
-    for r in range(0, len(ip), step):
-        rows = slice(r, r + step)
-        s += np.bincount(ip[rows].ravel(), weights=np.outer(c[rows], c).ravel(), minlength=table.shape[1])
-    return table @ s
-
 
 @dataclass
 class MklSolution:
-    beta: np.ndarray  # point of {beta >= 0, sum beta <= 1}
-    alphas: np.ndarray
-    objective: float  # primal value at (beta, alphas)
-    gap: float  # |primal - dual| at the returned point
-    trace: np.ndarray  # best-so-far outer objective, one entry per iteration
-    inner_converged: bool  # the final polish's flag; capped outer steps do not count
-    outer_iters: int
-    inner_iters: int  # inner steps over every outer step and the polish
+    beta: np.ndarray  # the best upper bound's point of {beta >= 0, sum beta <= 1}
+    alphas: np.ndarray  # polished at beta
+    objective: float  # primal value at (beta, alphas): the upper bound reported
+    gap: float  # |primal - dual| at (beta, alphas): the inner gap
+    trace: np.ndarray  # best upper bound after each Frank-Wolfe step
+    lower: float  # best lower bound D(alpha) seen, the polish's iterates included
+    lower_alphas: np.ndarray  # the alphas it was taken at
+    inner_converged: bool  # the polish reached _POLISH_TOL
+    outer_iters: int  # Frank-Wolfe steps run
+    inner_iters: int  # SDCA epochs over every step and the polish
 
+    @property
+    def saddle_gap(self) -> float:
+        """``objective - lower``, at least the distance of either bound from the saddle value."""
+        return self.objective - self.lower
 
-def project_capped_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection of a finite vector onto {x >= 0, sum x <= 1}."""
-    if (bad := np.flatnonzero(~np.isfinite(v))).size:
-        raise ValueError(f"project_capped_simplex needs finite entries, got v[{bad[0]}] = {v[bad[0]]}")
-    w = np.maximum(v, 0.0)
-    if w.sum() <= 1.0:
-        return w
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    idx = np.arange(1, v.size + 1)
-    rho = np.nonzero(u - css / idx > 0)[0][-1]
-    theta = css[rho] / (rho + 1.0)
-    return np.maximum(v - theta, 0.0)
+    @property
+    def converged(self) -> bool:
+        return self.saddle_gap <= _SADDLE_TOL * (1.0 + abs(self.objective))
 
 
 def _dual_value(loss: LossSpec, y: np.ndarray, lam: float, k: np.ndarray, alpha, where) -> float:
@@ -466,107 +572,88 @@ def _primal_value(loss: LossSpec, y: np.ndarray, lam: float, k: np.ndarray, alph
     return 0.5 * lam * float(c @ kc) + float(np.mean(loss.value(kc[where], y)))
 
 
-def _inner_max(
-    problem: MklLayerProblem,
-    kb: np.ndarray,
-    alpha0: np.ndarray,
-    tol: float,
-    max_iter: int,
-) -> tuple[np.ndarray, bool, int]:
-    """FISTA ascent for sup_alpha G(alpha, beta) at fixed beta (Beck & Teboulle 2009).
-
-    ``kb`` is over the distinct points.  Each step is ``x+ = clip(v + grad/(lam L))``
-    from the extrapolated point v, with one matvec ``(kb @ bincount(where, v))[where]``
-    and ``L = max_r sum_s |kb[r, s]| count_s >= ||K_beta||_2``, ``count_s`` the
-    points on row s; the first, from ``v = x``, is a plain projected gradient step.
-    Momentum restarts (``theta = 1``, ``v = x+``) when ``(x+ - x).(v - x+) > 0``
-    (O'Donoghue & Candes 2015).  Stops when ``lam L ||v - x+||``, the
-    projected-gradient norm at v, is at most ``tol``.
-    """
-    lam, y, where, u = problem.lam, problem.labels, problem.where, kb.shape[0]
-    lo, hi = problem.box
-    alpha = np.clip(alpha0, lo, hi)
-    top = float((np.abs(kb) @ np.bincount(where, minlength=u)).max())
-    if top <= 1e-300:  # kernel zero to working precision: the dual is linear
-        return _corner(y, lo, hi), True, 0
-    step = 1.0 / (lam * top)
-    v, theta = alpha, 1.0
-    for it in range(1, max_iter + 1):
-        nxt = np.clip(v + step * (lam * (y - (kb @ np.bincount(where, v, u))[where])), lo, hi)
-        if float(np.linalg.norm((v - nxt) / step)) <= tol:
-            return nxt, True, it
-        move = nxt - alpha
-        if float(move @ (v - nxt)) > 0.0:
-            v, theta = nxt, 1.0
-        else:
-            theta_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta * theta))
-            v = nxt + ((theta - 1.0) / theta_next) * move
-            theta = theta_next
-        alpha = nxt
-    return alpha, False, max_iter
-
-
-_INNER_TOL = 1e-8  # projected-gradient norm at which the inner ascent stops
-_INNER_MAX_ITER = 100_000  # inner steps of the final polish; outer steps take at most 5,000
+def _bounds(problem: MklLayerProblem, op, a: np.ndarray, beta: np.ndarray) -> tuple:
+    """``(primal, dual, lower, quads)`` at alphas ``a`` in the box, ``op`` at beta and
+    loaded with a: the fixed-beta programs' values, ``lower = lam a.y - (lam/2) max(0,
+    max_t quads_t)`` and every ``a' K_t a``.  The dual is linear in beta, so its least
+    value over the capped simplex, ``lower``, sits at a vertex or at 0."""
+    loss, y, lam = problem.terms
+    op.load(np.bincount(problem.where, a, op.rows))
+    quads = op.quads()
+    quad, linear = float(beta @ quads), lam * float(a @ y)
+    primal = 0.5 * lam * quad + float(np.mean(loss.value(op.kc()[problem.where], y)))
+    return primal, linear - 0.5 * lam * quad, linear - 0.5 * lam * max(0.0, float(quads.max())), quads
 
 
 def mkl_layer_solve(problem: MklLayerProblem, outer_iters: int = 500) -> MklSolution:
-    """Saddle solve of the layer MKL program with a best-so-far certificate.
+    """Saddle solve of the layer MKL program, certified by its two bounds.
 
-    Outer: projected subgradient descent on the capped simplex with step
-    ``1/sqrt(k)``; the subgradient at the inner optimizer has components
-    ``-(lam/2) alpha' K_t alpha``.  Inner: the restarted accelerated ascent
-    :func:`_inner_max` to ``_INNER_TOL``, warm-started, at most 5,000 steps per
-    outer iteration.  The returned solution is the best beta seen, with its
-    alpha re-polished (up to ``_INNER_MAX_ITER`` steps) and the duality gap
-    computed there; ``inner_iters`` counts the inner steps of all of it.
+    From the uniform beta, step k runs one :func:`_sdca_epoch` at beta and
+    moves ``beta <- beta + (2/(k+2)) (s - beta)`` (Frank-Wolfe), s the vertex of
+    the largest positive ``a' K_t a`` or 0.  It stops once the best
+    :func:`_bounds` are within ``_SADDLE_TOL (1 + |upper|)``, or after
+    ``outer_iters`` steps; SDCA then polishes the alphas at the best upper
+    bound's beta to an inner gap of ``_POLISH_TOL (1 + |objective|)``, in at
+    most ``_POLISH_STEPS // m`` epochs, its iterates counting for the lower bound
+    too.  Epochs visit the points in permutations drawn from ``default_rng(0)``.
     """
     check_count("outer_iters", outer_iters)
-    q = problem.table.shape[0]
-    beta = np.full(q, 1.0 / q)
-    alpha = np.zeros(problem.m)
-    best = (math.inf, beta.copy(), alpha.copy())
-    trace = np.empty(outer_iters)
-    loop_cap = min(_INNER_MAX_ITER, 5000)  # full budget is spent on the final polish
-    inner_iters = 0
-    for k in range(1, outer_iters + 1):
-        kb = problem.combine(beta)
-        alpha, _, iters = _inner_max(problem, kb, alpha, _INNER_TOL, loop_cap)
-        inner_iters += iters
-        val = _dual_value(*problem.terms, kb, alpha, problem.where)
-        if val < best[0]:
-            best = (val, beta.copy(), alpha.copy())
-        trace[k - 1] = best[0]
-        subg = -0.5 * problem.lam * _vertex_quads(problem.ip, problem.table, alpha, problem.where)
-        beta = project_capped_simplex(beta - subg / math.sqrt(k))
-    _, beta_star, alpha_star = best
-    kb = problem.combine(beta_star)
-    alpha_star, polished, iters = _inner_max(problem, kb, alpha_star, _INNER_TOL, _INNER_MAX_ITER)
-    primal = _primal_value(*problem.terms, kb, alpha_star, problem.where)
-    dual = _dual_value(*problem.terms, kb, alpha_star, problem.where)
-    return MklSolution(
-        beta=beta_star,
-        alphas=alpha_star,
-        objective=primal,
-        gap=abs(primal - dual),
-        trace=trace,
-        inner_converged=polished,
-        outer_iters=outer_iters,
-        inner_iters=inner_iters + iters,
-    )
+    op, m = _operator(problem.vertex_grams), problem.m
+    points = _point_lists(problem.where, problem.labels, *problem.box)
+    rng = np.random.default_rng(0)
+    q = op.vertices
+    beta, alpha, zero = np.full(q, 1.0 / q), [0.0] * m, np.zeros(m)
+    upper, lower = (math.inf, beta, zero), (-math.inf, zero)
+    trace = []
+    for k in range(outer_iters):
+        op.at(beta)
+        _sdca_epoch(op, alpha, rng.permutation(m).tolist(), points)
+        a = np.array(alpha)
+        primal, _, low, quads = _bounds(problem, op, a, beta)
+        if primal < upper[0] - 1e-12 * (1.0 + abs(primal)):  # rounding alone moves no best point
+            upper = (primal, beta, a)
+        if low > lower[0]:
+            lower = (low, a)
+        trace.append(upper[0])
+        if upper[0] - lower[0] <= _SADDLE_TOL * (1.0 + abs(upper[0])):
+            break
+        # an oracle exact up to rounding (|quads| <= (sum |a|)^2): the lowest vertex within
+        # tol of the largest quad, or 0 when none is above tol, so rounding picks no vertex
+        tol, vertex = 1e-12 * float(np.abs(a).sum()) ** 2, np.zeros(q)
+        if quads.max() > tol:
+            vertex[np.argmax(quads >= quads.max() - tol)] = 1.0
+        beta = beta + (2.0 / (k + 2)) * (vertex - beta)
+    _, beta, a = upper
+    op.at(beta)
+    alpha, polish = a.tolist(), 0
+    while True:
+        a = np.array(alpha)
+        primal, dual, low, _ = _bounds(problem, op, a, beta)
+        if low > lower[0]:
+            lower = (low, a)
+        polished = primal - dual <= _POLISH_TOL * (1.0 + abs(primal))
+        if polished or polish == _POLISH_STEPS // m:
+            break
+        polish += 1
+        _sdca_epoch(op, alpha, rng.permutation(m).tolist(), points)
+    steps = len(trace)
+    return MklSolution(beta, a, primal, abs(primal - dual), np.array(trace), *lower, polished, steps, steps + polish)
 
 
 # ---------------------------------------------------------------------------
 # MKL over the whole cube
 
 
-def layer_vertex_grams(points, weight: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vertex-kernel Grams of points of one weight, in class form ``(where, ip, table)``.
+def layer_vertex_grams(points, weight: int) -> tuple:
+    """Vertex-kernel Grams of points of one weight, in the form their canonical layer p selects.
 
     Point i is distinct point ``where[i]`` on the canonical layer p (weights
-    above n/2 are complemented first), ``ip`` is the (u, u) uint8 inner-product
-    matrix of the u distinct points and row t of the (p+1, p+1) ``table`` is
-    vertex t's value table, so vertex t's Gram is ``table[t][ip]``.
+    above n/2 are complemented first).  When ``p <= _SUBSET_MAX_P`` the
+    result is a :class:`SubsetForm` over the u distinct points, ``u * 2^p``
+    slots and no u x u array.  Otherwise it is the class form ``(where, ip,
+    table)``: ``ip`` is the (u, u) uint8 inner-product matrix of the u
+    distinct points and row t of the (p+1, p+1) ``table`` is vertex t's
+    value table, so vertex t's Gram is ``table[t][ip]``.
     """
     if len(points) == 0:
         raise ValueError("at least one point required")
@@ -575,10 +662,14 @@ def layer_vertex_grams(points, weight: int) -> tuple[np.ndarray, np.ndarray, np.
     if np.any(np.bitwise_count(masks) != weight):
         raise ValueError(f"all points must have weight {weight}")
     masks, where = np.unique(_mirrored(masks, weight, n), return_inverse=True)
+    layer = LayerParams(n, weight).canonical()
+    if layer.p <= _SUBSET_MAX_P:
+        _, slots, sizes = _subset_layout(masks, layer.p)
+        return SubsetForm(where, slots, sizes, vertex_betas(layer))
     ip = np.empty((masks.size, masks.size), dtype=np.uint8)
     for rows, cols, block in inner_product_blocks(masks, masks):
         ip[rows, cols] = block
-    return where, ip, vertex_tables(LayerParams(n, weight).canonical())
+    return where, ip, vertex_tables(layer)
 
 
 def _layers(points):
@@ -598,12 +689,16 @@ class MklTrainResult:
     objective: float  # sum of layer objectives
 
     def layer_report(self) -> dict:
-        """Per layer (keyed by weight as a string): beta, objective, gap, convergence, inner steps."""
+        """Per layer (keyed by weight as a string): beta, objective, the inner and
+        saddle gaps, both convergence flags, Frank-Wolfe steps and SDCA epochs."""
         return {
             str(w): {
                 "beta": s.beta.tolist(),
                 "objective": s.objective,
                 "gap": s.gap,
+                "saddle_gap": s.saddle_gap,
+                "converged": s.converged,
+                "outer_steps": s.outer_iters,
                 "inner_converged": s.inner_converged,
                 "inner_iters": s.inner_iters,
             }
@@ -701,8 +796,8 @@ def rademacher_estimate(points, B: float, trials: int = 200, seed: int = 0) -> R
     for trial in range(trials):
         sigma = rng.integers(0, 2, size=m) * 2.0 - 1.0
         total = 0.0
-        for w, idx, (where, ip, table) in layer_data:
-            q = max(float(_vertex_quads(ip, table, sigma[idx], where).max()), 0.0)
+        for w, idx, grams in layer_data:
+            q = max(float(_vertex_quads(grams, sigma[idx]).max()), 0.0)
             share[w] += q / trials
             total += q
         vals[trial] = (B / m) * math.sqrt(total)

@@ -5,7 +5,7 @@ import numpy as np
 import numpy.ma  # noqa: F401 -- np.unique imports it on first use; loaded here, no tracemalloc bound counts it
 import pytest
 
-from cubekern import embedding, kernels, learners
+from cubekern import embedding, kernels, learners, scheme
 from cubekern.scheme import LayerParams
 
 
@@ -33,23 +33,75 @@ def explicit_basis_matrices(n, p):
     return d_mats, b_mats
 
 
+def class_vertex_grams(points, weight):
+    """``learners.layer_vertex_grams`` in class form ``(where, ip, table)``, whatever the layer's p."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(learners, "_SUBSET_MAX_P", -1)
+        return learners.layer_vertex_grams(points, weight)
+
+
+def subset_vertex_grams(points, weight):
+    """``learners.layer_vertex_grams`` as a ``SubsetForm``, whatever the layer's p."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(learners, "_SUBSET_MAX_P", 64)
+        return learners.layer_vertex_grams(points, weight)
+
+
 def per_point(problem):
-    """The layer problem with one class-form row per point: its distinct form
-    ``(where, ip, table)`` expanded to ``(arange(m), ip[where][:, where], table)``.
-    The MKL oracles below take this form, so they do not rely on the merge."""
-    where, ip = problem.where, problem.ip
-    grams = (np.arange(problem.m), ip[np.ix_(where, where)], problem.table)
+    """The layer problem in class form with one row per point, ``(arange(m),
+    ip, table)``.  A subset-form problem's inner products are read off its
+    slots (two rows share 2^ip subsets) and its tables are ``d_from_p`` of
+    its vertex coefficients.  The MKL oracles below take this form, so they
+    rely on neither the merge of repeated points nor the subset sums."""
+    grams = problem.vertex_grams
+    if isinstance(grams, learners.SubsetForm):
+        rows = [set(r) for r in grams.slots.tolist()]
+        ip = np.array([[len(a & b).bit_length() - 1 for b in rows] for a in rows], dtype=np.uint8)
+        where, table = grams.where, np.array([scheme.d_from_p(b) for b in grams.betas])
+    else:
+        where, ip, table = grams
+    grams = (np.arange(problem.m), ip[np.ix_(where, where)], table)
     return learners.MklLayerProblem(grams, problem.labels, problem.lam, problem.loss)
+
+
+def dense_gram(problem, beta):
+    """``K_beta`` over the problem's points, from :func:`per_point`'s class form."""
+    _, ip, table = per_point(problem).vertex_grams
+    return (np.asarray(beta, dtype=float) @ table)[ip]
+
+
+def dense_dual_solve(k, y, lam, loss, tol=1e-12, max_iter=200_000):
+    """``(objective, gap)`` on a dense per-point Gram, independently of the
+    solvers: projected gradient ascent on the dual with momentum restarted
+    whenever it points back (step ``1/(lam ||k||_2)``), run until the primal
+    minus the dual is at most ``tol (1 + |objective|)``."""
+    rows = np.arange(len(y))
+    lo, hi = learners._alpha_box(loss, y, lam)
+    step = 1.0 / (lam * max(float(np.linalg.eigvalsh(k)[-1]), 1e-12))
+    alpha = v = np.zeros(len(y))
+    theta = 1.0
+    for _ in range(max_iter):
+        nxt = np.clip(v + step * lam * (y - k @ v), lo, hi)
+        primal = learners._primal_value(loss, y, lam, k, nxt, rows)
+        gap = primal - learners._dual_value(loss, y, lam, k, nxt, rows)
+        if gap <= tol * (1.0 + abs(primal)):
+            return primal, gap
+        if float((nxt - alpha) @ (v - nxt)) > 0.0:
+            v, theta = nxt, 1.0
+        else:
+            theta_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta * theta))
+            v = nxt + ((theta - 1.0) / theta_next) * (nxt - alpha)
+            theta = theta_next
+        alpha = nxt
+    raise AssertionError(f"the dense solve stopped at gap {gap:.3g}")
 
 
 def layer_dual_objective(problem, beta) -> float:
     """The outer objective G(beta) = sup_alpha G(alpha, beta) at a fixed beta,
-    by the inner ascent from zero to tolerance 1e-10 in at most 200,000 steps,
-    on the per-point form."""
-    dense = per_point(problem)
-    kb = dense.combine(beta)
-    alpha, _, _ = learners._inner_max(dense, kb, np.zeros(dense.m), 1e-10, 200_000)
-    return learners._dual_value(*dense.terms, kb, alpha, dense.where)
+    from :func:`dense_dual_solve` to tolerance 1e-12 on the per-point form:
+    the dual value it reached, within 1e-12 (1 + |G|) below G."""
+    primal, gap = dense_dual_solve(dense_gram(problem, beta), *problem.terms[1:], problem.loss)
+    return primal - gap
 
 
 def duality_gap(problem, beta, alphas) -> float:
@@ -64,8 +116,7 @@ def duality_gap(problem, beta, alphas) -> float:
     slack = 1e-9 * (1.0 + float(np.abs(hi - lo).max()))
     if np.any(alpha < lo - slack) or np.any(alpha > hi + slack):
         return math.inf
-    dense = per_point(problem)
-    kb, terms, rows = dense.combine(beta), dense.terms, dense.where
+    kb, terms, rows = dense_gram(problem, beta), problem.terms, np.arange(problem.m)
     return abs(learners._primal_value(*terms, kb, alpha, rows) - learners._dual_value(*terms, kb, alpha, rows))
 
 

@@ -253,6 +253,7 @@ def test_criterion_10_verify_suite_and_fault_injection():
         "delta_sign": "spectral_correctness",
         "vertex_norm": "vertex_validity",
         "conjunction_alpha": "conjunction_exactness",
+        "stale_lower_bound": "mkl_saddle",
     }
     for fault, check_name in expected_checks.items():
         proc = run("--max-n", "4", "--trials", "20", "--fault", fault, "--json")

@@ -20,8 +20,9 @@ Core claims:
       and nothing beats coin flipping at noise 1/2
     - the CLI emits the promised JSON schemas, is byte-deterministic for a
       fixed seed, and uses exit codes 0/1/2; train reports each layer's
-      inner_converged flag and inner step count and warns on stderr when
-      the flag is false; embed build reports each coordinate's build
+      saddle gap, its converged and inner_converged flags, Frank-Wolfe
+      steps and SDCA epochs, and warns on stderr, even with --quiet, when
+      either flag is false; embed build reports each coordinate's build
       attempts and worst deviation (within eps/n); embed apply writes the
       role-1 table rows of each point's grid cells; a bad kernel spec (not
       an object, layers not a list of objects, a layer weight above n, a
@@ -398,24 +399,34 @@ class TestCli:
         data = gen_conjunction_dataset(6, [0], "uniform_layer", 2, 16, 0.0, seed=2)
         data_path = str(tmp_path / "d.jsonl")
         harness.save_dataset(data, data_path)
-        argv = ["train", "--algo", "mkl", "--data", data_path, "--eps", "0.3",
-                "--outer-iters", "20", "--quiet"]
+        argv = ["train", "--algo", "mkl", "--data", data_path, "--eps", "0.3", "--quiet"]
         ok_path = str(tmp_path / "ok.json")
-        assert cli.main([*argv, "--out", ok_path]) == 0
+        assert cli.main([*argv, "--outer-iters", "200", "--out", ok_path]) == 0
         per_layer = json.loads(open(ok_path).read())["report"]["per_layer"]
         assert per_layer and all(v["inner_converged"] is True for v in per_layer.values())
-        assert all(v["inner_iters"] > 0 for v in per_layer.values())
+        assert all(v["converged"] is True and 0 < v["outer_steps"] < 200 for v in per_layer.values())
+        assert all(v["inner_iters"] > v["outer_steps"] for v in per_layer.values())
+        assert all(0.0 <= v["saddle_gap"] <= 1e-3 * (1.0 + abs(v["objective"])) for v in per_layer.values())
         assert "warning" not in capsys.readouterr().err
 
-        inner_max = learners._inner_max
-        monkeypatch.setattr(learners, "_inner_max", lambda *a: inner_max(*a)[:1] + (False, 0))
-        capped_path = str(tmp_path / "capped.json")
-        assert cli.main([*argv, "--out", capped_path]) == 0
-        per_layer = json.loads(open(capped_path).read())["report"]["per_layer"]
-        assert all(v["inner_converged"] is False and v["inner_iters"] == 0 for v in per_layer.values())
+        # one Frank-Wolfe step leaves the saddle gap above its tolerance: warned even with --quiet
+        short_path = str(tmp_path / "short.json")
+        assert cli.main([*argv, "--outer-iters", "1", "--out", short_path]) == 0
+        per_layer = json.loads(open(short_path).read())["report"]["per_layer"]
+        assert all(v["converged"] is False and v["outer_steps"] == 1 for v in per_layer.values())
         warnings = capsys.readouterr().err.strip().splitlines()
         assert len(warnings) == len(per_layer)
-        assert all(w.startswith("warning: layer") for w in warnings)
+        assert all(w.startswith("warning: layer") and "saddle gap" in w for w in warnings)
+
+        monkeypatch.setattr(learners, "_POLISH_TOL", 0.0)
+        monkeypatch.setattr(learners, "_POLISH_STEPS", 0)
+        capped_path = str(tmp_path / "capped.json")
+        assert cli.main([*argv, "--outer-iters", "200", "--out", capped_path]) == 0
+        per_layer = json.loads(open(capped_path).read())["report"]["per_layer"]
+        assert all(v["inner_converged"] is False and v["inner_iters"] == v["outer_steps"] for v in per_layer.values())
+        warnings = capsys.readouterr().err.strip().splitlines()
+        assert len(warnings) == len(per_layer)
+        assert all(w.startswith("warning: layer") and "polish" in w for w in warnings)
 
     def test_rademacher_fields(self, tmp_path):
         data = gen_conjunction_dataset(8, [0], "sparse", 3, 30, 0.0, seed=6)

@@ -39,29 +39,39 @@ Core claims:
     - layer_vertex_grams names an empty point list
     - the class form (where, ip, table) of the vertex Grams: ip is the
       popcount of the distinct mirrored masks, ip[where][:, where] that of
-      every pair of points, table the exact vertex tables; combine and every
-      alpha' K_t alpha equal their dense forms, and a non-square or
-      non-symmetric ip, a class outside the table, a vertex diagonal above
-      1, a where of the wrong length, type or range, and labels that are
-      not a 1-d vector (a 0-d scalar too), not finite or, under the hinge
-      loss, not -1/+1 are rejected by name;
-      the quads of 10,000 weight-4 points of n = 16 take at most 10 MiB of
-      traced allocation and match the unblocked sum
-    - the layer solver on the distinct form matches the per-point form
-      (tests/conftest.py) on repeated points with conflicting labels, both
-      losses, to 1e-7 (1 + |objective|) in objective and trace and 1e-6 in
-      beta; 10,000 weight-4 points of n = 16 train through mkl_train under
-      160 MiB of traced allocation
-    - the layer MKL solver certifies saddles (tiny gaps), keeps a monotone
-      best-so-far trace, reduces to a fixed-kernel SVM on one vertex, and
-      its outer objective is convex along simplex segments; its convergence
-      flag is the final polish's, not spoiled by a capped outer step, and
-      inner_iters counts the steps of every inner call, capped ones too
-    - the inner ascent steps by 1/(lam max_i sum_j |K_ij|), a bound on the
-      top eigenvalue of K_beta, no single step and no call of 2-50 accelerated
-      steps lowers the dual, it reaches the dual of plain projected gradient
-      to 1e-9 relative, and a kernel that is zero to working precision gives
-      the box corner
+      every pair of points, table the exact vertex tables; its operator's
+      K_beta and every alpha' K_t alpha equal their dense forms, and a
+      non-square or non-symmetric ip, a class outside the table, a
+      non-finite table entry, a vertex diagonal above 1, a where of the
+      wrong length, type or range, and labels that are not a 1-d vector (a
+      0-d scalar too), not finite or, under the hinge loss, not -1/+1 are
+      rejected by name; the quads of 10,000 weight-4 points of n = 16 take
+      at most 10 MiB of traced allocation and match the unblocked sum
+    - the subset and class forms agree on every margin, K_beta c, K_ii and
+      vertex quad, before and after a step at one point, within the
+      term-magnitude bound 32 eps 3^p stated in TestOperatorForms
+    - the layer solver on the distinct form matches the per-point class
+      form (tests/conftest.py) on repeated points with conflicting labels,
+      both losses, to 1e-7 (1 + |objective|) in objective and trace and 1e-6
+      in beta; 10,000 weight-4 points of n = 16 train through mkl_train
+      under 160 MiB of traced allocation, and 10,000 of n = 64 in 30 s and
+      150 MiB of peak RSS
+    - the layer MKL solver certifies saddles: its lower bound is D at the
+      alphas it names, at most the least G(beta) over a grid of betas, which
+      is at most its upper bound, the dense primal at the returned point; it
+      keeps a monotone best-upper trace, reduces to a fixed-kernel SVM on one
+      vertex, and its outer objective is convex along simplex segments; its
+      inner convergence flag is the final polish's, not spoiled by a capped
+      Frank-Wolfe run, and inner_iters counts every SDCA epoch
+    - the inner ascent is SDCA on the layer's operator: a step on point i
+      alone moves alpha_i by y_i / K_ii with K_ii at most the top eigenvalue
+      of K_beta, no single epoch and no call of 2-50 epochs lowers the dual,
+      its dual lies within its certified gap below the optimum plain
+      projected gradient finds, to 1e-9 relative, and a kernel that is zero
+      to working precision gives the box corner
+    - Frank-Wolfe keeps beta on the capped simplex: a layer certified at its
+      first step returns the start untouched, no entry goes negative and no
+      sum exceeds 1
     - mkl_train decomposes across layers and uses lambda = eps/(n B^2),
       and rejects label-length mismatches and hinge labels other than -1/+1;
       it and rademacher_estimate name a point of another dimension or one
@@ -75,7 +85,9 @@ Core claims:
       mkl_layer_solve and mkl_train) are rejected by name; zero of either
       still runs
     - the Rademacher estimator matches closed forms and sits below the
-      analytic bound, and rejects an empty sample, n = 1, a B that is
+      analytic bound, gives the same estimate on either form within the
+      stated quad tolerance, runs 200 trials on 10,000 points of n = 64 in
+      5 s, and rejects an empty sample, n = 1, a B that is
       not finite and positive and a trial count that is not an integer of
       at least 1
     - one input contract: pegasos_train, sdca_solve, MklLayerProblem,
@@ -85,13 +97,15 @@ Core claims:
       shape, a NaN label and a label of 0.5 under the hinge loss, before any
       of them builds a Gram, vertex Grams or an embedder; mkl_train refuses
       a bad outer_iters before it builds any layer's vertex Grams
-    - project_capped_simplex names a non-finite entry; layer_vertex_grams
-      names mixed weights, mkl_train an empty dataset and
+    - layer_vertex_grams names mixed weights, mkl_train an empty dataset and
       rademacher_estimate a B that is not a number
 """
 
 import dataclasses
 import math
+import subprocess
+import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
@@ -101,7 +115,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_subgradient, duality_gap, layer_dual_objective, layer_points, pegasos_oracle, per_point
+from conftest import class_vertex_grams, dense_dual_solve, dense_gram, dense_subgradient, duality_gap
+from conftest import layer_dual_objective, layer_points, pegasos_oracle, per_point, subset_vertex_grams
 
 from cubekern import embedding, kernels, learners, scheme
 from cubekern.kernels import HypercubePoint
@@ -184,7 +199,7 @@ class TestDualityGap:
 
     def test_zero_kernel_loss_only(self):
         pts = [HypercubePoint.from_string("1100"), HypercubePoint.from_string("0011")]
-        where, ip, table = learners.layer_vertex_grams(pts, 2)
+        where, ip, table = class_vertex_grams(pts, 2)
         y = np.array([1.0, -1.0])
         problem = MklLayerProblem((where, ip, 0.0 * table), y, lam=0.1, loss=HINGE)
         alpha = np.array([2.0, -2.0])  # feasible: alpha_i y_i in [0, 1/(lam m)] = [0, 5]
@@ -461,30 +476,10 @@ class TestPegasosDistinctPoints:
         assert np.isfinite(model.report["gap"]) and model.report["gap"] >= -1e-9
 
 
-def dense_dual_solve(k, y, lam, loss, tol=1e-12, max_iter=200_000):
-    """``(objective, gap)`` on a dense per-point Gram, independently of the
-    solvers: projected gradient ascent on the dual with momentum restarted
-    whenever it points back (step ``1/(lam ||k||_2)``), run until the primal
-    minus the dual is at most ``tol (1 + |objective|)``."""
-    rows = np.arange(len(y))
-    lo, hi = learners._alpha_box(loss, y, lam)
-    step = 1.0 / (lam * max(float(np.linalg.eigvalsh(k)[-1]), 1e-12))
-    alpha = v = np.zeros(len(y))
-    theta = 1.0
-    for _ in range(max_iter):
-        nxt = np.clip(v + step * lam * (y - k @ v), lo, hi)
-        primal = learners._primal_value(loss, y, lam, k, nxt, rows)
-        gap = primal - learners._dual_value(loss, y, lam, k, nxt, rows)
-        if gap <= tol * (1.0 + abs(primal)):
-            return primal, gap
-        if float((nxt - alpha) @ (v - nxt)) > 0.0:
-            v, theta = nxt, 1.0
-        else:
-            theta_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta * theta))
-            v = nxt + ((theta - 1.0) / theta_next) * (nxt - alpha)
-            theta = theta_next
-        alpha = nxt
-    raise AssertionError(f"the dense solve stopped at gap {gap:.3g}")
+def capped_simplex_point(raw) -> np.ndarray:
+    """Non-negative ``raw`` scaled onto the capped simplex {beta >= 0, sum beta <= 1} when it sums above 1."""
+    raw = np.asarray(raw, dtype=float)
+    return raw / max(1.0, float(raw.sum()))
 
 
 def distinct_sdca(spec, points, labels, lam, epochs, seed, loss=HINGE):
@@ -592,7 +587,7 @@ class TestClassForm:
     @given(layer_samples())
     def test_ip_is_popcount_of_mirrored_masks(self, case):
         n, w, pts = case
-        where, ip, table = learners.layer_vertex_grams(pts, w)
+        where, ip, table = class_vertex_grams(pts, w)
         mirror = [x.complement() if 2 * w > n else x for x in pts]
         assert ip.dtype == np.uint8
         assert ip.shape == (len(set(mirror)),) * 2 and where.shape == (len(pts),)
@@ -605,15 +600,16 @@ class TestClassForm:
     def test_combine_and_quads_match_dense(self, case, seed):
         n, w, pts = case
         rng = np.random.default_rng(seed)
-        where, ip, table = learners.layer_vertex_grams(pts, w)
-        problem = MklLayerProblem((where, ip, table), rng.choice([-1.0, 1.0], size=len(pts)), lam=0.1)
-        beta = learners.project_capped_simplex(rng.random(table.shape[0]))
+        grams = where, ip, table = class_vertex_grams(pts, w)
+        beta = capped_simplex_point(rng.random(table.shape[0]))
         alpha = rng.normal(size=len(pts))
         dense = [t[ip][np.ix_(where, where)] for t in table]
         want = sum(b * g for b, g in zip(beta, dense))
-        got = problem.combine(beta)[np.ix_(where, where)]
+        op = learners._operator(grams)
+        op.at(beta)
+        got = op.k[np.ix_(where, where)]
         assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
-        quads = learners._vertex_quads(ip, table, alpha, where)
+        quads = learners._vertex_quads(grams, alpha)
         want = np.array([alpha @ g @ alpha for g in dense])
         assert np.allclose(quads, want, rtol=1e-12, atol=1e-12 * max(1.0, np.abs(want).max()))
 
@@ -623,11 +619,11 @@ class TestClassForm:
         # within 1e-12 max_k |table[t, k]| (sum |c|)^2, a bound fixed beforehand
         rng = np.random.default_rng(0)
         pts = [HypercubePoint.from_indices(16, rng.choice(16, 4, replace=False)) for _ in range(10_000)]
-        where, ip, table = learners.layer_vertex_grams(pts, 4)
+        where, ip, table = class_vertex_grams(pts, 4)
         alpha = rng.normal(size=len(pts))
         tracemalloc.start()
         try:
-            quads = learners._vertex_quads(ip, table, alpha, where)
+            quads = learners._vertex_quads((where, ip, table), alpha)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -637,7 +633,7 @@ class TestClassForm:
         assert (np.abs(quads - want) <= 1e-12 * np.abs(table).max(axis=1) * np.abs(c).sum() ** 2).all()
 
     def test_bad_class_form_rejected(self):
-        where, ip, table = learners.layer_vertex_grams(pts_from_tuples(layer_points(5, 2))[:4], 2)
+        where, ip, table = class_vertex_grams(pts_from_tuples(layer_points(5, 2))[:4], 2)
         y = np.array([1.0, -1.0, 1.0, -1.0])
         skew = ip.copy()
         skew[0, 1] += 1
@@ -724,8 +720,8 @@ class TestMklLayerSolve:
         y = rng.integers(0, 2, size=10) * 2.0 - 1.0
         problem = MklLayerProblem(learners.layer_vertex_grams(pts, 2), y, lam=0.1, loss=loss)
         for _ in range(5):
-            b1 = learners.project_capped_simplex(rng.random(3))
-            b2 = learners.project_capped_simplex(rng.random(3))
+            b1 = capped_simplex_point(rng.random(3))
+            b2 = capped_simplex_point(rng.random(3))
             g1 = layer_dual_objective(problem, b1)
             g2 = layer_dual_objective(problem, b2)
             for theta in (0.25, 0.5, 0.75):
@@ -745,16 +741,28 @@ class TestMklLayerSolve:
         lam = 0.2
         problem = MklLayerProblem(learners.layer_vertex_grams(pts, 2), y, lam=lam)
         sol = learners.mkl_layer_solve(problem, outer_iters=150)
-        k_beta = problem.combine(sol.beta)
-        oracle = feature_space_primal(k_beta[np.ix_(problem.where, problem.where)], y, lam, HINGE)
+        oracle = feature_space_primal(dense_gram(problem, sol.beta), y, lam, HINGE)
         assert sol.objective == pytest.approx(oracle, rel=0.01)
 
     def test_inner_nonconvergence_flagged(self, monkeypatch):
-        monkeypatch.setattr(learners, "_INNER_TOL", 0.0)
-        monkeypatch.setattr(learners, "_INNER_MAX_ITER", 5)
-        problem = two_point_problem(lam=0.01)
+        monkeypatch.setattr(learners, "_POLISH_TOL", 0.0)
+        monkeypatch.setattr(learners, "_POLISH_STEPS", 40)  # 5 epochs of 8 points
+        pts = pts_from_tuples(layer_points(6, 2)[:8])
+        problem = MklLayerProblem(learners.layer_vertex_grams(pts, 2), np.array([1.0, -1.0] * 4), lam=0.01)
         sol = learners.mkl_layer_solve(problem, outer_iters=3)
-        assert sol.inner_converged is False
+        assert sol.inner_converged is False and sol.inner_iters == sol.outer_iters + 5
+
+    def test_a_repeated_point_with_nearly_equal_labels_polishes_to_tolerance(self):
+        # two copies of one point whose absolute-loss labels differ by 0.009: the
+        # dual rises along their difference so slowly that single-point SDCA
+        # steps need about 16,000 epochs (1,000 left a relative gap of 2.1e-3);
+        # the polish's step budget covers them
+        pts = [HypercubePoint.from_indices(7, [i]) for i in (0, 2, 0, 1)]
+        labels = np.array([-0.412, 0.556, -0.421, 0.79])
+        problem = MklLayerProblem(learners.layer_vertex_grams(pts, 1), labels, lam=0.00227, loss=ABSOLUTE)
+        sol = learners.mkl_layer_solve(problem, outer_iters=300)
+        assert sol.inner_converged and sol.gap <= learners._POLISH_TOL * (1.0 + abs(sol.objective))
+        assert sol.gap == pytest.approx(duality_gap(problem, sol.beta, sol.alphas), abs=1e-12)
 
     def test_negative_outer_iters_rejected(self):
         problem = two_point_problem()
@@ -774,28 +782,21 @@ class TestMklLayerSolve:
             learners.mkl_train(pts, np.array([1.0, -1.0] * 3), B=1.0, epsilon=0.1, outer_iters=2.5)
 
     def test_capped_outer_step_does_not_mark_polished_solution(self, monkeypatch):
-        flags, steps = [], []
-        inner_max = learners._inner_max
-
-        def recorded(*args):
-            out = inner_max(*args)
-            flags.append(out[1])
-            steps.append(out[2])
-            return out
-
-        monkeypatch.setattr(learners, "_inner_max", recorded)
-        monkeypatch.setattr(learners, "_INNER_TOL", 1e-8)
-        monkeypatch.setattr(learners, "_INNER_MAX_ITER", 20)
+        epochs = []
+        sdca_epoch = learners._sdca_epoch
+        monkeypatch.setattr(learners, "_sdca_epoch", lambda *a: epochs.append(a[2]) or sdca_epoch(*a))
         pts = pts_from_tuples(layer_points(6, 2)[:8])
         problem = MklLayerProblem(
             learners.layer_vertex_grams(pts, 2), np.array([1.0, -1.0] * 4), lam=0.05
         )
-        sol = learners.mkl_layer_solve(problem, outer_iters=6)
-        assert flags[0] is False  # the cold-started first outer step hits its cap
-        assert flags[-1] is True  # the polish of the returned point converges
-        assert sol.inner_converged is True
+        sol = learners.mkl_layer_solve(problem, outer_iters=2)
+        assert sol.outer_iters == sol.trace.size == 2  # the cap stops Frank-Wolfe short of its tolerance
+        assert sol.converged is False and sol.saddle_gap > learners._SADDLE_TOL * (1.0 + abs(sol.objective))
+        assert sol.inner_converged is True  # the polish of the returned point converges
         assert sol.gap == pytest.approx(duality_gap(problem, sol.beta, sol.alphas))
-        assert len(steps) == 7 and sol.inner_iters == sum(steps)  # six outer steps and the polish
+        assert sol.gap <= learners._POLISH_TOL * (1.0 + abs(sol.objective))
+        assert sol.inner_iters == len(epochs) > 2  # two steps' epochs and the polish's
+        assert all(sorted(order) == list(range(8)) for order in epochs)
 
 
 @st.composite
@@ -820,12 +821,85 @@ class TestDistinctForm:
     @given(repeated_point_problems())
     def test_layer_solve_matches_the_per_point_form(self, problem):
         dense = per_point(problem)
-        assert dense.ip.shape == (problem.m, problem.m) and problem.ip.shape[0] < problem.m
+        assert dense.vertex_grams[1].shape == (problem.m, problem.m)
+        assert learners._operator(problem.vertex_grams).rows < problem.m
         got = learners.mkl_layer_solve(problem, outer_iters=20)
         want = learners.mkl_layer_solve(dense, outer_iters=20)
         assert abs(got.objective - want.objective) <= 1e-7 * (1.0 + abs(want.objective))
         assert np.all(np.abs(got.trace - want.trace) <= 1e-7 * (1.0 + np.abs(want.trace)))
         assert np.abs(got.beta - want.beta).max() <= 1e-6
+
+
+class TestSaddleCertificate:
+    # Stated before running: G(beta) = sup_alpha G(alpha, beta) is taken from
+    # dense_dual_solve at a gap of 1e-12 (1 + |G|), and the checks allow 1e-9
+    # (1 + |value|): the reported lower bound is at most the least G over a
+    # grid of betas (0, the uniform point, the vertices, their midpoints and
+    # the returned beta), and that least G is at most the reported upper bound,
+    # which is the dense primal at the returned point.
+    @settings(max_examples=30, deadline=None)
+    @given(repeated_point_problems(), st.integers(1, 60))
+    def test_lower_bound_below_the_grid_minimum_below_the_upper_bound(self, problem, steps):
+        sol = learners.mkl_layer_solve(problem, outer_iters=steps)
+        q = len(sol.beta)
+        eye = np.eye(q)
+        midpoints = [(eye[s] + eye[t]) / 2 for s in range(q) for t in range(s)]
+        grid = [np.zeros(q), np.full(q, 1.0 / q), *eye, *midpoints, sol.beta]
+        least = min(layer_dual_objective(problem, beta) for beta in grid)
+        kb, rows = dense_gram(problem, sol.beta), np.arange(problem.m)
+        upper = learners._primal_value(*problem.terms, kb, sol.alphas, rows)
+        assert sol.objective == pytest.approx(upper, rel=1e-9, abs=1e-9)
+        assert sol.lower <= least + 1e-9 * (1.0 + abs(least))
+        assert least <= sol.objective + 1e-9 * (1.0 + abs(sol.objective))
+        assert sol.saddle_gap == sol.objective - sol.lower >= -1e-9 * (1.0 + abs(sol.objective))
+        # the lower bound is D at the alphas it names, which lie in the box
+        a, (lo, hi) = sol.lower_alphas, problem.box
+        assert np.all((a >= lo) & (a <= hi))
+        _, ip, table = per_point(problem).vertex_grams
+        quads = [a @ t[ip] @ a for t in table]
+        lower = problem.lam * float(a @ problem.labels) - 0.5 * problem.lam * max(0.0, *quads)
+        assert sol.lower == pytest.approx(lower, rel=1e-9, abs=1e-12)
+        assert sol.converged == (sol.saddle_gap <= learners._SADDLE_TOL * (1.0 + abs(sol.objective)))
+        assert sol.outer_iters == sol.trace.size <= steps and np.all(np.diff(sol.trace) <= 0.0)
+
+
+class TestOperatorForms:
+    # Stated before running: with c the row sums of alpha, s = sum |c| and
+    # e = 32 eps 3^p (the term-magnitude bound with every |g| <= 1), the subset
+    # and class forms agree on every margin z_r and every entry of K_beta c
+    # within e s, on every K_ii within e and on every vertex quad within e s^2,
+    # before and after a step at one point.
+    @settings(max_examples=100, deadline=None)
+    @given(layer_samples(max_n=10), st.integers(0, 2**32 - 1))
+    def test_forms_agree_within_the_term_magnitude_bound(self, case, seed):
+        _, w, pts = case
+        rng = np.random.default_rng(seed)
+        sub, cls = subset_vertex_grams(pts, w), class_vertex_grams(pts, w)
+        where = sub.where
+        assert np.array_equal(where, cls[0]) and len(sub.slots) == len(cls[1])
+        p = len(sub.betas) - 1
+        e = 32 * np.finfo(float).eps * 3.0**p
+        beta = capped_simplex_point(rng.random(p + 1))
+        alpha = rng.normal(size=len(pts))
+        ops = [learners._operator(g) for g in (sub, cls)]
+        for op in ops:
+            op.load(np.bincount(where, alpha, op.rows))
+            op.at(beta)
+        s = float(np.abs(np.bincount(where, alpha)).sum())
+        assert np.all(np.abs(np.subtract(*(op.diag for op in ops))) <= e)
+        assert np.all(np.abs(ops[0].kc() - ops[1].kc()) <= e * s)
+        assert np.all(np.abs(ops[0].quads() - ops[1].quads()) <= e * s * s)
+        i, delta = int(rng.integers(len(pts))), float(rng.normal())
+        for op in ops:
+            op.step(int(where[i]), delta)
+        alpha[i] += delta
+        s = float(np.abs(np.bincount(where, alpha)).sum())
+        for r in range(ops[0].rows):
+            assert abs(ops[0].margin(r) - ops[1].margin(r)) <= e * s
+        for op in ops:
+            op.load(np.bincount(where, alpha, op.rows))
+        assert np.all(np.abs(ops[0].kc() - ops[1].kc()) <= e * s)
+        assert np.all(np.abs(ops[0].quads() - ops[1].quads()) <= e * s * s)
 
 
 @st.composite
@@ -836,13 +910,13 @@ def layer_problems(draw):
     y = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=len(pts), max_size=len(pts))))
     loss = draw(st.sampled_from([HINGE, ABSOLUTE]))
     problem = MklLayerProblem(grams, y, lam=draw(st.floats(1e-3, 1.0)), loss=loss)
-    raw = draw(st.lists(st.floats(0.0, 1.0), min_size=len(grams[2]), max_size=len(grams[2])))
-    return problem, learners.project_capped_simplex(np.array(raw))
+    q = learners._operator(grams).vertices
+    return problem, capped_simplex_point(draw(st.lists(st.floats(0.0, 1.0), min_size=q, max_size=q)))
 
 
 def projected_gradient_oracle(problem, kb, tol, max_iter):
     """Plain projected gradient ascent from zero with step 1/(lam max_i sum_j |K_ij|),
-    to projected-gradient norm ``tol``: the inner ascent before acceleration.
+    to projected-gradient norm ``tol``: a dual optimum found without coordinate steps.
     Returns the last iterate and whether it reached ``tol``."""
     lo, hi = learners._alpha_box(*problem.terms)
     step = 1.0 / (problem.lam * np.abs(kb).sum(axis=1).max())
@@ -855,104 +929,153 @@ def projected_gradient_oracle(problem, kb, tol, max_iter):
     return alpha, False
 
 
+def sdca_epochs(problem, beta, alpha, epochs, seed=0, order=None):
+    """``epochs`` passes of ``learners._sdca_epoch`` on the problem's own form at
+    beta, from ``alpha`` (each in ``order``, or a permutation drawn from
+    ``default_rng(seed)``); returns the alphas."""
+    op = learners._operator(problem.vertex_grams)
+    op.load(np.bincount(problem.where, alpha, op.rows))
+    op.at(np.asarray(beta, dtype=float))
+    points = learners._point_lists(problem.where, problem.labels, *problem.box)
+    alpha, rng = list(alpha), np.random.default_rng(seed)
+    for _ in range(epochs):
+        learners._sdca_epoch(op, alpha, rng.permutation(problem.m).tolist() if order is None else order, points)
+    return np.array(alpha)
+
+
+def dense_dual(problem, beta, alpha) -> float:
+    return learners._dual_value(*problem.terms, dense_gram(problem, beta), alpha, np.arange(problem.m))
+
+
 class TestInnerAscent:
+    """The inner ascent is SDCA on the layer's operator (subset or class form)."""
+
     @settings(max_examples=100, deadline=None)
     @given(layer_problems())
     def test_step_bound_covers_top_eigenvalue(self, case):
         problem, beta = case
-        kb = problem.combine(beta)
-        dense = kb[np.ix_(problem.where, problem.where)]
+        dense = dense_gram(problem, beta)
         top = float(np.linalg.eigvalsh(dense).max())
         assume(top > 1e-6)
         # from alpha = 0 under the absolute loss, with a box too wide to clip,
-        # one step moves every alpha_i by y_i / L, which gives the bound L away
-        grams = (problem.where, problem.ip, problem.table)
-        wide = MklLayerProblem(grams, problem.labels, lam=1e-12, loss=ABSOLUTE)
-        alpha, _, iters = learners._inner_max(wide, kb, np.zeros(problem.m), 0.0, 1)
-        assert iters == 1
-        bound = 1.0 / np.abs(alpha)
-        assert bound == pytest.approx(np.full(problem.m, np.abs(dense).sum(axis=1).max()), rel=1e-12)
-        assert bound.min() >= top * (1.0 - 1e-12)
+        # one step on point i alone moves alpha_i by y_i / K_ii; K_ii <= top,
+        # so a coordinate step is never shorter than a full-gradient step 1/top
+        wide = MklLayerProblem(problem.vertex_grams, problem.labels, lam=1e-12, loss=ABSOLUTE)
+        for i in range(problem.m):
+            alpha = sdca_epochs(wide, beta, np.zeros(problem.m), 1, order=[i])
+            assert np.count_nonzero(alpha) <= 1
+            if dense[i, i] > 0.0:
+                assert problem.labels[i] / alpha[i] == pytest.approx(dense[i, i], rel=1e-12)
+            assert dense[i, i] <= top * (1.0 + 1e-12)
 
     @settings(max_examples=100, deadline=None)
     @given(layer_problems(), st.integers(0, 2**32 - 1))
     def test_single_steps_never_lower_the_dual(self, case, seed):
         problem, beta = case
-        kb = problem.combine(beta)
         lo, hi = learners._alpha_box(*problem.terms)
         alpha = np.random.default_rng(seed).uniform(lo, hi)
-        val = learners._dual_value(*problem.terms, kb, alpha, problem.where)
-        for _ in range(20):
-            alpha, _, _ = learners._inner_max(problem, kb, alpha, 0.0, 1)
-            nxt = learners._dual_value(*problem.terms, kb, alpha, problem.where)
+        val = dense_dual(problem, beta, alpha)
+        for epoch in range(20):
+            alpha = sdca_epochs(problem, beta, alpha, 1, seed=epoch)
+            nxt = dense_dual(problem, beta, alpha)
             assert nxt >= val - 1e-12 * (1.0 + abs(val))
             val = nxt
 
     @settings(max_examples=150, deadline=None)
     @given(layer_problems(), st.integers(2, 50), st.integers(0, 2**32 - 1))
     def test_multi_step_calls_never_lower_the_dual(self, case, steps, seed):
-        # accelerated steps are not monotone one by one; a whole call must not
-        # end below where it started (the clipped start, which may lie outside the box)
+        # a call of several epochs must not end below where it started (the
+        # start drawn wide of the box, then clipped into it)
         problem, beta = case
-        kb = problem.combine(beta)
         lo, hi = learners._alpha_box(*problem.terms)
-        start = np.random.default_rng(seed).uniform(lo - (hi - lo), hi + (hi - lo))
-        alpha, _, iters = learners._inner_max(problem, kb, start, 0.0, steps)
-        assert iters <= steps
-        before = learners._dual_value(*problem.terms, kb, np.clip(start, lo, hi), problem.where)
-        after = learners._dual_value(*problem.terms, kb, alpha, problem.where)
+        start = np.clip(np.random.default_rng(seed).uniform(lo - (hi - lo), hi + (hi - lo)), lo, hi)
+        alpha = sdca_epochs(problem, beta, start, steps, seed=seed)
+        assert np.all((alpha >= lo) & (alpha <= hi))
+        before = dense_dual(problem, beta, start)
+        after = dense_dual(problem, beta, alpha)
         assert after >= before - 1e-12 * (1.0 + abs(before))
 
     @settings(max_examples=40, deadline=None)
     @given(layer_problems())
     def test_reaches_the_dual_of_plain_projected_gradient(self, case):
         problem, beta = case
-        kb = problem.combine(beta)
+        kb = dense_gram(problem, beta)
         assume(np.abs(kb).max() > 1e-6)
-        alpha, converged, _ = learners._inner_max(problem, kb, np.zeros(problem.m), 1e-10, 200_000)
-        assert converged
         # plain projected gradient needs O(cond(K_beta)) steps: a draw like beta = (0.9, 1e-9)
         # leaves it far from 1e-10 after millions, so such draws have no oracle here
-        oracle, reached = projected_gradient_oracle(problem, kb[np.ix_(problem.where, problem.where)], 1e-10, 20_000)
+        oracle, reached = projected_gradient_oracle(problem, kb, 1e-10, 20_000)
         assume(reached)
-        dual = learners._dual_value(*problem.terms, kb, alpha, problem.where)
-        assert dual == pytest.approx(learners._dual_value(*problem.terms, kb, oracle, problem.where), rel=1e-9)
+        # coordinate ascent on a hinge dual slows to about 1/(lam epochs) on ill-conditioned
+        # draws, so it runs at most 10,000 epochs, to a dense gap of 1e-13 (1 + |dual|), and its
+        # dual must lie within its own certified gap below the oracle's, to 1e-9 relative
+        alpha = np.zeros(problem.m)
+        for chunk in range(200):
+            alpha = sdca_epochs(problem, beta, alpha, 50, seed=chunk)
+            gap, dual = duality_gap(problem, beta, alpha), dense_dual(problem, beta, alpha)
+            if gap <= 1e-13 * (1.0 + abs(dual)):
+                break
+        want = dense_dual(problem, beta, oracle)
+        assert want - gap - 1e-9 * abs(want) <= dual <= want + 1e-9 * abs(want)
 
     def test_kernel_zero_to_working_precision_takes_the_box_corner(self):
-        # a subnormal K_beta would overflow the step 1/(lam L); its dual is linear
+        # a subnormal K_beta sends the step (y - z) / K_ii past the box; its dual is linear
         problem = two_point_problem(lam=0.5)
-        kb = np.full((2, 2), 5e-324)
-        alpha, converged, iters = learners._inner_max(problem, kb, np.zeros(2), 0.0, 10)
+        alpha = [0.0, 0.0]
+        op = learners._Gram(np.full((2, 2), 5e-324), np.zeros(2))
+        learners._sdca_epoch(op, alpha, [0, 1], learners._point_lists(np.arange(2), problem.labels, *problem.box))
         lo, hi = learners._alpha_box(*problem.terms)
-        assert (converged, iters) == (True, 0)
         assert np.array_equal(alpha, np.where(problem.labels > 0, hi, lo))
 
 
 class TestProjection:
-    def test_inside_untouched(self):
-        v = np.array([0.2, 0.3, 0.1])
-        assert np.array_equal(learners.project_capped_simplex(v), v)
+    """The capped simplex {beta >= 0, sum beta <= 1}: Frank-Wolfe keeps beta on it
+    without a projection, and a hand-built class form must be finite to enter it."""
 
-    def test_negative_clipped(self):
-        assert np.array_equal(
-            learners.project_capped_simplex(np.array([-0.5, 0.4, 0.2])), [0.0, 0.4, 0.2]
-        )
+    @staticmethod
+    def visited(monkeypatch, problem, outer_iters):
+        betas = []
+        for cls in (learners._SubsetOperator, learners._ClassOperator):
+            at = cls.at
+            monkeypatch.setattr(cls, "at", lambda self, beta, _at=at: betas.append(beta.copy()) or _at(self, beta))
+        return learners.mkl_layer_solve(problem, outer_iters), betas
+
+    def test_inside_untouched(self, monkeypatch):
+        # one point on the single-point layer: the first epoch is exact, both
+        # bounds meet, and the start beta = 1 is returned untouched
+        pts = [HypercubePoint.from_string("111")]
+        problem = MklLayerProblem(learners.layer_vertex_grams(pts, 3), np.array([1.0]), lam=0.5)
+        sol, betas = self.visited(monkeypatch, problem, 50)
+        assert sol.outer_iters == 1 and sol.converged and sol.saddle_gap <= 1e-15
+        assert np.array_equal(sol.beta, [1.0]) and all(np.array_equal(b, [1.0]) for b in betas)
+
+    def test_negative_clipped(self, monkeypatch, rng):
+        # steps toward 0 and toward vertices scale the old weights by 1 - gamma: none goes negative
+        pts = pts_from_tuples(layer_points(6, 3))[:14]
+        problem = MklLayerProblem(learners.layer_vertex_grams(pts, 3), rng.choice([-1.0, 1.0], size=14), lam=0.05)
+        sol, betas = self.visited(monkeypatch, problem, 60)
+        assert len(betas) == sol.outer_iters + 1 and min(b.min() for b in betas) >= 0.0
+        assert np.array_equal(betas[0], np.full(4, 0.25))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_entry_named(self, bad):
-        with pytest.raises(ValueError, match=rf"project_capped_simplex needs finite entries, got v\[1\] = {bad}"):
-            learners.project_capped_simplex(np.array([0.2, bad, 0.3]))
+        where, ip, table = class_vertex_grams(pts_from_tuples(layer_points(5, 2))[:4], 2)
+        table = table.copy()
+        table[1, 0] = bad
+        with pytest.raises(ValueError, match=rf"vertex tables must be finite, got table\[1, 0\] = {bad}"):
+            MklLayerProblem((where, ip, table), np.array([1.0, -1.0, 1.0, -1.0]), lam=0.1)
 
-    def test_oversum_projects_to_simplex(self, rng):
-        for _ in range(50):
-            v = rng.normal(size=6) * 2
-            p = learners.project_capped_simplex(v)
-            assert p.min() >= 0
-            assert p.sum() <= 1.0 + 1e-12
-            # projection optimality: no feasible point is closer (spot check)
-            for _ in range(10):
-                q = learners.project_capped_simplex(rng.normal(size=6))
-                assert np.linalg.norm(v - p) <= np.linalg.norm(v - q) + 1e-12
+    def test_oversum_projects_to_simplex(self, monkeypatch, rng):
+        for trial in range(10):
+            n, p = 6, int(rng.integers(1, 4))
+            rows = layer_points(n, p)
+            pts = pts_from_tuples([rows[i] for i in rng.integers(0, len(rows), size=12)])
+            problem = MklLayerProblem(
+                learners.layer_vertex_grams(pts, p), rng.choice([-1.0, 1.0], size=12), lam=0.05,
+                loss=HINGE if trial % 2 else ABSOLUTE,
+            )
+            sol, betas = self.visited(monkeypatch, problem, 40)
+            for beta in [*betas, sol.beta]:
+                assert beta.min() >= 0.0 and beta.sum() <= 1.0 + 1e-12
 
 
 class TestMklTrain:
@@ -1056,6 +1179,34 @@ class TestMklTrain:
         assert list(result.per_layer) == [4] and result.model.alphas.shape == (10_000,)
         assert np.isfinite(sol.objective) and sol.gap <= 1e-4 * (1.0 + abs(sol.objective))
 
+    def test_ten_thousand_points_of_n64_train_in_bounded_time_and_memory(self):
+        # one (64, 4) layer, about 9,700 distinct points: no u x u array on the
+        # subset form.  Bounds stated before running, in a fresh process: 30 s
+        # of mkl_train and 150 MiB of peak RSS for the whole process, read as
+        # VmHWM (ru_maxrss would count the forking test process's pages too).
+        script = """
+import time
+import numpy as np
+from cubekern import learners
+from cubekern.kernels import HypercubePoint
+rng = np.random.default_rng(0)
+pts = [HypercubePoint.from_indices(64, rng.choice(64, 4, replace=False)) for _ in range(10_000)]
+y = np.array([1.0 if x.bits & 3 == 3 else -1.0 for x in pts])
+y[rng.random(y.size) < 0.1] *= -1.0
+start = time.perf_counter()
+sol = learners.mkl_train(pts, y, B=4.0, epsilon=0.05, outer_iters=100).per_layer[4]
+seconds = time.perf_counter() - start
+with open("/proc/self/status") as fh:
+    rss_mib = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")) / 1024
+scale = 1 + abs(sol.objective)
+print(seconds, rss_mib, sol.gap / scale, sol.saddle_gap / scale, sol.inner_converged)
+"""
+        env = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": ":".join(sys.path)}
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+        seconds, rss_mib, rel_gap, rel_saddle, polished = out.stdout.split()
+        assert float(seconds) <= 30.0 and float(rss_mib) <= 150.0
+        assert polished == "True" and float(rel_gap) <= 1e-6 and 0.0 <= float(rel_saddle) <= 1e-3
+
     def test_label_length_mismatch(self):
         pts = pts_from_tuples(layer_points(4, 2))
         with pytest.raises(ValueError, match="labels have shape"):
@@ -1137,6 +1288,30 @@ class TestRademacher:
     def test_bound_needs_two_coordinates(self):
         with pytest.raises(ValueError, match="n >= 2"):
             learners.rademacher_estimate([HypercubePoint.from_string("1")], B=1.0)
+
+    def test_subset_and_class_forms_give_the_same_estimate(self, monkeypatch, rng):
+        # Stated before running: a trial's quads on layer w agree within
+        # 32 eps 3^p m_w^2 (m_w the layer's points, sum |sigma| over it), so each
+        # layer_share within that and the mean within (B/m) sqrt(sum_w of it)
+        n, m, B = 12, 150, 2.0
+        pts = [HypercubePoint(n, int(rng.integers(0, 1 << n))) for _ in range(m)]
+        subset = learners.rademacher_estimate(pts, B=B, trials=50, seed=4)
+        monkeypatch.setattr(learners, "_SUBSET_MAX_P", -1)
+        dense = learners.rademacher_estimate(pts, B=B, trials=50, seed=4)
+        tol = {w: 32 * np.finfo(float).eps * 3.0 ** min(w, n - w) * sum(x.weight == w for x in pts) ** 2
+               for w in subset.layer_share}
+        assert subset.layer_share.keys() == dense.layer_share.keys()
+        assert all(abs(subset.layer_share[w] - dense.layer_share[w]) <= tol[w] for w in tol)
+        assert abs(subset.mean - dense.mean) <= (B / m) * math.sqrt(sum(tol.values()))
+
+    def test_two_hundred_trials_on_ten_thousand_points_of_n64(self):
+        # bound stated before running: 5 s for 200 trials at n = 64, 10^4 weight-4 points
+        rng = np.random.default_rng(0)
+        pts = [HypercubePoint.from_indices(64, rng.choice(64, 4, replace=False)) for _ in range(10_000)]
+        start = time.perf_counter()
+        est = learners.rademacher_estimate(pts, B=1.0, trials=200, seed=0)
+        assert time.perf_counter() - start <= 5.0
+        assert 0.0 < est.mean + 2 * est.stderr <= est.bound
 
 
 # ---------------------------------------------------------------------------
