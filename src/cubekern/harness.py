@@ -440,7 +440,9 @@ def _check_containment(rng: np.random.Generator, triples: int = 40) -> dict:
             lam = rng.random(p + 1)
             lam /= lam.sum()
             alpha = rng.normal(size=m)
-            quads = learners._vertex_quads(learners.layer_vertex_grams(pts, p), alpha)
+            op = learners.layer_vertex_grams(pts, p)
+            op.load(alpha)
+            quads = op.quads()
             mixed = float(lam @ quads)
             # the direct side is the mixed Gram of every pair of points, from their inner products
             ip = np.array([[x.inner(y) for y in pts] for x in pts])

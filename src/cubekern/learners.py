@@ -22,18 +22,18 @@ Four solvers live here:
   admissible layer kernel, with the closed-form bound ``sqrt(2 e B^2 ln(n) / m)``.
 
 A layer's vertex Grams (:func:`layer_vertex_grams`) come in one of two forms
-over its distinct points, and both answer the same questions -- a point's
-margin ``(K_beta c)_r``, the diagonal, a step at one point, ``K_beta c`` and
-every vertex quad ``c' K_t c``, ``c = bincount(where, alpha)``:
+over its distinct points, both SDCA operators that answer the same questions
+-- a point's margin ``(K_beta c)_r``, the diagonal, a step at one point,
+``K_beta c`` and every vertex quad ``c' K_t c``, ``c = bincount(where, alpha)``:
 
 * :class:`SubsetForm`, for ``p <= _SUBSET_MAX_P``.  ``C(<x,y>, l)`` counts the
   l-subsets x and y share, so with ``W[T] = sum of c_r over rows covering T``
   and ``coef = beta @ vertex_betas``, ``(K_beta c)_r = sum_{T in x_r}
   coef_|T| W[T]`` and ``c' K_t c = vertex_betas[t] @ bincount(sizes, W^2)``.
   ``W`` does not depend on beta, so a Frank-Wolfe step costs nothing.
-* the class form ``(where, ip, table)``: ``ip`` the uint8 inner products of
-  the distinct points and ``table[t]`` vertex t's value table, so ``K_beta =
-  (beta @ table)[ip]``.
+* :class:`ClassForm` ``(where, ip, table)``: ``ip`` the uint8 inner products
+  of the distinct points and ``table[t]`` vertex t's value table, so ``K_beta
+  = (beta @ table)[ip]``.
 
 Duality convention.  For fixed ``beta`` the dual of the primal program is
 
@@ -57,9 +57,9 @@ Every trainer here, and ``embedding.train_on_cube``, first calls
 (``TypeError``), no points, a bad ``lam``, a bad epoch cap, and labels that
 are not one finite value per point, -1 or +1 under the hinge loss.
 
-Solvers are single-threaded state machines per problem instance; distinct
-layer problems share only immutable data and may run concurrently.
-Returned models are immutable.
+Solvers are single-threaded state machines per problem instance; a layer's
+form carries the solver's working state, so layer problems that run
+concurrently need forms of their own.  Returned models are immutable.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -85,6 +85,7 @@ __all__ = [
     "pegasos_train",
     "sdca_solve",
     "SubsetForm",
+    "ClassForm",
     "MklLayerProblem",
     "MklSolution",
     "MklTrainResult",
@@ -402,36 +403,34 @@ _POLISH_TOL = 1e-6  # the polish stops once the inner gap <= _POLISH_TOL (1 + |o
 _POLISH_STEPS = 2_000_000  # SDCA steps the polish may take: _POLISH_STEPS // m epochs
 
 
-class SubsetForm(NamedTuple):
-    """Point i is row ``where[i]``, ``slots[r]`` row r's 2^p subsets as indices
+class SubsetForm:
+    """A layer's vertex Grams as subset sums, and an SDCA operator on them.
+
+    Point i is row ``where[i]``, ``slots[r]`` row r's 2^p subsets as indices
     into the layer's sorted distinct subsets (``kernels._subset_layout``),
-    ``sizes`` their sizes and ``betas`` the vertices' binomial-basis coefficients."""
+    ``sizes`` their sizes and ``betas`` the vertices' binomial-basis
+    coefficients.  :meth:`load` fills ``W`` from the alphas, :meth:`at` takes
+    ``coef`` from beta, and a step at row r adds to its 2^p slots.
+    """
 
-    where: np.ndarray
-    slots: np.ndarray
-    sizes: np.ndarray
-    betas: np.ndarray
+    def __init__(self, where: np.ndarray, slots: np.ndarray, sizes: np.ndarray, betas: np.ndarray):
+        self.where, self.slots, self.sizes, self.betas = where, slots, sizes, betas
+        self.rows, self.vertices = len(slots), len(betas)
+        self.cols = np.bitwise_count(np.arange(slots.shape[1]))
+        self.choose = np.bincount(self.cols).astype(float)  # C(p, l) subsets of size l per row
+        self.w = np.zeros(len(sizes))
 
+    def __iter__(self):  # the arrays it is built from
+        return iter((self.where, self.slots, self.sizes, self.betas))
 
-class _SubsetOperator:
-    """The subset form as an SDCA operator: :meth:`load` fills ``W`` from row sums c,
-    :meth:`at` takes ``coef`` from beta, and a step at row r adds to its 2^p slots."""
+    def load(self, alpha) -> None:
+        self.w = _subset_sums(self.slots, np.bincount(self.where, alpha, self.rows), len(self.sizes))
 
-    def __init__(self, form: SubsetForm):
-        self.slots, self.sizes, self.betas = form.slots, form.sizes, form.betas
-        p = len(self.betas) - 1
-        self.rows, self.vertices = len(self.slots), p + 1
-        self.cols = np.bitwise_count(np.arange(1 << p))
-        self.choose = np.array([math.comb(p, ell) for ell in range(p + 1)], dtype=float)
-        self.w = np.zeros(len(self.sizes))
-
-    def load(self, c: np.ndarray) -> None:
-        self.w = _subset_sums(self.slots, c, len(self.sizes))
-
-    def at(self, beta: np.ndarray) -> None:
+    def at(self, beta: np.ndarray) -> SubsetForm:
         coef = beta @ self.betas
         self.coef = coef[self.cols]
         self.diag = [float(coef @ self.choose)] * self.rows
+        return self
 
     def margin(self, r: int) -> float:
         return float(self.w[self.slots[r]] @ self.coef)
@@ -446,24 +445,47 @@ class _SubsetOperator:
         return self.betas @ np.bincount(self.sizes, self.w * self.w, len(self.betas))
 
 
-class _ClassOperator(_Gram):
-    """The class form as an SDCA operator: :meth:`at` mixes ``K_beta = (beta @ table)[ip]``."""
+class ClassForm:
+    """A layer's vertex Grams by inner-product class, and an SDCA operator on them.
 
-    def __init__(self, ip: np.ndarray, table: np.ndarray):
-        self.ip, self.table, self.rows, self.vertices = ip, table, len(ip), len(table)
-        self.k, self.c = None, np.zeros(self.rows)
+    Point i is row ``where[i]``, ``ip`` the rows' (u, u) inner products and
+    ``table[t]`` vertex t's value table, so ``K_beta = (beta @ table)[ip]``;
+    :meth:`at` mixes it into the :class:`_Gram` an SDCA epoch steps on.  A
+    table that is not finite, an ``ip`` that is not a symmetric integer
+    matrix indexing it and a vertex Gram whose diagonal is above 1 are
+    refused by name.
+    """
 
-    def load(self, c: np.ndarray) -> None:
-        self.c = c
-        if self.k is not None:
-            np.matmul(self.k, c, out=self.z)  # in place: margin reads this z
+    def __init__(self, where: np.ndarray, ip: np.ndarray, table: np.ndarray):
+        ip, table = np.asarray(ip), np.asarray(table)
+        u = len(ip)
+        if ip.shape != (u, u) or not np.array_equal(ip, ip.T):
+            raise ValueError(f"inner-product matrix must be symmetric of shape {(u, u)}, got {ip.shape}")
+        q = table.shape[1] if table.ndim == 2 else 0
+        if not np.issubdtype(ip.dtype, np.integer) or ip.min() < 0 or ip.max() >= q:
+            raise ValueError(f"inner-product classes must be integers indexing a (vertices, {q}) table")
+        if (bad := np.argwhere(~np.isfinite(table))).size:
+            t, k = bad[0].tolist()
+            raise ValueError(f"vertex tables must be finite, got table[{t}, {k}] = {table[t, k]}")
+        diag = table[:, np.diag(ip)].max(axis=1)
+        if diag.max() > 1.0 + 1e-9:
+            raise ValueError(f"vertex Gram {int(diag.argmax())} has diagonal above 1")
+        self.where, self.ip, self.table = np.asarray(where), ip, table.astype(float)
+        self.rows, self.vertices = u, len(table)
+        self.c = np.zeros(u)
 
-    def at(self, beta: np.ndarray) -> None:
-        k = (beta @ self.table)[self.ip]
-        _Gram.__init__(self, k, k @ self.c)
+    def __iter__(self):  # the arrays it is built from
+        return iter((self.where, self.ip, self.table))
+
+    def load(self, alpha) -> None:
+        self.c = np.bincount(self.where, alpha, self.rows)
+
+    def at(self, beta: np.ndarray) -> _Gram:
+        self.k = (beta @ self.table)[self.ip]
+        return _Gram(self.k, self.k @ self.c)
 
     def kc(self) -> np.ndarray:
-        return self.z
+        return self.k @ self.c
 
     def quads(self) -> np.ndarray:
         """Every c' K_t c as table @ s: s_k sums c_r c_s where ip[r, s] = k, in row blocks."""
@@ -476,25 +498,14 @@ class _ClassOperator(_Gram):
         return self.table @ s
 
 
-def _operator(grams):
-    """The SDCA operator of either form of :func:`layer_vertex_grams`."""
-    return _SubsetOperator(grams) if isinstance(grams, SubsetForm) else _ClassOperator(*grams[1:])
-
-
-def _vertex_quads(grams, alpha) -> np.ndarray:
-    """Every ``alpha' K_t alpha`` of a layer, from either form of :func:`layer_vertex_grams`."""
-    op = _operator(grams)
-    op.load(np.bincount(grams[0], alpha, op.rows))
-    return op.quads()
-
-
 @dataclass
 class MklLayerProblem:
-    """Fixed data for the per-layer saddle program; ``vertex_grams`` is either form of
-    :func:`layer_vertex_grams`.  Labels and alphas stay one per point: a repeated
-    point may carry both labels."""
+    """Fixed data for the per-layer saddle program: ``vertex_grams`` is a
+    :class:`SubsetForm` or a :class:`ClassForm` (:func:`layer_vertex_grams`),
+    whose working state the solver overwrites.  Labels and alphas stay one per
+    point: a repeated point may carry both labels."""
 
-    vertex_grams: tuple
+    vertex_grams: SubsetForm | ClassForm
     labels: np.ndarray
     lam: float
     loss: LossSpec = HINGE
@@ -505,26 +516,9 @@ class MklLayerProblem:
             raise ValueError("labels must be a 1-d vector, got shape ()")
         m = len(self.labels)
         self.labels, self.box = _dual_problem(self.labels, m, self.lam, self.loss)
-        if isinstance(self.vertex_grams, SubsetForm):
-            where, u = np.asarray(self.vertex_grams.where), len(self.vertex_grams.slots)
-        else:
-            where, ip, table = map(np.asarray, self.vertex_grams)
-            u = len(ip)
-            if ip.shape != (u, u) or not np.array_equal(ip, ip.T):
-                raise ValueError(f"inner-product matrix must be symmetric of shape {(u, u)}, got {ip.shape}")
+        where, u = np.asarray(self.vertex_grams.where), self.vertex_grams.rows
         if where.shape != (m,) or where.dtype.kind not in "iu" or np.any((where < 0) | (where >= u)):
             raise ValueError(f"point rows `where` must be {m} integers indexing the {u} rows of the vertex Grams")
-        if not isinstance(self.vertex_grams, SubsetForm):
-            q = table.shape[1] if table.ndim == 2 else 0
-            if not np.issubdtype(ip.dtype, np.integer) or ip.min() < 0 or ip.max() >= q:
-                raise ValueError(f"inner-product classes must be integers indexing a (vertices, {q}) table")
-            if (bad := np.argwhere(~np.isfinite(table))).size:
-                t, k = bad[0].tolist()
-                raise ValueError(f"vertex tables must be finite, got table[{t}, {k}] = {table[t, k]}")
-            diag = table[:, np.diag(ip)].max(axis=1)
-            if diag.max() > 1.0 + 1e-9:
-                raise ValueError(f"vertex Gram {int(diag.argmax())} has diagonal above 1")
-            self.vertex_grams = (where, ip, table.astype(float))
         self.where = where
 
     @property
@@ -578,7 +572,7 @@ def _bounds(problem: MklLayerProblem, op, a: np.ndarray, beta: np.ndarray) -> tu
     max_t quads_t)`` and every ``a' K_t a``.  The dual is linear in beta, so its least
     value over the capped simplex, ``lower``, sits at a vertex or at 0."""
     loss, y, lam = problem.terms
-    op.load(np.bincount(problem.where, a, op.rows))
+    op.load(a)
     quads = op.quads()
     quad, linear = float(beta @ quads), lam * float(a @ y)
     primal = 0.5 * lam * quad + float(np.mean(loss.value(op.kc()[problem.where], y)))
@@ -598,16 +592,16 @@ def mkl_layer_solve(problem: MklLayerProblem, outer_iters: int = 500) -> MklSolu
     too.  Epochs visit the points in permutations drawn from ``default_rng(0)``.
     """
     check_count("outer_iters", outer_iters)
-    op, m = _operator(problem.vertex_grams), problem.m
+    op, m = problem.vertex_grams, problem.m
     points = _point_lists(problem.where, problem.labels, *problem.box)
     rng = np.random.default_rng(0)
     q = op.vertices
     beta, alpha, zero = np.full(q, 1.0 / q), [0.0] * m, np.zeros(m)
     upper, lower = (math.inf, beta, zero), (-math.inf, zero)
+    op.load(zero)  # a form keeps the state of its last load
     trace = []
     for k in range(outer_iters):
-        op.at(beta)
-        _sdca_epoch(op, alpha, rng.permutation(m).tolist(), points)
+        _sdca_epoch(op.at(beta), alpha, rng.permutation(m).tolist(), points)
         a = np.array(alpha)
         primal, _, low, quads = _bounds(problem, op, a, beta)
         if primal < upper[0] - 1e-12 * (1.0 + abs(primal)):  # rounding alone moves no best point
@@ -624,8 +618,8 @@ def mkl_layer_solve(problem: MklLayerProblem, outer_iters: int = 500) -> MklSolu
             vertex[np.argmax(quads >= quads.max() - tol)] = 1.0
         beta = beta + (2.0 / (k + 2)) * (vertex - beta)
     _, beta, a = upper
-    op.at(beta)
-    alpha, polish = a.tolist(), 0
+    op.load(a)
+    gram, alpha, polish = op.at(beta), a.tolist(), 0
     while True:
         a = np.array(alpha)
         primal, dual, low, _ = _bounds(problem, op, a, beta)
@@ -635,7 +629,7 @@ def mkl_layer_solve(problem: MklLayerProblem, outer_iters: int = 500) -> MklSolu
         if polished or polish == _POLISH_STEPS // m:
             break
         polish += 1
-        _sdca_epoch(op, alpha, rng.permutation(m).tolist(), points)
+        _sdca_epoch(gram, alpha, rng.permutation(m).tolist(), points)
     steps = len(trace)
     return MklSolution(beta, a, primal, abs(primal - dual), np.array(trace), *lower, polished, steps, steps + polish)
 
@@ -644,16 +638,16 @@ def mkl_layer_solve(problem: MklLayerProblem, outer_iters: int = 500) -> MklSolu
 # MKL over the whole cube
 
 
-def layer_vertex_grams(points, weight: int) -> tuple:
+def layer_vertex_grams(points, weight: int) -> SubsetForm | ClassForm:
     """Vertex-kernel Grams of points of one weight, in the form their canonical layer p selects.
 
     Point i is distinct point ``where[i]`` on the canonical layer p (weights
     above n/2 are complemented first).  When ``p <= _SUBSET_MAX_P`` the
     result is a :class:`SubsetForm` over the u distinct points, ``u * 2^p``
-    slots and no u x u array.  Otherwise it is the class form ``(where, ip,
-    table)``: ``ip`` is the (u, u) uint8 inner-product matrix of the u
-    distinct points and row t of the (p+1, p+1) ``table`` is vertex t's
-    value table, so vertex t's Gram is ``table[t][ip]``.
+    slots and no u x u array.  Otherwise it is a :class:`ClassForm`: ``ip``
+    is the (u, u) uint8 inner-product matrix of the u distinct points and row
+    t of the (p+1, p+1) ``table`` is vertex t's value table, so vertex t's
+    Gram is ``table[t][ip]``.
     """
     if len(points) == 0:
         raise ValueError("at least one point required")
@@ -669,7 +663,7 @@ def layer_vertex_grams(points, weight: int) -> tuple:
     ip = np.empty((masks.size, masks.size), dtype=np.uint8)
     for rows, cols, block in inner_product_blocks(masks, masks):
         ip[rows, cols] = block
-    return where, ip, vertex_tables(layer)
+    return ClassForm(where, ip, vertex_tables(layer))
 
 
 def _layers(points):
@@ -796,8 +790,9 @@ def rademacher_estimate(points, B: float, trials: int = 200, seed: int = 0) -> R
     for trial in range(trials):
         sigma = rng.integers(0, 2, size=m) * 2.0 - 1.0
         total = 0.0
-        for w, idx, grams in layer_data:
-            q = max(float(_vertex_quads(grams, sigma[idx]).max()), 0.0)
+        for w, idx, op in layer_data:
+            op.load(sigma[idx])
+            q = max(float(op.quads().max()), 0.0)
             share[w] += q / trials
             total += q
         vals[trial] = (B / m) * math.sqrt(total)

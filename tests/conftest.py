@@ -34,7 +34,7 @@ def explicit_basis_matrices(n, p):
 
 
 def class_vertex_grams(points, weight):
-    """``learners.layer_vertex_grams`` in class form ``(where, ip, table)``, whatever the layer's p."""
+    """``learners.layer_vertex_grams`` as a ``ClassForm`` ``(where, ip, table)``, whatever the layer's p."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(learners, "_SUBSET_MAX_P", -1)
         return learners.layer_vertex_grams(points, weight)
@@ -60,7 +60,7 @@ def per_point(problem):
         where, table = grams.where, np.array([scheme.d_from_p(b) for b in grams.betas])
     else:
         where, ip, table = grams
-    grams = (np.arange(problem.m), ip[np.ix_(where, where)], table)
+    grams = learners.ClassForm(np.arange(problem.m), ip[np.ix_(where, where)], table)
     return learners.MklLayerProblem(grams, problem.labels, problem.lam, problem.loss)
 
 
