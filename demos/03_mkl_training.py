@@ -19,21 +19,22 @@ labels = 2.0 * data.labels - 1.0
 print(f"task: noisy 2-literal conjunction on weight-{s} points of the {n}-cube, m={m}")
 
 B, eps = 3.0, 0.1
-result = learners.mkl_train(list(data.points), labels, B=B, epsilon=eps, outer_iters=250)
-print(f"\nregularization lambda = eps/(n B^2) = {result.lam:.5f}")
-for w, sol in result.per_layer.items():
-    print(f"layer weight {w}: beta = {np.round(sol.beta, 4)}, objective = {sol.objective:.5f}, "
-          f"saddle gap = {sol.saddle_gap:.2e} after {sol.outer_iters} Frank-Wolfe steps "
-          f"(converged = {sol.converged}), inner duality gap = {sol.gap:.2e}")
+model = learners.mkl_train(list(data.points), labels, B=B, epsilon=eps, outer_iters=250)
+lam = model.report["lambda"]
+print(f"\nregularization lambda = eps/(n B^2) = {lam:.5f}")
+for w, layer in model.report["per_layer"].items():
+    print(f"layer weight {w}: beta = {np.round(layer['beta'], 4)}, objective = {layer['objective']:.5f}, "
+          f"saddle gap = {layer['saddle_gap']:.2e} after {layer['outer_steps']} Frank-Wolfe steps "
+          f"(converged = {layer['converged']}), inner duality gap = {layer['gap']:.2e}")
 
-preds = result.model.predict_many(data.points)
+preds = model.predict_many(data.points)
 hinge = np.maximum(0.0, 1.0 - labels * preds).mean()
 err = np.mean((preds >= 0) != (labels > 0))
 print(f"\nMKL train hinge = {hinge:.4f}, train 0-1 = {err:.4f}")
 
 spec = kernels.universal_kernel(n)
 pega = learners.pegasos_train(
-    spec, list(data.points), labels, lam=result.lam, epochs=400, seed=seed
+    spec, list(data.points), labels, lam=lam, epochs=400, seed=seed
 )
 p_preds = pega.predict_many(data.points)
 p_hinge = np.maximum(0.0, 1.0 - labels * p_preds).mean()
@@ -42,6 +43,6 @@ print(f"universal-kernel SGD train hinge = {p_hinge:.4f} "
 
 holdout = harness.gen_conjunction_dataset(n, [0, 2], "sparse", s, m, 0.05, seed=seed + 1)
 h_labels = 2.0 * holdout.labels - 1.0
-h_preds = result.model.predict_many(holdout.points)
+h_preds = model.predict_many(holdout.points)
 print(f"MKL holdout hinge = {np.maximum(0.0, 1.0 - h_labels * h_preds).mean():.4f}, "
       f"holdout 0-1 = {np.mean((h_preds >= 0) != (h_labels > 0)):.4f}")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 
 import numpy as np
 
@@ -47,6 +48,16 @@ def _emit(args, obj) -> None:
 def _note(args, msg: str) -> None:
     if not args.quiet:
         print(msg, file=sys.stderr)
+
+
+def _warn_unconverged(per_layer: dict) -> None:
+    """Warn on stderr, even with --quiet, of each layer of an MKL report that missed a tolerance."""
+    for w, s in per_layer.items():
+        if not s["converged"]:
+            gap = f"saddle gap {s['saddle_gap']:.3g} above its tolerance after {s['outer_steps']} Frank-Wolfe steps"
+            print(f"warning: layer {w}: {gap}", file=sys.stderr)
+        if not s["inner_converged"]:
+            print(f"warning: layer {w}: the SDCA polish hit its epoch cap", file=sys.stderr)
 
 
 def _parse_beta(text: str) -> np.ndarray:
@@ -118,9 +129,8 @@ def _cmd_train(args) -> int:
         model = learners.pegasos_train(
             spec, points, labels, lam, epochs=args.epochs, seed=args.seed, loss=loss
         )
-        per_layer = {}
     else:
-        result = learners.mkl_train(
+        model = learners.mkl_train(
             points,
             labels,
             args.B,
@@ -129,15 +139,9 @@ def _cmd_train(args) -> int:
             outer_iters=args.outer_iters,
             lam_override=args.lam,
         )
-        model = result.model
-        per_layer = result.layer_report()
-        for w, s in sorted(result.per_layer.items()):  # warned even with --quiet
-            if not s.converged:
-                gap = f"saddle gap {s.saddle_gap:.3g} above its tolerance after {s.outer_iters} Frank-Wolfe steps"
-                print(f"warning: layer {w}: {gap}", file=sys.stderr)
-            if not s.inner_converged:
-                print(f"warning: layer {w}: the SDCA polish hit its epoch cap", file=sys.stderr)
     report = dict(model.report)
+    per_layer = report.pop("per_layer", {})  # the model file keeps per_layer last, after label_mapping
+    _warn_unconverged(per_layer)
     report["label_mapping"] = mapping
     report["per_layer"] = per_layer
     _emit(args, harness.model_json_dict(model, report))
@@ -200,6 +204,7 @@ def _cmd_embed(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    t0 = time.perf_counter()
     report = harness.bench_conjunction(
         args.n,
         args.s,
@@ -214,8 +219,9 @@ def _cmd_bench(args) -> int:
         outer_iters=args.outer_iters,
         t_scale=args.t_scale,
     )
-    _note(args, f"bench wall time: {report.wall_seconds:.2f}s")
-    _emit(args, report.to_json_dict())
+    _note(args, f"bench wall time: {time.perf_counter() - t0:.2f}s")
+    _warn_unconverged(report["per_layer"])
+    _emit(args, report)
     return 0
 
 

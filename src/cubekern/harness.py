@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import json
 import math
-import time
 import warnings
 from dataclasses import dataclass, field
 
@@ -39,7 +38,6 @@ from .kernels import HypercubePoint, KernelSpec, TrainedModel
 
 __all__ = [
     "Dataset",
-    "RunReport",
     "gen_conjunction_dataset",
     "save_dataset",
     "load_dataset",
@@ -257,20 +255,21 @@ def load_model(path: str) -> TrainedModel:
         alphas = np.asarray(obj["alphas"], dtype=float)
     except (TypeError, ValueError):
         raise ValueError(f"{path}: model 'alphas' must be a list of numbers") from None
+    report = obj.get("report", {})
+    if not isinstance(report, dict):
+        raise ValueError(f"{path}: model 'report' must be a JSON object")
     try:
         spec = KernelSpec.from_json_dict(obj["spec"])
         support = tuple(HypercubePoint.from_string(s) for s in obj["support"])
-        return TrainedModel(spec, support, alphas, obj.get("report", {}))
+        return TrainedModel(spec, support, alphas, report)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 
 def _clean_report(report: dict) -> dict:
-    """JSON-safe copy of a report, volatile timing removed."""
+    """JSON-safe copy of a report."""
     out = {}
     for key, val in report.items():
-        if key == "wall_seconds":
-            continue
         if isinstance(val, np.ndarray):
             out[key] = [float(v) for v in val]
         elif isinstance(val, (np.floating, np.integer)):
@@ -594,36 +593,6 @@ def verify_suite(
 # Benchmarks
 
 
-@dataclass
-class RunReport:
-    config: dict
-    lam: float | None
-    objective: float | None
-    gap: float | None
-    per_layer: dict
-    train_losses: dict
-    test_losses: dict
-    wall_seconds: float
-    seed: int
-    train_meta: dict
-    test_meta: dict
-
-    def to_json_dict(self) -> dict:
-        """Every field but ``wall_seconds``, so equal seeds give equal output."""
-        return {
-            "config": self.config,
-            "lambda": self.lam,
-            "objective": self.objective,
-            "gap": self.gap,
-            "per_layer": self.per_layer,
-            "train_losses": self.train_losses,
-            "test_losses": self.test_losses,
-            "seed": self.seed,
-            "train_meta": self.train_meta,
-            "test_meta": self.test_meta,
-        }
-
-
 def evaluate_losses(preds: np.ndarray, labels01: np.ndarray, convention: str) -> dict:
     """Hinge, 0-1 and absolute losses of real-valued predictions.
 
@@ -666,40 +635,34 @@ def bench_conjunction(
     epochs: int = 300,
     outer_iters: int = 300,
     t_scale: float = 1.0,
-) -> RunReport:
+) -> dict:
     """Generate a conjunction task, train with the chosen kernel, report losses.
 
+    Returns the JSON object ``cubekern bench`` prints: the ``config``, the
+    trained model's ``lambda``, ``objective``, ``gap`` and ``per_layer``
+    (from its report; null, null, null and empty for ``sparse-analytic``),
+    the train and test losses, the ``seed`` and both datasets' metadata.
     The holdout is a fresh sample of the same size from an advanced seed
     stream.  Hinge-trained algorithms map {0,1} labels to {-1,+1}
-    internally; the convention is recorded in the report.
+    internally; the convention is recorded in the config.
     """
     if algo not in BENCH_ALGOS:
         raise ValueError(f"unknown algo {algo!r}; choose from {BENCH_ALGOS}")
     if not 0 <= literals_size <= n:
         raise ValueError(f"literals_size must lie in [0, n={n}], got {literals_size}")
     lam = learners.regularization_weight(n, B, eps)
-    t0 = time.perf_counter()
     lit_rng = np.random.default_rng(stream_seed(seed, 0))
     literals = sorted(lit_rng.choice(n, size=literals_size, replace=False).tolist())
     train = gen_conjunction_dataset(n, literals, "sparse", s, m, noise_rate, stream_seed(seed, 1))
     test = gen_conjunction_dataset(n, literals, "sparse", s, m, noise_rate, stream_seed(seed, 2))
     trainer_seed = stream_seed(seed, 3)
-    per_layer: dict = {}
-    gap = None
-    objective = None
     labels_pm, _ = learners.hinge_labels(train.labels)
     if algo == "sparse-analytic":
         convention = "zero_one"
         model = kernels.analytic_weights(n, s, literals)
     elif algo == "mkl":
         convention = "pm1"
-        result = learners.mkl_train(
-            list(train.points), labels_pm, B, eps, outer_iters=outer_iters
-        )
-        model = result.model
-        objective = result.objective
-        gap = model.report["gap"]
-        per_layer = result.layer_report()
+        model = learners.mkl_train(list(train.points), labels_pm, B, eps, outer_iters=outer_iters)
     else:
         convention = "pm1"
         spec = (
@@ -710,10 +673,6 @@ def bench_conjunction(
         model = learners.pegasos_train(
             spec, list(train.points), labels_pm, lam, epochs=epochs, seed=trainer_seed
         )
-        objective = model.report["objective"]
-    train_losses = evaluate_losses(model.predict_many(train.points), train.labels, convention)
-    test_losses = evaluate_losses(model.predict_many(test.points), test.labels, convention)
-    wall = time.perf_counter() - t0
     config = {
         "n": n,
         "s": s,
@@ -730,16 +689,15 @@ def bench_conjunction(
         "t_scale": t_scale,
         "label_convention": convention,
     }
-    return RunReport(
-        config=config,
-        lam=lam if algo != "sparse-analytic" else None,
-        objective=objective,
-        gap=gap,
-        per_layer=per_layer,
-        train_losses=train_losses,
-        test_losses=test_losses,
-        wall_seconds=wall,
-        seed=seed,
-        train_meta=train.meta,
-        test_meta=test.meta,
-    )
+    return {
+        "config": config,
+        "lambda": model.report.get("lambda"),
+        "objective": model.report.get("objective"),
+        "gap": model.report.get("gap"),
+        "per_layer": model.report.get("per_layer", {}),
+        "train_losses": evaluate_losses(model.predict_many(train.points), train.labels, convention),
+        "test_losses": evaluate_losses(model.predict_many(test.points), test.labels, convention),
+        "seed": seed,
+        "train_meta": train.meta,
+        "test_meta": test.meta,
+    }

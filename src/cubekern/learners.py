@@ -88,7 +88,6 @@ __all__ = [
     "ClassForm",
     "MklLayerProblem",
     "MklSolution",
-    "MklTrainResult",
     "mkl_layer_solve",
     "mkl_train",
     "RademacherEstimate",
@@ -675,31 +674,6 @@ def _layers(points):
     return n, ((w, idx, layer_vertex_grams([points[i] for i in idx], w)) for w, idx in groups.items())
 
 
-@dataclass
-class MklTrainResult:
-    lam: float
-    per_layer: dict  # weight -> MklSolution
-    model: TrainedModel
-    objective: float  # sum of layer objectives
-
-    def layer_report(self) -> dict:
-        """Per layer (keyed by weight as a string): beta, objective, the inner and
-        saddle gaps, both convergence flags, Frank-Wolfe steps and SDCA epochs."""
-        return {
-            str(w): {
-                "beta": s.beta.tolist(),
-                "objective": s.objective,
-                "gap": s.gap,
-                "saddle_gap": s.saddle_gap,
-                "converged": s.converged,
-                "outer_steps": s.outer_iters,
-                "inner_converged": s.inner_converged,
-                "inner_iters": s.inner_iters,
-            }
-            for w, s in self.per_layer.items()
-        }
-
-
 def mkl_train(
     points,
     labels,
@@ -708,14 +682,18 @@ def mkl_train(
     loss: LossSpec = HINGE,
     outer_iters: int = 500,
     lam_override: float | None = None,
-) -> MklTrainResult:
+) -> TrainedModel:
     """Layer-decomposed MKL: partition by weight, solve each layer alone.
 
     The regularization weight is :func:`regularization_weight` of
-    ``(n, B, epsilon, lam_override)``.  The combined model stores, per
+    ``(n, B, epsilon, lam_override)``.  The returned model stores, per
     occupied weight, the vertex mixture selected by that layer's solution;
     cross-layer kernel values are zero so the combined predictions coincide
-    with the per-layer ones.
+    with the per-layer ones.  Its report holds ``lambda``, the summed layer
+    ``objective``, the largest inner ``gap`` and, under ``per_layer`` keyed
+    by weight as a string in ascending order, each layer's beta, objective,
+    inner and saddle gaps, both convergence flags, Frank-Wolfe steps
+    (``outer_steps``) and SDCA epochs (``inner_iters``).
     """
     m = len(points)
     if m == 0:
@@ -724,33 +702,36 @@ def mkl_train(
     n, layers = _layers(points)
     lam = regularization_weight(n, B, epsilon, lam_override)
     y = _dual_problem(labels, m, lam, loss)[0]
-    per_layer: dict[int, MklSolution] = {}
+    per_layer = {}
     spec_layers = {}
     alphas = np.zeros(m)
-    total = 0.0
     for w, idx, grams in layers:
         problem = MklLayerProblem(grams, y[idx], lam, loss)
         sol = mkl_layer_solve(problem, outer_iters=outer_iters)
-        per_layer[w] = sol
+        per_layer[str(w)] = {
+            "beta": sol.beta.tolist(),
+            "objective": sol.objective,
+            "gap": sol.gap,
+            "saddle_gap": sol.saddle_gap,
+            "converged": sol.converged,
+            "outer_steps": sol.outer_iters,
+            "inner_converged": sol.inner_converged,
+            "inner_iters": sol.inner_iters,
+        }
         alphas[idx] = sol.alphas
-        total += sol.objective
         spec_layers[w] = mix_vertices(LayerParams(n, w).canonical(), sol.beta)
     spec = KernelSpec(n, "direct_sum", spec_layers)
-    model = TrainedModel(
-        spec,
-        tuple(points),
-        alphas,
-        report={
-            "algo": "mkl",
-            "loss": loss.name,
-            "lambda": lam,
-            "objective": total,
-            "seed": None,
-            "gap": max(sol.gap for sol in per_layer.values()),
-            "iters": outer_iters,
-        },
-    )
-    return MklTrainResult(lam, per_layer, model, total)
+    report = {
+        "algo": "mkl",
+        "loss": loss.name,
+        "lambda": lam,
+        "objective": sum(layer["objective"] for layer in per_layer.values()),
+        "seed": None,
+        "gap": max(layer["gap"] for layer in per_layer.values()),
+        "iters": outer_iters,
+        "per_layer": per_layer,
+    }
+    return TrainedModel(spec, tuple(points), alphas, report)
 
 
 # ---------------------------------------------------------------------------

@@ -169,8 +169,8 @@ def test_criterion_6_conjunction_exactness():
     n, s, m = 16, 4, 500
     for size in (1, 2, 3, 4):
         report = harness.bench_conjunction(n, s, size, m, "sparse-analytic", 1.0, 0.1, seed=size)
-        ok = ok and report.test_losses["zero_one"] == 0.0
-        model = kernels.analytic_weights(n, s, report.config["literals"])
+        ok = ok and report["test_losses"]["zero_one"] == 0.0
+        model = kernels.analytic_weights(n, s, report["config"]["literals"])
         ok = ok and abs(model.norm_sq() - math.comb(s, size)) <= 1e-9
     crit.finish(ok)
 
@@ -180,10 +180,10 @@ def test_criterion_7_universal_svm_learns_conjunction():
     report = harness.bench_conjunction(
         16, 4, 2, 500, "universal", B=4.0, eps=0.05, seed=0, epochs=600
     )
-    ok = report.train_losses["hinge"] <= 0.05 and report.test_losses["hinge"] <= 0.1
+    ok = report["train_losses"]["hinge"] <= 0.05 and report["test_losses"]["hinge"] <= 0.1
     crit.finish(
         ok,
-        f"train hinge {report.train_losses['hinge']:.4f}, test hinge {report.test_losses['hinge']:.4f}",
+        f"train hinge {report['train_losses']['hinge']:.4f}, test hinge {report['test_losses']['hinge']:.4f}",
     )
 
 

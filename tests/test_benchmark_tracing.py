@@ -1,13 +1,16 @@
-"""The benchmark's traced runs wrap library functions by name.
+"""The benchmark's library contract: the names, return values and files it uses.
 
 ``perfbench/tracing.py`` replaces public functions of a freshly imported
 cubekern with wrappers and reads counts off what they return.  Installing it
 here and training a tiny MKL model checks that ``learners.layer_vertex_grams``
 and ``learners.mkl_layer_solve`` are still wrapped and that every
-``learners.mkl_layer`` span carries the counts the benchmark reads, so a
-rename in ``src/`` fails this suite rather than a traced benchmark run.
+``learners.mkl_layer`` span carries the counts the benchmark reads.  One
+untraced round of each workload in ``perfbench/workloads.py`` then runs with
+no failed operation and no failed check.  So a change in ``src/`` that breaks
+the benchmark fails this suite rather than a benchmark run.
 """
 
+import contextlib
 import importlib
 import importlib.util
 import os
@@ -17,6 +20,7 @@ import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 MODULES = ("scheme", "kernels", "learners", "embedding", "harness", "cli")
+BENCH_MODULES = ("workloads", "checks", "tracing")  # perfbench/ imports these by bare name
 
 
 def load_tracing():
@@ -26,16 +30,28 @@ def load_tracing():
     return module
 
 
-def is_cubekern(name):
-    return name == "cubekern" or name.startswith("cubekern.")
+def is_fresh(name):
+    """A module the benchmark imports afresh: cubekern's, or one of perfbench/'s own."""
+    return name == "cubekern" or name.startswith("cubekern.") or name in BENCH_MODULES
+
+
+@contextlib.contextmanager
+def fresh_modules():
+    """Drop the imported cubekern and perfbench modules, and restore them afterwards."""
+    saved = {name: mod for name, mod in sys.modules.items() if is_fresh(name)}
+    for name in saved:
+        del sys.modules[name]
+    try:
+        yield
+    finally:
+        for name in [name for name in sys.modules if is_fresh(name)]:
+            del sys.modules[name]
+        sys.modules.update(saved)
 
 
 def test_tracer_wraps_the_mkl_stages_and_reads_their_counts():
     tracing = load_tracing()
-    saved = {name: mod for name, mod in sys.modules.items() if is_cubekern(name)}
-    for name in saved:
-        del sys.modules[name]
-    try:
+    with fresh_modules():
         ck = {name: importlib.import_module(f"cubekern.{name}") for name in MODULES}
         learners = ck["learners"]
         wrapped = ("layer_vertex_grams", "mkl_layer_solve")
@@ -61,7 +77,14 @@ def test_tracer_wraps_the_mkl_stages_and_reads_their_counts():
         metrics = tracing.round_metrics(tr.spans)
         assert metrics["learners.mkl_outer_steps"] == sum(s.counts["outer_steps"] for s in layers)
         assert metrics["learners.mkl_unconverged_layers"] == 0
-    finally:
-        for name in [name for name in sys.modules if is_cubekern(name)]:
-            del sys.modules[name]
-        sys.modules.update(saved)
+
+
+def test_one_round_of_each_workload_passes_its_checks(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    with fresh_modules():
+        workloads = importlib.import_module("workloads")
+        monkeypatch.setattr(workloads, "OUT_DIR", str(tmp_path))
+        for wl in workloads.WORKLOADS.values():
+            rd = workloads.run_round(wl, 0, 0, None)
+            assert rd.attempted > 0 and rd.failed == 0, (wl.name, rd.errors)
+            assert rd.check_failures == [], (wl.name, rd.check_failures)

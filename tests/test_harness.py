@@ -9,7 +9,8 @@ Core claims:
       conjunction models; reports regenerate their datasets exactly
     - load_model names the file and the key of a model file that is not an
       object, lacks spec, support or alphas, whose support is not a list
-      of bitstrings or whose alphas are not a list of numbers, and names
+      of bitstrings, whose alphas are not a list of numbers or whose report
+      is not an object, and names
       the file and the layer of a malformed spec; evaluate_losses refuses
       predictions and labels of different shapes
     - verify_suite passes clean and names (module, check, params) under each
@@ -17,12 +18,14 @@ Core claims:
       is not an integer; a wrong conjugate box swapped into learners.HINGE
       fails its fenchel_young check, naming the loss and y
     - bench: the analytic conjunction model has zero test error noiseless,
-      and nothing beats coin flipping at noise 1/2
+      and nothing beats coin flipping at noise 1/2; Pegasos runs report the
+      trainer's own objective and gap
+    - the model file's per-layer report is the one mkl_train returns
     - the CLI emits the promised JSON schemas, is byte-deterministic for a
       fixed seed, and uses exit codes 0/1/2; train reports each layer's
       saddle gap, its converged and inner_converged flags, Frank-Wolfe
-      steps and SDCA epochs, and warns on stderr, even with --quiet, when
-      either flag is false; embed build reports each coordinate's build
+      steps and SDCA epochs, and train and bench warn on stderr, even with
+      --quiet, when either flag is false; embed build reports each coordinate's build
       attempts and worst deviation (within eps/n); embed apply writes the
       role-1 table rows of each point's grid cells; a bad kernel spec (not
       an object, layers not a list of objects, a layer weight above n, a
@@ -216,6 +219,12 @@ class TestRoundTrips:
         obj["alphas"] = alphas
         self.assert_model_file_refused(tmp_path, obj, "model 'alphas' must be a list of numbers")
 
+    @pytest.mark.parametrize("report", ["converged", [1.0]])
+    def test_model_file_with_a_report_not_an_object_named(self, tmp_path, report):
+        obj = harness.model_json_dict(kernels.analytic_weights(6, 2, [0]), {})
+        obj["report"] = report
+        self.assert_model_file_refused(tmp_path, obj, "model 'report' must be a JSON object")
+
     def test_model_file_with_malformed_spec_names_the_file(self, tmp_path):
         obj = harness.model_json_dict(kernels.analytic_weights(6, 2, [0]), {})
         obj["spec"]["layers"][0]["p"] = 1.5
@@ -223,10 +232,10 @@ class TestRoundTrips:
 
     def test_report_regenerates_dataset(self):
         report = harness.bench_conjunction(8, 3, 2, 25, "sparse-analytic", 1.0, 0.1, seed=11)
-        regen = harness.regenerate(report.train_meta)
+        regen = harness.regenerate(report["train_meta"])
         original = gen_conjunction_dataset(
             8,
-            report.config["literals"],
+            report["config"]["literals"],
             "sparse",
             3,
             25,
@@ -300,25 +309,37 @@ class TestLossEvaluation:
 class TestBench:
     def test_sparse_analytic_exact(self):
         report = harness.bench_conjunction(12, 4, 3, 80, "sparse-analytic", 1.0, 0.1, seed=0)
-        assert report.test_losses["zero_one"] == 0.0
-        assert report.train_losses["zero_one"] == 0.0
+        assert report["test_losses"]["zero_one"] == 0.0
+        assert report["train_losses"]["zero_one"] == 0.0
 
     def test_full_noise_information_null(self):
         m = 200
         report = harness.bench_conjunction(
             10, 3, 2, m, "sparse-analytic", 1.0, 0.1, seed=5, noise_rate=0.5
         )
-        assert report.test_losses["zero_one"] >= 0.5 - 3.0 / math.sqrt(m)
+        assert report["test_losses"]["zero_one"] >= 0.5 - 3.0 / math.sqrt(m)
 
     def test_mkl_bench_reports_layers(self):
         report = harness.bench_conjunction(
             6, 2, 1, 24, "mkl", 1.0, 0.3, seed=2, outer_iters=60
         )
-        assert report.per_layer
-        assert report.gap is not None
-        obj = report.to_json_dict()
-        assert "wall_seconds" not in obj
-        json.dumps(obj)  # serializable
+        assert report["per_layer"]
+        assert report["gap"] is not None
+        assert "wall_seconds" not in report
+        json.dumps(report)  # serializable
+
+    @pytest.mark.parametrize("algo", ["universal", "conjunction"])
+    def test_pegasos_bench_reports_the_trainer_s_own_certificate(self, algo):
+        n, s, m, seed = 8, 3, 30, 4
+        report = harness.bench_conjunction(n, s, 2, m, algo, 1.0, 0.2, seed=seed, epochs=20)
+        literals = report["config"]["literals"]
+        train = gen_conjunction_dataset(n, literals, "sparse", s, m, 0.0, harness.stream_seed(seed, 1))
+        spec = kernels.universal_kernel(n) if algo == "universal" else kernels.conjunction_kernel(n, s, 0.2)
+        y = 2.0 * train.labels - 1.0
+        model = learners.pegasos_train(spec, list(train.points), y, report["lambda"], 20, harness.stream_seed(seed, 3))
+        assert report["gap"] is not None
+        assert (report["objective"], report["gap"]) == (model.report["objective"], model.report["gap"])
+        assert report["per_layer"] == {}
 
     def test_unknown_algo(self):
         with pytest.raises(ValueError, match="algo"):
@@ -394,6 +415,10 @@ class TestCli:
             )
             outs.append(open(path, "rb").read())
         assert outs[0] == outs[1]
+        # the file's per-layer report is the one mkl_train returns
+        y = 2.0 * data.labels - 1.0
+        model = learners.mkl_train(list(data.points), y, 1.0, 0.3, outer_iters=40)
+        assert harness.load_model(path).report["per_layer"] == model.report["per_layer"]
 
     def test_train_reports_inner_convergence(self, tmp_path, monkeypatch, capsys):
         data = gen_conjunction_dataset(6, [0], "uniform_layer", 2, 16, 0.0, seed=2)
@@ -427,6 +452,17 @@ class TestCli:
         warnings = capsys.readouterr().err.strip().splitlines()
         assert len(warnings) == len(per_layer)
         assert all(w.startswith("warning: layer") and "polish" in w for w in warnings)
+
+    def test_bench_warns_of_unconverged_layers_even_when_quiet(self, capsys):
+        argv = ["bench", "--n", "10", "--s", "3", "--literals", "2", "--m", "60", "--algo", "mkl", "--quiet"]
+        assert cli.main([*argv, "--outer-iters", "50"]) == 0
+        out, err = capsys.readouterr()
+        missed = [w for w, v in json.loads(out)["per_layer"].items() if not v["converged"]]
+        warnings = err.splitlines()
+        assert missed and len(warnings) == len(missed)
+        assert all(line.startswith(f"warning: layer {w}: saddle gap") for line, w in zip(warnings, missed))
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().err == ""
 
     def test_rademacher_fields(self, tmp_path):
         data = gen_conjunction_dataset(8, [0], "sparse", 3, 30, 0.0, seed=6)

@@ -1092,10 +1092,10 @@ class TestMklTrain:
     def test_lambda_formula(self):
         pts = pts_from_tuples(layer_points(4, 2))[:4]
         y = np.array([1.0, -1.0, 1.0, -1.0])
-        r1 = learners.mkl_train(pts, y, B=1.0, epsilon=0.1, outer_iters=30)
-        r2 = learners.mkl_train(pts, y, B=2.0, epsilon=0.1, outer_iters=30)
-        assert r1.lam == pytest.approx(0.1 / 4)
-        assert r2.lam == pytest.approx(r1.lam / 4)  # B doubled -> lambda quartered
+        lam1 = learners.mkl_train(pts, y, B=1.0, epsilon=0.1, outer_iters=30).report["lambda"]
+        lam2 = learners.mkl_train(pts, y, B=2.0, epsilon=0.1, outer_iters=30).report["lambda"]
+        assert lam1 == pytest.approx(0.1 / 4)
+        assert lam2 == pytest.approx(lam1 / 4)  # B doubled -> lambda quartered
 
     def test_regularization_weight(self):
         assert learners.regularization_weight(16, 2.0, 0.1) == 0.1 / (16 * 2.0 * 2.0)
@@ -1137,13 +1137,13 @@ class TestMklTrain:
     def test_single_layer_matches_layer_solve(self):
         pts = pts_from_tuples(layer_points(4, 2))
         y = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
-        result = learners.mkl_train(pts, y, B=1.0, epsilon=0.4, outer_iters=200)
+        report = learners.mkl_train(pts, y, B=1.0, epsilon=0.4, outer_iters=200).report
         problem = MklLayerProblem(
-            learners.layer_vertex_grams(pts, 2), y, lam=result.lam, loss=HINGE
+            learners.layer_vertex_grams(pts, 2), y, lam=report["lambda"], loss=HINGE
         )
         direct = learners.mkl_layer_solve(problem, outer_iters=200)
-        assert result.objective == pytest.approx(direct.objective, rel=1e-6)
-        assert list(result.per_layer) == [2]
+        assert report["objective"] == pytest.approx(direct.objective, rel=1e-6)
+        assert list(report["per_layer"]) == ["2"]
 
     def test_two_separable_layers(self, rng):
         # each layer separable by its top vertex kernel (distinct intersections)
@@ -1154,12 +1154,12 @@ class TestMklTrain:
         pts += pts_from_tuples([rows6[i] for i in rng.integers(0, len(rows6), size=10)])
         c = HypercubePoint.from_string("11000000")
         y = np.array([1.0 if p.inner(c) == min(2, p.weight) else -1.0 for p in pts])
-        result = learners.mkl_train(pts, y, B=4.0, epsilon=0.05, outer_iters=300)
-        preds = result.model.predict_many(pts)
+        model = learners.mkl_train(pts, y, B=4.0, epsilon=0.05, outer_iters=300)
+        preds = model.predict_many(pts)
         hinge = np.maximum(0.0, 1.0 - y * preds).mean()
         assert hinge <= 0.1
-        assert result.objective == pytest.approx(
-            sum(s.objective for s in result.per_layer.values())
+        assert model.report["objective"] == pytest.approx(
+            sum(s["objective"] for s in model.report["per_layer"].values())
         )
 
     def test_deterministic(self):
@@ -1167,9 +1167,9 @@ class TestMklTrain:
         y = np.array([1.0, -1.0, 1.0, 1.0, -1.0, -1.0])
         r1 = learners.mkl_train(pts, y, B=1.0, epsilon=0.2, outer_iters=60)
         r2 = learners.mkl_train(pts, y, B=1.0, epsilon=0.2, outer_iters=60)
-        assert np.array_equal(r1.model.alphas, r2.model.alphas)
-        for w in r1.per_layer:
-            assert np.array_equal(r1.per_layer[w].beta, r2.per_layer[w].beta)
+        assert np.array_equal(r1.alphas, r2.alphas)
+        for w, layer in r1.report["per_layer"].items():
+            assert np.array_equal(layer["beta"], r2.report["per_layer"][w]["beta"])
 
     def test_ten_thousand_points_train_without_a_point_gram(self):
         # one weight-4 layer of n = 16 drawn 10,000 times has about 1,800 distinct
@@ -1180,14 +1180,14 @@ class TestMklTrain:
         y[rng.random(y.size) < 0.1] *= -1.0
         tracemalloc.start()
         try:
-            result = learners.mkl_train(pts, y, B=4.0, epsilon=0.05, outer_iters=1)
+            model = learners.mkl_train(pts, y, B=4.0, epsilon=0.05, outer_iters=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 160 * 2**20
-        sol = result.per_layer[4]
-        assert list(result.per_layer) == [4] and result.model.alphas.shape == (10_000,)
-        assert np.isfinite(sol.objective) and sol.gap <= 1e-4 * (1.0 + abs(sol.objective))
+        sol = model.report["per_layer"]["4"]
+        assert list(model.report["per_layer"]) == ["4"] and model.alphas.shape == (10_000,)
+        assert np.isfinite(sol["objective"]) and sol["gap"] <= 1e-4 * (1.0 + abs(sol["objective"]))
 
     def test_ten_thousand_points_of_n64_train_in_bounded_time_and_memory(self):
         # one (64, 4) layer, about 9,700 distinct points: no u x u array on the
@@ -1204,12 +1204,12 @@ pts = [HypercubePoint.from_indices(64, rng.choice(64, 4, replace=False)) for _ i
 y = np.array([1.0 if x.bits & 3 == 3 else -1.0 for x in pts])
 y[rng.random(y.size) < 0.1] *= -1.0
 start = time.perf_counter()
-sol = learners.mkl_train(pts, y, B=4.0, epsilon=0.05, outer_iters=100).per_layer[4]
+sol = learners.mkl_train(pts, y, B=4.0, epsilon=0.05, outer_iters=100).report["per_layer"]["4"]
 seconds = time.perf_counter() - start
 with open("/proc/self/status") as fh:
     rss_mib = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")) / 1024
-scale = 1 + abs(sol.objective)
-print(seconds, rss_mib, sol.gap / scale, sol.saddle_gap / scale, sol.inner_converged)
+scale = 1 + abs(sol["objective"])
+print(seconds, rss_mib, sol["gap"] / scale, sol["saddle_gap"] / scale, sol["inner_converged"])
 """
         env = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": ":".join(sys.path)}
         out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
