@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -266,15 +267,15 @@ def load_model(path: str) -> TrainedModel:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _clean_report(report: dict) -> dict:
-    """JSON-safe copy of a report."""
+def _clean_report(report: Mapping) -> dict:
+    """JSON-safe copy of a report, its read-only mappings as dicts."""
     out = {}
     for key, val in report.items():
         if isinstance(val, np.ndarray):
             out[key] = [float(v) for v in val]
         elif isinstance(val, (np.floating, np.integer)):
             out[key] = val.item()
-        elif isinstance(val, dict):
+        elif isinstance(val, Mapping):
             out[key] = _clean_report(val)
         else:
             out[key] = val
@@ -694,7 +695,7 @@ def bench_conjunction(
         "lambda": model.report.get("lambda"),
         "objective": model.report.get("objective"),
         "gap": model.report.get("gap"),
-        "per_layer": model.report.get("per_layer", {}),
+        "per_layer": _clean_report(model.report.get("per_layer", {})),
         "train_losses": evaluate_losses(model.predict_many(train.points), train.labels, convention),
         "test_losses": evaluate_losses(model.predict_many(test.points), test.labels, convention),
         "seed": seed,

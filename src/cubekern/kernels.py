@@ -55,6 +55,7 @@ import math
 import mmap
 import numbers
 import operator
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
@@ -607,6 +608,13 @@ def _checked_alphas(alphas, count: int) -> np.ndarray:
     return a
 
 
+def _read_only(val):
+    """A read-only copy of report data: mappings become ``MappingProxyType``, lists tuples."""
+    if isinstance(val, Mapping):
+        return MappingProxyType({key: _read_only(v) for key, v in val.items()})
+    return tuple(map(_read_only, val)) if isinstance(val, (list, tuple)) else val
+
+
 @dataclass(frozen=True, eq=False)
 class TrainedModel:
     """A classifier in representer form: f(x) = sum_i alpha_i k(x_i, x).
@@ -629,13 +637,14 @@ class TrainedModel:
     ``predict`` goes straight to the point's layer, on a dense subset layer
     to its one entry without packing, refuses what :func:`points_to_bits`
     refuses, and equals ``predict_many([x])[0]`` exactly.  Models compare
-    and hash by identity.
+    and hash by identity.  ``report`` is kept as a read-only copy
+    (:func:`_read_only`), so a certificate cannot be edited after training.
     """
 
     spec: KernelSpec
     support: tuple
     alphas: np.ndarray
-    report: dict = field(default_factory=dict)
+    report: Mapping = field(default_factory=dict)
     _support_groups: dict = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -644,6 +653,7 @@ class TrainedModel:
         object.__setattr__(self, "support", tuple(self.support))
         a = _checked_alphas(self.alphas, len(self.support))
         object.__setattr__(self, "alphas", a)
+        object.__setattr__(self, "report", _read_only(self.report))
         # each distinct support point is scored once, with its alphas summed
         masks, where = np.unique(points_to_bits(self.support, self.spec.n), return_inverse=True)
         merged = np.bincount(where, weights=a, minlength=masks.size)

@@ -20,7 +20,8 @@ Core claims:
     - bench: the analytic conjunction model has zero test error noiseless,
       and nothing beats coin flipping at noise 1/2; Pegasos runs report the
       trainer's own objective and gap
-    - the model file's per-layer report is the one mkl_train returns
+    - the model file's per-layer report is the one mkl_train returns, and
+      no edit through the model's read-only report reaches the file
     - the CLI emits the promised JSON schemas, is byte-deterministic for a
       fixed seed, and uses exit codes 0/1/2; train reports each layer's
       saddle gap, its converged and inner_converged flags, Frank-Wolfe
@@ -224,6 +225,24 @@ class TestRoundTrips:
         obj = harness.model_json_dict(kernels.analytic_weights(6, 2, [0]), {})
         obj["report"] = report
         self.assert_model_file_refused(tmp_path, obj, "model 'report' must be a JSON object")
+
+    def test_a_trained_report_is_read_only(self, tmp_path):
+        data = gen_conjunction_dataset(6, [0], "uniform_layer", 2, 16, 0.0, seed=2)
+        model = learners.mkl_train(list(data.points), 2.0 * data.labels - 1.0, 1.0, 0.3, outer_iters=40)
+        harness.save_model(model, str(tmp_path / "a.json"))
+        layer = model.report["per_layer"]["2"]
+        for target, key in ((model.report, "gap"), (model.report["per_layer"], "2"), (layer, "converged")):
+            with pytest.raises(TypeError):
+                target[key] = "edited"
+        with pytest.raises(TypeError):
+            layer["beta"][0] = 9.0
+        harness.save_model(model, str(tmp_path / "b.json"))
+        assert (tmp_path / "b.json").read_bytes() == (tmp_path / "a.json").read_bytes()
+        # the model keeps a copy: editing the dict it was built from changes nothing
+        report = {"per_layer": {"2": {"converged": True}}}
+        copy = kernels.TrainedModel(model.spec, model.support, model.alphas, report)
+        report["per_layer"]["2"]["converged"] = "edited"
+        assert copy.report["per_layer"]["2"]["converged"] is True
 
     def test_model_file_with_malformed_spec_names_the_file(self, tmp_path):
         obj = harness.model_json_dict(kernels.analytic_weights(6, 2, [0]), {})
