@@ -80,6 +80,9 @@ class Dataset:
             )
         if not np.all(np.isfinite(self.labels)):
             raise ValueError("labels must be finite")
+        for i, pt in enumerate(self.points):
+            if (dim := pt.n if isinstance(pt, HypercubePoint) else len(pt)) != self.n:
+                raise ValueError(f"point dimension mismatch: points[{i}] has n={dim}, expected n={self.n}")
 
 
 def gen_conjunction_dataset(

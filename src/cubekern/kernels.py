@@ -481,16 +481,8 @@ def _submasks(masks: np.ndarray, p: int) -> np.ndarray:
 
     Row order: the lowest set bit is peeled p times, and each peel appends
     the submasks found so far with that bit set, so column j of every row
-    holds a submask of ``popcount(j)`` bits.  One row is enumerated on
-    Python ints, in the same order, which is cheaper than p numpy passes.
+    holds a submask of ``popcount(j)`` bits.
     """
-    if masks.size == 1:
-        rest, row = int(masks[0]), [0]
-        for _ in range(p):
-            low = rest & -rest
-            rest ^= low
-            row += [s | low for s in row]
-        return np.array([row], dtype=np.uint64)
     subs = np.zeros((masks.size, 1), dtype=np.uint64)
     rest = masks.copy()
     for _ in range(p):
@@ -634,9 +626,9 @@ class TrainedModel:
     against the alphas block by block (one step per support row); a
     ``sparse_conjunction`` spec, whose queries come in every weight, always
     takes the blocks.  Neither path builds a support x query matrix.
-    ``predict`` goes straight to the point's layer, on a dense subset layer
-    to its one entry without packing, refuses what :func:`points_to_bits`
-    refuses, and equals ``predict_many([x])[0]`` exactly.  Models compare
+    ``predict`` reads a dense subset layer's one entry without packing and
+    is otherwise ``predict_many([x])[0]``, so the two agree exactly and refuse
+    what :func:`points_to_bits` refuses.  Models compare
     and hash by identity.  ``report`` is kept as a read-only copy
     (:func:`_read_only`), so a certificate cannot be edited after training.
     """
@@ -685,14 +677,7 @@ class TrainedModel:
             group = self._support_groups.get(x.weight)
             if isinstance(group, _SubsetWeights) and group.keys is None:
                 return float(group.table[x.bits ^ ((1 << n) - 1) if 2 * x.weight > n else x.bits])
-        mask = points_to_bits([x], n)
-        if self.spec.kind == "sparse_conjunction":
-            (w,) = self.spec.per_layer
-        else:
-            w, mask = x.weight, _mirrored(mask, x.weight, n)
-        if w not in self._support_groups:
-            return 0.0
-        return float(self._layer_scores(w, mask)[0])
+        return float(self.predict_many([x])[0])
 
     def predict_many(self, points) -> np.ndarray:
         masks = points_to_bits(points, self.spec.n)

@@ -16,13 +16,18 @@ Four solvers live here:
   ``inf_beta sup_alpha G(alpha, beta)``, beta on the capped simplex ``{beta
   >= 0, sum beta <= 1}`` and ``K_beta = sum_t beta_t K_t`` over the vertex
   Grams: Frank-Wolfe on beta (Jaggi 2013), one SDCA epoch per step, stopped
-  once its certified saddle gap is at most ``_SADDLE_TOL (1 + |objective|)``.
+  once its certified saddle gap is at most ``_SADDLE_TOL (1 + |objective|)``,
+  then SDCA polishes the alphas at the best beta.
 * :func:`rademacher_estimate` -- Monte-Carlo empirical Rademacher
   complexity of the class of bounded-norm classifiers under *any*
   admissible layer kernel, with the closed-form bound ``sqrt(2 e B^2 ln(n) / m)``.
 
-A layer's vertex Grams (:func:`layer_vertex_grams`) come in one of two forms
-over its distinct points, both SDCA operators that answer the same questions
+The first three pose a :class:`MklLayerProblem` over a form and read its
+``objective`` and ``gap`` off :func:`_bounds`, the one place the primal and
+the dual below are computed; ``sdca_solve`` and the polish run the one SDCA
+driver, :func:`_sdca_run`.  A fixed Gram is the one-vertex form :class:`_Gram`
+(``beta = (1,)``); a layer's vertex Grams (:func:`layer_vertex_grams`) come in
+one of two forms over its distinct points.  Each form answers the same questions
 -- a point's margin ``(K_beta c)_r``, the diagonal, a step at one point,
 ``K_beta c`` and every vertex quad ``c' K_t c``, ``c = bincount(where, alpha)``:
 
@@ -33,7 +38,7 @@ over its distinct points, both SDCA operators that answer the same questions
   ``W`` does not depend on beta, so a Frank-Wolfe step costs nothing.
 * :class:`ClassForm` ``(where, ip, table)``: ``ip`` the uint8 inner products
   of the distinct points and ``table[t]`` vertex t's value table, so ``K_beta
-  = (beta @ table)[ip]``.
+  = (beta @ table)[ip]``: a :class:`_Gram` whose ``k`` :meth:`ClassForm.at` mixes.
 
 Duality convention.  For fixed ``beta`` the dual of the primal program is
 
@@ -138,7 +143,7 @@ def _positive(name: str, value: float) -> float:
 
 def check_count(name: str, value, minimum: int = 0) -> None:
     """Refuse a count ``value`` that is not an integer of at least ``minimum``, by ``name``."""
-    if not isinstance(value, numbers.Integral):
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         bound = "non-negative" if minimum == 0 else f"at least {minimum}"
@@ -236,7 +241,7 @@ def pegasos_train(
     (``_MAX_GRAM_POINTS`` caps their number).  The average ``(1/T) sum_t
     a_t`` is built in closed form: a hit at step s adds ``-g (H_T -
     H_{s-1}) / (lam T)`` to its coordinate, ``H`` the harmonic numbers.  ``report["gap"]`` is the
-    primal at that average minus the dual at the average clipped to the
+    :func:`_bounds` primal at that average minus its dual at the average clipped to the
     conjugate box; it is an upper bound on the objective's distance from the
     optimum when the Gram is PSD.
     """
@@ -270,8 +275,8 @@ def pegasos_train(
             if g:
                 z -= g * k[u]
                 a_bar[i] -= g * w_t
-    objective = _primal_value(loss, y, lam, k, a_bar, where)
-    alpha = np.clip(a_bar, lo, hi)
+    problem = MklLayerProblem(_Gram(where, k), y, lam, loss)
+    objective = _bounds(problem, a_bar, _ONE)[0]
     report = {
         "algo": "pegasos",
         "loss": loss.name,
@@ -279,7 +284,7 @@ def pegasos_train(
         "objective": objective,
         "iters": steps,
         "seed": seed,
-        "gap": objective - _dual_value(loss, y, lam, k, alpha, where),
+        "gap": objective - _bounds(problem, np.clip(a_bar, lo, hi), _ONE)[1],
     }
     return TrainedModel(spec, tuple(points), a_bar, report)
 
@@ -288,18 +293,34 @@ def pegasos_train(
 # Dual coordinate ascent
 
 _SDCA_TOL = 1e-4  # SDCA stops once gap <= _SDCA_TOL (1 + |objective|)
+_ONE = np.ones(1)  # the beta of a one-vertex form
 
 
 class _Gram:
-    """A PSD Gram ``k`` over u rows as an SDCA operator: ``margin(r)`` is ``(k @
-    c)_r`` for the alphas' row sums c, and ``step(r, delta)`` moves a point on row r."""
+    """A PSD Gram ``k`` over u rows, point i on row ``where[i]``, as a one-vertex
+    form, used at ``beta = (1,)``: :meth:`load` sets ``c = bincount(where,
+    alpha)``, :meth:`at` sets the margins ``z = k @ c`` that each step updates."""
 
-    def __init__(self, k: np.ndarray, z: np.ndarray):
-        self.k, self.z, self.diag = k, z, np.diagonal(k).tolist()
-        self.margin = z.item  # called once per step: no Python frame
+    def __init__(self, where: np.ndarray, k: np.ndarray):
+        self.where, self.k, self.rows, self.vertices = where, k, len(k), 1
+        self.diag, self.c = np.diagonal(k).tolist(), np.zeros(len(k))
+
+    def load(self, alpha) -> None:
+        self.c = np.bincount(self.where, alpha, self.rows)
+
+    def at(self, beta: np.ndarray) -> _Gram:
+        self.z = self.k @ self.c
+        self.margin = self.z.item  # called once per step: no Python frame
+        return self
 
     def step(self, r: int, delta: float) -> None:
         self.z += delta * self.k[r]
+
+    def kc(self) -> np.ndarray:
+        return self.k @ self.c
+
+    def quads(self) -> np.ndarray:
+        return np.array([self.c @ self.kc()])
 
 
 def _point_lists(where, y, lo, hi) -> tuple:
@@ -329,6 +350,41 @@ def _sdca_epoch(op, alpha: list, order: list, points: tuple) -> None:
             step(r, delta)
 
 
+def _bounds(problem: MklLayerProblem, a: np.ndarray, beta: np.ndarray) -> tuple:
+    """``(primal, dual, lower, quads)`` at alphas ``a`` in the box, the problem's form at
+    beta and loaded with a: the fixed-beta programs' values, ``lower = lam a.y - (lam/2)
+    max(0, max_t quads_t)`` and every ``a' K_t a``.  The dual is linear in beta, so its
+    least value over the capped simplex, ``lower``, sits at a vertex or at 0."""
+    loss, y, lam = problem.terms
+    op = problem.vertex_grams
+    op.load(a)
+    quads = op.quads()
+    quad, linear = float(beta @ quads), lam * float(a @ y)
+    primal = 0.5 * lam * quad + float(np.mean(loss.value(op.kc()[problem.where], y)))
+    return primal, linear - 0.5 * lam * quad, linear - 0.5 * lam * max(0.0, float(quads.max())), quads
+
+
+def _sdca_run(problem: MklLayerProblem, a, beta, rng, tol: float, cap: int, lower=(-math.inf, None)) -> tuple:
+    """SDCA epochs on ``problem`` from alphas ``a`` at a fixed ``beta`` until the
+    :func:`_bounds` gap ``primal - dual`` is at most ``tol (1 + |primal|)`` or after
+    ``cap`` epochs, each in ``rng.permutation(m)``.  Returns ``(a, primal, dual, lower,
+    epochs, converged)``, ``lower`` the best ``(lower bound, alphas)`` of ``lower`` and
+    every iterate."""
+    points = _point_lists(problem.where, problem.labels, *problem.box)
+    problem.vertex_grams.load(a)
+    gram, alpha, epochs = problem.vertex_grams.at(beta), a.tolist(), 0
+    while True:
+        a = np.array(alpha)
+        primal, dual, low, _ = _bounds(problem, a, beta)
+        if low > lower[0]:
+            lower = (low, a)
+        converged = primal - dual <= tol * (1.0 + abs(primal))
+        if converged or epochs == cap:
+            return a, primal, dual, lower, epochs, converged
+        epochs += 1
+        _sdca_epoch(gram, alpha, rng.permutation(problem.m).tolist(), points)
+
+
 def sdca_solve(
     k,
     where,
@@ -342,10 +398,10 @@ def sdca_solve(
     dual of the module docstring, for a PSD Gram ``k`` over u rows and point i
     on row ``where[i]``; returns one alpha per point and a report.
 
-    Each epoch is :func:`_sdca_epoch` in ``rng.permutation(m)``, ``rng =
-    default_rng(seed)``, so identical seeds give identical alphas.  The gap
-    ``_primal_value - _dual_value``, recomputed from ``k`` before the first
-    epoch and after each, stops the run once at most ``_SDCA_TOL (1 + |objective|)``.
+    It runs :func:`_sdca_run` on ``k`` as a :class:`_Gram` from zero alphas,
+    its permutations drawn from ``default_rng(seed)``, so identical seeds give
+    identical alphas; the :func:`_bounds` gap, recomputed from ``k`` before the
+    first epoch and after each, stops it once at most ``_SDCA_TOL (1 + |objective|)``.
 
     The report holds ``objective`` (the primal at the alphas), that ``gap``,
     the ``epochs`` run and ``converged``, which is False when ``max_epochs``
@@ -353,7 +409,7 @@ def sdca_solve(
     """
     where = np.asarray(where)
     m = where.size
-    y, (lo, hi) = _dual_problem(labels, m, lam, loss, max_epochs)
+    y = _dual_problem(labels, m, lam, loss, max_epochs)[0]
     k = np.asarray(k, dtype=float)
     if k.ndim != 2:
         raise ValueError(f"the Gram must be a square 2-d array, got shape {k.shape}")
@@ -363,26 +419,15 @@ def sdca_solve(
         raise ValueError(f"the Gram must be square and `where` must index its {u} rows as 1-d integers")
     if not np.isfinite(k).all():
         raise ValueError("the Gram must be finite")
-    points = _point_lists(where, y, lo, hi)
-    op = _Gram(k, np.zeros(u))
-    alpha = [0.0] * m
-    rng = np.random.default_rng(seed)
-    epochs = 0
-    while True:
-        a = np.array(alpha)
-        objective = _primal_value(loss, y, lam, k, a, where)
-        gap = objective - _dual_value(loss, y, lam, k, a, where)
-        converged = gap <= _SDCA_TOL * (1.0 + abs(objective))
-        if converged or epochs == max_epochs:
-            break
-        epochs += 1
-        _sdca_epoch(op, alpha, rng.permutation(m).tolist(), points)
+    problem = MklLayerProblem(_Gram(where, k), y, lam, loss)
+    run = _sdca_run(problem, np.zeros(m), _ONE, np.random.default_rng(seed), _SDCA_TOL, max_epochs)
+    a, objective, dual, _, epochs, converged = run
     report = {
         "algo": "sdca",
         "loss": loss.name,
         "lambda": lam,
         "objective": objective,
-        "gap": gap,
+        "gap": objective - dual,
         "epochs": epochs,
         "converged": converged,
         "seed": seed,
@@ -444,12 +489,12 @@ class SubsetForm:
         return self.betas @ np.bincount(self.sizes, self.w * self.w, len(self.betas))
 
 
-class ClassForm:
+class ClassForm(_Gram):
     """A layer's vertex Grams by inner-product class, and an SDCA operator on them.
 
     Point i is row ``where[i]``, ``ip`` the rows' (u, u) inner products and
     ``table[t]`` vertex t's value table, so ``K_beta = (beta @ table)[ip]``;
-    :meth:`at` mixes it into the :class:`_Gram` an SDCA epoch steps on.  A
+    :meth:`at` mixes it into ``k``, the Gram of the :class:`_Gram` it is.  A
     table that is not finite, an ``ip`` that is not a symmetric integer
     matrix indexing it and a vertex Gram whose diagonal is above 1 are
     refused by name.
@@ -476,15 +521,10 @@ class ClassForm:
     def __iter__(self):  # the arrays it is built from
         return iter((self.where, self.ip, self.table))
 
-    def load(self, alpha) -> None:
-        self.c = np.bincount(self.where, alpha, self.rows)
-
     def at(self, beta: np.ndarray) -> _Gram:
         self.k = (beta @ self.table)[self.ip]
-        return _Gram(self.k, self.k @ self.c)
-
-    def kc(self) -> np.ndarray:
-        return self.k @ self.c
+        self.diag = np.diagonal(self.k).tolist()
+        return super().at(beta)
 
     def quads(self) -> np.ndarray:
         """Every c' K_t c as table @ s: s_k sums c_r c_s where ip[r, s] = k, in row blocks."""
@@ -499,12 +539,12 @@ class ClassForm:
 
 @dataclass
 class MklLayerProblem:
-    """Fixed data for the per-layer saddle program: ``vertex_grams`` is a
-    :class:`SubsetForm` or a :class:`ClassForm` (:func:`layer_vertex_grams`),
-    whose working state the solver overwrites.  Labels and alphas stay one per
-    point: a repeated point may carry both labels."""
+    """A layer's dual program: ``vertex_grams`` is a :class:`SubsetForm` or a
+    :class:`ClassForm` (:func:`layer_vertex_grams`), or a fixed Gram as a one-vertex
+    :class:`_Gram`, whose working state the solver overwrites.  Labels and alphas
+    stay one per point: a repeated point may carry both labels."""
 
-    vertex_grams: SubsetForm | ClassForm
+    vertex_grams: SubsetForm | ClassForm | _Gram
     labels: np.ndarray
     lam: float
     loss: LossSpec = HINGE
@@ -526,7 +566,7 @@ class MklLayerProblem:
 
     @property
     def terms(self) -> tuple:
-        """``(loss, labels, lam)``: the primal, the dual and the box need these, as in Pegasos."""
+        """``(loss, labels, lam)``: the primal, the dual and the box need these."""
         return self.loss, self.labels, self.lam
 
 
@@ -553,31 +593,6 @@ class MklSolution:
         return self.saddle_gap <= _SADDLE_TOL * (1.0 + abs(self.objective))
 
 
-def _dual_value(loss: LossSpec, y: np.ndarray, lam: float, k: np.ndarray, alpha, where) -> float:
-    conj = (-lam * y.shape[0] * alpha) * y  # the linear conjugate conj(a, y) = a y
-    c = np.bincount(where, alpha, k.shape[0])
-    return -0.5 * lam * float(c @ k @ c) - float(np.mean(conj))
-
-
-def _primal_value(loss: LossSpec, y: np.ndarray, lam: float, k: np.ndarray, alpha, where) -> float:
-    c = np.bincount(where, alpha, k.shape[0])
-    kc = k @ c
-    return 0.5 * lam * float(c @ kc) + float(np.mean(loss.value(kc[where], y)))
-
-
-def _bounds(problem: MklLayerProblem, op, a: np.ndarray, beta: np.ndarray) -> tuple:
-    """``(primal, dual, lower, quads)`` at alphas ``a`` in the box, ``op`` at beta and
-    loaded with a: the fixed-beta programs' values, ``lower = lam a.y - (lam/2) max(0,
-    max_t quads_t)`` and every ``a' K_t a``.  The dual is linear in beta, so its least
-    value over the capped simplex, ``lower``, sits at a vertex or at 0."""
-    loss, y, lam = problem.terms
-    op.load(a)
-    quads = op.quads()
-    quad, linear = float(beta @ quads), lam * float(a @ y)
-    primal = 0.5 * lam * quad + float(np.mean(loss.value(op.kc()[problem.where], y)))
-    return primal, linear - 0.5 * lam * quad, linear - 0.5 * lam * max(0.0, float(quads.max())), quads
-
-
 def mkl_layer_solve(problem: MklLayerProblem, outer_iters: int = 500) -> MklSolution:
     """Saddle solve of the layer MKL program, certified by its two bounds.
 
@@ -585,8 +600,8 @@ def mkl_layer_solve(problem: MklLayerProblem, outer_iters: int = 500) -> MklSolu
     moves ``beta <- beta + (2/(k+2)) (s - beta)`` (Frank-Wolfe), s the vertex of
     the largest positive ``a' K_t a`` or 0.  It stops once the best
     :func:`_bounds` are within ``_SADDLE_TOL (1 + |upper|)``, or after
-    ``outer_iters`` steps; SDCA then polishes the alphas at the best upper
-    bound's beta to an inner gap of ``_POLISH_TOL (1 + |objective|)``, in at
+    ``outer_iters`` steps; :func:`_sdca_run` then polishes the alphas at the best
+    upper bound's beta to an inner gap of ``_POLISH_TOL (1 + |objective|)``, in at
     most ``_POLISH_STEPS // m`` epochs, its iterates counting for the lower bound
     too.  Epochs visit the points in permutations drawn from ``default_rng(0)``.
     """
@@ -602,7 +617,7 @@ def mkl_layer_solve(problem: MklLayerProblem, outer_iters: int = 500) -> MklSolu
     for k in range(outer_iters):
         _sdca_epoch(op.at(beta), alpha, rng.permutation(m).tolist(), points)
         a = np.array(alpha)
-        primal, _, low, quads = _bounds(problem, op, a, beta)
+        primal, _, low, quads = _bounds(problem, a, beta)
         if primal < upper[0] - 1e-12 * (1.0 + abs(primal)):  # rounding alone moves no best point
             upper = (primal, beta, a)
         if low > lower[0]:
@@ -617,18 +632,7 @@ def mkl_layer_solve(problem: MklLayerProblem, outer_iters: int = 500) -> MklSolu
             vertex[np.argmax(quads >= quads.max() - tol)] = 1.0
         beta = beta + (2.0 / (k + 2)) * (vertex - beta)
     _, beta, a = upper
-    op.load(a)
-    gram, alpha, polish = op.at(beta), a.tolist(), 0
-    while True:
-        a = np.array(alpha)
-        primal, dual, low, _ = _bounds(problem, op, a, beta)
-        if low > lower[0]:
-            lower = (low, a)
-        polished = primal - dual <= _POLISH_TOL * (1.0 + abs(primal))
-        if polished or polish == _POLISH_STEPS // m:
-            break
-        polish += 1
-        _sdca_epoch(gram, alpha, rng.permutation(m).tolist(), points)
+    a, primal, dual, lower, polish, polished = _sdca_run(problem, a, beta, rng, _POLISH_TOL, _POLISH_STEPS // m, lower)
     steps = len(trace)
     return MklSolution(beta, a, primal, abs(primal - dual), np.array(trace), *lower, polished, steps, steps + polish)
 

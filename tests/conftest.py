@@ -70,20 +70,35 @@ def dense_gram(problem, beta):
     return (np.asarray(beta, dtype=float) @ table)[ip]
 
 
+def primal_value(loss, y, lam, k, alpha) -> float:
+    """The primal at ``w = sum_i alpha_i phi(x_i)`` on a dense per-point Gram
+    ``k``, from the learners module docstring: ``(lam/2) alpha' k alpha +
+    mean_i loss((k alpha)_i, y_i)``."""
+    z = k @ alpha
+    return 0.5 * lam * float(alpha @ z) + float(np.mean(loss.value(z, y)))
+
+
+def dual_value(loss, y, lam, k, alpha) -> float:
+    """The dual of the learners module docstring on a dense per-point Gram
+    ``k``: ``-(lam/2) alpha' k alpha - (1/m) sum_i conj(-lam m alpha_i, y_i)``,
+    with the stock losses' conjugate ``conj(a, y) = a y`` on the box."""
+    conj = (-lam * len(y) * alpha) * y
+    return -0.5 * lam * float(alpha @ k @ alpha) - float(np.mean(conj))
+
+
 def dense_dual_solve(k, y, lam, loss, tol=1e-12, max_iter=200_000):
     """``(objective, gap)`` on a dense per-point Gram, independently of the
     solvers: projected gradient ascent on the dual with momentum restarted
     whenever it points back (step ``1/(lam ||k||_2)``), run until the primal
     minus the dual is at most ``tol (1 + |objective|)``."""
-    rows = np.arange(len(y))
     lo, hi = learners._alpha_box(loss, y, lam)
     step = 1.0 / (lam * max(float(np.linalg.eigvalsh(k)[-1]), 1e-12))
     alpha = v = np.zeros(len(y))
     theta = 1.0
     for _ in range(max_iter):
         nxt = np.clip(v + step * lam * (y - k @ v), lo, hi)
-        primal = learners._primal_value(loss, y, lam, k, nxt, rows)
-        gap = primal - learners._dual_value(loss, y, lam, k, nxt, rows)
+        primal = primal_value(loss, y, lam, k, nxt)
+        gap = primal - dual_value(loss, y, lam, k, nxt)
         if gap <= tol * (1.0 + abs(primal)):
             return primal, gap
         if float((nxt - alpha) @ (v - nxt)) > 0.0:
@@ -116,8 +131,8 @@ def duality_gap(problem, beta, alphas) -> float:
     slack = 1e-9 * (1.0 + float(np.abs(hi - lo).max()))
     if np.any(alpha < lo - slack) or np.any(alpha > hi + slack):
         return math.inf
-    kb, terms, rows = dense_gram(problem, beta), problem.terms, np.arange(problem.m)
-    return abs(learners._primal_value(*terms, kb, alpha, rows) - learners._dual_value(*terms, kb, alpha, rows))
+    kb, terms = dense_gram(problem, beta), problem.terms
+    return abs(primal_value(*terms, kb, alpha) - dual_value(*terms, kb, alpha))
 
 
 def dense_subgradient(loss, z, y):
@@ -142,9 +157,9 @@ def pegasos_oracle(spec, points, labels, lam, epochs, seed, loss):
         if g:
             z -= g * k[i]
             a_bar[i] -= g * weight[t - 1]
-    objective = learners._primal_value(loss, y, lam, k, a_bar, np.arange(m))
+    objective = primal_value(loss, y, lam, k, a_bar)
     alpha = np.clip(a_bar, *learners._alpha_box(loss, y, lam))
-    return a_bar, objective, objective - learners._dual_value(loss, y, lam, k, alpha, np.arange(m))
+    return a_bar, objective, objective - dual_value(loss, y, lam, k, alpha)
 
 
 @pytest.fixture

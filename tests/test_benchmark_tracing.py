@@ -5,9 +5,10 @@ cubekern with wrappers and reads counts off what they return.  Installing it
 here and training a tiny MKL model checks that ``learners.layer_vertex_grams``
 and ``learners.mkl_layer_solve`` are still wrapped and that every
 ``learners.mkl_layer`` span carries the counts the benchmark reads.  One
-untraced round of each workload in ``perfbench/workloads.py`` then runs with
-no failed operation and no failed check.  So a change in ``src/`` that breaks
-the benchmark fails this suite rather than a benchmark run.
+traced round of each workload in ``perfbench/workloads.py`` then runs with no
+failed operation and no failed check, and its tracer's counts, read off what
+the wrapped functions return, match the workload.  So a change in ``src/``
+that breaks the benchmark fails this suite rather than a benchmark run.
 """
 
 import contextlib
@@ -85,6 +86,12 @@ def test_one_round_of_each_workload_passes_its_checks(tmp_path, monkeypatch):
         workloads = importlib.import_module("workloads")
         monkeypatch.setattr(workloads, "OUT_DIR", str(tmp_path))
         for wl in workloads.WORKLOADS.values():
-            rd = workloads.run_round(wl, 0, 0, None)
+            tracer = workloads.tracing.Tracer()
+            rd = workloads.run_round(wl, 0, 0, tracer)
             assert rd.attempted > 0 and rd.failed == 0, (wl.name, rd.errors)
             assert rd.check_failures == [], (wl.name, rd.check_failures)
+            metrics = workloads.tracing.round_metrics(tracer.spans)
+            if wl.name == "pegasos-cube":
+                assert metrics["learners.pegasos_steps"] == wl.EPOCHS * wl.M_TRAIN
+            if wl.name == "mkl-cube":
+                assert metrics["learners.mkl_outer_steps"] > 0

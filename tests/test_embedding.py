@@ -67,7 +67,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import nested_v1_pair_file
+from conftest import dual_value, nested_v1_pair_file, primal_value
 from cubekern import embedding, learners
 from cubekern.learners import HINGE
 
@@ -660,11 +660,11 @@ class TestTrainOnCube:
         assert model.alphas.tobytes() == again.alphas.tobytes() and model.report == again.report
         report = model.report
         assert report["algo"] == "sdca" and report["converged"] and 0 < report["epochs"] <= 200
-        objective, lam, rows = report["objective"], report["lambda"], np.arange(len(xs))
+        objective, lam = report["objective"], report["lambda"]
         assert report["gap"] <= learners._SDCA_TOL * (1.0 + abs(objective))
         shifted = model.kernel.gram(list(model.support)) + report["gram_diagonal_shift"] * np.eye(len(xs))
-        primal = learners._primal_value(HINGE, ys, lam, shifted, model.alphas, rows)
-        dual = learners._dual_value(HINGE, ys, lam, shifted, model.alphas, rows)
+        primal = primal_value(HINGE, ys, lam, shifted, model.alphas)
+        dual = dual_value(HINGE, ys, lam, shifted, model.alphas)
         assert primal == pytest.approx(objective, rel=1e-12)
         assert primal - dual == pytest.approx(report["gap"], rel=1e-9, abs=1e-12)
 

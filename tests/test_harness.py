@@ -306,6 +306,11 @@ class TestVerifySuite:
         with pytest.raises(ValueError, match=f"{name} must be an integer, got 2.5"):
             harness.verify_suite(**{name: 2.5})
 
+    @pytest.mark.parametrize("name", ["max_n", "trials"])
+    def test_boolean_counts_rejected(self, name):
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got True"):
+            harness.verify_suite(**{name: True})
+
 
 class TestLossEvaluation:
     def test_pm1_convention(self):
@@ -748,6 +753,10 @@ def _blank_file(tmp_path):
         (lambda tmp: harness.Dataset(2, [HypercubePoint(2, 1)], [1.0, 0.0]), ValueError,
          "points and labels length mismatch: 1 points, 2 labels"),
         (lambda tmp: harness.Dataset(2, [HypercubePoint(2, 1)], [math.inf]), ValueError, "labels must be finite"),
+        (lambda tmp: harness.Dataset(8, [HypercubePoint(8, 3), HypercubePoint(6, 3)], [1.0, 0.0]), ValueError,
+         "point dimension mismatch: points[1] has n=6, expected n=8"),
+        (lambda tmp: harness.Dataset(3, [np.zeros(3), np.zeros(2)], [1.0, 0.0]), ValueError,
+         "point dimension mismatch: points[1] has n=2, expected n=3"),
         (lambda tmp: gen_conjunction_dataset(8, [9], "uniform_layer", 3, 10, 0.0, 0), ValueError,
          "literal index out of range: literal 9 for n=8"),
         (lambda tmp: gen_conjunction_dataset(8, [1], "uniform_layer", 9, 10, 0.0, 0), ValueError,
@@ -760,8 +769,8 @@ def _blank_file(tmp_path):
          ValueError, "cannot serialize non-finite float nan at point 1"),
         (lambda tmp: harness.load_dataset(_blank_file(tmp)), ValueError, "empty dataset file: "),
     ],
-    ids=["dataset-count", "dataset-label", "literal", "weight-high", "weight-negative", "generator",
-         "save-nan", "load-blank"],
+    ids=["dataset-count", "dataset-label", "dataset-dimension", "dataset-vector-length", "literal", "weight-high",
+         "weight-negative", "generator", "save-nan", "load-blank"],
 )
 def test_boundary_errors_named(tmp_path, call, error, message):
     with pytest.raises(error) as exc:

@@ -115,8 +115,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import class_vertex_grams, dense_dual_solve, dense_gram, dense_subgradient, duality_gap
-from conftest import layer_dual_objective, layer_points, pegasos_oracle, per_point, subset_vertex_grams
+from conftest import class_vertex_grams, dense_dual_solve, dense_gram, dense_subgradient, dual_value, duality_gap
+from conftest import layer_dual_objective, layer_points, pegasos_oracle, per_point, primal_value, subset_vertex_grams
 
 from cubekern import embedding, kernels, learners, scheme
 from cubekern.kernels import HypercubePoint
@@ -499,7 +499,7 @@ class TestSdca:
         assert -1e-12 * (1.0 + abs(objective)) <= gap <= learners._SDCA_TOL * (1.0 + abs(objective))
         # every point has its own row here: the merged Gram gave the same objective
         k = kernels.gram(spec, points)
-        per_point = learners._primal_value(loss, labels, lam, k, alphas, np.arange(len(points)))
+        per_point = primal_value(loss, labels, lam, k, alphas)
         assert per_point == pytest.approx(objective, rel=1e-12, abs=1e-12)
         dense, dense_gap = dense_dual_solve(k, labels, lam, loss)
         assert abs(objective - dense) <= gap + dense_gap + 1e-12 * (1.0 + abs(objective))
@@ -851,8 +851,7 @@ class TestSaddleCertificate:
         midpoints = [(eye[s] + eye[t]) / 2 for s in range(q) for t in range(s)]
         grid = [np.zeros(q), np.full(q, 1.0 / q), *eye, *midpoints, sol.beta]
         least = min(layer_dual_objective(problem, beta) for beta in grid)
-        kb, rows = dense_gram(problem, sol.beta), np.arange(problem.m)
-        upper = learners._primal_value(*problem.terms, kb, sol.alphas, rows)
+        upper = primal_value(*problem.terms, dense_gram(problem, sol.beta), sol.alphas)
         assert sol.objective == pytest.approx(upper, rel=1e-9, abs=1e-9)
         assert sol.lower <= least + 1e-9 * (1.0 + abs(least))
         assert least <= sol.objective + 1e-9 * (1.0 + abs(sol.objective))
@@ -954,7 +953,7 @@ def sdca_epochs(problem, beta, alpha, epochs, seed=0, order=None):
 
 
 def dense_dual(problem, beta, alpha) -> float:
-    return learners._dual_value(*problem.terms, dense_gram(problem, beta), alpha, np.arange(problem.m))
+    return dual_value(*problem.terms, dense_gram(problem, beta), alpha)
 
 
 class TestInnerAscent:
@@ -1031,7 +1030,7 @@ class TestInnerAscent:
         # a subnormal K_beta sends the step (y - z) / K_ii past the box; its dual is linear
         problem = two_point_problem(lam=0.5)
         alpha = [0.0, 0.0]
-        op = learners._Gram(np.full((2, 2), 5e-324), np.zeros(2))
+        op = learners._Gram(np.arange(2), np.full((2, 2), 5e-324)).at(np.ones(1))
         learners._sdca_epoch(op, alpha, [0, 1], learners._point_lists(np.arange(2), problem.labels, *problem.box))
         lo, hi = learners._alpha_box(*problem.terms)
         assert np.array_equal(alpha, np.where(problem.labels > 0, hi, lo))
@@ -1285,6 +1284,8 @@ class TestRademacher:
             learners.rademacher_estimate([HypercubePoint.from_string("10")], B=1.0, trials=0)
         with pytest.raises(ValueError, match="trials must be an integer, got 2.5"):
             learners.rademacher_estimate([HypercubePoint.from_string("10")], B=1.0, trials=2.5)
+        with pytest.raises(ValueError, match="trials must be an integer, got True"):
+            learners.rademacher_estimate([HypercubePoint.from_string("10")], B=1.0, trials=True)
 
     def test_empty_sample(self):
         with pytest.raises(ValueError, match="empty sample"):
@@ -1365,11 +1366,12 @@ EPOCH_TRAINERS = ("pegasos_train", "sdca_solve", "train_on_cube")
         ({"lam": "1"}, TypeError, "lam must be a number, got str '1'"),
         ({"epochs": -1}, ValueError, "epochs must be non-negative, got -1"),
         ({"epochs": 2.5}, ValueError, "epochs must be an integer, got 2.5"),
+        ({"epochs": True}, ValueError, "epochs must be an integer, got True"),
         ({"y": np.ones((6, 1))}, ValueError, "labels have shape (6, 1), expected (6,) to match the points"),
         ({"y": np.array([1.0, -1.0, math.nan, -1.0, 1.0, -1.0])}, ValueError, "labels must be finite"),
         ({"y": np.array([1.0, -1.0, 0.5, -1.0, 1.0, -1.0])}, ValueError, "hinge-loss labels must be -1 or +1"),
     ],
-    ids=["loss-name", "empty", "lam-nan", "lam-str", "epochs-negative", "epochs-float", "label-shape",
+    ids=["loss-name", "empty", "lam-nan", "lam-str", "epochs-negative", "epochs-float", "epochs-bool", "label-shape",
          "label-nan", "label-half"],
 )
 def test_every_trainer_refuses_a_bad_input_alike_before_building(monkeypatch, change, error, message):
@@ -1396,8 +1398,12 @@ def test_every_trainer_runs_on_the_contract_input(name):
 
 @pytest.mark.parametrize(
     "outer_iters, message",
-    [(-1, "outer_iters must be non-negative, got -1"), (2.5, "outer_iters must be an integer, got 2.5")],
-    ids=["negative", "float"],
+    [
+        (-1, "outer_iters must be non-negative, got -1"),
+        (2.5, "outer_iters must be an integer, got 2.5"),
+        (True, "outer_iters must be an integer, got True"),
+    ],
+    ids=["negative", "float", "bool"],
 )
 def test_mkl_train_refuses_a_bad_outer_cap_before_building(monkeypatch, outer_iters, message):
     built = []
