@@ -288,7 +288,7 @@ def _clean_report(report: Mapping) -> dict:
 # ---------------------------------------------------------------------------
 # Verification suite
 
-FAULT_TAGS = ("delta_sign", "vertex_norm", "conjunction_alpha", "stale_lower_bound")
+FAULT_TAGS = ("delta_sign", "vertex_norm", "conjunction_alpha", "stale_lower_bound", "stale_step_gram")
 
 
 def _check(module: str, name: str, passed: bool, params: dict, detail: str = "") -> dict:
@@ -517,9 +517,10 @@ def _check_fenchel(max_err: float = 1e-6) -> dict:
 
 def _check_mkl_gap(rng: np.random.Generator, fault: str | None) -> dict:
     """Solve two small layers and check each certificate on dense per-point Grams:
-    a best-upper trace that never rises, an inner gap within 1e-4 (1 + |objective|),
-    and a lower bound that is ``D(alpha)`` at the alphas it names, in the box and
-    at most the objective.  Fault ``stale_lower_bound`` names the zero start alphas."""
+    a best-upper trace that never rises, an inner gap at ``(beta, alphas)`` within
+    1e-4 (1 + |primal|), and a lower bound that is ``D(alpha)`` at the alphas it
+    names, in the box and at most the objective.  Fault ``stale_lower_bound`` names
+    the zero start alphas; ``stale_step_gram`` mixes the Gram SDCA steps on at beta / 2."""
     n, p, m, lam = 6, 2, 10, 0.1
     layer = scheme.LayerParams(n, p)
     tables, rows = scheme.vertex_tables(layer), scheme.enumerate_layer(layer)
@@ -530,18 +531,20 @@ def _check_mkl_gap(rng: np.random.Generator, fault: str | None) -> dict:
             labels = rng.integers(0, 2, size=m) * 2.0 - 1.0
         else:
             labels = rng.uniform(-1.0, 1.0, size=m)
-        problem = learners.MklLayerProblem(learners.layer_vertex_grams(pts, p), labels, lam=lam, loss=loss)
-        sol = learners.mkl_layer_solve(problem, outer_iters=150)
+        grams = learners.layer_vertex_grams(pts, p)
+        if fault == "stale_step_gram":
+            grams.gram.at = lambda beta, mix=grams.gram.at: mix(beta / 2)
+        sol = learners.mkl_layer_solve(learners.MklLayerProblem(grams, labels, lam=lam, loss=loss), outer_iters=150)
         a = np.zeros(m) if fault == "stale_lower_bound" else sol.lower_alphas
         ip = np.array([[x.inner(y) for y in pts] for x in pts])
         lower = lam * float(a @ labels) - 0.5 * lam * max(0.0, max(float(a @ t[ip] @ a) for t in tables))
+        ka = (sol.beta @ tables)[ip] @ sol.alphas
+        primal = 0.5 * lam * float(sol.alphas @ ka) + float(np.mean(loss.value(ka, labels)))
+        gap = primal - lam * float(sol.alphas @ labels) + 0.5 * lam * float(sol.alphas @ ka)
         (lo, hi), tol = learners._alpha_box(loss, labels, lam), 1e-9 * (1.0 + abs(lower))
         for failed, detail in (
             (np.any(np.diff(sol.trace) > 1e-12), "best-upper trace increased"),
-            (
-                sol.gap > 1e-4 * (1.0 + abs(sol.objective)),
-                f"duality gap {sol.gap:.3g} too large for objective {sol.objective:.3g}",
-            ),
+            (gap > 1e-4 * (1.0 + abs(primal)), f"inner gap {gap:.3g} too large for primal {primal:.3g}"),
             (np.any((a < lo - tol) | (a > hi + tol)), "lower-bound alphas leave the conjugate box"),
             (abs(sol.lower - lower) > tol, f"lower bound {sol.lower!r} is not D(alpha) = {lower!r} at its alphas"),
             (sol.lower > sol.objective + tol, f"lower bound {sol.lower!r} above the objective {sol.objective!r}"),
@@ -558,7 +561,7 @@ def verify_suite(
 ) -> dict:
     """Run every oracle-backed invariant; returns a machine-readable verdict.
 
-    ``fault`` injects one of four documented bugs into a check's inputs
+    ``fault`` injects one of five documented bugs into a check's inputs
     (see :data:`FAULT_TAGS`) so the suite's failure reporting can itself be
     tested; the library under test is never modified.
     """

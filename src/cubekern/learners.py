@@ -35,7 +35,8 @@ one of two forms over its distinct points.  Each form answers the same questions
   l-subsets x and y share, so with ``W[T] = sum of c_r over rows covering T``
   and ``coef = beta @ vertex_betas``, ``(K_beta c)_r = sum_{T in x_r}
   coef_|T| W[T]`` and ``c' K_t c = vertex_betas[t] @ bincount(sizes, W^2)``.
-  ``W`` does not depend on beta, so a Frank-Wolfe step costs nothing.
+  ``W`` does not depend on beta; a layer of ``u * u <= _BLOCK_ELEMS`` rows
+  steps SDCA on its :class:`ClassForm`, a margin one read and not 2^p.
 * :class:`ClassForm` ``(where, ip, table)``: ``ip`` the uint8 inner products
   of the distinct points and ``table[t]`` vertex t's value table, so ``K_beta
   = (beta @ table)[ip]``: a :class:`_Gram` whose ``k`` :meth:`ClassForm.at` mixes.
@@ -70,6 +71,7 @@ concurrently need forms of their own.  Returned models are immutable.
 from __future__ import annotations
 
 import math
+import mmap
 import numbers
 from dataclasses import dataclass, field
 from typing import Callable
@@ -306,10 +308,10 @@ class _Gram:
         self.diag, self.c = np.diagonal(k).tolist(), np.zeros(len(k))
 
     def load(self, alpha) -> None:
-        self.c = np.bincount(self.where, alpha, self.rows)
+        self.c, self._kc = np.bincount(self.where, alpha, self.rows), None
 
     def at(self, beta: np.ndarray) -> _Gram:
-        self.z = self.k @ self.c
+        self.z, self._kc = self.k @ self.c, None
         self.margin = self.z.item  # called once per step: no Python frame
         return self
 
@@ -317,7 +319,9 @@ class _Gram:
         self.z += delta * self.k[r]
 
     def kc(self) -> np.ndarray:
-        return self.k @ self.c
+        if self._kc is None:  # once per load or mix: the quads and the loss both read it
+            self._kc = self.k @ self.c
+        return self._kc
 
     def quads(self) -> np.ndarray:
         return np.array([self.c @ self.kc()])
@@ -454,11 +458,13 @@ class SubsetForm:
     into the layer's sorted distinct subsets (``kernels._subset_layout``),
     ``sizes`` their sizes and ``betas`` the vertices' binomial-basis
     coefficients.  :meth:`load` fills ``W`` from the alphas, :meth:`at` takes
-    ``coef`` from beta, and a step at row r adds to its 2^p slots.
+    ``coef`` from beta, and a step at row r adds to its 2^p slots.  A ``gram``,
+    the layer's :class:`ClassForm`, is loaded too and returned mixed by
+    :meth:`at`: SDCA steps on it, while :meth:`kc` and :meth:`quads` read ``W``.
     """
 
-    def __init__(self, where: np.ndarray, slots: np.ndarray, sizes: np.ndarray, betas: np.ndarray):
-        self.where, self.slots, self.sizes, self.betas = where, slots, sizes, betas
+    def __init__(self, where: np.ndarray, slots: np.ndarray, sizes: np.ndarray, betas: np.ndarray, gram=None):
+        self.where, self.slots, self.sizes, self.betas, self.gram = where, slots, sizes, betas, gram
         self.rows, self.vertices = len(slots), len(betas)
         self.cols = np.bitwise_count(np.arange(slots.shape[1]))
         self.choose = np.bincount(self.cols).astype(float)  # C(p, l) subsets of size l per row
@@ -469,12 +475,14 @@ class SubsetForm:
 
     def load(self, alpha) -> None:
         self.w = _subset_sums(self.slots, np.bincount(self.where, alpha, self.rows), len(self.sizes))
+        if self.gram is not None:
+            self.gram.load(alpha)
 
-    def at(self, beta: np.ndarray) -> SubsetForm:
+    def at(self, beta: np.ndarray) -> SubsetForm | ClassForm:
         coef = beta @ self.betas
         self.coef = coef[self.cols]
         self.diag = [float(coef @ self.choose)] * self.rows
-        return self
+        return self if self.gram is None else self.gram.at(beta)
 
     def margin(self, r: int) -> float:
         return float(self.w[self.slots[r]] @ self.coef)
@@ -494,10 +502,10 @@ class ClassForm(_Gram):
 
     Point i is row ``where[i]``, ``ip`` the rows' (u, u) inner products and
     ``table[t]`` vertex t's value table, so ``K_beta = (beta @ table)[ip]``;
-    :meth:`at` mixes it into ``k``, the Gram of the :class:`_Gram` it is.  A
-    table that is not finite, an ``ip`` that is not a symmetric integer
-    matrix indexing it and a vertex Gram whose diagonal is above 1 are
-    refused by name.
+    :meth:`at` mixes it in place into ``k``, the Gram of the :class:`_Gram` it
+    is, kept on pages of its own so that mixing never grows the heap.  A table
+    that is not finite, an ``ip`` that is not a symmetric integer matrix
+    indexing it and a vertex Gram whose diagonal is above 1 are refused by name.
     """
 
     def __init__(self, where: np.ndarray, ip: np.ndarray, table: np.ndarray):
@@ -516,13 +524,13 @@ class ClassForm(_Gram):
             raise ValueError(f"vertex Gram {int(diag.argmax())} has diagonal above 1")
         self.where, self.ip, self.table = np.asarray(where), ip, table.astype(float)
         self.rows, self.vertices = u, len(table)
-        self.c = np.zeros(u)
+        self.c, self.k = np.zeros(u), np.frombuffer(mmap.mmap(-1, 8 * u * u)).reshape(u, u)
 
     def __iter__(self):  # the arrays it is built from
         return iter((self.where, self.ip, self.table))
 
     def at(self, beta: np.ndarray) -> _Gram:
-        self.k = (beta @ self.table)[self.ip]
+        np.take(beta @ self.table, self.ip, out=self.k, mode="clip")  # ip indexes the table
         self.diag = np.diagonal(self.k).tolist()
         return super().at(beta)
 
@@ -646,11 +654,12 @@ def layer_vertex_grams(points, weight: int) -> SubsetForm | ClassForm:
 
     Point i is distinct point ``where[i]`` on the canonical layer p (weights
     above n/2 are complemented first).  When ``p <= _SUBSET_MAX_P`` the
-    result is a :class:`SubsetForm` over the u distinct points, ``u * 2^p``
-    slots and no u x u array.  Otherwise it is a :class:`ClassForm`: ``ip``
-    is the (u, u) uint8 inner-product matrix of the u distinct points and row
-    t of the (p+1, p+1) ``table`` is vertex t's value table, so vertex t's
-    Gram is ``table[t][ip]``.
+    result is a :class:`SubsetForm` over the u distinct points and ``u * 2^p``
+    slots; its ``gram``, the SDCA operator, is the layer's class form when
+    ``u * u <= _BLOCK_ELEMS`` and None above, where no u x u array is built.
+    Otherwise it is a :class:`ClassForm`: ``ip`` is the (u, u) uint8
+    inner-product matrix of the u distinct points and row t of the (p+1, p+1)
+    ``table`` is vertex t's value table, so vertex t's Gram is ``table[t][ip]``.
     """
     if len(points) == 0:
         raise ValueError("at least one point required")
@@ -660,13 +669,16 @@ def layer_vertex_grams(points, weight: int) -> SubsetForm | ClassForm:
         raise ValueError(f"all points must have weight {weight}")
     masks, where = np.unique(_mirrored(masks, weight, n), return_inverse=True)
     layer = LayerParams(n, weight).canonical()
-    if layer.p <= _SUBSET_MAX_P:
-        _, slots, sizes = _subset_layout(masks, layer.p)
-        return SubsetForm(where, slots, sizes, vertex_betas(layer))
-    ip = np.empty((masks.size, masks.size), dtype=np.uint8)
-    for rows, cols, block in inner_product_blocks(masks, masks):
-        ip[rows, cols] = block
-    return ClassForm(where, ip, vertex_tables(layer))
+    gram = None
+    if layer.p > _SUBSET_MAX_P or masks.size * masks.size <= _BLOCK_ELEMS:
+        ip = np.empty((masks.size, masks.size), dtype=np.uint8)
+        for rows, cols, block in inner_product_blocks(masks, masks):
+            ip[rows, cols] = block
+        gram = ClassForm(where, ip, vertex_tables(layer))
+    if layer.p > _SUBSET_MAX_P:
+        return gram
+    _, slots, sizes = _subset_layout(masks, layer.p)
+    return SubsetForm(where, slots, sizes, vertex_betas(layer), gram)
 
 
 def _layers(points):

@@ -41,9 +41,11 @@ def class_vertex_grams(points, weight):
 
 
 def subset_vertex_grams(points, weight):
-    """``learners.layer_vertex_grams`` as a ``SubsetForm``, whatever the layer's p."""
+    """``learners.layer_vertex_grams`` as a ``SubsetForm`` that steps on its subset
+    sums (no dense Gram), whatever the layer's p and size."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(learners, "_SUBSET_MAX_P", 64)
+        mp.setattr(learners, "_BLOCK_ELEMS", 0)
         return learners.layer_vertex_grams(points, weight)
 
 

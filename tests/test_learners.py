@@ -910,12 +910,57 @@ class TestOperatorForms:
         assert np.all(np.abs(sub.kc() - cls.kc()) <= e * s)
         assert np.all(np.abs(sub.quads() - cls.quads()) <= e * s * s)
 
+    # Stated before running: from the same alphas the two operators' margins differ
+    # by at most e S and their diagonals by at most e (the bounds above), with S =
+    # sum_i max(|lo_i|, |hi_i|) >= sum |c| while every alpha stays in its box.  Every
+    # vertex Gram has a unit diagonal, so d = sum beta >= 1/2 and |K_rs| <= d.  A step
+    # adds at most e (1 + 2 d S) / d^2 to its alpha's difference, and the differences
+    # made so far move a margin by at most d times their sum, so after one epoch of m
+    # steps the alphas agree within 2^m e (1 + 2 d S) / d^2.
+    @settings(max_examples=100, deadline=None)
+    @given(
+        layer_samples(max_n=10), st.integers(0, 4), st.sampled_from([HINGE, ABSOLUTE]), st.integers(0, 2**32 - 1)
+    )
+    def test_an_epoch_on_the_dense_gram_matches_the_subset_sums(self, case, repeats, loss, seed):
+        _, w, sample = case
+        rng = np.random.default_rng(seed)
+        pts = sample + [sample[i] for i in rng.integers(len(sample), size=repeats)]
+        forms = [learners.layer_vertex_grams(pts, w), subset_vertex_grams(pts, w)]
+        assert forms[0].gram is not None and forms[1].gram is None
+        m, p = len(pts), len(forms[0].betas) - 1
+        y = rng.choice([-1.0, 1.0], size=m) if loss is HINGE else rng.uniform(-1.0, 1.0, size=m)
+        lam = float(rng.uniform(0.05, 1.0))
+        problems = [MklLayerProblem(form, y, lam=lam, loss=loss) for form in forms]
+        beta = rng.random(p + 1) + 1e-3
+        beta *= rng.uniform(0.5, 1.0) / beta.sum()
+        lo, hi = problems[0].box
+        start, order = rng.uniform(lo, hi), rng.permutation(m).tolist()
+        dense, subset = (sdca_epochs(problem, beta, start, 1, order=order) for problem in problems)
+        d, big_s, e = float(beta.sum()), float(np.maximum(np.abs(lo), np.abs(hi)).sum()), 32 * np.finfo(float).eps * 3.0**p
+        assert np.abs(dense - subset).max() <= 2.0**m * e * (1.0 + 2.0 * d * big_s) / d**2
+
+    def test_only_a_layer_within_the_block_bound_builds_a_dense_gram(self, monkeypatch):
+        # u * u <= _BLOCK_ELEMS: a class form over the same rows to step on; above
+        # the bound no u x u inner-product matrix is built at all
+        rng = np.random.default_rng(0)
+        pts = [HypercubePoint.from_indices(16, rng.choice(16, 4, replace=False)) for _ in range(2_000)]
+        calls, blocks = [], learners.inner_product_blocks
+        monkeypatch.setattr(learners, "inner_product_blocks", lambda *a: calls.append(a) or blocks(*a))
+        big = learners.layer_vertex_grams(pts, 4)
+        assert big.rows**2 > learners._BLOCK_ELEMS and big.gram is None and calls == []
+        small = learners.layer_vertex_grams(pts[:300], 4)
+        assert small.rows**2 <= learners._BLOCK_ELEMS and len(calls) == 1
+        assert np.array_equal(small.gram.where, small.where)
+        assert np.array_equal(small.gram.ip, class_vertex_grams(pts[:300], 4).ip)
+
 
 @st.composite
 def layer_problems(draw):
     """A layer problem on n <= 8 under either loss, and a beta on the capped simplex."""
     _, w, pts = draw(layer_samples(max_n=8))
     grams = learners.layer_vertex_grams(pts, w)
+    if draw(st.booleans()):  # step on the subset sums, as a layer above the dense gate does
+        grams.gram = None
     y = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=len(pts), max_size=len(pts))))
     loss = draw(st.sampled_from([HINGE, ABSOLUTE]))
     problem = MklLayerProblem(grams, y, lam=draw(st.floats(1e-3, 1.0)), loss=loss)
@@ -1042,10 +1087,11 @@ class TestProjection:
 
     @staticmethod
     def visited(monkeypatch, problem, outer_iters):
-        betas = []
-        for cls in (learners.SubsetForm, learners.ClassForm):
-            at = cls.at
-            monkeypatch.setattr(cls, "at", lambda self, beta, _at=at: betas.append(beta.copy()) or _at(self, beta))
+        # the layer's own form records each beta it is set to, once per Frank-Wolfe
+        # step and once for the polish (a subset form's dense Gram is not asked)
+        betas, form = [], problem.vertex_grams
+        at = form.at
+        monkeypatch.setattr(form, "at", lambda beta: betas.append(beta.copy()) or at(beta))
         return learners.mkl_layer_solve(problem, outer_iters), betas
 
     def test_inside_untouched(self, monkeypatch):
