@@ -24,7 +24,7 @@ lam = model.report["lambda"]
 print(f"\nregularization lambda = eps/(n B^2) = {lam:.5f}")
 for w, layer in model.report["per_layer"].items():
     print(f"layer weight {w}: beta = {np.round(layer['beta'], 4)}, objective = {layer['objective']:.5f}, "
-          f"saddle gap = {layer['saddle_gap']:.2e} after {layer['outer_steps']} Frank-Wolfe steps "
+          f"saddle gap = {layer['saddle_gap']:.2e} after {layer['outer_steps']} beta steps "
           f"(converged = {layer['converged']}), inner duality gap = {layer['gap']:.2e}")
 
 preds = model.predict_many(data.points)

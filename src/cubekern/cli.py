@@ -54,7 +54,7 @@ def _warn_unconverged(per_layer: dict) -> None:
     """Warn on stderr, even with --quiet, of each layer of an MKL report that missed a tolerance."""
     for w, s in per_layer.items():
         if not s["converged"]:
-            gap = f"saddle gap {s['saddle_gap']:.3g} above its tolerance after {s['outer_steps']} Frank-Wolfe steps"
+            gap = f"saddle gap {s['saddle_gap']:.3g} above its tolerance after {s['outer_steps']} beta steps"
             print(f"warning: layer {w}: {gap}", file=sys.stderr)
         if not s["inner_converged"]:
             print(f"warning: layer {w}: the SDCA polish hit its epoch cap", file=sys.stderr)
@@ -272,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--epochs", type=int, default=100)
     p_train.add_argument(
         "--outer-iters", type=int, default=500,
-        help="MKL: the most Frank-Wolfe steps per layer, each one SDCA epoch; a layer stops"
+        help="MKL: the most beta steps per layer, each one SDCA epoch; a layer stops"
         " sooner once its saddle gap is certified",
     )
     p_train.set_defaults(func=_cmd_train)
@@ -313,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--eps", type=float, default=0.1)
     p_bench.add_argument("--noise", type=float, default=0.0)
     p_bench.add_argument("--epochs", type=int, default=300)
-    p_bench.add_argument("--outer-iters", type=int, default=300, help="MKL: the most Frank-Wolfe steps per layer")
+    p_bench.add_argument("--outer-iters", type=int, default=300, help="MKL: the most beta steps per layer")
     p_bench.add_argument(
         "--t-scale", dest="t_scale", type=float, default=1.0,
         help="scale on the conjunction-kernel depth ceil(t_scale sqrt(n) ln(1/eps))",

@@ -288,7 +288,9 @@ def _clean_report(report: Mapping) -> dict:
 # ---------------------------------------------------------------------------
 # Verification suite
 
-FAULT_TAGS = ("delta_sign", "vertex_norm", "conjunction_alpha", "stale_lower_bound", "stale_step_gram")
+FAULT_TAGS = (
+    "delta_sign", "vertex_norm", "conjunction_alpha", "stale_lower_bound", "stale_step_gram", "unnormalized_beta"
+)
 
 
 def _check(module: str, name: str, passed: bool, params: dict, detail: str = "") -> dict:
@@ -517,10 +519,11 @@ def _check_fenchel(max_err: float = 1e-6) -> dict:
 
 def _check_mkl_gap(rng: np.random.Generator, fault: str | None) -> dict:
     """Solve two small layers and check each certificate on dense per-point Grams:
-    a best-upper trace that never rises, an inner gap at ``(beta, alphas)`` within
-    1e-4 (1 + |primal|), and a lower bound that is ``D(alpha)`` at the alphas it
-    names, in the box and at most the objective.  Fault ``stale_lower_bound`` names
-    the zero start alphas; ``stale_step_gram`` mixes the Gram SDCA steps on at beta / 2."""
+    a beta on the capped simplex, a best-upper trace that never rises, an inner gap at
+    ``(beta, alphas)`` within 1e-4 (1 + |primal|), and a lower bound that is ``D(alpha)``
+    at the alphas it names, in the box and at most the objective.  Fault
+    ``stale_lower_bound`` names the zero start alphas; ``stale_step_gram`` mixes the Gram
+    SDCA steps on at beta / 2; ``unnormalized_beta`` checks 1.5 beta, off the capped simplex."""
     n, p, m, lam = 6, 2, 10, 0.1
     layer = scheme.LayerParams(n, p)
     tables, rows = scheme.vertex_tables(layer), scheme.enumerate_layer(layer)
@@ -536,13 +539,16 @@ def _check_mkl_gap(rng: np.random.Generator, fault: str | None) -> dict:
             grams.gram.at = lambda beta, mix=grams.gram.at: mix(beta / 2)
         sol = learners.mkl_layer_solve(learners.MklLayerProblem(grams, labels, lam=lam, loss=loss), outer_iters=150)
         a = np.zeros(m) if fault == "stale_lower_bound" else sol.lower_alphas
+        beta = sol.beta * 1.5 if fault == "unnormalized_beta" else sol.beta
         ip = np.array([[x.inner(y) for y in pts] for x in pts])
         lower = lam * float(a @ labels) - 0.5 * lam * max(0.0, max(float(a @ t[ip] @ a) for t in tables))
-        ka = (sol.beta @ tables)[ip] @ sol.alphas
+        ka = (beta @ tables)[ip] @ sol.alphas
         primal = 0.5 * lam * float(sol.alphas @ ka) + float(np.mean(loss.value(ka, labels)))
         gap = primal - lam * float(sol.alphas @ labels) + 0.5 * lam * float(sol.alphas @ ka)
         (lo, hi), tol = learners._alpha_box(loss, labels, lam), 1e-9 * (1.0 + abs(lower))
         for failed, detail in (
+            (beta.min() < -1e-12, "negative mixture weight"),
+            (beta.sum() > 1.0 + 1e-12, f"mixture weights sum to {beta.sum():.6g} > 1"),
             (np.any(np.diff(sol.trace) > 1e-12), "best-upper trace increased"),
             (gap > 1e-4 * (1.0 + abs(primal)), f"inner gap {gap:.3g} too large for primal {primal:.3g}"),
             (np.any((a < lo - tol) | (a > hi + tol)), "lower-bound alphas leave the conjugate box"),
@@ -561,7 +567,7 @@ def verify_suite(
 ) -> dict:
     """Run every oracle-backed invariant; returns a machine-readable verdict.
 
-    ``fault`` injects one of five documented bugs into a check's inputs
+    ``fault`` injects one of six documented bugs into a check's inputs
     (see :data:`FAULT_TAGS`) so the suite's failure reporting can itself be
     tested; the library under test is never modified.
     """

@@ -15,9 +15,9 @@ Four solvers live here:
 * :func:`mkl_layer_solve` -- the layer-wise multiple-kernel program
   ``inf_beta sup_alpha G(alpha, beta)``, beta on the capped simplex ``{beta
   >= 0, sum beta <= 1}`` and ``K_beta = sum_t beta_t K_t`` over the vertex
-  Grams: Frank-Wolfe on beta (Jaggi 2013), one SDCA epoch per step, stopped
-  once its certified saddle gap is at most ``_SADDLE_TOL (1 + |objective|)``,
-  then SDCA polishes the alphas at the best beta.
+  Grams: the closed-form group-lasso step on beta (Xu, Jin, King & Lyu 2010),
+  one SDCA epoch per step, stopped once its certified saddle gap is at most
+  ``_SADDLE_TOL (1 + |objective|)``, then SDCA polishes the alphas at the best beta.
 * :func:`rademacher_estimate` -- Monte-Carlo empirical Rademacher
   complexity of the class of bounded-norm classifiers under *any*
   admissible layer kernel, with the closed-form bound ``sqrt(2 e B^2 ln(n) / m)``.
@@ -74,6 +74,7 @@ import math
 import mmap
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -446,7 +447,8 @@ def sdca_solve(
 # 32 eps 3^p (sum|c|)^2 in a quad (the term-magnitude bound with |g| <= 1), 4.7e-11
 # sum|c| at p = 8, where a row's 2^p slots take 2 KiB.
 _SUBSET_MAX_P = 8
-_SADDLE_TOL = 1e-3  # Frank-Wolfe stops once saddle_gap <= _SADDLE_TOL (1 + |objective|)
+_SADDLE_TOL = 1e-3  # the beta steps stop once saddle_gap <= _SADDLE_TOL (1 + |objective|)
+_BETA_FLOOR = 1e-6  # the least weight a beta step reads, so that a vertex one step drops can return
 _POLISH_TOL = 1e-6  # the polish stops once the inner gap <= _POLISH_TOL (1 + |objective|)
 _POLISH_STEPS = 2_000_000  # SDCA steps the polish may take: _POLISH_STEPS // m epochs
 
@@ -457,14 +459,14 @@ class SubsetForm:
     Point i is row ``where[i]``, ``slots[r]`` row r's 2^p subsets as indices
     into the layer's sorted distinct subsets (``kernels._subset_layout``),
     ``sizes`` their sizes and ``betas`` the vertices' binomial-basis
-    coefficients.  :meth:`load` fills ``W`` from the alphas, :meth:`at` takes
-    ``coef`` from beta, and a step at row r adds to its 2^p slots.  A ``gram``,
-    the layer's :class:`ClassForm`, is loaded too and returned mixed by
-    :meth:`at`: SDCA steps on it, while :meth:`kc` and :meth:`quads` read ``W``.
+    coefficients.  :meth:`load` fills ``c`` and ``W`` from the alphas, :meth:`at`
+    takes ``coef`` from beta, and a step at row r adds to its 2^p slots.  A ``gram``,
+    the layer's :class:`ClassForm` that ``dense`` builds on first use, is returned by
+    :meth:`at` mixed at ``c``: SDCA steps on it, while :meth:`kc` and :meth:`quads` read ``W``.
     """
 
-    def __init__(self, where: np.ndarray, slots: np.ndarray, sizes: np.ndarray, betas: np.ndarray, gram=None):
-        self.where, self.slots, self.sizes, self.betas, self.gram = where, slots, sizes, betas, gram
+    def __init__(self, where: np.ndarray, slots: np.ndarray, sizes: np.ndarray, betas: np.ndarray, dense=None):
+        self.where, self.slots, self.sizes, self.betas, self._dense = where, slots, sizes, betas, dense
         self.rows, self.vertices = len(slots), len(betas)
         self.cols = np.bitwise_count(np.arange(slots.shape[1]))
         self.choose = np.bincount(self.cols).astype(float)  # C(p, l) subsets of size l per row
@@ -473,16 +475,22 @@ class SubsetForm:
     def __iter__(self):  # the arrays it is built from
         return iter((self.where, self.slots, self.sizes, self.betas))
 
+    @cached_property
+    def gram(self) -> ClassForm | None:
+        return None if self._dense is None else self._dense()
+
     def load(self, alpha) -> None:
-        self.w = _subset_sums(self.slots, np.bincount(self.where, alpha, self.rows), len(self.sizes))
-        if self.gram is not None:
-            self.gram.load(alpha)
+        self.c = np.bincount(self.where, alpha, self.rows)
+        self.w = _subset_sums(self.slots, self.c, len(self.sizes))
 
     def at(self, beta: np.ndarray) -> SubsetForm | ClassForm:
         coef = beta @ self.betas
         self.coef = coef[self.cols]
         self.diag = [float(coef @ self.choose)] * self.rows
-        return self if self.gram is None else self.gram.at(beta)
+        if self.gram is None:
+            return self
+        self.gram.c = self.c
+        return self.gram.at(beta)
 
     def margin(self, r: int) -> float:
         return float(self.w[self.slots[r]] @ self.coef)
@@ -584,11 +592,11 @@ class MklSolution:
     alphas: np.ndarray  # polished at beta
     objective: float  # primal value at (beta, alphas): the upper bound reported
     gap: float  # |primal - dual| at (beta, alphas): the inner gap
-    trace: np.ndarray  # best upper bound after each Frank-Wolfe step
+    trace: np.ndarray  # best upper bound after each beta step
     lower: float  # best lower bound D(alpha) seen, the polish's iterates included
     lower_alphas: np.ndarray  # the alphas it was taken at
     inner_converged: bool  # the polish reached _POLISH_TOL
-    outer_iters: int  # Frank-Wolfe steps run
+    outer_iters: int  # beta steps run
     inner_iters: int  # SDCA epochs over every step and the polish
 
     @property
@@ -601,12 +609,20 @@ class MklSolution:
         return self.saddle_gap <= _SADDLE_TOL * (1.0 + abs(self.objective))
 
 
+def _beta_step(beta: np.ndarray, quads: np.ndarray) -> np.ndarray:
+    """Group-lasso MKL's beta (Xu, Jin, King & Lyu 2010): ``beta_t`` proportional to ``||w_t||
+    = beta_t sqrt(a' K_t a)``, a beta_t below ``_BETA_FLOOR`` read as the floor and a quad below 0
+    by rounding as 0; beta itself when every norm is 0."""
+    w = np.maximum(beta, _BETA_FLOOR) * np.sqrt(np.maximum(quads, 0.0))
+    return w / w.sum() if w.sum() > 0.0 else beta
+
+
 def mkl_layer_solve(problem: MklLayerProblem, outer_iters: int = 500) -> MklSolution:
     """Saddle solve of the layer MKL program, certified by its two bounds.
 
-    From the uniform beta, step k runs one :func:`_sdca_epoch` at beta and
-    moves ``beta <- beta + (2/(k+2)) (s - beta)`` (Frank-Wolfe), s the vertex of
-    the largest positive ``a' K_t a`` or 0.  It stops once the best
+    From the uniform beta, each step runs one :func:`_sdca_epoch` at beta and
+    moves beta by :func:`_beta_step` on the new alphas' ``a' K_t a``.  Any beta on
+    the capped simplex gives valid bounds.  It stops once the best
     :func:`_bounds` are within ``_SADDLE_TOL (1 + |upper|)``, or after
     ``outer_iters`` steps; :func:`_sdca_run` then polishes the alphas at the best
     upper bound's beta to an inner gap of ``_POLISH_TOL (1 + |objective|)``, in at
@@ -617,12 +633,11 @@ def mkl_layer_solve(problem: MklLayerProblem, outer_iters: int = 500) -> MklSolu
     op, m = problem.vertex_grams, problem.m
     points = _point_lists(problem.where, problem.labels, *problem.box)
     rng = np.random.default_rng(0)
-    q = op.vertices
-    beta, alpha, zero = np.full(q, 1.0 / q), [0.0] * m, np.zeros(m)
+    beta, alpha, zero = np.full(op.vertices, 1.0 / op.vertices), [0.0] * m, np.zeros(m)
     upper, lower = (math.inf, beta, zero), (-math.inf, zero)
     op.load(zero)  # a form keeps the state of its last load
     trace = []
-    for k in range(outer_iters):
+    for _ in range(outer_iters):
         _sdca_epoch(op.at(beta), alpha, rng.permutation(m).tolist(), points)
         a = np.array(alpha)
         primal, _, low, quads = _bounds(problem, a, beta)
@@ -633,12 +648,7 @@ def mkl_layer_solve(problem: MklLayerProblem, outer_iters: int = 500) -> MklSolu
         trace.append(upper[0])
         if upper[0] - lower[0] <= _SADDLE_TOL * (1.0 + abs(upper[0])):
             break
-        # an oracle exact up to rounding (|quads| <= (sum |a|)^2): the lowest vertex within
-        # tol of the largest quad, or 0 when none is above tol, so rounding picks no vertex
-        tol, vertex = 1e-12 * float(np.abs(a).sum()) ** 2, np.zeros(q)
-        if quads.max() > tol:
-            vertex[np.argmax(quads >= quads.max() - tol)] = 1.0
-        beta = beta + (2.0 / (k + 2)) * (vertex - beta)
+        beta = _beta_step(beta, quads)
     _, beta, a = upper
     a, primal, dual, lower, polish, polished = _sdca_run(problem, a, beta, rng, _POLISH_TOL, _POLISH_STEPS // m, lower)
     steps = len(trace)
@@ -655,8 +665,8 @@ def layer_vertex_grams(points, weight: int) -> SubsetForm | ClassForm:
     Point i is distinct point ``where[i]`` on the canonical layer p (weights
     above n/2 are complemented first).  When ``p <= _SUBSET_MAX_P`` the
     result is a :class:`SubsetForm` over the u distinct points and ``u * 2^p``
-    slots; its ``gram``, the SDCA operator, is the layer's class form when
-    ``u * u <= _BLOCK_ELEMS`` and None above, where no u x u array is built.
+    slots; its ``gram``, the SDCA operator, is the layer's class form (built by the
+    first :meth:`SubsetForm.at`) when ``u * u <= _BLOCK_ELEMS``, and None above.
     Otherwise it is a :class:`ClassForm`: ``ip`` is the (u, u) uint8
     inner-product matrix of the u distinct points and row t of the (p+1, p+1)
     ``table`` is vertex t's value table, so vertex t's Gram is ``table[t][ip]``.
@@ -669,16 +679,17 @@ def layer_vertex_grams(points, weight: int) -> SubsetForm | ClassForm:
         raise ValueError(f"all points must have weight {weight}")
     masks, where = np.unique(_mirrored(masks, weight, n), return_inverse=True)
     layer = LayerParams(n, weight).canonical()
-    gram = None
-    if layer.p > _SUBSET_MAX_P or masks.size * masks.size <= _BLOCK_ELEMS:
+
+    def dense() -> ClassForm:
         ip = np.empty((masks.size, masks.size), dtype=np.uint8)
         for rows, cols, block in inner_product_blocks(masks, masks):
             ip[rows, cols] = block
-        gram = ClassForm(where, ip, vertex_tables(layer))
+        return ClassForm(where, ip, vertex_tables(layer))
+
     if layer.p > _SUBSET_MAX_P:
-        return gram
+        return dense()
     _, slots, sizes = _subset_layout(masks, layer.p)
-    return SubsetForm(where, slots, sizes, vertex_betas(layer), gram)
+    return SubsetForm(where, slots, sizes, vertex_betas(layer), dense if masks.size**2 <= _BLOCK_ELEMS else None)
 
 
 def _layers(points):
@@ -708,7 +719,7 @@ def mkl_train(
     with the per-layer ones.  Its report holds ``lambda``, the summed layer
     ``objective``, the largest inner ``gap`` and, under ``per_layer`` keyed
     by weight as a string in ascending order, each layer's beta, objective,
-    inner and saddle gaps, both convergence flags, Frank-Wolfe steps
+    inner and saddle gaps, both convergence flags, beta steps
     (``outer_steps``) and SDCA epochs (``inner_iters``).
     """
     m = len(points)

@@ -255,6 +255,7 @@ def test_criterion_10_verify_suite_and_fault_injection():
         "conjunction_alpha": "conjunction_exactness",
         "stale_lower_bound": "mkl_saddle",
         "stale_step_gram": "mkl_saddle",
+        "unnormalized_beta": "mkl_saddle",
     }
     for fault, check_name in expected_checks.items():
         proc = run("--max-n", "4", "--trials", "20", "--fault", fault, "--json")

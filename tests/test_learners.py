@@ -62,14 +62,14 @@ Core claims:
       keeps a monotone best-upper trace, reduces to a fixed-kernel SVM on one
       vertex, and its outer objective is convex along simplex segments; its
       inner convergence flag is the final polish's, not spoiled by a capped
-      Frank-Wolfe run, and inner_iters counts every SDCA epoch
+      run of beta steps, and inner_iters counts every SDCA epoch
     - the inner ascent is SDCA on the layer's operator: a step on point i
       alone moves alpha_i by y_i / K_ii with K_ii at most the top eigenvalue
       of K_beta, no single epoch and no call of 2-50 epochs lowers the dual,
       its dual lies within its certified gap below the optimum plain
       projected gradient finds, to 1e-9 relative, and a kernel that is zero
       to working precision gives the box corner
-    - Frank-Wolfe keeps beta on the capped simplex: a layer certified at its
+    - the beta step keeps beta on the capped simplex: a layer certified at its
       first step returns the start untouched, no entry goes negative and no
       sum exceeds 1
     - mkl_train decomposes across layers and uses lambda = eps/(n B^2),
@@ -118,7 +118,7 @@ from hypothesis import strategies as st
 from conftest import class_vertex_grams, dense_dual_solve, dense_gram, dense_subgradient, dual_value, duality_gap
 from conftest import layer_dual_objective, layer_points, pegasos_oracle, per_point, primal_value, subset_vertex_grams
 
-from cubekern import embedding, kernels, learners, scheme
+from cubekern import embedding, harness, kernels, learners, scheme
 from cubekern.kernels import HypercubePoint
 from cubekern.scheme import LayerParams
 from cubekern.learners import ABSOLUTE, HINGE, MklLayerProblem
@@ -795,7 +795,7 @@ class TestMklLayerSolve:
             learners.layer_vertex_grams(pts, 2), np.array([1.0, -1.0] * 4), lam=0.05
         )
         sol = learners.mkl_layer_solve(problem, outer_iters=2)
-        assert sol.outer_iters == sol.trace.size == 2  # the cap stops Frank-Wolfe short of its tolerance
+        assert sol.outer_iters == sol.trace.size == 2  # the cap stops the beta steps short of their tolerance
         assert sol.converged is False and sol.saddle_gap > learners._SADDLE_TOL * (1.0 + abs(sol.objective))
         assert sol.inner_converged is True  # the polish of the returned point converges
         assert sol.gap == pytest.approx(duality_gap(problem, sol.beta, sol.alphas))
@@ -940,18 +940,36 @@ class TestOperatorForms:
         assert np.abs(dense - subset).max() <= 2.0**m * e * (1.0 + 2.0 * d * big_s) / d**2
 
     def test_only_a_layer_within_the_block_bound_builds_a_dense_gram(self, monkeypatch):
-        # u * u <= _BLOCK_ELEMS: a class form over the same rows to step on; above
-        # the bound no u x u inner-product matrix is built at all
+        # u * u <= _BLOCK_ELEMS: a class form over the same rows to step on, built by the
+        # first `at`, its only reader, at the subset form's c; above the bound no u x u
+        # inner-product matrix is built at all
         rng = np.random.default_rng(0)
         pts = [HypercubePoint.from_indices(16, rng.choice(16, 4, replace=False)) for _ in range(2_000)]
         calls, blocks = [], learners.inner_product_blocks
         monkeypatch.setattr(learners, "inner_product_blocks", lambda *a: calls.append(a) or blocks(*a))
+        beta = np.full(5, 0.2)
         big = learners.layer_vertex_grams(pts, 4)
-        assert big.rows**2 > learners._BLOCK_ELEMS and big.gram is None and calls == []
-        small = learners.layer_vertex_grams(pts[:300], 4)
-        assert small.rows**2 <= learners._BLOCK_ELEMS and len(calls) == 1
+        big.load(rng.normal(size=len(pts)))
+        assert big.rows**2 > learners._BLOCK_ELEMS and big.at(beta) is big and big.gram is None and calls == []
+        small, alpha = learners.layer_vertex_grams(pts[:300], 4), rng.normal(size=300)
+        small.load(alpha)
+        assert small.rows**2 <= learners._BLOCK_ELEMS and calls == []
+        op = small.at(beta)
+        assert op is small.gram and len(calls) == 1
+        assert np.array_equal(op.c, np.bincount(small.where, alpha, small.rows))
+        assert small.at(beta) is op and len(calls) == 1
         assert np.array_equal(small.gram.where, small.where)
         assert np.array_equal(small.gram.ip, class_vertex_grams(pts[:300], 4).ip)
+
+    def test_forms_that_never_step_build_no_dense_gram(self, monkeypatch):
+        # Rademacher and the containment check read only the quads: no layer of either
+        # builds its class form, though every layer here is within the block bound
+        calls, blocks = [], learners.inner_product_blocks
+        monkeypatch.setattr(learners, "inner_product_blocks", lambda *a: calls.append(a) or blocks(*a))
+        rng = np.random.default_rng(1)
+        pts = [HypercubePoint.from_indices(16, rng.choice(16, w, replace=False)) for w in (3, 6, 12) for _ in range(50)]
+        learners.rademacher_estimate(pts, B=1.0, trials=5)
+        assert harness._check_containment(rng, triples=3)["passed"] and calls == []
 
 
 @st.composite
@@ -1081,13 +1099,53 @@ class TestInnerAscent:
         assert np.array_equal(alpha, np.where(problem.labels > 0, hi, lo))
 
 
+class TestBetaStep:
+    """The group-lasso beta step: beta_t proportional to beta_t sqrt(a' K_t a), summing to 1."""
+
+    def test_step_is_proportional_to_the_group_norms(self):
+        beta, quads = np.array([0.5, 0.3, 0.2]), np.array([4.0, 1.0, 9.0])
+        got = learners._beta_step(beta, quads)
+        assert np.allclose(got, np.array([1.0, 0.3, 0.6]) / 1.9, rtol=1e-15, atol=0.0)
+        assert abs(got.sum() - 1.0) <= 1e-15
+
+    def test_negative_rounding_quads_count_as_zero(self):
+        assert np.array_equal(learners._beta_step(np.array([0.5, 0.5]), np.array([4.0, -1e-17])), [1.0, 0.0])
+
+    @pytest.mark.parametrize("quads", [[0.0, 0.0], [-1e-18, 0.0]])
+    def test_all_zero_quads_leave_beta_unchanged(self, quads):
+        beta = np.array([0.25, 0.75])
+        assert learners._beta_step(beta, np.array(quads)) is beta
+
+    def test_a_dropped_vertex_returns_once_its_quad_grows(self):
+        # a zero weight steps as _BETA_FLOOR, so a vertex that one step's zero quad
+        # dropped is not lost for good
+        beta = learners._beta_step(np.array([0.5, 0.5]), np.array([4.0, 0.0]))
+        assert np.array_equal(beta, [1.0, 0.0])
+        for _ in range(30):
+            beta = learners._beta_step(beta, np.array([1.0, 16.0]))
+        assert beta[1] > 0.99
+
+    def test_mkl_cube_layers_converge_within_thirty_steps(self):
+        # the benchmark's shape: layers 3, 6 and 12 of n = 16, 300 noisy conjunction
+        # points each, B = 4, eps = 0.05; Frank-Wolfe on beta needed up to 88 steps here
+        pts, labels = [], []
+        for j, w in enumerate((3, 6, 12)):
+            data = harness.gen_conjunction_dataset(16, [2, 9], "uniform_layer", w, 300, 0.1, seed=40 + j)
+            pts += data.points
+            labels += list(2.0 * data.labels - 1.0)
+        model = learners.mkl_train(pts, np.array(labels), B=4.0, epsilon=0.05, outer_iters=30)
+        for layer in model.report["per_layer"].values():
+            assert layer["converged"] and layer["outer_steps"] <= 30
+            assert layer["saddle_gap"] <= 1e-3 * (1.0 + abs(layer["objective"]))
+
+
 class TestProjection:
-    """The capped simplex {beta >= 0, sum beta <= 1}: Frank-Wolfe keeps beta on it
+    """The capped simplex {beta >= 0, sum beta <= 1}: the beta step keeps beta on it
     without a projection, and a hand-built class form must be finite to enter it."""
 
     @staticmethod
     def visited(monkeypatch, problem, outer_iters):
-        # the layer's own form records each beta it is set to, once per Frank-Wolfe
+        # the layer's own form records each beta it is set to, once per beta
         # step and once for the polish (a subset form's dense Gram is not asked)
         betas, form = [], problem.vertex_grams
         at = form.at
@@ -1104,7 +1162,7 @@ class TestProjection:
         assert np.array_equal(sol.beta, [1.0]) and all(np.array_equal(b, [1.0]) for b in betas)
 
     def test_negative_clipped(self, monkeypatch, rng):
-        # steps toward 0 and toward vertices scale the old weights by 1 - gamma: none goes negative
+        # a beta step scales each weight by a norm that is at least 0: none goes negative
         pts = pts_from_tuples(layer_points(6, 3))[:14]
         problem = MklLayerProblem(learners.layer_vertex_grams(pts, 3), rng.choice([-1.0, 1.0], size=14), lam=0.05)
         sol, betas = self.visited(monkeypatch, problem, 60)
