@@ -40,8 +40,8 @@ a layer either by summing table values against its alphas block by block
 or, on a low-weight layer with many support rows, from the support's
 subset weights (2^p lookups per query).  When a 2^n table fits one block
 (n <= 18), building the model also scores every mask of such a layer once,
-C(n, p) * 2^p lookups (about 0.4 ms at n = 16, p = 4 and 30-90 ms at
-n = 18, p = 8 on one x86-64 core), and stores the scores in the table, so
+C(n, p) * 2^p lookups (a whole build takes about 0.7 ms at n = 16, p = 4
+and 65-120 ms at n = 18, p = 8 on one x86-64 core), and stores the scores, so
 a query of the layer is one table read.  Neither path builds a support x
 query matrix, and every temporary is bounded by the block size.
 
@@ -467,11 +467,11 @@ def sparse_conjunction_kernel(n: int, s: int, ell: int) -> KernelSpec:
 # query with one read and pays only its build, C(n, p) * 2^p row-sum lookups,
 # so with cost the price of one build lookup in rows it costs no more than one
 # block-path pass over the layer's C(n, p) points.  That price measured
-# 1.7-2.9 at p = 7-8 and 3.8-5.0 at p = 6 (n = 16-18), and 3 lies between.
-# Below p = 6 the table's fixed cost (its pages, the layer's masks) weighs
-# more, but the whole build stays under 3 ms at n = 16.  The worst the dense
-# gate admits, 3 * 4^p <= 2^18, is p = 8: about 30 ms at n = 16 and 80-90 ms
-# at n = 18.
+# 2.8-3.5 at p = 6-8 (n = 16-18) with the sort-free fill, against 3.4-4.6 for
+# the sorted one on the same host, and 3 lies within it.  Below p = 6 the
+# table's fixed cost (its pages, the layer's masks) weighs more, but the whole
+# build stays under 3 ms at n = 16.  The worst the dense gate admits,
+# 3 * 4^p <= 2^18, is p = 8: about 35 ms at n = 16 and 65-120 ms at n = 18.
 _SUBSET_COST = 12
 _DENSE_COST = 3
 
@@ -479,16 +479,16 @@ _DENSE_COST = 3
 def _submasks(masks: np.ndarray, p: int) -> np.ndarray:
     """The (rows, 2^p) uint64 submasks of weight-p masks.
 
-    Row order: the lowest set bit is peeled p times, and each peel appends
-    the submasks found so far with that bit set, so column j of every row
-    holds a submask of ``popcount(j)`` bits.
+    Row order: the lowest set bit is peeled p times, and peel j fills columns
+    ``2^j .. 2^(j+1) - 1`` with the submasks found so far with that bit set,
+    so column j of every row holds a submask of ``popcount(j)`` bits.
     """
-    subs = np.zeros((masks.size, 1), dtype=np.uint64)
-    rest = masks.copy()
-    for _ in range(p):
+    subs = np.empty((masks.size, 1 << p), dtype=np.uint64)
+    subs[:, 0], rest = 0, masks.copy()
+    for j in range(p):
         low = rest & (~rest + np.uint64(1))
         rest ^= low
-        subs = np.hstack([subs, subs | low[:, None]])
+        np.bitwise_or(subs[:, : 1 << j], low[:, None], out=subs[:, 1 << j : 2 << j])
     return subs
 
 
@@ -528,16 +528,18 @@ class _SubsetWeights:
     and a row sum, ``table[slot(subs)].sum(axis=1)``.
     When ``1 << n <= _BLOCK_ELEMS`` the table is dense: ``2^n`` floats
     (8 * 2^n bytes) indexed by the submask itself, and ``keys`` is None.
-    :meth:`build` fills it with the weights, zero off the support, then
+    :meth:`build` adds the alphas into it at the support's submasks in
+    :func:`_subset_sums`' order, multiplies the entries it marked by ``c_|T|``
+    (no sort, the same weights bit for bit, zero off the support), then
     scores every weight-p mask x by that gather and row sum and writes the
     score at ``table[x]``.  This works in place: the one weight-p subset of
     x is x itself, so no other row reads that entry.  A query is then one
     read, ``table[x]``; the entries below weight p are build scratch that
     no query reads, and those above it stay zero.  The scoring is C(n, p) *
-    2^p lookups, paid once per layer: measured on one x86-64 core, about
-    0.4 ms at n = 16, p = 4, 7 ms at n = 16, p = 6, 25-50 ms (by host
-    speed) at n = 18, p = 7 and 80-90 ms at n = 18, p = 8, the largest
-    layer the dense gate (``_DENSE_COST``) admits.
+    2^p lookups, paid once per layer: measured on one x86-64 core, a whole
+    build takes about 0.7 ms at n = 16, p = 4, 5 ms at n = 16, p = 6, 43-53 ms
+    (by host speed) at n = 18, p = 7 and 65-120 ms at n = 18, p = 8, the
+    largest layer the dense gate (``_DENSE_COST``) admits.
     Otherwise ``keys`` are the sorted submasks of the support, the table is
     their weights followed by one 0.0, and a binary search (about 40 ns)
     sends a submask not among the keys to that trailing zero.  Both forms
@@ -552,15 +554,17 @@ class _SubsetWeights:
     @classmethod
     def build(cls, alphas: np.ndarray, masks: np.ndarray, kernel: BetaCoeffs) -> "_SubsetWeights":
         n, p = kernel.layer.n, kernel.layer.p
-        keys, slots, sizes = _subset_layout(masks, p)
-        wts = _subset_sums(slots, alphas, keys.size) * kernel.beta[sizes]
-        del slots  # one submask-sized array fewer while the dense scores are built
         if 1 << n <= _BLOCK_ELEMS:
             # zeroed pages of its own: taken from the heap just after a large
             # Gram is freed, the table can keep the heap from shrinking and
             # cost peak RSS several times its size
             table = np.frombuffer(mmap.mmap(-1, 8 << n))
-            table[keys] = wts
+            subs, covered = _submasks(masks, p).ravel(), np.zeros(1 << n, dtype=bool)
+            np.add.at(table, subs, np.repeat(alphas, 1 << p))  # _subset_sums, in its order
+            covered[subs] = True
+            del subs
+            keys = np.flatnonzero(covered)
+            table[keys] *= kernel.beta[np.bitwise_count(keys)]
             # a weight-p entry is read only by its own row, so each score can
             # overwrite it in place
             layer = _layer_masks(n, p)
@@ -569,7 +573,8 @@ class _SubsetWeights:
                 rows = layer[start : start + step]
                 table[rows] = table[_submasks(rows, p)].sum(axis=1)
             return cls(p, None, table)
-        return cls(p, keys, np.append(wts, 0.0))
+        keys, slots, sizes = _subset_layout(masks, p)
+        return cls(p, keys, np.append(_subset_sums(slots, alphas, keys.size) * kernel.beta[sizes], 0.0))
 
     def scores(self, masks: np.ndarray) -> np.ndarray:
         """``sum_{T ⊆ x} wts[T]`` for each weight-p mask x: one read of a dense
@@ -620,7 +625,7 @@ class TrainedModel:
     ``cost * 2^p <= rows`` and ``rows * 2^p <= _BLOCK_ELEMS``: one read per
     query of a dense ``2^n`` table that holds the layer's scores when
     ``1 << n <= _BLOCK_ELEMS`` (8 * 2^n bytes per layer, filled here at
-    C(n, p) * 2^p lookups, up to about 90 ms at n = 18, p = 8), with
+    C(n, p) * 2^p lookups, up to about 65-120 ms at n = 18, p = 8), with
     ``cost = _DENSE_COST``; else 2^p lookups per query into the sorted
     keys, with ``cost = _SUBSET_COST``.  Other layers sum table values
     against the alphas block by block (one step per support row); a

@@ -296,6 +296,7 @@ def pegasos_train(
 # Dual coordinate ascent
 
 _SDCA_TOL = 1e-4  # SDCA stops once gap <= _SDCA_TOL (1 + |objective|)
+_STALL_EPOCHS = 50  # the window over which an SDCA run's best gap must fall fast enough to close by its cap
 _ONE = np.ones(1)  # the beta of a one-vertex form
 
 
@@ -339,14 +340,19 @@ def _sdca_epoch(op, alpha: list, order: list, points: tuple) -> None:
     ``points`` is :func:`_point_lists`.  The step ``alpha_i <- clip(alpha_i +
     (y_i - op.margin(r)) / op.diag[r], box_i)``, r point i's row, maximizes
     the dual over alpha_i; a row whose diagonal is not positive (a zero row,
-    in a PSD Gram) sends alpha_i to :func:`_corner`.
+    in a PSD Gram) sends alpha_i to :func:`_corner`.  The clip's two plain ``if``s give
+    ``min(max(x, lo), hi)`` bit for bit, NaN, ``-0.0`` and ``lo > hi`` too (``elif`` would not).
     """
     row_of, y_of, lo_of, hi_of, corner_of = points
     diag, margin, step = op.diag, op.margin, op.step
     for i in order:
         r = row_of[i]
         if diag[r] > 0.0:
-            new = min(max(alpha[i] + (y_of[i] - margin(r)) / diag[r], lo_of[i]), hi_of[i])
+            new = alpha[i] + (y_of[i] - margin(r)) / diag[r]
+            if new < lo_of[i]:
+                new = lo_of[i]
+            if new > hi_of[i]:
+                new = hi_of[i]
         else:
             new = corner_of[i]
         delta = new - alpha[i]
@@ -371,22 +377,25 @@ def _bounds(problem: MklLayerProblem, a: np.ndarray, beta: np.ndarray) -> tuple:
 
 def _sdca_run(problem: MklLayerProblem, a, beta, rng, tol: float, cap: int, lower=(-math.inf, None)) -> tuple:
     """SDCA epochs on ``problem`` from alphas ``a`` at a fixed ``beta`` until the
-    :func:`_bounds` gap ``primal - dual`` is at most ``tol (1 + |primal|)`` or after
-    ``cap`` epochs, each in ``rng.permutation(m)``.  Returns ``(a, primal, dual, lower,
-    epochs, converged)``, ``lower`` the best ``(lower bound, alphas)`` of ``lower`` and
-    every iterate."""
+    :func:`_bounds` gap ``primal - dual`` is at most ``tol (1 + |primal|)``, after
+    ``cap`` epochs, each in ``rng.permutation(m)``, or once the run stalls: the fall of
+    its best gap (the least primal so far minus the dual) over the last ``_STALL_EPOCHS``
+    epochs, kept up for the epochs the cap leaves, would not bring it to that tolerance.
+    Returns ``(a, primal, dual, lower, epochs, converged)``, ``lower`` the best ``(lower
+    bound, alphas)`` of ``lower`` and every iterate."""
     points = _point_lists(problem.where, problem.labels, *problem.box)
     problem.vertex_grams.load(a)
-    gram, alpha, epochs = problem.vertex_grams.at(beta), a.tolist(), 0
+    gram, alpha, best, gaps = problem.vertex_grams.at(beta), a.tolist(), math.inf, []
     while True:
         a = np.array(alpha)
         primal, dual, low, _ = _bounds(problem, a, beta)
         if low > lower[0]:
             lower = (low, a)
-        converged = primal - dual <= tol * (1.0 + abs(primal))
-        if converged or epochs == cap:
-            return a, primal, dual, lower, epochs, converged
-        epochs += 1
+        epochs, target, best = len(gaps), tol * (1.0 + abs(primal)), min(best, primal)
+        gaps.append(best - dual)
+        fall = gaps[-1 - _STALL_EPOCHS] - gaps[-1] if epochs >= _STALL_EPOCHS else math.inf
+        if primal - dual <= target or epochs == cap or fall * (cap - epochs) < _STALL_EPOCHS * (gaps[-1] - target):
+            return a, primal, dual, lower, epochs, primal - dual <= target
         _sdca_epoch(gram, alpha, rng.permutation(problem.m).tolist(), points)
 
 
@@ -410,7 +419,7 @@ def sdca_solve(
 
     The report holds ``objective`` (the primal at the alphas), that ``gap``,
     the ``epochs`` run and ``converged``, which is False when ``max_epochs``
-    ran out before the gap was small enough.
+    ran out, or the run stalled, before the gap was small enough.
     """
     where = np.asarray(where)
     m = where.size
@@ -626,8 +635,8 @@ def mkl_layer_solve(problem: MklLayerProblem, outer_iters: int = 500) -> MklSolu
     :func:`_bounds` are within ``_SADDLE_TOL (1 + |upper|)``, or after
     ``outer_iters`` steps; :func:`_sdca_run` then polishes the alphas at the best
     upper bound's beta to an inner gap of ``_POLISH_TOL (1 + |objective|)``, in at
-    most ``_POLISH_STEPS // m`` epochs, its iterates counting for the lower bound
-    too.  Epochs visit the points in permutations drawn from ``default_rng(0)``.
+    most ``_POLISH_STEPS // m`` epochs or until it stalls, its iterates counting for
+    the lower bound too.  Epochs visit the points in permutations drawn from ``default_rng(0)``.
     """
     check_count("outer_iters", outer_iters)
     op, m = problem.vertex_grams, problem.m

@@ -22,7 +22,12 @@ Core claims:
       queries split into chunks; on a model shaped like mkl-cube's, layers
       3, 6 and 12 all take that path, layer 6 as a dense table; a direct-sum
       layer built by hand from its beta scores the same on both paths; one
-      row's submasks match the batch enumeration
+      row's submasks match the batch enumeration, and the in-place
+      enumeration matches one np.hstack per peel byte for byte for p = 0 to
+      8, on 64-bit masks with bit 63 set
+    - a dense table's sort-free weights, and the scores built from them,
+      equal the sorted layout's _subset_sums times beta byte for byte, the
+      -0.0 of a negative beta times alphas that cancel included
     - a subset layer's dense table (2^n floats, when 1 << n <= _BLOCK_ELEMS)
       and its sorted keys score bit for bit alike, on n = 5 to 32 around the
       n = 18 gate, and a query that misses every key scores exactly 0.0;
@@ -274,6 +279,63 @@ def test_submasks_of_one_row_match_the_batch_enumeration():
         assert row.shape == (1, 1 << p) and set(row[0].tolist()) == subs
 
 
+def hstack_submasks(masks, p):
+    """The submask enumeration by one ``np.hstack`` per peel: the reference for ``kernels._submasks``."""
+    subs = np.zeros((masks.size, 1), dtype=np.uint64)
+    rest = masks.copy()
+    for _ in range(p):
+        low = rest & (~rest + np.uint64(1))
+        rest ^= low
+        subs = np.hstack([subs, subs | low[:, None]])
+    return subs
+
+
+@pytest.mark.parametrize("p", range(9))
+def test_submasks_fill_in_place_as_the_hstack_enumeration(p):
+    # weight-p masks of 64 bits, every other one with bit 63 set, and no rows at all
+    rng = np.random.default_rng(p)
+    bits = [[63] * (i % 2 and p > 0) + rng.choice(63, p - (i % 2 and p > 0), replace=False).tolist() for i in range(25)]
+    masks = np.array([sum(1 << b for b in row) for row in bits], dtype=np.uint64)
+    for rows in (masks, masks[:0]):
+        got, want = kernels._submasks(rows, p), hstack_submasks(rows, p)
+        assert got.dtype == want.dtype and got.shape == want.shape == (rows.size, 1 << p)
+        assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
+
+
+def sorted_layout_dense_table(alphas, masks, kernel):
+    """A dense subset table whose weights come from the sorted layout, ``_subset_sums``
+    times beta at ``_subset_layout``'s keys, scored in place as ``_SubsetWeights.build`` does."""
+    n, p = kernel.layer.n, kernel.layer.p
+    keys, slots, sizes = kernels._subset_layout(masks, p)
+    table = np.zeros(1 << n)
+    table[keys] = kernels._subset_sums(slots, alphas, keys.size) * kernel.beta[sizes]
+    layer = kernels._layer_masks(n, p)
+    step = max(1, kernels._BLOCK_ELEMS >> p)
+    for start in range(0, layer.size, step):
+        rows = layer[start : start + step]
+        table[rows] = table[kernels._submasks(rows, p)].sum(axis=1)
+    return table
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 12), st.integers(0, 6), st.integers(0, 2**32 - 1))
+def test_dense_table_weights_match_the_sorted_layout_sign_of_zero_included(n, p, seed):
+    # every beta negative, and alphas in pairs a, -a on adjacent rows, so the empty set's
+    # weight sums to exactly 0.0 and times its beta is -0.0
+    rng = np.random.default_rng(seed)
+    p = min(p, n // 2)
+    layer = kernels._layer_masks(n, p)
+    pairs = min(8, max(1, layer.size // 2))
+    masks = rng.choice(layer, 2 * pairs, replace=layer.size < 2 * pairs)  # p = 0 has one mask
+    alphas = np.repeat(rng.normal(size=masks.size // 2), 2) * np.tile([1.0, -1.0], masks.size // 2)
+    kernel = BetaCoeffs(LayerParams(n, p), -np.abs(rng.normal(size=p + 1)))
+    built = kernels._SubsetWeights.build(alphas, masks, kernel)
+    assert built.keys is None
+    assert built.table.tobytes() == sorted_layout_dense_table(alphas, masks, kernel).tobytes()
+    if p > 0:  # the empty set is below weight p, so its weight is kept: -0.0
+        assert built.table[0] == 0.0 and math.copysign(1.0, built.table[0]) == -1.0
+
+
 def test_layers_take_the_path_their_size_selects():
     # the shape of an mkl-cube model: distinct support rows on layers 3, 6 and
     # 12 of n = 16 (12 is mirrored onto p = 4); n = 16 tables are dense, so a
@@ -362,11 +424,12 @@ def test_dense_subset_layers_at_the_gate_build_and_score_in_bounded_memory():
 def test_the_largest_dense_layer_the_gate_admits_builds_and_scores_in_bounded_memory():
     # 3 * 4^p <= 2^18 admits p = 8 at n = 18 with 768 to 1,024 rows.  The
     # support's rows * 2^p submasks then fill most of one _BLOCK_ELEMS block
-    # (2 MiB of 8-byte entries).  The layout holds the submasks, one sorted
-    # copy (then their slots) and the keys, and the weights' repeat of the
-    # alphas; scoring the layer holds three blocks once the slots are freed.
-    # So no more than four blocks, 8 MiB, are traced at once; np.unique with
-    # its inverse took 12.1 MiB.  The table's 2 MiB are mapped pages, not traced.
+    # (2 MiB of 8-byte entries).  The dense fill holds the submasks, the
+    # alphas' repeat and a 2^n bool mark (a quarter block); scoring the layer
+    # holds three blocks once the submasks are freed.  So no more than four
+    # blocks, 8 MiB, are traced at once (the sorted layout held the same, and
+    # np.unique with its inverse 12.1 MiB).  The table's 2 MiB are mapped
+    # pages, not traced.
     rng = np.random.default_rng(12)
     layer = kernels._layer_masks(18, 8)
     support = [HypercubePoint(18, b) for b in rng.choice(layer, 900, replace=False).tolist()]

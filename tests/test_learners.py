@@ -67,8 +67,20 @@ Core claims:
       alone moves alpha_i by y_i / K_ii with K_ii at most the top eigenvalue
       of K_beta, no single epoch and no call of 2-50 epochs lowers the dual,
       its dual lies within its certified gap below the optimum plain
-      projected gradient finds, to 1e-9 relative, and a kernel that is zero
-      to working precision gives the box corner
+      projected gradient finds, to 1e-9 relative (a pinned ill-conditioned
+      draw included, and no draw whose least nonzero eigenvalue is below
+      1e-5 of the largest), and a kernel that is zero to working precision
+      gives the box corner
+    - the SDCA step's clip is two plain ifs, byte for byte min(max(x, lo),
+      hi): on every quadruple (alpha, y, lo, hi) of signed zeros,
+      subnormals, +-1, infinities and NaN, lo > hi included, and over epochs
+      on PSD Grams with zero rows and on layer forms, boxes with lo == hi
+      and zero diagonals among them
+    - an SDCA run stops when it stalls: at a beta with one weight in
+      [1e-6, 1e-3] the polish under a 2,000-epoch budget certifies its inner
+      gap or reports converged=False, and a layer whose gap cannot close
+      (a stale step Gram, a halved conjugate box) stops after one window of
+      _STALL_EPOCHS epochs and says so
     - the beta step keeps beta on the capped simplex: a layer certified at its
       first step returns the start untouched, no entry goes negative and no
       sum exceeds 1
@@ -102,6 +114,7 @@ Core claims:
 """
 
 import dataclasses
+import itertools
 import math
 import subprocess
 import sys
@@ -112,7 +125,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import class_vertex_grams, dense_dual_solve, dense_gram, dense_subgradient, dual_value, duality_gap
@@ -986,6 +999,15 @@ def layer_problems(draw):
     return problem, capped_simplex_point(draw(st.lists(st.floats(0.0, 1.0), min_size=q, max_size=q)))
 
 
+# Shrunk from a draw that failed at a 10,000-epoch cap: beta = (0.75, 0.001, 0) leaves
+# K_beta close to 0.75 J, with eigenvalues 8.3e-4, 1.9e-3 and 2.25, and coordinate ascent
+# needs 10,900 epochs to certify its gap of 1e-13 (1 + |dual|).
+ILL_CONDITIONED_DRAW = (
+    MklLayerProblem(learners.layer_vertex_grams([HypercubePoint(5, b) for b in (3, 12, 20)], 2), -np.ones(3), lam=1e-3),
+    np.array([0.75, 0.001, 0.0]),
+)
+
+
 def projected_gradient_oracle(problem, kb, tol, max_iter):
     """Plain projected gradient ascent from zero with step 1/(lam max_i sum_j |K_ij|),
     to projected-gradient norm ``tol``: a dual optimum found without coordinate steps.
@@ -1067,6 +1089,7 @@ class TestInnerAscent:
         after = dense_dual(problem, beta, alpha)
         assert after >= before - 1e-12 * (1.0 + abs(before))
 
+    @example(ILL_CONDITIONED_DRAW)
     @settings(max_examples=40, deadline=None)
     @given(layer_problems())
     def test_reaches_the_dual_of_plain_projected_gradient(self, case):
@@ -1077,16 +1100,22 @@ class TestInnerAscent:
         # leaves it far from 1e-10 after millions, so such draws have no oracle here
         oracle, reached = projected_gradient_oracle(problem, kb, 1e-10, 20_000)
         assume(reached)
-        # on the draws the oracle finishes, coordinate ascent from zero must certify a dense gap
-        # of 1e-13 (1 + |dual|) within 10,000 epochs (at most 248 were needed on 400 draws), far
-        # inside the polish's budget of _POLISH_STEPS // m, and then match the oracle's dual
+        # coordinate ascent's linear rate falls with the least nonzero eigenvalue of K_beta over
+        # its largest, and the oracle can stop early along a flat direction: a draw whose ratio is
+        # below 1e-5 has no certificate in reach either (on 3,560 draws, every one that missed
+        # 30,000 epochs had a ratio below 1e-5, and those above it needed at most 5,950)
+        eig = np.linalg.eigvalsh(kb)
+        assume(eig[eig > 1e-12 * eig[-1]].min() >= 1e-5 * eig[-1])
+        # on the draws left, coordinate ascent from zero must certify a dense gap of 1e-13
+        # (1 + |dual|) within 20,000 epochs (the example needs 10,900), far inside the polish's
+        # budget of _POLISH_STEPS // m, and then match the oracle's dual
         alpha = np.zeros(problem.m)
-        for chunk in range(200):
+        for chunk in range(400):
             alpha = sdca_epochs(problem, beta, alpha, 50, seed=chunk)
             gap, dual = duality_gap(problem, beta, alpha), dense_dual(problem, beta, alpha)
             if gap <= 1e-13 * (1.0 + abs(dual)):
                 break
-        assert gap <= 1e-13 * (1.0 + abs(dual)) and 10_000 <= learners._POLISH_STEPS // problem.m
+        assert gap <= 1e-13 * (1.0 + abs(dual)) and 20_000 <= learners._POLISH_STEPS // problem.m
         assert dual == pytest.approx(dense_dual(problem, beta, oracle), rel=1e-9)
 
     def test_kernel_zero_to_working_precision_takes_the_box_corner(self):
@@ -1097,6 +1126,136 @@ class TestInnerAscent:
         learners._sdca_epoch(op, alpha, [0, 1], learners._point_lists(np.arange(2), problem.labels, *problem.box))
         lo, hi = learners._alpha_box(*problem.terms)
         assert np.array_equal(alpha, np.where(problem.labels > 0, hi, lo))
+
+
+def min_max_sdca_epoch(op, alpha, order, points):
+    """``learners._sdca_epoch`` with its clip written ``min(max(x, lo), hi)``: the reference
+    that the two plain ``if``s of the library must reproduce bit for bit."""
+    row_of, y_of, lo_of, hi_of, corner_of = points
+    for i in order:
+        r = row_of[i]
+        if op.diag[r] > 0.0:
+            new = min(max(alpha[i] + (y_of[i] - op.margin(r)) / op.diag[r], lo_of[i]), hi_of[i])
+        else:
+            new = corner_of[i]
+        delta = new - alpha[i]
+        if delta:
+            alpha[i] = new
+            op.step(r, delta)
+
+
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308, 1.0, -1.0]
+SPECIAL_FLOATS += [math.inf, -math.inf, math.nan]
+
+
+class _OneRow:
+    """An SDCA operator of one row with a unit diagonal and a zero margin, recording its steps."""
+
+    def __init__(self):
+        self.diag, self.steps = [1.0], []
+
+    def margin(self, r):
+        return 0.0
+
+    def step(self, r, delta):
+        self.steps.append(delta)
+
+
+@st.composite
+def epoch_cases(draw):
+    """``(make, beta, alpha, order, points)`` for an SDCA epoch: ``make()`` builds a fresh
+    operator each call, a PSD ``_Gram`` with zero rows or a layer's form stepping on its
+    subset sums or its class form; about a third of the boxes have ``lo == hi``, a zero
+    beta gives a zero diagonal, and the order visits points more than once."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        u = draw(st.integers(1, 6))
+        f = rng.normal(size=(u, 3)) * (rng.random((u, 1)) < 0.7)
+        k, where = f @ f.T, rng.integers(0, u, size=draw(st.integers(1, 10)))
+        make, beta = (lambda: learners._Gram(where, k)), learners._ONE
+    else:
+        _, w, pts = draw(layer_samples(max_n=8))
+        on_subsets = draw(st.booleans())
+
+        def make():
+            form = learners.layer_vertex_grams(pts, w)
+            if on_subsets:
+                form.gram = None
+            return form
+
+        where, q = make().where, make().vertices
+        beta = np.zeros(q) if draw(st.booleans()) else capped_simplex_point(rng.random(q))
+    m = where.size
+    y = rng.choice([-1.0, 1.0], size=m) if draw(st.booleans()) else rng.normal(size=m)
+    lo = rng.normal(size=m)
+    hi = lo + np.abs(rng.normal(size=m)) * (rng.random(m) < 0.7)
+    points = tuple(v.tolist() for v in (where, y, lo, hi, learners._corner(y, lo, hi)))
+    return make, beta, rng.uniform(lo, hi), rng.integers(0, m, size=3 * m).tolist(), points
+
+
+class TestSdcaStepBits:
+    """The SDCA step's clip is two plain ifs, bit for bit ``min(max(x, lo), hi)``."""
+
+    def test_the_clip_matches_min_max_on_every_quadruple_of_special_floats(self):
+        # alpha_0 + (y - 0) / 1 is y itself at alpha_0 = -0.0, so every special x meets
+        # every special box, lo > hi included; the alpha written and the delta stepped
+        # are compared as bytes
+        runs = []
+        for epoch in (learners._sdca_epoch, min_max_sdca_epoch):
+            out = []
+            for a0, y, lo, hi in itertools.product(SPECIAL_FLOATS, repeat=4):
+                op, alpha = _OneRow(), [a0]
+                epoch(op, alpha, [0], ([0], [y], [lo], [hi], [0.0]))
+                out.append(np.array(alpha + op.steps).tobytes())
+            runs.append(out)
+        assert runs[0] == runs[1]
+
+    @settings(max_examples=150, deadline=None)
+    @given(epoch_cases())
+    def test_an_epoch_matches_the_min_max_reference_byte_for_byte(self, case):
+        make, beta, alpha, order, points = case
+        runs = []
+        for epoch in (learners._sdca_epoch, min_max_sdca_epoch):
+            form = make()
+            form.load(alpha)
+            op, a = form.at(beta), alpha.tolist()
+            epoch(op, a, order, points)
+            runs.append((np.array(a).tobytes(), (op.w if isinstance(op, learners.SubsetForm) else op.z).tobytes()))
+        assert runs[0] == runs[1]
+
+
+class TestPolishStall:
+    # Stated before running: at a beta with one weight in [1e-6, 1e-3], the polish from
+    # zero alphas under an epoch budget of 2,000 returns within the budget, reports
+    # converged exactly when its gap is at most _POLISH_TOL (1 + |primal|), and that
+    # gap is the dense per-point gap at its alphas within 1e-12 (1 + |primal|).
+    @settings(max_examples=60, deadline=None)
+    @given(layer_problems(), st.integers(0, 8), st.floats(1e-6, 1e-3))
+    def test_an_ill_conditioned_polish_certifies_or_says_it_did_not(self, case, vertex, weight):
+        problem, beta = case
+        beta = beta.copy()
+        beta[vertex % beta.size] = weight
+        run = learners._sdca_run(problem, np.zeros(problem.m), beta, np.random.default_rng(0), learners._POLISH_TOL, 2_000)
+        a, primal, dual, _, epochs, converged = run
+        assert epochs <= 2_000 and converged == (primal - dual <= learners._POLISH_TOL * (1.0 + abs(primal)))
+        assert abs(duality_gap(problem, beta, a) - (primal - dual)) <= 1e-12 * (1.0 + abs(primal))
+
+    @pytest.mark.parametrize("fault", ["stale_step_gram", "half_box"])
+    def test_a_polish_whose_gap_cannot_close_stops_after_one_window(self, monkeypatch, fault):
+        # verify's 10-point layer may take 200,000 epochs; it stops once one window of
+        # _STALL_EPOCHS epochs shows that its best gap cannot close, and says so
+        rng = np.random.default_rng(0)
+        pts = [HypercubePoint.from_indices(6, rng.choice(6, 2, replace=False)) for _ in range(10)]
+        grams = learners.layer_vertex_grams(pts, 2)
+        if fault == "stale_step_gram":
+            grams.gram.at = lambda beta, mix=grams.gram.at: mix(beta / 2)
+        else:
+            box = HINGE.conjugate_domain
+            monkeypatch.setattr(learners, "HINGE", dataclasses.replace(HINGE, conjugate_domain=lambda y: tuple(0.5 * v for v in box(y))))
+        problem = MklLayerProblem(grams, rng.choice([-1.0, 1.0], size=10), lam=0.1, loss=learners.HINGE)
+        sol = learners.mkl_layer_solve(problem, outer_iters=150)
+        polish = sol.inner_iters - sol.outer_iters
+        assert not sol.inner_converged and learners._STALL_EPOCHS <= polish <= 2 * learners._STALL_EPOCHS
 
 
 class TestBetaStep:
