@@ -296,7 +296,7 @@ def pegasos_train(
 # Dual coordinate ascent
 
 _SDCA_TOL = 1e-4  # SDCA stops once gap <= _SDCA_TOL (1 + |objective|)
-_STALL_EPOCHS = 50  # the window over which an SDCA run's best gap must fall fast enough to close by its cap
+_STALL_EPOCHS = 50  # a polish whose best gap did not fall over this many epochs stops
 _ONE = np.ones(1)  # the beta of a one-vertex form
 
 
@@ -375,27 +375,25 @@ def _bounds(problem: MklLayerProblem, a: np.ndarray, beta: np.ndarray) -> tuple:
     return primal, linear - 0.5 * lam * quad, linear - 0.5 * lam * max(0.0, float(quads.max())), quads
 
 
-def _sdca_run(problem: MklLayerProblem, a, beta, rng, tol: float, cap: int, lower=(-math.inf, None)) -> tuple:
-    """SDCA epochs on ``problem`` from alphas ``a`` at a fixed ``beta`` until the
-    :func:`_bounds` gap ``primal - dual`` is at most ``tol (1 + |primal|)``, after
-    ``cap`` epochs, each in ``rng.permutation(m)``, or once the run stalls: the fall of
-    its best gap (the least primal so far minus the dual) over the last ``_STALL_EPOCHS``
-    epochs, kept up for the epochs the cap leaves, would not bring it to that tolerance.
-    Returns ``(a, primal, dual, lower, epochs, converged)``, ``lower`` the best ``(lower
-    bound, alphas)`` of ``lower`` and every iterate."""
+def _sdca_run(problem: MklLayerProblem, a, beta, rng, tol: float, cap: int, lower=(-math.inf, None), stall=False):
+    """SDCA epochs on ``problem`` from alphas ``a`` at a fixed ``beta``, each in ``rng.permutation(m)``,
+    until the :func:`_bounds` gap ``primal - dual`` is at most ``tol (1 + |primal|)``, after ``cap``
+    epochs or, with ``stall``, once the best gap (least primal so far minus dual) did not fall over the
+    last ``_STALL_EPOCHS`` epochs.  Returns ``(a, primal, dual, lower, epochs, converged)``, ``lower``
+    the best ``(lower bound, alphas)`` of it and every iterate."""
     points = _point_lists(problem.where, problem.labels, *problem.box)
     problem.vertex_grams.load(a)
-    gram, alpha, best, gaps = problem.vertex_grams.at(beta), a.tolist(), math.inf, []
+    gram, alpha, epochs, best, gaps = problem.vertex_grams.at(beta), a.tolist(), 0, math.inf, []
     while True:
         a = np.array(alpha)
         primal, dual, low, _ = _bounds(problem, a, beta)
         if low > lower[0]:
             lower = (low, a)
-        epochs, target, best = len(gaps), tol * (1.0 + abs(primal)), min(best, primal)
-        gaps.append(best - dual)
-        fall = gaps[-1 - _STALL_EPOCHS] - gaps[-1] if epochs >= _STALL_EPOCHS else math.inf
-        if primal - dual <= target or epochs == cap or fall * (cap - epochs) < _STALL_EPOCHS * (gaps[-1] - target):
+        target, best = tol * (1.0 + abs(primal)), min(best, primal)
+        gaps = gaps[-_STALL_EPOCHS:] + [best - dual]  # the best gaps of the last window
+        if primal - dual <= target or epochs == cap or stall and len(gaps) > _STALL_EPOCHS and gaps[0] <= gaps[-1]:
             return a, primal, dual, lower, epochs, primal - dual <= target
+        epochs += 1
         _sdca_epoch(gram, alpha, rng.permutation(problem.m).tolist(), points)
 
 
@@ -419,7 +417,7 @@ def sdca_solve(
 
     The report holds ``objective`` (the primal at the alphas), that ``gap``,
     the ``epochs`` run and ``converged``, which is False when ``max_epochs``
-    ran out, or the run stalled, before the gap was small enough.
+    ran out before the gap was small enough.
     """
     where = np.asarray(where)
     m = where.size
@@ -635,8 +633,8 @@ def mkl_layer_solve(problem: MklLayerProblem, outer_iters: int = 500) -> MklSolu
     :func:`_bounds` are within ``_SADDLE_TOL (1 + |upper|)``, or after
     ``outer_iters`` steps; :func:`_sdca_run` then polishes the alphas at the best
     upper bound's beta to an inner gap of ``_POLISH_TOL (1 + |objective|)``, in at
-    most ``_POLISH_STEPS // m`` epochs or until it stalls, its iterates counting for
-    the lower bound too.  Epochs visit the points in permutations drawn from ``default_rng(0)``.
+    most ``_POLISH_STEPS // m`` epochs or until its best gap stalls, its iterates counting
+    for the lower bound too.  Epochs visit the points in permutations drawn from ``default_rng(0)``.
     """
     check_count("outer_iters", outer_iters)
     op, m = problem.vertex_grams, problem.m
@@ -659,7 +657,8 @@ def mkl_layer_solve(problem: MklLayerProblem, outer_iters: int = 500) -> MklSolu
             break
         beta = _beta_step(beta, quads)
     _, beta, a = upper
-    a, primal, dual, lower, polish, polished = _sdca_run(problem, a, beta, rng, _POLISH_TOL, _POLISH_STEPS // m, lower)
+    run = _sdca_run(problem, a, beta, rng, _POLISH_TOL, _POLISH_STEPS // m, lower, stall=True)
+    a, primal, dual, lower, polish, polished = run
     steps = len(trace)
     return MklSolution(beta, a, primal, abs(primal - dual), np.array(trace), *lower, polished, steps, steps + polish)
 

@@ -32,7 +32,8 @@ Core claims:
       that gap of an independent dense solve run to 1e-12; one step is the
       exact coordinate maximizer; it is deterministic per seed, sends the
       alphas of zero Gram rows to the box corner toward their label,
-      reports converged=False at its epoch cap, and names an empty dataset,
+      reports converged=False at its epoch cap after running every epoch of
+      it (it has no stall rule), and names an empty dataset,
       bad labels, a bad lam, bad epochs, a Gram that is not finite, not
       2-d (a 0-d scalar too) or that `where` does not fit, and a `where`
       that is not a 1-d integer array
@@ -68,17 +69,20 @@ Core claims:
       of K_beta, no single epoch and no call of 2-50 epochs lowers the dual,
       its dual lies within its certified gap below the optimum plain
       projected gradient finds, to 1e-9 relative (a pinned ill-conditioned
-      draw included, and no draw whose least nonzero eigenvalue is below
-      1e-5 of the largest), and a kernel that is zero to working precision
-      gives the box corner
+      draw included); every draw whose least nonzero eigenvalue is at least
+      1e-5 of the largest certifies within 20,000 epochs, and on every draw
+      each side's dual is at most the other's primal; a kernel that is zero
+      to working precision gives the box corner
     - the SDCA step's clip is two plain ifs, byte for byte min(max(x, lo),
       hi): on every quadruple (alpha, y, lo, hi) of signed zeros,
       subnormals, +-1, infinities and NaN, lo > hi included, and over epochs
       on PSD Grams with zero rows and on layer forms, boxes with lo == hi
       and zero diagonals among them
-    - an SDCA run stops when it stalls: at a beta with one weight in
-      [1e-6, 1e-3] the polish under a 2,000-epoch budget certifies its inner
-      gap or reports converged=False, and a layer whose gap cannot close
+    - the polish stops when its best gap stalls: at a beta with one weight
+      in [1e-6, 1e-3] its run under a 2,000-epoch budget stops at the first
+      window of _STALL_EPOCHS epochs over which the best gap of the run
+      without the rule did not fall, and converges exactly when that run
+      does, with the same alphas; a layer whose gap cannot close
       (a stale step Gram, a halved conjugate box) stops after one window of
       _STALL_EPOCHS epochs and says so
     - the beta step keeps beta on the capped simplex: a layer certified at its
@@ -546,6 +550,17 @@ class TestSdca:
         alphas, report = learners.sdca_solve(np.zeros((2, 2)), where[:4], y[:4], 0.5, HINGE, max_epochs=100)
         assert alphas.tolist() == [0.5, 0.5, -0.5, -0.5]
         assert (report["epochs"], report["gap"], report["converged"]) == (1, 0.0, True)
+
+    def test_an_unconverged_run_spends_its_whole_epoch_budget(self):
+        # a near rank-one Gram whose gap closes slowly: sdca_solve has no stall rule, so it
+        # runs all 200 epochs it is given and returns the alphas of the last
+        rng = np.random.default_rng(9)
+        f = rng.normal(size=(6, 2)) * np.array([1.0, 1e-3])
+        k, y = f @ f.T + 1.0, rng.choice([-1.0, 1.0], size=6)
+        alphas, report = learners.sdca_solve(k, np.arange(6), y, 1e-3, HINGE, max_epochs=200)
+        assert (report["epochs"], report["converged"]) == (200, False)
+        problem = MklLayerProblem(learners._Gram(np.arange(6), k), y, 1e-3, HINGE)
+        assert alphas.tobytes() == sdca_epochs(problem, learners._ONE, np.zeros(6), 200).tobytes()
 
     def test_epoch_cap_reports_unconverged(self):
         spec = kernels.universal_kernel(6)
@@ -1100,23 +1115,27 @@ class TestInnerAscent:
         # leaves it far from 1e-10 after millions, so such draws have no oracle here
         oracle, reached = projected_gradient_oracle(problem, kb, 1e-10, 20_000)
         assume(reached)
-        # coordinate ascent's linear rate falls with the least nonzero eigenvalue of K_beta over
-        # its largest, and the oracle can stop early along a flat direction: a draw whose ratio is
-        # below 1e-5 has no certificate in reach either (on 3,560 draws, every one that missed
-        # 30,000 epochs had a ratio below 1e-5, and those above it needed at most 5,950)
-        eig = np.linalg.eigvalsh(kb)
-        assume(eig[eig > 1e-12 * eig[-1]].min() >= 1e-5 * eig[-1])
-        # on the draws left, coordinate ascent from zero must certify a dense gap of 1e-13
-        # (1 + |dual|) within 20,000 epochs (the example needs 10,900), far inside the polish's
-        # budget of _POLISH_STEPS // m, and then match the oracle's dual
+        # coordinate ascent from zero runs until it certifies a dense gap of 1e-13 (1 + |dual|) or
+        # for 20,000 epochs (the example needs 10,900), far inside the polish's _POLISH_STEPS // m
         alpha = np.zeros(problem.m)
         for chunk in range(400):
             alpha = sdca_epochs(problem, beta, alpha, 50, seed=chunk)
             gap, dual = duality_gap(problem, beta, alpha), dense_dual(problem, beta, alpha)
             if gap <= 1e-13 * (1.0 + abs(dual)):
                 break
-        assert gap <= 1e-13 * (1.0 + abs(dual)) and 20_000 <= learners._POLISH_STEPS // problem.m
-        assert dual == pytest.approx(dense_dual(problem, beta, oracle), rel=1e-9)
+        certified = gap <= 1e-13 * (1.0 + abs(dual))
+        # its linear rate falls with the least nonzero eigenvalue of K_beta over the largest: a
+        # draw whose ratio is at least 1e-5 must certify (on 4,000 draws those needed at most
+        # 5,950 epochs); one below it may not (8 of 59 did not; --hypothesis-seed 39 shrinks to one
+        # with beta = (1, 1e-10, 0))
+        eig = np.linalg.eigvalsh(kb)
+        assert certified or eig[eig > 1e-12 * eig[-1]].min() < 1e-5 * eig[-1]
+        assert 20_000 <= learners._POLISH_STEPS // problem.m
+        # on every draw, certified or not, each side's dual is at most the other's primal
+        oracle_dual, slack = dense_dual(problem, beta, oracle), 1e-12 * (1.0 + abs(dual))
+        assert oracle_dual <= dual + gap + slack and dual <= oracle_dual + duality_gap(problem, beta, oracle) + slack
+        if certified:
+            assert dual == pytest.approx(oracle_dual, rel=1e-9)
 
     def test_kernel_zero_to_working_precision_takes_the_box_corner(self):
         # a subnormal K_beta sends the step (y - z) / K_ii past the box; its dual is linear
@@ -1225,20 +1244,30 @@ class TestSdcaStepBits:
 
 
 class TestPolishStall:
-    # Stated before running: at a beta with one weight in [1e-6, 1e-3], the polish from
-    # zero alphas under an epoch budget of 2,000 returns within the budget, reports
-    # converged exactly when its gap is at most _POLISH_TOL (1 + |primal|), and that
-    # gap is the dense per-point gap at its alphas within 1e-12 (1 + |primal|).
+    # Stated before running: at a beta with one weight in [1e-6, 1e-3], the polish's run from
+    # zero alphas under an epoch budget of 2,000 stops at the first epoch e >= _STALL_EPOCHS
+    # at which the best gap of the same run without the rule (its least primal so far minus
+    # its dual) is no lower than at e - _STALL_EPOCHS, or where that run stops; and no such
+    # epoch comes before that run converges, so both converge alike, with the same alphas.
+    # On 14,400 draws of other seeds no converging run had one: the least fall of a window's
+    # best gap was 2.2e-6 of the gap.
     @settings(max_examples=60, deadline=None)
     @given(layer_problems(), st.integers(0, 8), st.floats(1e-6, 1e-3))
-    def test_an_ill_conditioned_polish_certifies_or_says_it_did_not(self, case, vertex, weight):
+    def test_an_ill_conditioned_polish_stops_only_on_a_flat_best_gap(self, case, vertex, weight):
         problem, beta = case
         beta = beta.copy()
         beta[vertex % beta.size] = weight
-        run = learners._sdca_run(problem, np.zeros(problem.m), beta, np.random.default_rng(0), learners._POLISH_TOL, 2_000)
-        a, primal, dual, _, epochs, converged = run
-        assert epochs <= 2_000 and converged == (primal - dual <= learners._POLISH_TOL * (1.0 + abs(primal)))
-        assert abs(duality_gap(problem, beta, a) - (primal - dual)) <= 1e-12 * (1.0 + abs(primal))
+        tol, a0, run, bounds, seen = learners._POLISH_TOL, np.zeros(problem.m), learners._sdca_run, learners._bounds, []
+        a, _, _, _, epochs, converged = run(problem, a0, beta, np.random.default_rng(0), tol, 2_000, stall=True)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(learners, "_bounds", lambda *args: seen.append(bounds(*args)) or seen[-1])
+            capped = run(problem, a0, beta, np.random.default_rng(0), tol, 2_000)
+        best = np.minimum.accumulate([b[0] for b in seen]) - np.array([b[1] for b in seen])
+        k = learners._STALL_EPOCHS
+        assert epochs == min([e for e in range(k, best.size) if best[e - k] <= best[e]] + [capped[4]])
+        assert converged == capped[5]
+        if converged:
+            assert a.tobytes() == capped[0].tobytes()
 
     @pytest.mark.parametrize("fault", ["stale_step_gram", "half_box"])
     def test_a_polish_whose_gap_cannot_close_stops_after_one_window(self, monkeypatch, fault):
@@ -1251,7 +1280,8 @@ class TestPolishStall:
             grams.gram.at = lambda beta, mix=grams.gram.at: mix(beta / 2)
         else:
             box = HINGE.conjugate_domain
-            monkeypatch.setattr(learners, "HINGE", dataclasses.replace(HINGE, conjugate_domain=lambda y: tuple(0.5 * v for v in box(y))))
+            half = dataclasses.replace(HINGE, conjugate_domain=lambda y: tuple(0.5 * v for v in box(y)))
+            monkeypatch.setattr(learners, "HINGE", half)
         problem = MklLayerProblem(grams, rng.choice([-1.0, 1.0], size=10), lam=0.1, loss=learners.HINGE)
         sol = learners.mkl_layer_solve(problem, outer_iters=150)
         polish = sol.inner_iters - sol.outer_iters
