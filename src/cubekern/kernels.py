@@ -312,12 +312,15 @@ def points_to_bits(points, n: int) -> np.ndarray:
     if not 1 <= n <= 64:
         raise ValueError(f"bit-mask packing needs 1 <= n <= 64, got n={n}")
     points = list(points)
-    for i, pt in enumerate(points):
-        if not isinstance(pt, HypercubePoint):
-            raise TypeError(f"points[{i}] is not a HypercubePoint (got {type(pt).__name__})")
-        if pt.n != n:
-            raise ValueError(f"point dimension mismatch: points[{i}] has n={pt.n}, expected n={n}")
-    return np.fromiter((pt.bits for pt in points), dtype=np.uint64, count=len(points))
+    bits = [pt.bits for pt in points if type(pt) is HypercubePoint and pt.n == n]
+    if len(bits) != len(points):  # a subclass passes; anything else is named by its index
+        for i, pt in enumerate(points):
+            if not isinstance(pt, HypercubePoint):
+                raise TypeError(f"points[{i}] is not a HypercubePoint (got {type(pt).__name__})")
+            if pt.n != n:
+                raise ValueError(f"point dimension mismatch: points[{i}] has n={pt.n}, expected n={n}")
+        bits = [pt.bits for pt in points]
+    return np.array(bits, dtype=np.uint64)
 
 
 def _packed(points, n: int) -> np.ndarray:
@@ -389,6 +392,8 @@ def cross_gram(spec: KernelSpec, rows, cols) -> np.ndarray:
 
     Either side may be given as the uint64 masks of :func:`points_to_bits`,
     so a caller that scores many batches against one support packs it once.
+    A group holding every row and column (one layer, ``sparse_conjunction``)
+    is written block by block by slice; interleaved groups scatter by ``np.ix_``.
     """
     xr, xc = _packed(rows, spec.n), _packed(cols, spec.n)
     out = np.zeros((xr.size, xc.size))
@@ -396,9 +401,12 @@ def cross_gram(spec: KernelSpec, rows, cols) -> np.ndarray:
     for w, (ci, b) in _groups(spec, xc, np.arange(xc.size)).items():
         if w in row_groups:
             ri, a = row_groups[w]
-            g = spec.tables[w]
+            g, whole = spec.tables[w], ri.size == xr.size and ci.size == xc.size
             for rs, cs, ip in inner_product_blocks(a, b):
-                out[np.ix_(ri[rs], ci[cs])] = g[ip]
+                if whole:  # every ip is at most the table's top index, so "clip" clips nothing
+                    np.take(g, ip, out=out[rs, cs], mode="clip")  # "raise" would buffer the view
+                else:
+                    out[np.ix_(ri[rs], ci[cs])] = g[ip]
     return out
 
 

@@ -239,7 +239,9 @@ def pegasos_train(
     the picked point's entry of ``z`` over ``lam (t-1)`` (zero at step 1),
     the subgradient ``g_t`` is the end of its conjugate box that the margin
     points to (``hi`` above ``y_i``, ``lo`` below, 0 on a tie), and a hit
-    (``g != 0``) costs one Gram row.  A kernel value depends only
+    (``g != 0``) costs one Gram row: under both shipped losses ``g = +-1``, so
+    the row is subtracted from or added to ``z`` in place, bit for bit
+    ``z -= g * k[u]`` with no temporary.  A kernel value depends only
     on the two points, so the Gram and ``z`` have one row per distinct point
     (``_MAX_GRAM_POINTS`` caps their number).  The average ``(1/T) sum_t
     a_t`` is built in closed form: a hit at step s adds ``-g (H_T -
@@ -268,16 +270,22 @@ def pegasos_train(
     y_of, row_of = y.tolist(), where.tolist()
     lo_of, hi_of = (v.tolist() for v in loss.conjugate_domain(y))
     z = np.zeros(k.shape[0])  # K @ c over the Gram's rows, c the running sum of -g e_i
-    a_bar = np.zeros(m)
+    z_at, add, sub = z.item, np.add, np.subtract
+    a_bar = [0.0] * m
     for s in range(0, steps, _PICK_CHUNK):  # Python lists of one chunk at a time
-        chunk = zip(picks[s : s + _PICK_CHUNK].tolist(), weight[s : s + _PICK_CHUNK].tolist())
-        for t, (i, w_t) in enumerate(chunk, start=s + 1):
+        chunk = slice(s, s + _PICK_CHUNK)
+        scale = lam * np.arange(s, min(s + _PICK_CHUNK, steps))  # lam (t - 1), bit for bit
+        for i, w_t, d in zip(picks[chunk].tolist(), weight[chunk].tolist(), scale.tolist()):
             u, y_i = row_of[i], y_of[i]
-            margin = z.item(u) / (lam * (t - 1)) if t > 1 else 0.0
+            margin = z_at(u) / d if d else 0.0  # d = 0 only at t = 1, where z = 0
             g = hi_of[i] if margin > y_i else lo_of[i] if margin < y_i else 0.0  # argmax of a (margin - y_i)
             if g:
-                z -= g * k[u]
+                if g == 1.0 or g == -1.0:  # z - 1.0 k[u] is z - k[u] exactly: one ufunc, no temporary
+                    (sub if g > 0.0 else add)(z, k[u], out=z)
+                else:  # a box end other than -1, 0, 1 (a custom LossSpec)
+                    z -= g * k[u]
                 a_bar[i] -= g * w_t
+    a_bar = np.array(a_bar)
     problem = MklLayerProblem(_Gram(where, k), y, lam, loss)
     objective = _bounds(problem, a_bar, _ONE)[0]
     report = {

@@ -25,6 +25,11 @@ Core claims:
     - pegasos walks its pick stream in chunks, bit for bit like the dense
       loop across chunk boundaries: 100,000 steps trace under 24 bytes a
       step plus 1 MiB
+    - a Pegasos hit with g = +-1 adds or subtracts its Gram row in place, and
+      alphas and report equal a loop that multiplies (z -= g * k[u], a_bar[i]
+      -= g * w_t) byte for byte: both losses, repeated points with conflicting
+      labels, absolute-loss labels other than +-1, universal specs whose
+      weight groups interleave, and a loss whose box ends are +-1/2
     - dual coordinate ascent (sdca_solve on the Gram of the distinct
       points, n <= 8, repeated points with conflicting labels, both losses)
       stops with a gap of at most _SDCA_TOL (1 + |objective|), its
@@ -491,6 +496,83 @@ class TestPegasosDistinctPoints:
         model = learners.pegasos_train(kernels.universal_kernel(16), pts, y, 1e-3, epochs=1, seed=0)
         assert model.report["iters"] == 25_000
         assert np.isfinite(model.report["gap"]) and model.report["gap"] >= -1e-9
+
+
+def multiply_step_pegasos(spec, points, labels, lam, epochs, seed, loss):
+    """``learners.pegasos_train`` with every hit written ``z -= g * k[u]`` and ``a_bar[i] -=
+    g * w_t`` on a numpy ``a_bar``: the reference that the in-place ``+-`` row of the
+    library must reproduce bit for bit.  Returns ``(a_bar, report)``."""
+    m = len(points)
+    y, (lo, hi) = learners._dual_problem(labels, m, lam, loss, epochs)
+    masks, where = np.unique(kernels.points_to_bits(points, spec.n), return_inverse=True)
+    k = kernels.gram(spec, masks)
+    steps = epochs * m
+    picks = np.random.default_rng(seed).integers(0, m, size=steps)
+    weight = np.cumsum(1.0 / np.arange(steps, 0, -1))[::-1] / (lam * steps)
+    lo_of, hi_of = loss.conjugate_domain(y)
+    z, a_bar = np.zeros(k.shape[0]), np.zeros(m)
+    for t, i in enumerate(picks.tolist(), start=1):
+        u = where[i]
+        margin = z.item(u) / (lam * (t - 1)) if t > 1 else 0.0
+        g = float(hi_of[i] if margin > y[i] else lo_of[i] if margin < y[i] else 0.0)
+        if g:
+            z -= g * k[u]
+            a_bar[i] -= g * weight[t - 1]
+    problem = MklLayerProblem(learners._Gram(where, k), y, lam, loss)
+    objective = learners._bounds(problem, a_bar, learners._ONE)[0]
+    dual = learners._bounds(problem, np.clip(a_bar, lo, hi), learners._ONE)[1]
+    report = {"algo": "pegasos", "loss": loss.name, "lambda": lam, "objective": objective}
+    return a_bar, {**report, "iters": steps, "seed": seed, "gap": objective - dual}
+
+
+# a loss whose box ends are +-1/2: its hits take the multiply, not the in-place row
+HALF_ABSOLUTE = learners.LossSpec(
+    name="half-absolute",
+    value=lambda z, y: 0.5 * np.abs(z - y),
+    conjugate_domain=lambda y: (np.full_like(y, -0.5), np.full_like(y, 0.5)),
+)
+
+
+class TestPegasosStepBits:
+    """A hit with ``g = +-1`` subtracts or adds its Gram row in place, bit for bit ``z -= g * k[u]``."""
+
+    @staticmethod
+    def assert_bitwise(problem):
+        spec, points, labels, lam, epochs, seed, loss = problem
+        model = learners.pegasos_train(spec, points, labels, lam, epochs=epochs, seed=seed, loss=loss)
+        a_bar, report = multiply_step_pegasos(*problem)
+        assert model.alphas.tobytes() == a_bar.tobytes()
+        assert dict(model.report) == report
+        return model
+
+    @pytest.mark.parametrize("loss", [HINGE, ABSOLUTE, HALF_ABSOLUTE], ids=lambda loss: loss.name)
+    def test_repeated_points_with_conflicting_labels(self, loss):
+        # points 0 and 3 come twice, with both labels; under the absolute losses the
+        # labels include 0 and +-1/2, so the margin meets both sides of them
+        rows = layer_points(6, 2)
+        pts = pts_from_tuples([rows[i] for i in (0, 3, 3, 7, 11, 0, 14, 2)])
+        labels = [1.0, -1.0, 1.0, -1.0, 1.0, -1.0, -1.0, 1.0]
+        if loss is not HINGE:
+            labels = [1.0, -0.5, 0.5, 0.0, -1.0, 0.25, -1.0, 1.0]
+        model = self.assert_bitwise((kernels.universal_kernel(6), pts, np.array(labels), 0.05, 8, 3, loss))
+        assert np.any(model.alphas)
+
+    @pytest.mark.parametrize("loss", [HINGE, ABSOLUTE], ids=lambda loss: loss.name)
+    def test_a_universal_spec_over_interleaved_weights(self, loss):
+        # weights 1 to 6 of n = 7, shuffled, so the Gram's groups interleave and
+        # weights above n/2 take their mirror's table
+        rng = np.random.default_rng(7)
+        pts = [HypercubePoint.from_indices(7, rng.permutation(7)[: 1 + j % 6].tolist()) for j in range(40)]
+        pts = [pts[j] for j in rng.permutation(40)] + pts[:5]
+        labels = rng.choice([-1.0, 1.0], size=45) if loss is HINGE else rng.normal(size=45)
+        self.assert_bitwise((kernels.universal_kernel(7), pts, labels, 1e-2, 6, 11, loss))
+
+    @settings(max_examples=60, deadline=None)
+    @given(pegasos_problems(), st.booleans())
+    def test_any_problem_matches_the_multiply_step(self, problem, half):
+        if half and problem[-1] is ABSOLUTE:
+            problem = problem[:-1] + (HALF_ABSOLUTE,)
+        self.assert_bitwise(problem)
 
 
 def capped_simplex_point(raw) -> np.ndarray:
