@@ -3,14 +3,15 @@
 The construction embeds each coordinate separately: values are rounded
 down to a grid of step ``eps_int / 3`` (with 1.0 appended so the right
 endpoint is exact).  Each role draws one uniform vector ``U`` in
-``[0,1)^t`` per coordinate and keeps only its ``uint16`` cell vector
-``c = searchsorted(grid, U, side="right")``.  The row of grid value
-``v = grid[i]`` is ``1[c <= i] = 1[U < v]``: ``t`` Bernoulli(v) bits, and
-the rows of one role are nested thresholds (row i is a subset of row
-i+1).  For grid values ``u, v`` the dot product of a role-1 and a role-2
-row is Binomial(t, uv) and concentrates around ``t u v``, so with
-``t = ceil(c_t * ln(1/eps_int) / eps_int^2)`` the scaled inner product of
-two embedded coordinates tracks the real product within ``eps_int``.
+``[0,1)^t`` per coordinate and keeps only its ``uint16`` cell vector ``c =
+searchsorted(grid, U, side="right")``, all but a few draws found by
+truncating ``U / step``.  The row of grid value ``v = grid[i]`` is
+``1[c <= i] = 1[U < v]``: ``t`` Bernoulli(v) bits, and the rows of one role
+are nested thresholds (row i is a subset of row i+1).  For grid values
+``u, v`` the dot product of a role-1 and a role-2 row is Binomial(t, uv)
+and concentrates around ``t u v``, so with ``t = ceil(c_t * ln(1/eps_int)
+/ eps_int^2)`` the scaled inner product of two embedded coordinates tracks
+the real product within ``eps_int``.
 
 A cube embedder uses per-coordinate accuracy ``eps / n`` and concatenates
 the coordinate embeddings; summing the per-coordinate errors gives
@@ -43,9 +44,9 @@ are biased whenever both arguments hit the same grid cell (a row dotted
 with itself counts ones, not squared ones); only role-1-vs-role-2 products
 are certified, and same-role products are rejected.
 
-Builds are single-threaded (one PRNG substream per coordinate and
-attempt); once built, pairs are immutable and embedding/lifting are pure
-and thread-safe.
+Builds are single-threaded (one PRNG substream per coordinate and attempt,
+drawn into one buffer the whole build shares); once built, pairs are
+immutable and embedding/lifting are pure and thread-safe.
 """
 
 from __future__ import annotations
@@ -85,7 +86,11 @@ BUILD_RETRIES = 10
 
 
 def required_bits(epsilon: float, c_t: float = DEFAULT_CT) -> int:
-    """Bits per coordinate for one interval embedder of accuracy epsilon."""
+    """Bits per coordinate for one interval embedder of accuracy epsilon in (0, 1), c_t finite and positive."""
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
+    if not 0.0 < c_t < math.inf:
+        raise ValueError(f"c_t must be a finite positive number, got {c_t}")
     return math.ceil(c_t * math.log(1.0 / epsilon) / epsilon**2)
 
 
@@ -117,7 +122,9 @@ class IntervalEmbedderPair:
         """#{bits b : c1_b <= i, c2_b <= j}, a 2-D cumulative histogram of the cells."""
         if self.pair_inner is None:
             k1 = self.grid.shape[0] + 1
-            hist = np.bincount(self.cells[0] * np.int64(k1) + self.cells[1], minlength=k1 * k1)
+            key = self.cells[0] * np.int64(k1)  # the one int64 temporary
+            key += self.cells[1]
+            hist = np.bincount(key, minlength=k1 * k1)
             self.pair_inner = hist.reshape(k1, k1).cumsum(0).cumsum(1)[:-1, :-1]
         return self.pair_inner
 
@@ -145,24 +152,28 @@ def _check_unit(v: np.ndarray) -> None:
         raise ValueError(f"coordinates must lie in [0, 1], got {v[~ok][0]}")
 
 
-def _grid_cells(grid: np.ndarray, step: float, u: np.ndarray) -> np.ndarray:
+def _grid_cells(grid: np.ndarray, step: float, u: np.ndarray, q: np.ndarray) -> np.ndarray:
     """``searchsorted(grid, u, side="right")`` for u in [0, 1) on the grid of
-    ``_interval_grid``: the guess ``trunc(u * (1 / step)) + 1``, capped at the
-    last cell, is off by at most one where rounding meets a grid point, and
-    one exact comparison each way against ``grid`` mends that."""
-    c = (u * (1.0 / step)).astype(np.uint16) + 1
-    np.minimum(c, grid.shape[0] - 1, out=c)
-    c -= grid[c - 1] > u
-    c += grid[c] <= u
+    ``_interval_grid``, ``q`` scratch of u's shape: ``trunc(q) + 1`` for ``q =
+    u * (1 / step)``, and ``searchsorted`` for q within 1e-9 of an integer.  q
+    is within ``K 2^-52`` cells of ``u / step`` and ``grid[i] / step`` within
+    ``i 2^-53`` of i, below 3e-11 cells for the ``K <= 65536`` values 16-bit
+    cells address.  The forced ``grid[-1] = 1.0`` is above every draw; a guess
+    past it needs ``q >= K - 1``, above ``1 / step`` when 1.0 was appended,
+    else within 2e-11 of an integer, so such a q always takes searchsorted."""
+    c = np.multiply(u, 1.0 / step, out=q).astype(np.uint16)
+    q -= c
+    near = np.flatnonzero((q < 1e-9) | (q > 1.0 - 1e-9))
+    c += 1
+    c[near] = np.searchsorted(grid, u[near], side="right")
     return c
 
 
-def _build_interval_pair(eps_int: float, t: int, seed: int, coord: int) -> IntervalEmbedderPair:
-    grid = _interval_grid(eps_int)
+def _build_interval_pair(grid: np.ndarray, eps_int: float, seed: int, coord: int, u, q) -> IntervalEmbedderPair:
     for attempt in range(BUILD_RETRIES):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(coord, attempt)))
-        cells = tuple(_grid_cells(grid, eps_int / 3.0, rng.random(t)) for _role in (1, 2))
-        pair = IntervalEmbedderPair(t, grid, cells, attempt)
+        cells = tuple(_grid_cells(grid, eps_int / 3.0, rng.random(out=u), q) for _role in (1, 2))
+        pair = IntervalEmbedderPair(u.shape[0], grid, cells, attempt)
         last_dev = pair.max_deviation()
         if last_dev <= eps_int:
             return pair
@@ -221,16 +232,14 @@ class CubeEmbedderPair:
 def build_pair(n: int, epsilon: float, seed: int = 0, c_t: float = DEFAULT_CT) -> CubeEmbedderPair:
     """Build a certified cube embedder with per-coordinate accuracy epsilon/n.
 
-    ``t = required_bits(epsilon/n, c_t)`` bits per role, ``c_t`` finite and
-    positive; a width ``n t`` above ``WIDTH_CAP`` is refused before sampling,
-    and each coordinate is drawn up to ``BUILD_RETRIES`` times.
+    ``t = required_bits(epsilon/n, c_t)`` bits per role.  ``n`` and ``seed``
+    must be integers of at least 1 and 0, and ``epsilon`` and ``c_t`` what
+    ``required_bits`` accepts; these and a width ``n t`` above ``WIDTH_CAP``
+    are refused before sampling.  Each coordinate is drawn up to ``BUILD_RETRIES`` times.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must be in (0, 1)")
-    if n < 1:
-        raise ValueError("n must be positive")
-    if not 0.0 < c_t < math.inf:
-        raise ValueError(f"c_t must be a finite positive number, got {c_t}")
+    learners.check_count("n", n, 1)
+    learners.check_count("seed", seed)
+    required_bits(epsilon, c_t)  # refuses a bad epsilon or c_t by name
     eps_int = epsilon / n
     t = required_bits(eps_int, c_t)
     if n * t > WIDTH_CAP:
@@ -239,7 +248,8 @@ def build_pair(n: int, epsilon: float, seed: int = 0, c_t: float = DEFAULT_CT) -
             f"embedded width n*t = {n * t} exceeds the cap {WIDTH_CAP}; "
             f"smallest feasible epsilon for n={n} is about {feasible:.4g}"
         )
-    coords = [_build_interval_pair(eps_int, t, seed, c) for c in range(n)]
+    grid, u, q = _interval_grid(eps_int), np.empty(t), np.empty(t)
+    coords = [_build_interval_pair(grid, eps_int, seed, c, u, q) for c in range(n)]
     return CubeEmbedderPair(n, epsilon, t, seed, coords)
 
 

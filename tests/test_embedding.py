@@ -3,7 +3,12 @@
 Core claims:
     - grid rounding loses at most eps/3 * (x + y) per coordinate product,
       and the build's cell lookup equals searchsorted on the grid, at exact
-      grid points, their neighbours and in the last cell
+      grid points, 1-3 ulps either side of every one and in the last two
+      cells, up to the largest grid a pair file may hold; a build equals
+      the one before its shared draw buffers (a fresh draw per role, cells
+      by searchsorted) in its cells, tables and pair-file bytes, retries
+      included, and places draws at grid values and an ulp beside them as
+      searchsorted does
     - certified builds preserve inner products within eps on random pairs
     - builds are deterministic in (n, eps, seed); roles are independent
     - bits-per-coordinate scales as promised and the width guard reports a
@@ -72,6 +77,17 @@ from cubekern import embedding, learners
 from cubekern.learners import HINGE
 
 
+# the smallest per-coordinate accuracy above load_pair's floor 3/65535
+LARGEST_EPS_INT = float(np.nextafter(3.0 / 0xFFFF, 1.0))
+
+
+def _ulps(v, j):
+    """v moved j representable floats up (j > 0) or down (j < 0)."""
+    for _ in range(abs(j)):
+        v = np.nextafter(v, 1.0 if j > 0 else 0.0)
+    return v
+
+
 class TestGridSoundness:
     def test_rounding_error_bound(self, rng):
         eps = 0.3
@@ -93,7 +109,7 @@ class TestGridSoundness:
 
 
     @settings(max_examples=200, deadline=None)
-    @given(st.one_of(st.floats(1e-3, 0.9), st.sampled_from([0.3, 0.1 / 5, 0.1 / 16, 3 / 7])), st.data())
+    @given(st.one_of(st.floats(1e-3, 0.9), st.sampled_from([0.3, 0.1 / 5, 0.1 / 16, 3 / 7, LARGEST_EPS_INT])), st.data())
     def test_grid_cells_equal_searchsorted(self, eps, data):
         grid = embedding._interval_grid(eps)
         k = grid.shape[0]
@@ -101,14 +117,98 @@ class TestGridSoundness:
         point = st.one_of(
             st.floats(0.0, 1.0, exclude_max=True),
             near,
-            near.map(lambda v: float(np.nextafter(v, 0.0))),
-            near.map(lambda v: float(np.nextafter(v, 1.0))),
-            st.floats(float(grid[-2]), 1.0, exclude_max=True),  # the last cell
+            st.tuples(near, st.integers(1, 3)).map(lambda vj: _ulps(vj[0], -vj[1])),
+            st.tuples(near, st.integers(1, 3)).map(lambda vj: _ulps(vj[0], vj[1])),
+            st.floats(float(grid[-3]), 1.0, exclude_max=True),  # the last two cells
         ).filter(lambda v: 0.0 <= v < 1.0)
         u = np.array(data.draw(st.lists(point, min_size=1, max_size=50)))
-        got = embedding._grid_cells(grid, eps / 3.0, u)
+        got = embedding._grid_cells(grid, eps / 3.0, u, np.empty_like(u))
         assert got.dtype == np.uint16
         assert np.array_equal(got, np.searchsorted(grid, u, side="right"))
+
+    @pytest.mark.parametrize(
+        "eps",
+        [0.3, 0.1 / 5, 0.1 / 16, 3 / 7, 0.2 / 3, LARGEST_EPS_INT]
+        # 1 / step an ulp or two off an integer: 1.0 appended as a sliver of a last cell, or put in place
+        + [float(_ulps(3.0 / k, j)) for k in (7, 150, 4096) for j in (-2, -1, 1, 2)],
+    )
+    def test_grid_cells_within_three_ulps_of_every_grid_point(self, eps):
+        grid = embedding._interval_grid(eps)
+        u = np.concatenate([grid, *(_ulps(grid, j) for j in (-3, -2, -1, 1, 2, 3))])
+        u = u[(u >= 0.0) & (u < 1.0)]
+        got = embedding._grid_cells(grid, eps / 3.0, u, np.empty_like(u))
+        assert got.dtype == np.uint16
+        assert np.array_equal(got, np.searchsorted(grid, u, side="right"))
+
+    def test_largest_grid_fills_the_cells(self):
+        # the largest grid a pair file may hold: 65536 values, cells up to 65535
+        assert embedding._interval_grid(LARGEST_EPS_INT).shape[0] == 0x10000
+
+
+def _reference_build(n, epsilon, seed=0, c_t=embedding.DEFAULT_CT):
+    """build_pair as it was written before the shared draw buffers: a fresh
+    ``rng.random(t)`` per role, cells by ``searchsorted``, the table from a
+    two-temporary key; returns the pair and each coordinate's table."""
+    eps_int = epsilon / n
+    t, grid = embedding.required_bits(eps_int, c_t), embedding._interval_grid(eps_int)
+    k1 = grid.shape[0] + 1
+    coords, tables = [], []
+    for c in range(n):
+        for attempt in range(embedding.BUILD_RETRIES):
+            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(c, attempt)))
+            cells = tuple(np.searchsorted(grid, rng.random(t), side="right").astype(np.uint16) for _ in (1, 2))
+            hist = np.bincount(cells[0] * np.int64(k1) + cells[1], minlength=k1 * k1)
+            table = hist.reshape(k1, k1).cumsum(0).cumsum(1)[:-1, :-1]
+            if np.abs(np.outer(grid, grid) - table / t).max() <= eps_int:
+                break
+        coords.append(embedding.IntervalEmbedderPair(t, grid, cells, attempt))
+        tables.append(table)
+    return embedding.CubeEmbedderPair(n, epsilon, t, seed, coords), tables
+
+
+class TestBuildAgainstReference:
+    def test_build_places_draws_at_grid_points(self, monkeypatch):
+        # a tenth of the draws at a grid value or an ulp beside one, the draws that
+        # take searchsorted, passed through the build's shared buffers
+        grid, real_rng, draws = embedding._interval_grid(0.3 / 2), np.random.default_rng, {}
+
+        class NearGridPoints:
+            def __init__(self, seed_seq):
+                self.key, self.rng = seed_seq.spawn_key, real_rng(seed_seq)
+
+            def random(self, out):
+                self.rng.random(out=out)
+                at = self.rng.random(out.shape[0]) < 0.1
+                v = grid[self.rng.integers(0, grid.shape[0] - 1, at.sum())]
+                side = self.rng.integers(-1, 2, v.shape[0])
+                out[at] = np.where(side == 0, v, np.nextafter(v, (side + 1) / 2.0))
+                draws.setdefault(self.key, []).append(out.copy())
+                return out
+
+        monkeypatch.setattr(np.random, "default_rng", NearGridPoints)
+        pair = embedding.build_pair(2, 0.3, seed=3)
+        for c, coord in enumerate(pair.coords):
+            for cells, u in zip(coord.cells, draws[(c, coord.attempt)]):
+                assert np.array_equal(cells, np.searchsorted(grid, u, side="right"))
+
+    @pytest.mark.parametrize(
+        "n, eps, seed, c_t",
+        [(5, 0.1, 0, 8.0), (5, 0.1, 7, 8.0), (2, 0.3, 5, 8.0), (3, 0.2, 5, 0.5)],
+        ids=["5-0.1-seed0", "5-0.1-seed7", "2-0.3-seed5", "retries"],
+    )
+    def test_build_equals_reference(self, tmp_path, n, eps, seed, c_t):
+        pair = embedding.build_pair(n, eps, seed=seed, c_t=c_t)
+        ref, tables = _reference_build(n, eps, seed, c_t)
+        if c_t == 0.5:
+            assert [coord.attempt for coord in pair.coords] == [0, 2, 0]  # a coordinate drawn three times
+        for coord, want, table in zip(pair.coords, ref.coords, tables):
+            assert coord.attempt == want.attempt
+            for got_c, want_c in zip(coord.cells, want.cells):
+                assert got_c.dtype == np.uint16 and np.array_equal(got_c, want_c)
+            assert np.array_equal(coord.ensure_pair_inner(), table)
+        embedding.save_pair(pair, str(tmp_path / "got.bin"))
+        embedding.save_pair(ref, str(tmp_path / "want.bin"))
+        assert (tmp_path / "got.bin").read_bytes() == (tmp_path / "want.bin").read_bytes()
 
 
 class TestBuild:
@@ -127,6 +227,45 @@ class TestBuild:
         feasible = float(str(err.value).rsplit("about", 1)[1])
         assert 0.0 < feasible < 1.0
         assert 50 * embedding.required_bits(feasible / 50) <= embedding.WIDTH_CAP
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((0.0,), "epsilon must be in (0, 1), got 0.0"),
+            ((1.5,), "epsilon must be in (0, 1), got 1.5"),
+            ((1.0,), "epsilon must be in (0, 1), got 1.0"),
+            ((math.nan,), "epsilon must be in (0, 1), got nan"),
+            ((0.1, 0.0), "c_t must be a finite positive number, got 0.0"),
+            ((0.1, -1.0), "c_t must be a finite positive number, got -1.0"),
+            ((0.1, math.inf), "c_t must be a finite positive number, got inf"),
+            ((0.1, math.nan), "c_t must be a finite positive number, got nan"),
+        ],
+    )
+    def test_required_bits_names_bad_arguments(self, args, message):
+        with pytest.raises(ValueError) as exc:
+            embedding.required_bits(*args)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "n, eps, kw, message",
+        [
+            (2.5, 0.3, {}, "n must be an integer, got 2.5"),
+            (True, 0.3, {}, "n must be an integer, got True"),
+            (0, 0.3, {}, "n must be at least 1, got 0"),
+            (2, 0.3, dict(seed=-1), "seed must be non-negative, got -1"),
+            (2, 0.3, dict(seed=1.5), "seed must be an integer, got 1.5"),
+            (2, 0.3, dict(seed=False), "seed must be an integer, got False"),
+            (3, 2.0, {}, "epsilon must be in (0, 1), got 2.0"),  # eps/n = 2/3 alone would pass
+            (2, 0.0, {}, "epsilon must be in (0, 1), got 0.0"),
+            (2, 0.3, dict(c_t=math.inf), "c_t must be a finite positive number, got inf"),
+        ],
+        ids=["n-float", "n-bool", "n-zero", "seed-negative", "seed-float", "seed-bool", "eps-above-1", "eps-zero", "c_t-inf"],
+    )
+    def test_build_pair_refuses_before_sampling(self, monkeypatch, n, eps, kw, message):
+        monkeypatch.setattr(embedding, "_build_interval_pair", None)  # never reached
+        with pytest.raises(ValueError) as exc:
+            embedding.build_pair(n, eps, **kw)
+        assert str(exc.value) == message
 
     def test_determinism(self):
         a = embedding.build_pair(2, 0.3, seed=11)
@@ -597,6 +736,15 @@ class TestTrainOnCube:
         with pytest.raises(ValueError, match=rf"coordinates must lie in \[0, 1\], got {bad}"):
             embedding.train_on_cube(xs, ys, g, B=1.0, epsilon=0.1)
 
+    @pytest.mark.parametrize("seed, message", [(-3, "seed must be non-negative, got -3"), (1.5, "seed must be an integer, got 1.5")])
+    def test_bad_seed_refused_before_sampling(self, rng, monkeypatch, seed, message):
+        monkeypatch.setattr(embedding, "_build_interval_pair", None)  # never reached
+        xs, ys = self._margined_data(rng, m=4)
+        g = embedding.poly_g([0.5, 1.0 / 6.0], lipschitz=1 / 6, domain_max=3.0)
+        with pytest.raises(ValueError) as exc:
+            embedding.train_on_cube(xs, ys, g, B=1.0, epsilon=0.1, seed=seed)
+        assert str(exc.value) == message
+
     def test_empty_sample_refused_before_building(self, monkeypatch):
         monkeypatch.setattr(embedding, "build_pair", None)  # never reached
         g = embedding.poly_g([0.5, 1.0 / 6.0], lipschitz=1 / 6, domain_max=3.0)
@@ -885,8 +1033,8 @@ def test_demo_runs(demo):
 @pytest.mark.parametrize(
     "call, error, message",
     [
-        (lambda: embedding.build_pair(2, 1.5), ValueError, "epsilon must be in (0, 1)"),
-        (lambda: embedding.build_pair(0, 0.3), ValueError, "n must be positive"),
+        (lambda: embedding.build_pair(2, 1.5), ValueError, "epsilon must be in (0, 1), got 1.5"),
+        (lambda: embedding.build_pair(0, 0.3), ValueError, "n must be at least 1, got 0"),
         (lambda: embedding.embed(embedding.build_pair(2, 0.4), 3, [0.5, 0.5]), ValueError, "role must be 1 or 2"),
         (lambda: embedding.train_on_cube([0.5, 0.2], [1.0, -1.0], embedding.poly_g([1.0], 0.0, 2.0), 1.0, 0.5),
          ValueError, "points must be an (m, n) array"),
