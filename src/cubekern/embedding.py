@@ -86,12 +86,23 @@ BUILD_RETRIES = 10
 
 
 def required_bits(epsilon: float, c_t: float = DEFAULT_CT) -> int:
-    """Bits per coordinate for one interval embedder of accuracy epsilon in (0, 1), c_t finite and positive."""
+    """Bits per coordinate for one interval embedder of accuracy epsilon in (0, 1), c_t finite and positive;
+    an epsilon whose count overflows a float is refused by name."""
+    t = _bit_count(epsilon, c_t)
+    if t == math.inf:
+        raise ValueError(f"epsilon = {epsilon!r} needs more bits than a float can count (c_t = {c_t})")
+    return t
+
+
+def _bit_count(epsilon: float, c_t: float) -> float:
+    """``ceil(c_t ln(1/epsilon) / epsilon^2)`` once both are checked by name,
+    or ``inf`` where the quotient overflows a float."""
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
     if not 0.0 < c_t < math.inf:
         raise ValueError(f"c_t must be a finite positive number, got {c_t}")
-    return math.ceil(c_t * math.log(1.0 / epsilon) / epsilon**2)
+    bits = c_t * math.log(1.0 / epsilon) / epsilon**2 if epsilon**2 else math.inf
+    return math.ceil(bits) if bits < math.inf else math.inf
 
 
 def _interval_grid(eps_int: float) -> np.ndarray:
@@ -233,15 +244,16 @@ def build_pair(n: int, epsilon: float, seed: int = 0, c_t: float = DEFAULT_CT) -
     """Build a certified cube embedder with per-coordinate accuracy epsilon/n.
 
     ``t = required_bits(epsilon/n, c_t)`` bits per role.  ``n`` and ``seed``
-    must be integers of at least 1 and 0, and ``epsilon`` and ``c_t`` what
-    ``required_bits`` accepts; these and a width ``n t`` above ``WIDTH_CAP``
-    are refused before sampling.  Each coordinate is drawn up to ``BUILD_RETRIES`` times.
+    must be integers of at least 1 and 0, ``epsilon`` in (0, 1) and ``c_t``
+    finite and positive; these and a width ``n t`` above ``WIDTH_CAP``, a
+    count past float range included, are refused before sampling.  Each
+    coordinate is drawn up to ``BUILD_RETRIES`` times.
     """
     learners.check_count("n", n, 1)
     learners.check_count("seed", seed)
-    required_bits(epsilon, c_t)  # refuses a bad epsilon or c_t by name
+    _bit_count(epsilon, c_t)  # refuses a bad epsilon or c_t by name
     eps_int = epsilon / n
-    t = required_bits(eps_int, c_t)
+    t = _bit_count(eps_int, c_t) if eps_int else math.inf
     if n * t > WIDTH_CAP:
         feasible = _smallest_feasible_eps(n, c_t)
         raise ValueError(

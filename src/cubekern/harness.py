@@ -22,6 +22,21 @@ Randomness
 Every operation takes one integer seed.  Derived streams are produced with
 ``numpy.random.SeedSequence(seed, spawn_key=(stream_id,))``; the stream ids
 are 0 = literal choice, 1 = training data, 2 = holdout data, 3 = trainer.
+
+``gen_conjunction_dataset`` draws its points bit for bit as one
+``rng.choice(n, size=w, replace=False)`` per point would, from one bulk
+``rng.integers(0, 2**32, dtype=np.uint32)`` call per chunk.  For n <= 10,000
+numpy's ``choice`` is Floyd's sampling (Bentley & Floyd, CACM 1987): for
+j = n-w, ..., n-1 it draws t on [0, j] and takes t, or j if t is taken
+(j = 0 takes 0 with no draw); then it shuffles the picks with one draw on
+[0, i] for each i = w-1, ..., 1, which moves no bit but uses up draws.  A
+draw on r values is ``(u * r) >> 32`` of one ``next_uint32`` u (Lemire, ACM
+TOMACS 2019), drawn again when ``(u * r) mod 2^32 < 2^32 mod r`` (under 1.5e-8
+a draw for n <= 64).  So the masks and the state left for the label flips
+are the per-point calls'.  A point holding a redraw, and every point above
+n = 10,000 (where numpy shuffles a tail instead), is drawn by ``choice``.
+NEP 19 fixes bit-generator streams, not ``Generator`` methods, so golden
+dataset hashes in ``tests/test_harness.py`` guard both.
 """
 
 from __future__ import annotations
@@ -102,15 +117,20 @@ def gen_conjunction_dataset(
     ``noise_rate``.  When the layer weight is below the literal count the
     conjunction can never fire; that is allowed but warned about.
     """
+    learners.check_count("n", n, 1)
     if mode not in ("uniform_layer", "sparse"):
         raise ValueError(f"unknown mode {mode!r}")
-    lits = tuple(sorted(set(int(i) for i in literals)))
+    lits = tuple(literals)
     for i in lits:
         if not 0 <= i < n:
             raise ValueError(f"literal index out of range: literal {i} for n={n}")
+        learners.check_count("literal", i)
+    lits = tuple(sorted(set(int(i) for i in lits)))
     if not 0 <= weight <= n:
         raise ValueError(f"layer weight {weight} outside [0, {n}]")
+    learners.check_count("weight", weight)
     learners.check_count("m", m, 1)
+    learners.check_count("seed", seed)
     if not 0.0 <= noise_rate <= 1.0:
         raise ValueError("noise_rate must be in [0, 1]")
     if weight < len(lits):
@@ -119,13 +139,9 @@ def gen_conjunction_dataset(
             stacklevel=2,
         )
     rng = np.random.default_rng(seed)
-    mask = HypercubePoint.from_indices(n, lits).bits if lits else 0
-    points = []
-    base = np.empty(m)
-    for i in range(m):
-        pt = HypercubePoint.from_indices(n, rng.choice(n, size=weight, replace=False))
-        points.append(pt)
-        base[i] = 1.0 if (pt.bits & mask) == mask else 0.0
+    mask = HypercubePoint.from_indices(n, lits).bits
+    points = [HypercubePoint(n, bits) for bits in _choice_masks(rng, n, weight, m)]
+    base = np.array([(pt.bits & mask) == mask for pt in points], dtype=float)
     flips = rng.random(m) < noise_rate
     labels = np.where(flips, 1.0 - base, base)
     meta = {
@@ -141,6 +157,59 @@ def gen_conjunction_dataset(
         },
     }
     return Dataset(n, points, labels, meta)
+
+
+_FLOYD_MAX_N = 10_000  # numpy's choice tail-shuffles a larger population instead of Floyd's sampling
+
+
+def _choice_bits(rng, n: int, weight: int) -> int:
+    return HypercubePoint.from_indices(n, rng.choice(n, size=weight, replace=False)).bits
+
+
+def _choice_masks(rng, n: int, weight: int, m: int) -> list[int]:
+    """The bit masks of ``m`` successive ``rng.choice(n, size=weight,
+    replace=False)`` calls, leaving ``rng`` where they leave it, from one bulk
+    draw per chunk of at most ``kernels._BLOCK_ELEMS`` uint32s (see
+    "Randomness" in the module docstring).  A chunk holding a rejected draw is rewound to the
+    point holding it, which ``rng.choice`` then draws."""
+    if n > _FLOYD_MAX_N:
+        return [_choice_bits(rng, n, weight) for _ in range(m)]
+    first = max(n - weight, 1)  # Floyd's step j = 0 takes 0 without a draw
+    ranges = np.concatenate([np.arange(first, n) + 1, np.arange(weight, 1, -1)]).astype(np.uint64)
+    zone = (1 << 32) % ranges  # a draw u over range r is redrawn when (u * r) mod 2^32 < zone
+    d = ranges.size
+    rows = max(1, kernels._BLOCK_ELEMS // max(d, 1))
+    out: list[int] = []
+    while len(out) < m:
+        state = rng.bit_generator.state
+        prods = rng.integers(0, 1 << 32, size=(min(rows, m - len(out)), d), dtype=np.uint32) * ranges
+        rejects = np.flatnonzero(((prods & 0xFFFFFFFF) < zone).any(axis=1))
+        if rejects.size:
+            rng.bit_generator.state = state
+            rng.integers(0, 1 << 32, size=(rejects[0], d), dtype=np.uint32)
+            prods = prods[: rejects[0]]
+        out += _floyd_masks(prods[:, : n - first] >> 32, n, first, weight == n)
+        if rejects.size:
+            out.append(_choice_bits(rng, n, weight))
+    return out
+
+
+def _floyd_masks(picks: np.ndarray, n: int, first: int, take_zero: bool) -> list[int]:
+    """Floyd's sampling on each row of ``picks``, whose column k is the draw
+    ``t`` over ``[0, first + k]``: take t, or ``first + k`` when t is taken.
+    Masks are held as ``ceil(n / 64)`` uint64 words per row."""
+    words = (n + 63) >> 6
+    rows = picks.shape[0]
+    masks = np.zeros(rows * words, dtype=np.uint64)
+    base = np.arange(rows, dtype=np.uint64) * words
+    if take_zero:
+        masks[base] = 1
+    for j, t in enumerate(picks.T, first):
+        t = np.where((masks[base + (t >> 6)] >> (t & 63)) & 1, j, t)
+        masks[base + (t >> 6)] |= 1 << (t & 63)
+    if words == 1:
+        return masks.tolist()
+    return [int.from_bytes(row.tobytes(), "little") for row in masks.astype("<u8").reshape(rows, words)]
 
 
 def regenerate(meta: dict) -> Dataset:

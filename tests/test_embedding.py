@@ -228,9 +228,17 @@ class TestBuild:
         assert 0.0 < feasible < 1.0
         assert 50 * embedding.required_bits(feasible / 50) <= embedding.WIDTH_CAP
 
+    @pytest.mark.parametrize("n, eps", [(1, 1e-200), (1, 1e-160), (3, 1e-160), (10, 1e-323)])
+    def test_width_guard_covers_a_count_past_float_range(self, n, eps):
+        with pytest.raises(ValueError, match=f"smallest feasible epsilon for n={n} is about"):
+            embedding.build_pair(n, eps)
+
     @pytest.mark.parametrize(
         "args, message",
         [
+            ((1e-200,), "epsilon = 1e-200 needs more bits than a float can count (c_t = 8.0)"),
+            ((1e-160,), "epsilon = 1e-160 needs more bits than a float can count (c_t = 8.0)"),
+            ((0.5, 1e308), "epsilon = 0.5 needs more bits than a float can count (c_t = 1e+308)"),
             ((0.0,), "epsilon must be in (0, 1), got 0.0"),
             ((1.5,), "epsilon must be in (0, 1), got 1.5"),
             ((1.0,), "epsilon must be in (0, 1), got 1.0"),

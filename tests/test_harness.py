@@ -5,6 +5,10 @@ Core claims:
       layers the conjunction can never fire on, and refuse an m below 1 or
       not an integer by name; at
       n = 64 every draw succeeds, with int bit masks, also through bench
+    - the bulk uint32 draw gives the points, label bytes, meta and generator
+      state of one rng.choice per point, across chunks, through a Lemire
+      rejection and above numpy's Floyd population, and pegasos-cube- and
+      mkl-cube-shaped dataset files keep their golden sha256
     - save -> load is bit-exact for both point flavors and for analytic
       conjunction models; reports regenerate their datasets exactly
     - load_model names the file and the key of a model file that is not an
@@ -47,19 +51,25 @@ Core claims:
       is not a number, an x that is neither a bitstring nor a list of
       numbers, a point of another dimension, and a line that is not JSON
     - Dataset names a point/label count mismatch and non-finite labels,
-      gen_conjunction_dataset a literal or a layer weight out of range,
+      gen_conjunction_dataset a literal or a layer weight out of range, a
+      literal, weight, n or seed that is not an integer, an n below 1 and a
+      negative seed,
       regenerate an unknown generator, save_dataset a non-finite coordinate
       and load_dataset a file of blank lines
 """
 
 import dataclasses
+import hashlib
 import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import nested_v1_pair_file
 from cubekern import cli, embedding, harness, kernels, learners
@@ -124,6 +134,105 @@ class TestDatasetGeneration:
                 gen_conjunction_dataset(8, [0], "sparse", 3, m, 0.0, seed=0)
         with pytest.raises(ValueError, match="m must be an integer, got 2.5"):
             gen_conjunction_dataset(8, [0], "sparse", 3, 2.5, 0.0, seed=0)
+
+
+def _per_point_dataset(n, literals, mode, weight, m, noise_rate, seed):
+    """gen_conjunction_dataset as it was before its bulk draw: one
+    ``rng.choice`` per point, the reference the bulk draw must equal."""
+    rng = np.random.default_rng(seed)
+    lits = sorted(set(literals))
+    mask = HypercubePoint.from_indices(n, lits).bits if lits else 0
+    points = []
+    base = np.empty(m)
+    for i in range(m):
+        pt = HypercubePoint.from_indices(n, rng.choice(n, size=weight, replace=False))
+        points.append(pt)
+        base[i] = 1.0 if (pt.bits & mask) == mask else 0.0
+    flips = rng.random(m) < noise_rate
+    meta = {"generator": "conjunction", "seed": seed, "parameters": {
+        "n": n, "literals": lits, "mode": mode, "weight": weight, "m": m, "noise_rate": noise_rate}}
+    return points, np.where(flips, 1.0 - base, base), meta
+
+
+def _assert_same_as_per_point(*args):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # layers below the literal count are part of the draw
+        got = gen_conjunction_dataset(*args)
+    points, labels, meta = _per_point_dataset(*args)
+    assert [(pt.n, pt.bits) for pt in got.points] == [(pt.n, pt.bits) for pt in points]
+    assert got.labels.tobytes() == labels.tobytes()
+    assert got.meta == meta
+
+
+def _assert_masks_and_state_as_choice(n, weight, m, seed):
+    bulk, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    masks = harness._choice_masks(bulk, n, weight, m)
+    assert masks == [HypercubePoint.from_indices(n, ref.choice(n, size=weight, replace=False)).bits for _ in range(m)]
+    assert bulk.bit_generator.state == ref.bit_generator.state
+
+
+class TestBulkDraw:
+    """The bulk uint32 draw against the per-point ``rng.choice`` it replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_datasets_equal_the_per_point_draw(self, data):
+        n = data.draw(st.one_of(st.integers(1, 64), st.sampled_from([65, 100])), label="n")
+        literals = data.draw(st.lists(st.integers(0, n - 1), max_size=min(n, 4), unique=True), label="literals")
+        _assert_same_as_per_point(
+            n,
+            literals,
+            data.draw(st.sampled_from(["uniform_layer", "sparse"]), label="mode"),
+            data.draw(st.integers(0, n), label="weight"),
+            data.draw(st.integers(1, 40), label="m"),
+            data.draw(st.floats(0.0, 1.0), label="noise_rate"),
+            data.draw(st.integers(0, 2**64 - 1), label="seed"),
+        )
+
+    @pytest.mark.parametrize("n", [*range(1, 10), 31, 32, 63, 64, 65, 100])
+    def test_every_weight_leaves_the_generator_where_choice_does(self, n):
+        for weight in range(n + 1):
+            _assert_masks_and_state_as_choice(n, weight, 9, n)
+
+    def test_above_the_floyd_population_choice_draws_each_point(self):
+        # numpy's choice tail-shuffles once w > n // 50 above 10,000 values
+        for weight in (3, 250):
+            _assert_same_as_per_point(10_001, [0, 9_999], "sparse", weight, 3, 0.5, 7)
+
+    @pytest.mark.parametrize("block", [None, 63 * 250])
+    def test_a_rejected_draw_is_redrawn_as_choice_does(self, monkeypatch, block):
+        # point 1630's 17th draw, over range 49, is one Lemire rejects; with
+        # the smaller block it falls in the 7th of 40 chunks
+        if block is not None:
+            monkeypatch.setattr(kernels, "_BLOCK_ELEMS", block)
+        _assert_same_as_per_point(64, [3, 40], "uniform_layer", 32, 10_000, 0.2, 568)
+        for m in (1631, 1700):  # ending on the redrawn point, and past it
+            _assert_masks_and_state_as_choice(64, 32, m, 568)
+
+    def test_draws_spanning_many_chunks(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_BLOCK_ELEMS", 100)  # 14 points of 7 draws a chunk
+        _assert_same_as_per_point(16, [2, 7], "sparse", 4, 200, 0.1, 3)
+
+    @pytest.mark.parametrize(
+        "parts, digest",
+        [
+            ([(16, [2, 7], "sparse", 4, 3000, 0.1, 101)],
+             "582671f8db80ed5617cbfa32c4ad688546779c0ea38fb2a752a5b1e853e3577c"),
+            ([(16, [2, 7], "sparse", 4, 2000, 0.1, 102)],
+             "3a7898d8f1b51959f0e02903de1bae03f602a3994ed2f4234083a4dd14f3cff6"),
+            ([(16, [5, 9], "uniform_layer", w, 300, 0.1, 201 + j) for j, w in enumerate((3, 6, 12))],
+             "2aef04d6c049084282b0b1c7dab7424488e66a36a2d143845a3d3b8b40ec4058"),
+        ],
+        ids=["pegasos-cube-train", "pegasos-cube-holdout", "mkl-cube-train"],
+    )
+    def test_golden_dataset_files(self, tmp_path, parts, digest):
+        # a numpy release that changes Generator.choice or the PCG64 stream
+        # changes these bytes: NEP 19 fixes streams, not Generator methods
+        datasets = [gen_conjunction_dataset(*args) for args in parts]
+        points = [pt for d in datasets for pt in d.points]
+        path = tmp_path / "d.jsonl"
+        harness.save_dataset(harness.Dataset(16, points, np.concatenate([d.labels for d in datasets])), str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 class TestRoundTrips:
@@ -781,6 +890,20 @@ def _blank_file(tmp_path):
          "layer weight 9 outside [0, 8]"),
         (lambda tmp: gen_conjunction_dataset(8, [1], "sparse", -1, 10, 0.0, 0), ValueError,
          "layer weight -1 outside [0, 8]"),
+        (lambda tmp: gen_conjunction_dataset(8, [1], "sparse", 2.5, 10, 0.0, 0), ValueError,
+         "weight must be an integer, got 2.5"),
+        (lambda tmp: gen_conjunction_dataset(8, [1], "sparse", True, 10, 0.0, 0), ValueError,
+         "weight must be an integer, got True"),
+        (lambda tmp: gen_conjunction_dataset(8, [0.5], "sparse", 3, 10, 0.0, 0), ValueError,
+         "literal must be an integer, got 0.5"),
+        (lambda tmp: gen_conjunction_dataset(0, [], "sparse", 0, 10, 0.0, 0), ValueError,
+         "n must be at least 1, got 0"),
+        (lambda tmp: gen_conjunction_dataset(8.0, [1], "sparse", 3, 10, 0.0, 0), ValueError,
+         "n must be an integer, got 8.0"),
+        (lambda tmp: gen_conjunction_dataset(8, [1], "sparse", 3, 10, 0.0, -1), ValueError,
+         "seed must be non-negative, got -1"),
+        (lambda tmp: gen_conjunction_dataset(8, [1], "sparse", 3, 10, 0.0, 1.5), ValueError,
+         "seed must be an integer, got 1.5"),
         (lambda tmp: harness.regenerate({"generator": "x"}), ValueError, "unknown generator 'x'"),
         (lambda tmp: harness.save_dataset(harness.Dataset(2, list(np.array([[0.5, 0.5], [0.25, math.nan]])), [1.0, 1.0]),
                                          str(tmp / "d")),
@@ -788,7 +911,8 @@ def _blank_file(tmp_path):
         (lambda tmp: harness.load_dataset(_blank_file(tmp)), ValueError, "empty dataset file: "),
     ],
     ids=["dataset-count", "dataset-label", "dataset-dimension", "dataset-vector-length", "literal", "weight-high",
-         "weight-negative", "generator", "save-nan", "load-blank"],
+         "weight-negative", "weight-fraction", "weight-bool", "literal-fraction", "n-zero", "n-float", "seed-negative",
+         "seed-float", "generator", "save-nan", "load-blank"],
 )
 def test_boundary_errors_named(tmp_path, call, error, message):
     with pytest.raises(error) as exc:
